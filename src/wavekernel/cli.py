@@ -26,7 +26,8 @@ from .errors import (CertificationError, ConfigError, ControlError,
 from .goursat import (check_goursat, dump_kernel, load_kernel, solve_goursat,
                       kernel_constants)
 from .oracle import FDConfig, compare, fd_solve
-from .potential import build_potential, parse_complex, parse_potential_file
+from .potential import (_read_key_values, build_potential, parse_complex,
+                        parse_potential_file)
 from .propagator import (Control, bump_control, control_from_samples,
                          difference_quotient_test, propagate, ramp_control,
                          zero_control)
@@ -35,19 +36,7 @@ _FMT = "%.17g"
 
 
 def _parse_config(path: Path) -> dict:
-    cfg: dict = {}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+    cfg = _read_key_values(path, "config", ConfigError)
     cfg["_dir"] = path.parent
     return cfg
 
@@ -64,7 +53,10 @@ def _cfg_float(cfg: dict, key: str, default=None) -> float:
 
 
 def _cfg_int(cfg: dict, key: str, default=None) -> int:
-    return int(_cfg_float(cfg, key, default))
+    value = _cfg_float(cfg, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"config key {key!r} is not an integer: {cfg[key]!r}")
+    return int(value)
 
 
 def _load_potential(cfg: dict):
@@ -177,25 +169,25 @@ def cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_propagate(cfg: dict, out: Path, seed: int) -> int:
+def _wave(cfg: dict):
+    """Potential, control and the wave it drives, from the config's T and N."""
     p = _load_potential(cfg)
     field = _field_for(cfg, p)
     T = _cfg_float(cfg, "T")
     N = _cfg_int(cfg, "N")
     f = _load_control(cfg, T, p.dim)
-    snap = propagate(field, f, T, N)
+    return p, f, propagate(field, f, T, N)
+
+
+def cmd_propagate(cfg: dict, out: Path, seed: int) -> int:
+    _, _, snap = _wave(cfg)
     _write_snapshot_csv(out / "snapshot.csv", snap)
     _write_manifest(out, "propagate", cfg, seed)
     return 0
 
 
 def cmd_apply(cfg: dict, out: Path, seed: int) -> int:
-    p = _load_potential(cfg)
-    field = _field_for(cfg, p)
-    T = _cfg_float(cfg, "T")
-    N = _cfg_int(cfg, "N")
-    f = _load_control(cfg, T, p.dim)
-    snap = propagate(field, f, T, N)
+    _, _, snap = _wave(cfg)
     _write_series_csv(out / "wave.csv", snap.grid, snap.u, "u")
     _write_manifest(out, "apply", cfg, seed)
     return 0
@@ -334,13 +326,9 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
-    p = _load_potential(cfg)
-    field = _field_for(cfg, p)
-    T = _cfg_float(cfg, "T")
-    N = _cfg_int(cfg, "N")
-    f = _load_control(cfg, T, p.dim)
-    snap = propagate(field, f, T, N)
-    fd = fd_solve(p, f, FDConfig(N_x=_cfg_int(cfg, "fd_nx", 2 * N), T=T))
+    p, f, snap = _wave(cfg)
+    N = snap.grid.size - 1
+    fd = fd_solve(p, f, FDConfig(N_x=_cfg_int(cfg, "fd_nx", 2 * N), T=snap.T))
     l2, mx, rel = compare(snap, fd)
     _write_snapshot_csv(out / "fd_snapshot.csv", fd)
     _write_json(out / "oracle.json", {"l2_err": l2, "max_err": mx, "rel_l2": rel})
@@ -369,16 +357,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap (best effort)")
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(args.threads)
-        except ImportError:
-            pass
 
     try:
         cfg = _parse_config(args.config)

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .errors import CertificationError, DomainError, SingularSystemError
-from .goursat import KernelField, _interp_triangle, kernel_constants
-from .potential import PotentialGrid, norm_constants
-from .propagator import Control, _kernel_matrix, propagate, random_smooth_control
+from .goursat import KernelField, kernel_constants
+from .potential import PotentialGrid, _cumtrapz, norm_constants
+from .propagator import Control, OperatorTables, propagate, random_smooth_control
 
 _DENSE_SVD_CAP = 1024
 
@@ -68,14 +68,13 @@ class VolterraSystem:
 def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
     """Discretize the reflected control-to-state map on N+1 uniform nodes.
 
-    Uses the same kernel lookups and trapezoid weights as the propagator,
-    so applying the system to reflected control samples reproduces the
-    propagated wave to rounding.
+    The blocks are the k0 table of the one table layer, OperatorTables,
+    the same weighted kernel samples the propagator reads, so applying the
+    system to reflected control samples reproduces the propagated wave to
+    rounding.
     """
-    if T > field.T * (1 + 1e-12) + 1e-12:
-        raise DomainError(f"horizon T = {T} exceeds the kernel horizon {field.T}")
-    s, W, wgt, _ = _kernel_matrix(field, T, N)
-    return VolterraSystem(T=float(T), N=N, grid=s, blocks=wgt[..., None, None] * W)
+    tab = OperatorTables(field, T, N)
+    return VolterraSystem(T=float(T), N=N, grid=tab.grid, blocks=tab.k0)
 
 
 def invert_W(sys: VolterraSystem, u: np.ndarray, mode: str = "substitution",
@@ -157,52 +156,27 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     return float(math.sqrt(_l2(grid, g) ** 2 + _l2(grid, g1) ** 2 + _l2(grid, g2) ** 2))
 
 
-@dataclass(frozen=True)
-class ApplyTables:
-    """Precomputed quadrature tables for A f and its two derivatives."""
+class _SobolevTables(OperatorTables):
+    """The shared k0/k1 plus the second-derivative terms of (A f)''."""
 
-    grid: np.ndarray
-    k0: np.ndarray       # weighted kernel samples
-    k1: np.ndarray       # weighted d/dx kernel samples
-    k2a: np.ndarray      # weighted second-derivative kernel samples
-    k2b: np.ndarray      # weighted potential-difference samples (acts on f')
-    q_half_cum: np.ndarray
-    q_x: np.ndarray
-    wx_diag: np.ndarray
-    q_mix_T: np.ndarray
-
-
-def _apply_tables(field: KernelField, T: float, N: int) -> ApplyTables:
-    s, W, wgt, causal = _kernel_matrix(field, T, N)
-    X, S = np.meshgrid(s, s, indexing="ij")
-    xi = np.where(causal, S - X, 0.0)
-    eta = np.where(causal, S + X, 0.0)
-    q_plus = field.q_at(np.where(causal, (S + X) / 2.0, 0.0))
-    q_minus = field.q_at(np.where(causal, (S - X) / 2.0, 0.0))
-    Wx = _interp_triangle(field.wx_lat, xi, eta, field.step, field.M)
-    Wxx = _interp_triangle(field.wxx_lattice(), xi, eta, field.step, field.M)
-    w4 = wgt[..., None, None]
-    # cumulative half-integral of q along the grid, by trapezoid on the grid
-    qg = field.q_at(s)
-    q_half = np.zeros_like(qg)
-    np.cumsum(0.25 * (s[1] - s[0]) * (qg[:-1] + qg[1:]), axis=0, out=q_half[1:])
-    wx_diag = _interp_triangle(field.wx_lat, np.zeros_like(s),
-                               2.0 * np.minimum(s, field.T), field.step, field.M)
-    q_mix_T = 0.25 * (field.q_at((T - s) / 2.0) - field.q_at((T + s) / 2.0))
-    return ApplyTables(
-        grid=s,
-        k0=w4 * W,
-        k1=w4 * (Wx - 0.25 * (q_plus + q_minus)),
-        k2a=w4 * Wxx,
-        k2b=w4 * 0.25 * (q_plus - q_minus),
-        q_half_cum=q_half,
-        q_x=qg,
-        wx_diag=wx_diag,
-        q_mix_T=q_mix_T,
-    )
+    def __init__(self, field: KernelField, T: float, N: int):
+        super().__init__(field, T, N)
+        s = self.grid
+        self.k2a = self.weighted(field.wxx_lattice())
+        q_plus, q_minus = self.q_halves()
+        self.k2b = self.wgt * 0.25 * (q_plus - q_minus)    # acts on f'
+        self.q_x = field.q_at(s)
+        # half-integral of q along the grid
+        self.q_half_cum = 0.5 * _cumtrapz(self.q_x, self.delta)
+        self.wx_diag = self.trace(field.wx_lat)
+        self.q_mix_T = 0.25 * (field.q_at((T - s) / 2.0) - field.q_at((T + s) / 2.0))
 
 
-def _apply_A_with_derivatives(tab: ApplyTables, f0, f1):
+def _apply_tables(field: KernelField, T: float, N: int) -> _SobolevTables:
+    return _SobolevTables(field, T, N)
+
+
+def _apply_A_with_derivatives(tab: _SobolevTables, f0, f1):
     """A f and the explicit formulas for (A f)' and (A f)''."""
     Af = np.einsum("kmab,mb->ka", tab.k0, f0)
     Af1 = np.einsum("kab,kb->ka", tab.q_half_cum, f0) \
@@ -246,8 +220,12 @@ def certify_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     behind the three chained estimates (L2 -> sup, sup -> C1, C1 -> H2) and
     the full Sobolev ratio, and checks each against its analytic bound
     assembled from the norm constants of the potential and the kernel.
-    Raises CertificationError if any measured ratio exceeds its bound.
+    A f and its two derivatives read k0 and k1 of the one table layer,
+    OperatorTables; only the second-derivative terms of (A f)'' are built
+    here.  Raises CertificationError if any measured ratio exceeds its bound.
     """
+    tab = _apply_tables(field, T, N)
+    grid = tab.grid
     a1, a2 = norm_constants(p, T)
     kc = kernel_constants(p, field)
     rootT = math.sqrt(T)
@@ -261,8 +239,6 @@ def certify_h2_bound(field: KernelField, p: PotentialGrid, T: float,
         + T * bound_ii**2 * emb
         + bound_iii**2 * emb
     )
-    tab = _apply_tables(field, T, N)
-    grid = tab.grid
     rng = np.random.default_rng(seed)
     r_i = r_ii = r_iii = r_h2 = r_inv = 0.0
     for _ in range(trials):

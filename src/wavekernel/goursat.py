@@ -24,16 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .potential import PotentialGrid, _opnorms, integral_Q
+from .potential import PotentialGrid, _cumtrapz, _opnorms, integral_Q
 
 _TOL = 1e-9
-
-
-def _cumtrapz(vals: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    pair = np.moveaxis(vals, axis, 0)
-    out = np.zeros_like(pair)
-    np.cumsum(0.5 * dx * (pair[:-1] + pair[1:]), axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
 
 
 def _grids(M: int):
@@ -467,7 +460,7 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
     """
     M, h = f.M, f.step
     norms_qh = _opnorms(f.qh)
-    s_lat = np.concatenate(([0.0], np.cumsum(0.125 * h * (norms_qh[:-1] + norms_qh[1:]))))
+    s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
     xi = np.arange(M + 1) * h
     bound = s_lat[None, :] * np.exp(xi[:, None] * s_lat[None, :]) + f.tail_bound
     excess = _opnorms(f.v) - (bound + rel_slack * (1.0 + bound))

@@ -28,11 +28,12 @@ def _opnorms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def _cumtrapz(vals: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at zero."""
-    out = np.zeros_like(vals)
-    np.cumsum(0.5 * dx * (vals[:-1] + vals[1:]), axis=0, out=out[1:])
-    return out
+def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    """Cumulative trapezoid along one axis, starting at zero."""
+    pair = np.moveaxis(vals, axis, 0)
+    out = np.zeros_like(pair)
+    np.cumsum(0.5 * dx * (pair[:-1] + pair[1:]), axis=0, out=out[1:])
+    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)
@@ -291,6 +292,27 @@ def parse_complex(token: str) -> complex:
         raise PotentialError(f"cannot parse complex entry {token!r}") from exc
 
 
+def _read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
+    """``key = value`` lines of a text file; ``#`` starts a comment.
+
+    Unreadable files and malformed lines raise the caller's error type.
+    """
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    out: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
+
+
 def parse_potential_file(path) -> dict:
     """Parse a plain-text key-value potential description.
 
@@ -299,19 +321,7 @@ def parse_potential_file(path) -> dict:
     or ``name`` (preset registry key).
     """
     path = Path(path)
-    spec: dict = {}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise PotentialError(f"cannot read potential file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PotentialError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        spec[key.strip()] = value.strip()
+    spec = _read_key_values(path, "potential file", PotentialError)
     kind = spec.get("kind")
     if kind not in {"zero", "constant", "sampled", "preset"}:
         raise PotentialError(f"{path}: kind must be zero/constant/sampled/preset, got {kind!r}")

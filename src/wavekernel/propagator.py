@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -278,56 +279,87 @@ class WaveSnapshot:
         return self.u.shape[-1]
 
 
-def _kernel_matrix(field: KernelField, T: float, N: int):
-    """Kernel samples w(x_k, s_m) on the shared uniform grid, with the
-    causal trapezoid weights over [x_k, T]; zero below the diagonal."""
-    delta = T / N
-    s = np.arange(N + 1) * delta
-    X, S = np.meshgrid(s, s, indexing="ij")
-    causal = S >= X
-    xi = np.where(causal, S - X, 0.0)
-    eta = np.where(causal, S + X, 0.0)
-    W = _interp_triangle(field.v, xi, eta, field.step, field.M)
-    W[~causal] = 0.0
-    wgt = np.where(causal, delta, 0.0)
-    idx = np.arange(N + 1)
-    wgt[idx, idx] = 0.5 * delta
-    wgt[:-1, N] = 0.5 * delta
-    wgt[N, N] = 0.0
-    return s, W, wgt, causal
+class OperatorTables:
+    """The kernel sampled once on the uniform N-grid over [0, T].
+
+    Row k, column m is the causal pair (x_k, s_m), s_m >= x_k, i.e. the
+    characteristic point (xi, eta) = (s_m - x_k, s_m + x_k).  wgt holds the
+    trapezoid weights over [x_k, T]; they vanish below the diagonal, so
+    every weighted table is causal.  k0 is the weighted kernel, the
+    operator of the representation formula and of the control-to-state
+    map; k1 is the weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of
+    the kernel inside the integral.  Both are built on first use.
+    """
+
+    def __init__(self, field: KernelField, T: float, N: int):
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+            raise DomainError(f"grid size N must be an integer >= 1, got {N!r}")
+        if not 0.0 < T <= field.T * (1 + 1e-12) + 1e-12:
+            raise DomainError(f"horizon T = {T} must lie in (0, {field.T}], "
+                              f"the kernel horizon")
+        self.field = field
+        self.delta = T / N
+        s = np.arange(N + 1) * self.delta
+        X, S = np.meshgrid(s, s, indexing="ij")
+        causal = S >= X
+        self.grid = s
+        self.xi = np.where(causal, S - X, 0.0)
+        self.eta = np.where(causal, S + X, 0.0)
+        wgt = np.where(causal, self.delta, 0.0)
+        idx = np.arange(N + 1)
+        wgt[idx, idx] = 0.5 * self.delta
+        wgt[:-1, N] = 0.5 * self.delta
+        wgt[N, N] = 0.0
+        self.wgt = wgt[..., None, None]
+
+    def sample(self, lattice: np.ndarray) -> np.ndarray:
+        """A lattice field at every (xi, eta) pair of the grid."""
+        return _interp_triangle(lattice, self.xi, self.eta, self.field.step, self.field.M)
+
+    def weighted(self, lattice: np.ndarray) -> np.ndarray:
+        """Trapezoid-weighted samples of a lattice field; zero below the diagonal."""
+        return self.wgt * self.sample(lattice)
+
+    def trace(self, lattice: np.ndarray) -> np.ndarray:
+        """A lattice field on the diagonal x = s, i.e. at (xi, eta) = (0, 2x)."""
+        s = self.grid
+        return _interp_triangle(lattice, np.zeros_like(s), 2.0 * np.minimum(s, self.field.T),
+                                self.field.step, self.field.M)
+
+    def q_halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The potential at eta/2 and at xi/2 for every pair of the grid."""
+        return self.field.q_at(self.eta / 2.0), self.field.q_at(self.xi / 2.0)
+
+    @cached_property
+    def k0(self) -> np.ndarray:
+        return self.weighted(self.field.v)
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        wx = self.sample(self.field.wx_lat)     # before q_halves: lower peak memory
+        q_plus, q_minus = self.q_halves()
+        return self.wgt * (wx - 0.25 * (q_plus + q_minus))
 
 
 def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     """Wave snapshot at time T on N+1 uniform nodes.
 
-    u comes from the representation formula, u_x from its differentiated
-    form, and u_xx from the interior equation u_xx = u_tt + q u with u_tt
-    evaluated by pushing two time derivatives onto the control.
+    Reads the one table layer, OperatorTables: u and u_tt come from the
+    representation formula with k0, u_x from its differentiated form with
+    k1 and the diagonal trace of the kernel, and u_xx from the interior
+    equation u_xx = u_tt + q u, with u_tt evaluated by pushing two time
+    derivatives onto the control.
     """
-    if T > field.T * (1 + 1e-12) + 1e-12:
-        raise DomainError(f"horizon T = {T} exceeds the kernel horizon {field.T}")
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
-    s, W, wgt, causal = _kernel_matrix(field, T, N)
+    tab = OperatorTables(field, T, N)
+    s = tab.grid
     f0, f1, f2 = f.sample(T - s)
-    u = f0 + np.einsum("km,kmab,mb->ka", wgt, W, f0)
-
-    q_x = field.q_at(s)
-    u_tt = f2 + np.einsum("km,kmab,mb->ka", wgt, W, f2)
-    u_xx = u_tt + np.einsum("kab,kb->ka", q_x, u)
-
-    w_diag = _interp_triangle(field.v, np.zeros_like(s), 2.0 * np.minimum(s, field.T),
-                              field.step, field.M)
-    X, S = np.meshgrid(s, s, indexing="ij")
-    xi = np.where(causal, S - X, 0.0)
-    eta = np.where(causal, S + X, 0.0)
-    Wx = _interp_triangle(field.wx_lat, xi, eta, field.step, field.M)
-    w0x = -0.25 * (field.q_at(np.where(causal, (S + X) / 2.0, 0.0))
-                   + field.q_at(np.where(causal, (S - X) / 2.0, 0.0)))
-    Wfull = Wx + w0x
-    Wfull[~causal] = 0.0
-    u_x = -f1 - np.einsum("kab,kb->ka", w_diag, f0) \
-        + np.einsum("km,kmab,mb->ka", wgt, Wfull, f0)
+    u = f0 + np.einsum("kmab,mb->ka", tab.k0, f0)
+    u_tt = f2 + np.einsum("kmab,mb->ka", tab.k0, f2)
+    u_xx = u_tt + np.einsum("kab,kb->ka", field.q_at(s), u)
+    u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) \
+        + np.einsum("kmab,mb->ka", tab.k1, f0)
     return WaveSnapshot(T=float(T), grid=s, u=u, u_x=u_x, u_xx=u_xx)
 
 

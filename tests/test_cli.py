@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,22 @@ def test_apply_and_invert_round_trip(tmp_path):
     assert np.abs(rec[:, 1] + 1j * rec[:, 2] - ref).max() < 1e-10
 
 
+def test_propagate_zero_grid_exit(tmp_path, capsys):
+    zero_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="N = 0\n")
+    assert main(["propagate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "grid size N" in err and "Traceback" not in err
+
+
+def test_non_integral_config_int(tmp_path, capsys):
+    zero_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="N = 200.7\n")
+    assert main(["propagate", "--config", str(cfg)]) == 1
+    assert "not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "snapshot.csv").exists()
+
+
 def test_invert_wrong_length_snapshot(tmp_path):
     one_pot(tmp_path)
     bad = tmp_path / "bad.csv"
@@ -184,7 +202,10 @@ def test_deterministic_outputs(tmp_path):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)
     run = [sys.executable, "-m", "wavekernel.cli", "kernel", "--config", str(cfg)]
-    subprocess.run(run + ["--out", str(tmp_path / "a")], check=True, cwd=tmp_path)
-    subprocess.run(run + ["--out", str(tmp_path / "b")], check=True, cwd=tmp_path)
+    src_dir = str(Path(wk.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(run + ["--out", str(tmp_path / "a")], check=True, cwd=tmp_path, env=env)
+    subprocess.run(run + ["--out", str(tmp_path / "b")], check=True, cwd=tmp_path, env=env)
     for name in ("kernel.csv", "kernel.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

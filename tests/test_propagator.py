@@ -3,7 +3,7 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
-from wavekernel.propagator import _u_values
+from wavekernel.propagator import OperatorTables, _u_values
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -128,6 +128,44 @@ def test_propagate_time_shift(field_one):
 def test_propagate_horizon_error(field_one, bump1):
     with pytest.raises(DomainError):
         wk.propagate(field_one, bump1, 1.5, 50)
+
+
+@pytest.mark.parametrize("N", [0, -3, 2.5, 64.0, True])
+@pytest.mark.parametrize("entry", [
+    lambda fld, pot, N: wk.propagate(fld, wk.bump_control(1.0, 0.1, 0.9, 1.0), 1.0, N),
+    lambda fld, pot, N: wk.build_volterra(fld, 1.0, N),
+    lambda fld, pot, N: wk.certify_h2_bound(fld, pot, 1.0, trials=1, N=N),
+], ids=["propagate", "build_volterra", "certify_h2_bound"])
+def test_degenerate_grid_rejected(pot_one, field_one, entry, N):
+    with pytest.raises(DomainError, match="grid size N"):
+        entry(field_one, pot_one, N)
+
+
+def test_operator_tables_numpy_integer_grid(field_one):
+    tab = OperatorTables(field_one, 1.0, np.int64(16))
+    assert tab.k0.shape == (17, 17, 1, 1)
+
+
+def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
+    # k0 and k1 are the trapezoid-weighted kernel and x-derivative samples
+    N = 40
+    tab = OperatorTables(field_herm2, 1.0, N)
+    delta = 1.0 / N
+    for k, m in [(0, 0), (0, 17), (3, 3), (5, 29), (12, N), (N - 1, N), (N, N), (7, 2)]:
+        x, s = tab.grid[k], tab.grid[m]
+        if m < k or k == m == N:
+            weight = 0.0
+        else:
+            weight = (0.5 if m in (k, N) else 1.0) * delta
+        if weight == 0.0:
+            assert np.abs(tab.k0[k, m]).max() == 0.0 and np.abs(tab.k1[k, m]).max() == 0.0
+            continue
+        k0 = weight * wk.kernel_w(field_herm2, x, s)
+        k1 = weight * (wk.wtilde_x(pot_herm2, field_herm2, x, s)
+                       - 0.25 * (field_herm2.q_at((s + x) / 2.0)
+                                 + field_herm2.q_at((s - x) / 2.0)))
+        assert np.abs(tab.k0[k, m] - k0).max() <= 1e-14
+        assert np.abs(tab.k1[k, m] - k1).max() <= 1e-14
 
 
 def test_propagate_dim_mismatch(field_herm2, bump1):
