@@ -7,7 +7,8 @@ from .boundary_map import (WeylSolution, dump_weyl, lambda_map,
                            lift_control, weyl_solution)
 from .control_op import (SobolevReport, VolterraSystem, apply_W,
                          build_volterra, certify_h2_bound, condition_estimate,
-                         h2_norm, invert_W, neumann_partial_sums, reflect)
+                         h2_norm, invert_W, measure_h2_bound,
+                         neumann_partial_sums, reflect)
 from .goursat import (GoursatReport, KernelConstants, KernelField, apply_V,
                       bound_violations, check_goursat, derivatives_v,
                       dump_kernel, initial_v0, kernel_constants, kernel_w,
@@ -37,8 +38,8 @@ __all__ = [
     "bump_control", "ramp_control", "control_from_samples",
     "random_smooth_control", "propagate", "u_tt", "difference_quotient_test",
     "VolterraSystem", "SobolevReport", "reflect", "apply_W", "build_volterra",
-    "invert_W", "neumann_partial_sums", "h2_norm", "certify_h2_bound",
-    "condition_estimate",
+    "invert_W", "neumann_partial_sums", "h2_norm", "measure_h2_bound",
+    "certify_h2_bound", "condition_estimate",
     "WeylSolution", "weyl_solution", "dump_weyl", "lambda_map", "lift_control",
     "FDConfig", "fd_solve", "bessel_kernel_constant",
     "bessel_substitution_residual", "compare",

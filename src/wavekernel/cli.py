@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .control_op import (build_volterra, certify_h2_bound, condition_estimate,
-                         invert_W, reflect)
+                         invert_W, measure_h2_bound, reflect)
 from .errors import (CertificationError, ConfigError, ControlError,
                      ConvergenceError, DomainError, PotentialError,
                      SingularSystemError)
@@ -211,6 +211,8 @@ def cmd_invert(cfg: dict, out: Path, seed: int) -> int:
     N = raw.shape[0] - 1
     if N < 2:
         raise ConfigError("snapshot needs at least 3 rows")
+    if not np.max(np.abs(raw[:, 0] - np.linspace(0.0, T, N + 1))) <= 1e-9 * T:
+        raise ConfigError(f"snapshot {snap_path} x column is not the uniform grid on [0, {T}]")
     sysv = build_volterra(field, T, N)
     g = invert_W(sysv, u)
     recovered = reflect(g)
@@ -262,7 +264,7 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
     snap = propagate(field, f, T, N)
     fd = fd_solve(p, f, FDConfig(N_x=_cfg_int(cfg, "fd_nx", 2 * N), T=T))
     _, _, rel = compare(snap, fd)
-    rep = certify_h2_bound(field, p, T, trials=_cfg_int(cfg, "trials", 25),
+    rep = measure_h2_bound(field, p, T, trials=_cfg_int(cfg, "trials", 25),
                            N=min(N, 256), seed=seed)
     dq_t = _cfg_float(cfg, "dq_t", 0.75 * T)
     dq_h = [2.0**-k for k in range(4, 9)]

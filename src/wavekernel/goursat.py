@@ -15,9 +15,9 @@ of its smooth part in closed vectorized form.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,6 +130,8 @@ def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
 # --- construction ----------------------------------------------------------
 
 def _lattice_setup(p: PotentialGrid, T: float, h: float):
+    if not (math.isfinite(T) and math.isfinite(h) and T > 0 and h > 0):
+        raise DomainError(f"T = {T} and h = {h} must be finite and positive")
     M = int(round(2.0 * T / h))
     if abs(M * h - 2.0 * T) > _TOL * max(1.0, T):
         raise DomainError(f"step h = {h} does not divide 2T = {2 * T}")
@@ -203,8 +205,8 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     the analytic factorial tail of the remainder does; raises
     ConvergenceError at the sweep cap.  Diagonal nodes are pinned to zero.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     M, qh = _lattice_setup(p, T, h)
     idx = np.arange(M + 1)
     v0 = _v0_lattice(qh, h)
@@ -471,25 +473,40 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
 
 # --- persistence ------------------------------------------------------------
 
+_DUMP_BLOCK = 4096      # rows formatted per write
+
+
+def _dump_header(n: int) -> str:
+    cols = ["xi", "eta"]
+    for a in range(n):
+        for b in range(n):
+            cols += [f"v{a}{b}_re", f"v{a}{b}_im"]
+    return ",".join(cols)
+
+
 def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
-    """Write the lattice field as CSV plus a JSON summary."""
+    """Write the lattice field as CSV plus a JSON summary.
+
+    One row per node of the upper triangle, i-major: xi, eta, then the
+    real and imaginary parts of each entry of v in row-major order, each
+    as %.17g so that load_kernel restores the field bit for bit.  Rows end
+    in CRLF.
+    """
     M, n = f.M, f.dim
     kc = kernel_constants(p, f)
+    i, j = np.triu_indices(M + 1)
+    vals = f.v[i, j].reshape(i.size, n * n)
+    table = np.empty((i.size, 2 + 2 * n * n))
+    table[:, 0] = i * f.step
+    table[:, 1] = j * f.step
+    table[:, 2::2] = vals.real
+    table[:, 3::2] = vals.imag
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["xi", "eta"]
-        for a in range(n):
-            for b in range(n):
-                header += [f"v{a}{b}_re", f"v{a}{b}_im"]
-        writer.writerow(header)
-        for i in range(M + 1):
-            for j in range(i, M + 1):
-                row = [f"{i * f.step:.17g}", f"{j * f.step:.17g}"]
-                for a in range(n):
-                    for b in range(n):
-                        row += [f"{f.v[i, j, a, b].real:.17g}",
-                                f"{f.v[i, j, a, b].imag:.17g}"]
-                writer.writerow(row)
+        fh.write(_dump_header(n) + "\r\n")
+        for start in range(0, len(table), _DUMP_BLOCK):
+            block = table[start:start + _DUMP_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     summary = {
         "T": f.T, "h": f.step, "n": n,
         "iterations": f.iterations, "tail_bound": f.tail_bound,
@@ -499,21 +516,49 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
 
 
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
-    """Reconstruct a field from a dump; derivative tables are recomputed."""
-    meta = json.loads(Path(json_path).read_text())
-    T, h, n = float(meta["T"]), float(meta["h"]), int(meta["n"])
+    """Reconstruct a field from a dump; derivative tables are recomputed.
+
+    Raises DomainError when the dump is malformed: a header that does not
+    match the dimension, a non-finite or unparsable value, a short row, a
+    node off the lattice or below the diagonal, or a triangle whose nodes
+    do not each appear exactly once.
+    """
+    try:
+        meta = json.loads(Path(json_path).read_text())
+        T, h, n = float(meta["T"]), float(meta["h"]), int(meta["n"])
+        iterations, tail = int(meta["iterations"]), float(meta["tail_bound"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed kernel summary {json_path}: {exc!r}") from exc
     M, qh = _lattice_setup(p, T, h)
+    with open(csv_path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != _dump_header(n):
+            raise DomainError(f"{csv_path}: header does not match dimension {n}")
+        try:
+            with warnings.catch_warnings():   # an empty body fails the row count below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"{csv_path}: malformed kernel dump: {exc}") from exc
+    rows = (M + 1) * (M + 2) // 2
+    if data.shape != (rows, 2 + 2 * n * n):
+        raise DomainError(f"{csv_path}: expected {rows} rows of {2 + 2 * n * n} values, "
+                          f"got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{csv_path}: non-finite value in kernel dump")
+    pos = data[:, :2] / h
+    node = np.rint(pos)
+    if np.max(np.abs(pos - node)) > 1e-6 or node.min() < 0 or node.max() > M:
+        raise DomainError(f"{csv_path}: node off the lattice of step {h} and size {M}")
+    i, j = node.astype(int).T
+    if np.any(i > j):
+        raise DomainError(f"{csv_path}: node below the diagonal xi <= eta")
+    if np.unique(i * (M + 1) + j).size != rows:
+        raise DomainError(f"{csv_path}: lattice nodes repeated or missing")
     v = np.zeros((M + 1, M + 1, n, n), dtype=complex)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            i = int(round(float(row[0]) / h))
-            j = int(round(float(row[1]) / h))
-            flat = np.asarray([float(z) for z in row[2:]])
-            v[i, j] = (flat[0::2] + 1j * flat[1::2]).reshape(n, n)
+    v.real[i, j] = data[:, 2::2].reshape(rows, n, n)
+    v.imag[i, j] = data[:, 3::2].reshape(rows, n, n)
     f = KernelField(T=T, step=h, v=v, v0=_v0_lattice(qh, h),
-                    iterations=int(meta["iterations"]),
-                    tail_bound=float(meta["tail_bound"]), qh=qh)
+                    iterations=iterations, tail_bound=tail, qh=qh)
     _attach_tables(f)
     return f

@@ -22,10 +22,36 @@ _RANGE_TOL = 1e-9
 
 
 def _opnorms(mats: np.ndarray) -> np.ndarray:
-    """Operator 2-norm of a batch of matrices (largest singular value)."""
-    if mats.shape[-1] == 1:
+    """Operator 2-norm of a batch of matrices (largest singular value).
+
+    Three branches by the matrix size n:
+
+    - n == 1: the modulus of the entry.
+    - n == 2: closed form.  With A = [[a, b], [c, d]], the Gram matrix
+      A^H A = [[p, r], [conj(r), s]] has p = |a|^2 + |c|^2,
+      s = |b|^2 + |d|^2, r = conj(a) b + conj(c) d, and its largest
+      eigenvalue is (p + s)/2 + hypot((p - s)/2, |r|).  Every term is
+      non-negative, so the result stays within a few ulps of the SVD even
+      where the two singular values coincide (the form through the
+      Frobenius norm and |det A| loses half its digits there).  Requires
+      the squared entries to stay in the normal floating-point range.
+    - n >= 3: batched SVD.
+    """
+    n = mats.shape[-1]
+    if n == 1:
         return np.abs(mats[..., 0, 0])
+    if n == 2:
+        a, b = mats[..., 0, 0], mats[..., 0, 1]
+        c, d = mats[..., 1, 0], mats[..., 1, 1]
+        p = _abs2(a) + _abs2(c)
+        s = _abs2(b) + _abs2(d)
+        r = np.abs(a.conj() * b + c.conj() * d)
+        return np.sqrt(0.5 * (p + s) + np.hypot(0.5 * (p - s), r))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
 
 
 def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
@@ -104,6 +130,8 @@ def _finish(x_max: float, step: float, samples: np.ndarray) -> PotentialGrid:
     samples = np.ascontiguousarray(samples, dtype=complex)
     if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
         raise PotentialError(f"samples must be (m+1, n, n), got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise PotentialError("potential samples must be finite (found NaN or inf)")
     asym = _opnorms(samples - samples.conj().transpose(0, 2, 1))
     scale = np.maximum(_opnorms(samples), 1e-30)
     worst = float(np.max(asym / scale)) if samples.size else 0.0

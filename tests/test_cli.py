@@ -108,6 +108,83 @@ def test_propagate_from_dump(tmp_path):
     assert raw.shape[0] == 101
 
 
+def _drop_field(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+def _set_field(row, col, value):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+    return edit
+
+
+def _swap_xi_eta(lines):
+    xi, eta, rest = lines[2].split(",", 2)
+    lines[2] = ",".join([eta, xi, rest])
+
+
+def _duplicate_row(lines):
+    lines[2] = lines[3]
+
+
+def _drop_row(lines):
+    del lines[5]
+
+
+def _header_only(lines):
+    del lines[1:-1]
+
+
+def _wrong_header(lines):
+    lines[0] = "xi,eta,v00_re,v00_im,v01_re,v01_im,v10_re,v10_im,v11_re,v11_im"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_wrong_header, "header"),
+    (_set_field(4, 2, "nan"), "non-finite"),
+    (_set_field(4, 3, "-inf"), "non-finite"),
+    (_set_field(4, 2, "1.0.0"), "malformed"),
+    (_drop_field, "malformed"),
+    (_set_field(4, 0, "0.013"), "off the lattice"),
+    (_set_field(4, 1, "5.0"), "off the lattice"),
+    (_set_field(4, 0, "-0.02"), "off the lattice"),
+    (_swap_xi_eta, "below the diagonal"),
+    (_duplicate_row, "repeated or missing"),
+    (_drop_row, "rows"),
+    (_header_only, "rows"),
+], ids=["header", "nan", "inf", "unparsable", "short_row", "off_grid", "beyond_lattice",
+        "negative", "below_diagonal", "duplicate", "missing", "empty"])
+def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path)
+    assert main(["kernel", "--config", str(cfg)]) == 0
+    dump = tmp_path / "out" / "kernel.csv"
+    lines = dump.read_text().split("\n")
+    edit(lines)
+    dump.write_text("\n".join(lines))
+    cfg2 = write_cfg(tmp_path, extra="kernel_dump = out/kernel.csv\n")
+    assert main(["propagate", "--config", str(cfg2), "--out", str(tmp_path / "out2")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out2" / "snapshot.csv").exists()
+
+
+def test_invert_rejects_off_grid_snapshot(tmp_path, capsys):
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path)
+    assert main(["propagate", "--config", str(cfg)]) == 0
+    snap = tmp_path / "out" / "snapshot.csv"
+    raw = np.loadtxt(snap, delimiter=",", skiprows=1)
+    raw[:, 0] *= 0.5                    # uniform, but on [0, T/2]
+    np.savetxt(snap, raw, delimiter=",", header="x,u0_re,u0_im", comments="")
+    cfg2 = write_cfg(tmp_path, extra="snapshot = out/snapshot.csv\n")
+    assert main(["invert", "--config", str(cfg2), "--out", str(tmp_path / "inv")]) == 1
+    assert "uniform grid" in capsys.readouterr().err
+    assert not (tmp_path / "inv" / "control_recovered.csv").exists()
+
+
 def test_apply_and_invert_round_trip(tmp_path):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path, extra="N = 150\n")
@@ -188,6 +265,20 @@ def test_validate_threshold_failure(tmp_path, capsys):
     assert "goursat_interior" in capsys.readouterr().err
     rep = json.loads((tmp_path / "out" / "validate.json").read_text())
     assert rep["failing"] == ["goursat_interior"]
+
+
+def test_validate_reports_h2_failure(tmp_path, capsys, monkeypatch):
+    from wavekernel import control_op
+    monkeypatch.setattr(control_op, "norm_constants", lambda p, T: (0.0, 0.0))
+    monkeypatch.setattr(control_op, "kernel_constants",
+                        lambda p, f: wk.KernelConstants(0.0, 0.0, 0.0, 0.0))
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="trials = 5\n")
+    assert main(["validate", "--config", str(cfg)]) == 3
+    assert "h2_bounds" in capsys.readouterr().err
+    rep = json.loads((tmp_path / "out" / "validate.json").read_text())
+    assert rep["failing"] == ["h2_bounds"] and rep["pass"] is False
+    assert rep["h2"]["empirical_ratio"] > rep["h2"]["composite_bound"] == 0.0
 
 
 def test_oracle_command(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
+from wavekernel import control_op
 from wavekernel.control_op import VolterraSystem, _apply_A_with_derivatives, _apply_tables
-from wavekernel.errors import DomainError, SingularSystemError
+from wavekernel.errors import CertificationError, DomainError, SingularSystemError
 
 
 def test_reflect_basics():
@@ -86,6 +87,15 @@ def test_invert_shape_check(field_one):
         wk.invert_W(sysv, np.zeros((44, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_invert_rejects_non_finite_snapshot(field_one, bad):
+    sysv = wk.build_volterra(field_one, 1.0, 50)
+    u = np.zeros((51, 1), dtype=complex)
+    u[7] = bad
+    with pytest.raises(DomainError, match="finite"):
+        wk.invert_W(sysv, u)
+
+
 def test_invert_singular_block():
     grid = np.linspace(0, 1, 4)
     blocks = np.zeros((4, 4, 1, 1), dtype=complex)
@@ -165,6 +175,16 @@ def test_certify_q1(pot_one, field_one):
     assert rep.a1 == pytest.approx(0.5, abs=1e-10)
     assert rep.a2 == pytest.approx(1.0, abs=1e-10)
     assert np.isfinite(rep.b3)
+
+
+def test_certify_raises_where_measure_reports(monkeypatch, pot_one, field_one):
+    monkeypatch.setattr(control_op, "norm_constants", lambda p, T: (0.0, 0.0))
+    monkeypatch.setattr(control_op, "kernel_constants",
+                        lambda p, f: wk.KernelConstants(0.0, 0.0, 0.0, 0.0))
+    rep = wk.measure_h2_bound(field_one, pot_one, 1.0, trials=3, N=64, seed=2)
+    assert rep.composite_bound == 0.0 and rep.empirical_ratio > 0.0
+    with pytest.raises(CertificationError, match="exceeds"):
+        wk.certify_h2_bound(field_one, pot_one, 1.0, trials=3, N=64, seed=2)
 
 
 def test_condition_zero_potential(field_zero):

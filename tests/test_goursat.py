@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -311,3 +314,48 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     assert back.M == field_herm2.M
     assert np.abs(back.v - field_herm2.v).max() < 1e-15
     assert back.iterations == field_herm2.iterations
+    assert np.array_equal(back.v, field_herm2.v)
+
+
+def _csv_writer_dump(f, path):
+    """Reference writer: one csv.writer row per upper-triangle node."""
+    n = f.dim
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["xi", "eta"]
+        for a in range(n):
+            for b in range(n):
+                header += [f"v{a}{b}_re", f"v{a}{b}_im"]
+        writer.writerow(header)
+        for i in range(f.M + 1):
+            for j in range(i, f.M + 1):
+                row = [f"{i * f.step:.17g}", f"{j * f.step:.17g}"]
+                for a in range(n):
+                    for b in range(n):
+                        row += [f"{f.v[i, j, a, b].real:.17g}", f"{f.v[i, j, a, b].imag:.17g}"]
+                writer.writerow(row)
+
+
+def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, field_herm2):
+    v = field_herm2.v.copy()
+    v[0, 5, 0, 1] = complex(-0.0, 5e-324)
+    v[3, 7, 1, 0] = complex(1e300, -1.2345678901234567e-7)
+    v[10, 10, 1, 1] = complex(-1.2345678901234567e-7, -0.0)
+    planted = dataclasses.replace(field_herm2, v=v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wk.dump_kernel(planted, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    _csv_writer_dump(planted, tmp_path / "ref.csv")
+    assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
+    assert np.array_equal(back.v, v)
+    assert back.v.tobytes() == v.tobytes()      # signed zeros and subnormals too
+
+
+@pytest.mark.parametrize("T, h, tol", [
+    (1.0, 1 / 50, float("nan")), (1.0, 1 / 50, float("inf")), (1.0, 1 / 50, 0.0),
+    (1.0, 1 / 50, -1e-10), (1.0, float("nan"), 1e-10), (1.0, 0.0, 1e-10),
+    (float("inf"), 1 / 50, 1e-10),
+])
+def test_solve_rejects_non_finite_parameters(pot_one, T, h, tol):
+    with pytest.raises(DomainError, match="finite and positive"):
+        wk.solve_goursat(pot_one, T, h, tol)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wavekernel as wk
 from wavekernel.errors import DomainError, PotentialError
+from wavekernel.potential import _opnorms
 
 
 def test_zero_potential_trivial():
@@ -39,6 +42,17 @@ def test_sampled_nonuniform_rejected():
     x = np.array([0.0, 0.1, 0.25, 0.3])
     with pytest.raises(PotentialError):
         wk.sampled_potential(x, np.ones_like(x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_samples_rejected(bad):
+    with pytest.raises(PotentialError, match="finite"):
+        wk.constant_potential(np.array([[1.0, 0.0], [0.0, bad]]), x_max=1.0, step=1 / 32)
+    x = np.linspace(0.0, 1.0, 5)
+    vals = np.ones(5, dtype=complex)
+    vals[2] = bad
+    with pytest.raises(PotentialError, match="finite"):
+        wk.sampled_potential(x, vals)
 
 
 def test_integral_linear_potential():
@@ -199,3 +213,58 @@ def test_eval_out_of_range():
     p = wk.constant_potential(1.0, x_max=1.0, step=1 / 32)
     with pytest.raises(DomainError):
         p.eval(1.5)
+
+
+def _unitaries(angles: np.ndarray) -> np.ndarray:
+    """2x2 unitaries from rows (theta, alpha, beta, gamma)."""
+    th, al, be, ga = (np.pi * angles[:, k] for k in range(4))
+    u = np.empty((len(angles), 2, 2), dtype=complex)
+    u[:, 0, 0] = np.exp(1j * al) * np.cos(th)
+    u[:, 0, 1] = np.exp(1j * be) * np.sin(th)
+    u[:, 1, 0] = -np.exp(-1j * be) * np.sin(th)
+    u[:, 1, 1] = np.exp(-1j * al) * np.cos(th)
+    return np.exp(1j * ga)[:, None, None] * u
+
+
+@st.composite
+def two_by_two_batches(draw):
+    """Batches of 2x2 complex matrices of one structure, largest entry 10^e.
+
+    Normalising each matrix keeps the squared entries in the normal
+    floating-point range, the closed form's stated domain.
+    """
+    kind = draw(st.sampled_from(["random", "rank1", "scaled_unitary", "near_degenerate"]))
+    k = draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.float64, (k, 16), elements=st.floats(-1.0, 1.0)))
+    if kind == "random":
+        m = (x[:, :4] + 1j * x[:, 4:8]).reshape(k, 2, 2)
+    elif kind == "rank1":
+        a, b = x[:, 0:2] + 1j * x[:, 2:4], x[:, 4:6] + 1j * x[:, 6:8]
+        m = a[:, :, None] * b[:, None, :].conj()
+    elif kind == "scaled_unitary":
+        m = _unitaries(x[:, :4])
+    else:
+        gap = 10.0 ** -draw(st.floats(0.0, 16.0))
+        m = _unitaries(x[:, :4]) @ np.diag([1.0, 1.0 - gap]) @ _unitaries(x[:, 4:8])
+    big = np.max(np.abs(m), axis=(-2, -1), keepdims=True)
+    big[big < 1e-150] = np.inf          # negligible matrices become zero
+    return m / big * 10.0 ** draw(st.integers(-100, 100))
+
+
+def _assert_opnorms_match_svd(m):
+    ref = np.linalg.svd(m, compute_uv=False)[..., 0]
+    assert np.all(np.abs(_opnorms(m) - ref) <= 1e-14 * ref)
+
+
+@settings(deadline=None)
+@given(two_by_two_batches())
+def test_opnorms_two_by_two_matches_svd(m):
+    _assert_opnorms_match_svd(m)
+
+
+def test_opnorms_scalar_identity_field():
+    """A scalar x I potential gives a kernel field of coinciding singular values."""
+    p = wk.constant_potential(1.7 * np.eye(2), x_max=1.0, step=1 / 256)
+    fld = wk.solve_goursat(p, 1.0, 1 / 20, 1e-10)
+    assert np.abs(fld.v[..., 0, 1]).max() == 0.0 and np.abs(fld.v).max() > 0.1
+    _assert_opnorms_match_svd(fld.v)
