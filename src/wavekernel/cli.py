@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control_op import (build_volterra, certify_h2_bound, condition_estimate,
+from .control_op import (_l2, build_volterra, certify_h2_bound, condition_estimate,
                          invert_W, measure_h2_bound, reflect)
 from .errors import (CertificationError, ConfigError, ControlError,
                      ConvergenceError, DomainError, PotentialError,
@@ -66,6 +66,23 @@ def _load_potential(cfg: dict):
     return build_potential(parse_potential_file(pot_path))
 
 
+def _read_control_csv(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times and complex values from rows t, f0_re, f0_im, ...; a header row is skipped."""
+    try:
+        lines = path.read_text().splitlines()
+        try:
+            float(lines[0].split(",", 1)[0])
+        except (IndexError, ValueError):
+            lines = lines[1:]
+        raw = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ControlError(f"cannot read control csv {path}: {exc}") from exc
+    if raw.shape[1] != 1 + 2 * dim or not np.all(np.isfinite(raw)):
+        raise ControlError(f"control csv {path} needs finite columns t plus {dim} "
+                           f"re/im pair(s), got {raw.shape[1]} columns")
+    return raw[:, 0], raw[:, 1::2] + 1j * raw[:, 2::2]
+
+
 def _load_control(cfg: dict, T: float, dim: int) -> Control:
     spec = cfg.get("control", "zero")
     parts = spec.split()
@@ -80,8 +97,10 @@ def _load_control(cfg: dict, T: float, dim: int) -> Control:
     if kind == "zero":
         return zero_control(T, dim)
     if kind in ("bump", "ramp"):
-        start = float(kv.get("start", 0.1 * T))
-        stop = float(kv.get("stop", 0.9 * T))
+        try:
+            start, stop = float(kv.get("start", 0.1 * T)), float(kv.get("stop", 0.9 * T))
+        except ValueError as exc:
+            raise ControlError(f"control {spec!r}: start/stop must be numbers") from exc
         amp = [parse_complex(tok) for tok in kv.get("amp", "1").split(",")]
         if len(amp) == 1 and dim > 1:
             amp = amp * dim
@@ -90,13 +109,10 @@ def _load_control(cfg: dict, T: float, dim: int) -> Control:
         maker = bump_control if kind == "bump" else ramp_control
         return maker(T, start, stop, np.asarray(amp))
     if kind == "csv":
-        path = (cfg["_dir"] / kv["path"]).resolve()
-        try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ControlError(f"cannot read control csv {path}: {exc}") from exc
-        vals = raw[:, 1::2] + 1j * raw[:, 2::2]
-        return control_from_samples(raw[:, 0], vals, T=T)
+        if "path" not in kv:
+            raise ControlError("control 'csv' needs a file path: control = csv <file>")
+        ts, vals = _read_control_csv((cfg["_dir"] / kv["path"]).resolve(), dim)
+        return control_from_samples(ts, vals, T=T)
     raise ControlError(f"unknown control kind {kind!r}")
 
 
@@ -110,33 +126,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_snapshot_csv(path: Path, snap) -> None:
-    n = snap.dim
+def _write_series_csv(path: Path, axis: str, grid: np.ndarray, **series) -> None:
+    """One row per grid node: the node, then re/im of every component of every series."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["x"]
-        for name in ("u", "ux", "uxx"):
-            for comp in range(n):
-                header += [f"{name}{comp}_re", f"{name}{comp}_im"]
-        writer.writerow(header)
-        for k, x in enumerate(snap.grid):
+        writer.writerow([axis] + [f"{name}{c}_{p}" for name, values in series.items()
+                                  for c in range(values.shape[1]) for p in ("re", "im")])
+        for k, x in enumerate(grid):
             row = [_FMT % x]
-            for arr in (snap.u, snap.u_x, snap.u_xx):
-                for comp in range(n):
-                    row += [_FMT % arr[k, comp].real, _FMT % arr[k, comp].imag]
-            writer.writerow(row)
-
-
-def _write_series_csv(path: Path, grid: np.ndarray, values: np.ndarray, name: str) -> None:
-    n = values.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"] + [f"{name}{c}_{p}" for c in range(n) for p in ("re", "im")]
-        writer.writerow(header)
-        for k, t in enumerate(grid):
-            row = [_FMT % t]
-            for c in range(n):
-                row += [_FMT % values[k, c].real, _FMT % values[k, c].imag]
+            for values in series.values():
+                for z in values[k]:
+                    row += [_FMT % z.real, _FMT % z.imag]
             writer.writerow(row)
 
 
@@ -181,14 +181,15 @@ def _wave(cfg: dict):
 
 def cmd_propagate(cfg: dict, out: Path, seed: int) -> int:
     _, _, snap = _wave(cfg)
-    _write_snapshot_csv(out / "snapshot.csv", snap)
+    _write_series_csv(out / "snapshot.csv", "x", snap.grid, u=snap.u, ux=snap.u_x,
+                      uxx=snap.u_xx)
     _write_manifest(out, "propagate", cfg, seed)
     return 0
 
 
 def cmd_apply(cfg: dict, out: Path, seed: int) -> int:
     _, _, snap = _wave(cfg)
-    _write_series_csv(out / "wave.csv", snap.grid, snap.u, "u")
+    _write_series_csv(out / "wave.csv", "t", snap.grid, u=snap.u)
     _write_manifest(out, "apply", cfg, seed)
     return 0
 
@@ -216,12 +217,11 @@ def cmd_invert(cfg: dict, out: Path, seed: int) -> int:
     sysv = build_volterra(field, T, N)
     g = invert_W(sysv, u)
     recovered = reflect(g)
-    _write_series_csv(out / "control_recovered.csv", sysv.grid, recovered, "f")
+    _write_series_csv(out / "control_recovered.csv", "t", sysv.grid, f=recovered)
     summary = {"N": N, "T": T}
     if "control" in cfg:
         ref = _load_control(cfg, T, n).sample(sysv.grid)[0]
-        num = np.sqrt(np.trapezoid(np.sum(np.abs(recovered - ref) ** 2, axis=1), x=sysv.grid))
-        den = np.sqrt(np.trapezoid(np.sum(np.abs(ref) ** 2, axis=1), x=sysv.grid))
+        num, den = _l2(sysv.grid, recovered - ref), _l2(sysv.grid, ref)
         summary["roundtrip_rel_l2"] = float(num / den) if den > 0 else 0.0
     _write_json(out / "invert.json", summary)
     _write_manifest(out, "invert", cfg, seed)
@@ -332,7 +332,7 @@ def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
     N = snap.grid.size - 1
     fd = fd_solve(p, f, FDConfig(N_x=_cfg_int(cfg, "fd_nx", 2 * N), T=snap.T))
     l2, mx, rel = compare(snap, fd)
-    _write_snapshot_csv(out / "fd_snapshot.csv", fd)
+    _write_series_csv(out / "fd_snapshot.csv", "x", fd.grid, u=fd.u, ux=fd.u_x, uxx=fd.u_xx)
     _write_json(out / "oracle.json", {"l2_err": l2, "max_err": mx, "rel_l2": rel})
     _write_manifest(out, "oracle", cfg, seed)
     return 0

@@ -2,9 +2,9 @@
 
 Reflecting the control turns the map into identity plus a block-triangular
 integral operator with the kernel itself as its kernel function.  That
-structure gives an exact discrete inverse by blockwise substitution, an
-alternating Neumann-series mode, dense singular-value diagnostics, and an
-empirical certification of the Sobolev-norm boundedness estimates.
+structure gives an exact discrete inverse by blockwise substitution, its
+Neumann series, dense singular-value diagnostics, and an empirical
+certification of the Sobolev-norm boundedness estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.interpolate import make_interp_spline
 from .errors import CertificationError, DomainError, SingularSystemError
 from .goursat import KernelField, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import Control, OperatorTables, propagate, random_smooth_control
+from .propagator import Control, OperatorTables, _apply_table, propagate, random_smooth_control
 
 _DENSE_SVD_CAP = 1024
 
@@ -54,15 +54,14 @@ class VolterraSystem:
     def apply(self, g: np.ndarray) -> np.ndarray:
         """(I + A) g on sample vectors."""
         g = np.asarray(g, dtype=complex)
-        return g + np.einsum("kmab,mb->ka", self.blocks, g)
+        return g + _apply_table(self.blocks, g)
 
     def dense(self) -> np.ndarray:
-        """Full ((N+1)n) x ((N+1)n) matrix of I + A."""
-        n = self.dim
-        size = (self.N + 1) * n
-        mat = self.blocks.transpose(0, 2, 1, 3).reshape(size, size).copy()
-        mat[np.arange(size), np.arange(size)] += 1.0
-        return mat
+        """Full ((N+1)n) x ((N+1)n) matrix of I + A: the blocks applied to every unit vector."""
+        size = (self.N + 1) * self.dim
+        eye = np.eye(size, dtype=complex)
+        cols = _apply_table(self.blocks, eye.reshape(size, self.N + 1, self.dim))
+        return eye + cols.reshape(size, size).T
 
 
 def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
@@ -77,29 +76,27 @@ def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
     return VolterraSystem(T=float(T), N=N, grid=tab.grid, blocks=tab.k0)
 
 
-def invert_W(sys: VolterraSystem, u: np.ndarray, mode: str = "substitution",
-             terms: int = 40) -> np.ndarray:
-    """Solve (I + A) g = u for the reflected control samples.
-
-    substitution: exact blockwise solve marching against causality.
-    neumann: alternating-sign partial sums of powers of A applied to u.
-    """
+def _checked_snapshot(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
+    """Wave samples as a complex array on the system's grid, checked finite."""
     u = np.asarray(u, dtype=complex)
-    n = sys.dim
-    if u.shape != (sys.N + 1, n):
-        raise DomainError(f"snapshot shape {u.shape} does not match grid ({sys.N + 1}, {n})")
+    if u.shape != (sys.N + 1, sys.dim):
+        raise DomainError(f"snapshot shape {u.shape} does not match grid ({sys.N + 1}, {sys.dim})")
     if not np.all(np.isfinite(u)):
         raise DomainError("snapshot samples must be finite (found NaN or inf)")
-    if mode == "neumann":
-        return neumann_partial_sums(sys, u, terms)[-1]
-    if mode != "substitution":
-        raise DomainError(f"unknown inversion mode {mode!r}")
+    return u
+
+
+def invert_W(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
+    """Solve (I + A) g = u for the reflected control samples.
+
+    Exact blockwise solve marching against causality; neumann_partial_sums
+    gives the alternating operator power series instead.
+    """
+    u = _checked_snapshot(sys, u)
     g = np.zeros_like(u)
-    eye = np.eye(n)
+    eye = np.eye(sys.dim)
     for k in range(sys.N, -1, -1):
-        rhs = u[k]
-        if k < sys.N:
-            rhs = rhs - np.einsum("mab,mb->a", sys.blocks[k, k + 1:], g[k + 1:])
+        rhs = u[k] - np.einsum("mab,mb->a", sys.blocks[k, k + 1:], g[k + 1:])
         diag = eye + sys.blocks[k, k]
         try:
             g[k] = np.linalg.solve(diag, rhs)
@@ -112,10 +109,10 @@ def invert_W(sys: VolterraSystem, u: np.ndarray, mode: str = "substitution",
 
 def neumann_partial_sums(sys: VolterraSystem, u: np.ndarray, terms: int) -> list[np.ndarray]:
     """Partial sums of the alternating operator power series for the inverse."""
-    u = np.asarray(u, dtype=complex)
+    u = _checked_snapshot(sys, u)
     sums = [u.copy()]
     for _ in range(terms):
-        sums.append(u - np.einsum("kmab,mb->ka", sys.blocks, sums[-1]))
+        sums.append(u - _apply_table(sys.blocks, sums[-1]))
     return sums
 
 
@@ -130,12 +127,13 @@ def condition_estimate(sys: VolterraSystem) -> tuple[float, float, float]:
 
 # --- Sobolev machinery --------------------------------------------------------
 
-def _l2(grid: np.ndarray, g: np.ndarray) -> float:
-    return float(np.sqrt(np.trapezoid(np.sum(np.abs(g) ** 2, axis=-1), x=grid)))
+# norms over the grid of samples (..., N+1, n), one per leading index
+def _l2(grid: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.trapezoid(np.sum(np.abs(g) ** 2, axis=-1), x=grid, axis=-1))
 
 
-def _sup(g: np.ndarray) -> float:
-    return float(np.max(np.sqrt(np.sum(np.abs(g) ** 2, axis=-1))))
+def _sup(g: np.ndarray) -> np.ndarray:
+    return np.max(np.sqrt(np.sum(np.abs(g) ** 2, axis=-1)), axis=-1)
 
 
 def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
@@ -174,20 +172,15 @@ class _SobolevTables(OperatorTables):
         self.q_mix_T = 0.25 * (field.q_at((T - s) / 2.0) - field.q_at((T + s) / 2.0))
 
 
-def _apply_tables(field: KernelField, T: float, N: int) -> _SobolevTables:
-    return _SobolevTables(field, T, N)
-
-
 def _apply_A_with_derivatives(tab: _SobolevTables, f0, f1):
-    """A f and the explicit formulas for (A f)' and (A f)''."""
-    Af = np.einsum("kmab,mb->ka", tab.k0, f0)
-    Af1 = np.einsum("kab,kb->ka", tab.q_half_cum, f0) \
-        + np.einsum("kmab,mb->ka", tab.k1, f0)
-    Af2 = np.einsum("kab,kb->ka", tab.q_x - tab.wx_diag, f0) \
-        + np.einsum("kab,kb->ka", tab.q_half_cum, f1) \
-        + np.einsum("kab,b->ka", tab.q_mix_T, f0[-1]) \
-        + np.einsum("kmab,mb->ka", tab.k2a, f0) \
-        + np.einsum("kmab,mb->ka", tab.k2b, f1)
+    """A f and the explicit (A f)', (A f)'' for samples (..., N+1, n); leading axes batch."""
+    Af = _apply_table(tab.k0, f0)
+    Af1 = np.einsum("kab,...kb->...ka", tab.q_half_cum, f0) + _apply_table(tab.k1, f0)
+    Af2 = np.einsum("kab,...kb->...ka", tab.q_x - tab.wx_diag, f0) \
+        + np.einsum("kab,...kb->...ka", tab.q_half_cum, f1) \
+        + np.einsum("kab,...b->...ka", tab.q_mix_T, f0[..., -1, :]) \
+        + _apply_table(tab.k2a, f0) \
+        + _apply_table(tab.k2b, f1)
     return Af, Af1, Af2
 
 
@@ -223,10 +216,15 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     the full Sobolev ratio, next to their analytic bounds assembled from
     the norm constants of the potential and the kernel.  A f and its two
     derivatives read k0 and k1 of the one table layer, OperatorTables; only
-    the second-derivative terms of (A f)'' are built here.  Returns the
-    report whether or not the ratios stay within their bounds.
+    the second-derivative terms of (A f)'' are built here.  The trials, an
+    integer >= 1, are drawn from one seeded generator and applied as one
+    stack; each ratio is the worst over the trials with a nonzero
+    denominator.  Returns the report whether or not the ratios stay within
+    their bounds.
     """
-    tab = _apply_tables(field, T, N)
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
+    tab = _SobolevTables(field, T, N)
     grid = tab.grid
     a1, a2 = norm_constants(p, T)
     kc = kernel_constants(p, field)
@@ -242,28 +240,20 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
         + bound_iii**2 * emb
     )
     rng = np.random.default_rng(seed)
-    r_i = r_ii = r_iii = r_h2 = r_inv = 0.0
-    for _ in range(trials):
-        f = random_smooth_control(T, field.dim, rng)
-        f0, f1, f2 = f.sample(grid)
-        Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
-        l2_f = _l2(grid, f0)
-        sup_f = _sup(f0)
-        c1_f = max(sup_f, _sup(f1))
-        h2_f = math.sqrt(_l2(grid, f0) ** 2 + _l2(grid, f1) ** 2 + _l2(grid, f2) ** 2)
-        h2_Af = math.sqrt(_l2(grid, Af) ** 2 + _l2(grid, Af1) ** 2 + _l2(grid, Af2) ** 2)
-        h2_Wf = math.sqrt(_l2(grid, f0 + Af) ** 2 + _l2(grid, f1 + Af1) ** 2
-                          + _l2(grid, f2 + Af2) ** 2)
-        if l2_f > 0:
-            r_i = max(r_i, _sup(Af) / l2_f)
-        if sup_f > 0:
-            r_ii = max(r_ii, _sup(Af1) / sup_f)
-        if c1_f > 0:
-            r_iii = max(r_iii, _l2(grid, Af2) / c1_f)
-        if h2_f > 0:
-            r_h2 = max(r_h2, h2_Af / h2_f)
-        if h2_Wf > 0:
-            r_inv = max(r_inv, h2_f / h2_Wf)
+    samples = [random_smooth_control(T, field.dim, rng).sample(grid) for _ in range(trials)]
+    f0, f1, f2 = (np.stack(parts) for parts in zip(*samples))     # (trials, N+1, n)
+    Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
+    l2_f = _l2(grid, f0)
+    sup_f = _sup(f0)
+    h2_f = np.sqrt(l2_f**2 + _l2(grid, f1) ** 2 + _l2(grid, f2) ** 2)
+    h2_Af = np.sqrt(_l2(grid, Af) ** 2 + _l2(grid, Af1) ** 2 + _l2(grid, Af2) ** 2)
+    h2_Wf = np.sqrt(_l2(grid, f0 + Af) ** 2 + _l2(grid, f1 + Af1) ** 2
+                    + _l2(grid, f2 + Af2) ** 2)
+    num = np.stack([_sup(Af), _sup(Af1), _l2(grid, Af2), h2_Af, h2_f])
+    den = np.stack([l2_f, sup_f, np.maximum(sup_f, _sup(f1)), h2_f, h2_Wf])
+    # worst ratio over the trials with a nonzero denominator; 0 when there are none
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0).max(axis=1)
+    r_i, r_ii, r_iii, r_h2, r_inv = ratio.tolist()
     return SobolevReport(
         a1=a1, a2=a2, b1=kc.b1, b2=kc.b2, b3=kc.b3, b4=kc.b4,
         bound_i=bound_i, bound_ii=bound_ii, bound_iii=bound_iii,

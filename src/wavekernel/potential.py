@@ -354,12 +354,15 @@ def parse_potential_file(path) -> dict:
     if kind not in {"zero", "constant", "sampled", "preset"}:
         raise PotentialError(f"{path}: kind must be zero/constant/sampled/preset, got {kind!r}")
     out: dict = {"kind": kind}
-    for key in ("dimension",):
+    for key, convert in (("dimension", int), ("x_max", float), ("step", float)):
         if key in spec:
-            out[key] = int(spec[key])
-    for key in ("x_max", "step"):
-        if key in spec:
-            out[key] = float(spec[key])
+            try:
+                out[key] = convert(spec[key])
+            except ValueError:
+                out[key] = np.nan
+            if not 0 < out[key] < np.inf:
+                raise PotentialError(f"{path}: {key} must be a positive finite "
+                                     f"{convert.__name__}, got {spec[key]!r}")
     if kind == "constant":
         if "matrix" not in spec:
             raise PotentialError(f"{path}: constant potential needs a 'matrix' field")

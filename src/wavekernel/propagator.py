@@ -24,15 +24,6 @@ from .goursat import KernelField, _interp_triangle
 _SUPPORT_TOL = 1e-12
 
 
-def _as_vec(values, dim: int) -> np.ndarray:
-    out = np.asarray(values, dtype=complex)
-    if out.ndim == 0:
-        out = out[None]
-    if out.shape != (dim,):
-        raise ControlError(f"expected a length-{dim} amplitude, got shape {out.shape}")
-    return out
-
-
 def _bump_profile(t: np.ndarray, start: float, stop: float):
     """Compactly supported C-infinity profile on (start, stop), peak 1.
 
@@ -279,6 +270,19 @@ class WaveSnapshot:
         return self.u.shape[-1]
 
 
+def _apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Apply an (N+1, N+1, n, n) table to samples of shape (..., N+1, n).
+
+    Row k of the result is sum_m table[k, m] @ g[m], computed as one
+    matrix product with the table flattened to a ((N+1)n) x ((N+1)n)
+    matrix; leading axes of g are a batch.
+    """
+    rows, cols, n, _ = table.shape
+    flat = table.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
+    batch = g.shape[:-2]
+    return (g.reshape(batch + (cols * n,)) @ flat.T).reshape(batch + (rows, n))
+
+
 class OperatorTables:
     """The kernel sampled once on the uniform N-grid over [0, T].
 
@@ -288,7 +292,9 @@ class OperatorTables:
     every weighted table is causal.  k0 is the weighted kernel, the
     operator of the representation formula and of the control-to-state
     map; k1 is the weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of
-    the kernel inside the integral.  Both are built on first use.
+    the kernel inside the integral.  Both are built on first use.  Every
+    table has the layout (k, m, a, b) and is applied only through
+    _apply_table, to one control's samples or to a stack of them.
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
@@ -345,21 +351,21 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     """Wave snapshot at time T on N+1 uniform nodes.
 
     Reads the one table layer, OperatorTables: u and u_tt come from the
-    representation formula with k0, u_x from its differentiated form with
-    k1 and the diagonal trace of the kernel, and u_xx from the interior
-    equation u_xx = u_tt + q u, with u_tt evaluated by pushing two time
-    derivatives onto the control.
+    representation formula, one k0 product over the stacked control and
+    its second derivative; u_x from its differentiated form with k1 and
+    the diagonal trace of the kernel; and u_xx from the interior equation
+    u_xx = u_tt + q u, with u_tt evaluated by pushing two time derivatives
+    onto the control.
     """
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
     tab = OperatorTables(field, T, N)
     s = tab.grid
     f0, f1, f2 = f.sample(T - s)
-    u = f0 + np.einsum("kmab,mb->ka", tab.k0, f0)
-    u_tt = f2 + np.einsum("kmab,mb->ka", tab.k0, f2)
+    g = np.stack([f0, f2])
+    u, u_tt = g + _apply_table(tab.k0, g)
     u_xx = u_tt + np.einsum("kab,kb->ka", field.q_at(s), u)
-    u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) \
-        + np.einsum("kmab,mb->ka", tab.k1, f0)
+    u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) + _apply_table(tab.k1, f0)
     return WaveSnapshot(T=float(T), grid=s, u=u, u_x=u_x, u_xx=u_xx)
 
 

@@ -215,6 +215,44 @@ def test_non_integral_config_int(tmp_path, capsys):
     assert not (tmp_path / "out" / "snapshot.csv").exists()
 
 
+@pytest.mark.parametrize("command, pot, extra, files", [
+    ("propagate", "kind = zero\n", "control = bump start=abc stop=0.9 amp=1\n", {}),
+    ("propagate", "kind = zero\n", "control = csv\n", {}),
+    ("propagate", "kind = zero\n", "control = csv ctrl.csv\n",
+     {"ctrl.csv": "".join(f"{k / 10},0\n" for k in range(11))}),       # t, re only
+    ("kernel", "kind = zero\ndimension = one\n", "", {}),
+    ("kernel", "kind = zero\nx_max = big\n", "", {}),
+    ("kernel", "kind = zero\ndimension = 0\n", "", {}),
+    ("kernel", "kind = zero\nx_max = -1\n", "", {}),
+    ("kernel", "kind = zero\nstep = 0\n", "", {}),
+    ("kernel", "kind = zero\nstep = nan\n", "", {}),
+], ids=["bump_start", "csv_no_path", "csv_columns", "pot_dimension", "pot_x_max",
+        "pot_dimension_zero", "pot_x_max_negative", "pot_step_zero", "pot_step_nan"])
+def test_malformed_spec_rejected(tmp_path, capsys, command, pot, extra, files):
+    write_pot(tmp_path / "pot.txt", pot)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    cfg = write_cfg(tmp_path, extra=extra)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_control_csv_reads_recovered_control(tmp_path):
+    # kernel -> propagate -> invert -> propagate on invert's own control csv
+    one_pot(tmp_path)
+    dump = "N = 150\nkernel_dump = out/kernel.csv\n"
+    assert main(["kernel", "--config", str(write_cfg(tmp_path))]) == 0
+    assert main(["propagate", "--config", str(write_cfg(tmp_path, extra=dump))]) == 0
+    cfg = write_cfg(tmp_path, extra=dump + "snapshot = out/snapshot.csv\n")
+    assert main(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 0
+    cfg = write_cfg(tmp_path, extra=dump + "control = csv inv/control_recovered.csv\n")
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
+    first, again = (np.loadtxt(tmp_path / d / "snapshot.csv", delimiter=",", skiprows=1)
+                    for d in ("out", "again"))
+    u, u_again = (raw[:, 1] + 1j * raw[:, 2] for raw in (first, again))
+    assert np.abs(u_again - u).max() <= 1e-12 * np.abs(u).max()
+
+
 def test_invert_wrong_length_snapshot(tmp_path):
     one_pot(tmp_path)
     bad = tmp_path / "bad.csv"
@@ -240,6 +278,14 @@ def test_bounds_report(tmp_path):
                 "empirical_ratio", "sigma_min", "sigma_max", "cond", "seed"):
         assert key in rep
     assert rep["ratios"]["i"] <= rep["bounds"]["i"]
+
+
+def test_bounds_rejects_zero_trials(tmp_path, capsys):
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="trials = 0\nN = 64\n")
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    assert "trials must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bounds.json").exists()
 
 
 def test_validate_zero_potential(tmp_path):

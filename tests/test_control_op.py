@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel import control_op
-from wavekernel.control_op import VolterraSystem, _apply_A_with_derivatives, _apply_tables
+from wavekernel.control_op import (VolterraSystem, _apply_A_with_derivatives, _l2,
+                                   _SobolevTables, _sup)
 from wavekernel.errors import CertificationError, DomainError, SingularSystemError
 
 
@@ -81,6 +85,25 @@ def test_invert_round_trip(field_one):
         assert num / den < 1e-10
 
 
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+       start=st.floats(0.05, 0.5), width=st.floats(0.1, 0.45))
+def test_invert_recovers_applied_control(n, seed, start, width):
+    # invert_W(build_volterra(...), apply_W(...)) is the identity on reflected samples
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    herm = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    xs = np.linspace(0.0, 2.0, 513)
+    p = wk.sampled_potential(xs, herm[0] + np.cos(3.0 * xs)[:, None, None] * herm[1])
+    field = wk.solve_goursat(p, 1.0, 1 / 40, 1e-10)
+    f = wk.bump_control(1.0, start, start + width, rng.normal(size=n) + 1j * rng.normal(size=n))
+    N = 80
+    sysv = wk.build_volterra(field, 1.0, N)
+    g = wk.invert_W(sysv, wk.apply_W(field, f, 1.0, N))
+    want = wk.reflect(f.sample(sysv.grid)[0])
+    assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_invert_shape_check(field_one):
     sysv = wk.build_volterra(field_one, 1.0, 50)
     with pytest.raises(DomainError):
@@ -94,6 +117,16 @@ def test_invert_rejects_non_finite_snapshot(field_one, bad):
     u[7] = bad
     with pytest.raises(DomainError, match="finite"):
         wk.invert_W(sysv, u)
+
+
+def test_neumann_rejects_bad_snapshot(field_one):
+    sysv = wk.build_volterra(field_one, 1.0, 50)
+    with pytest.raises(DomainError, match="shape"):
+        wk.neumann_partial_sums(sysv, np.zeros((44, 1)), 3)
+    u = np.zeros((51, 1), dtype=complex)
+    u[3] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        wk.neumann_partial_sums(sysv, u, 3)
 
 
 def test_invert_singular_block():
@@ -116,7 +149,7 @@ def test_neumann_converges_to_substitution(field_one, bump1):
     assert errs[-1] < 1e-12
     ratios = errs[1:7] / errs[:6]                # pre-plateau contraction factors
     assert ratios[-1] < ratios[0]                # factorial-type acceleration
-    same = wk.invert_W(sysv, u, mode="neumann", terms=25)
+    same = wk.neumann_partial_sums(sysv, u, 25)[-1]
     assert np.abs(same - exact).max() < 1e-12
 
 
@@ -148,7 +181,7 @@ def test_apply_A_derivative_formulas(pot_quad):
     # the explicit (A f)' and (A f)'' formulas agree with differencing A f
     field = wk.solve_goursat(pot_quad, 1.0, 1 / 200, 1e-11)
     N = 800
-    tab = _apply_tables(field, 1.0, N)
+    tab = _SobolevTables(field, 1.0, N)
     f = wk.bump_control(1.0, 0.1, 0.85, 1.3)
     f0, f1, _ = f.sample(tab.grid)
     Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
@@ -175,6 +208,51 @@ def test_certify_q1(pot_one, field_one):
     assert rep.a1 == pytest.approx(0.5, abs=1e-10)
     assert rep.a2 == pytest.approx(1.0, abs=1e-10)
     assert np.isfinite(rep.b3)
+
+
+@pytest.mark.parametrize("name", ["one", "herm2"])
+def test_measure_matches_per_trial_loop(request, name):
+    # the stacked trials give the ratios of the per-trial loop they replaced
+    field = request.getfixturevalue(f"field_{name}")
+    p = request.getfixturevalue(f"pot_{name}")
+    T, N, trials, seed = 1.0, 128, 7, 4
+    tab = _SobolevTables(field, T, N)
+    grid = tab.grid
+    rng = np.random.default_rng(seed)
+    r_i = r_ii = r_iii = r_h2 = r_inv = 0.0
+    for _ in range(trials):
+        f = wk.random_smooth_control(T, field.dim, rng)
+        f0, f1, f2 = f.sample(grid)
+        Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
+        l2_f = _l2(grid, f0)
+        sup_f = _sup(f0)
+        c1_f = max(sup_f, _sup(f1))
+        h2_f = math.sqrt(_l2(grid, f0) ** 2 + _l2(grid, f1) ** 2 + _l2(grid, f2) ** 2)
+        h2_Af = math.sqrt(_l2(grid, Af) ** 2 + _l2(grid, Af1) ** 2 + _l2(grid, Af2) ** 2)
+        h2_Wf = math.sqrt(_l2(grid, f0 + Af) ** 2 + _l2(grid, f1 + Af1) ** 2
+                          + _l2(grid, f2 + Af2) ** 2)
+        if l2_f > 0:
+            r_i = max(r_i, _sup(Af) / l2_f)
+        if sup_f > 0:
+            r_ii = max(r_ii, _sup(Af1) / sup_f)
+        if c1_f > 0:
+            r_iii = max(r_iii, _l2(grid, Af2) / c1_f)
+        if h2_f > 0:
+            r_h2 = max(r_h2, h2_Af / h2_f)
+        if h2_Wf > 0:
+            r_inv = max(r_inv, h2_f / h2_Wf)
+    rep = wk.measure_h2_bound(field, p, T, trials=trials, N=N, seed=seed)
+    got = [rep.ratio_i, rep.ratio_ii, rep.ratio_iii, rep.empirical_ratio, rep.inverse_ratio]
+    for value, ref in zip(got, [r_i, r_ii, r_iii, r_h2, r_inv]):
+        assert ref > 0.0 and abs(value - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.5, True])
+@pytest.mark.parametrize("entry", [wk.measure_h2_bound, wk.certify_h2_bound],
+                         ids=["measure_h2_bound", "certify_h2_bound"])
+def test_degenerate_trials_rejected(pot_one, field_one, entry, trials):
+    with pytest.raises(DomainError, match="trials must be an integer"):
+        entry(field_one, pot_one, 1.0, trials=trials, N=16)
 
 
 def test_certify_raises_where_measure_reports(monkeypatch, pot_one, field_one):

@@ -3,7 +3,7 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
-from wavekernel.propagator import OperatorTables, _u_values
+from wavekernel.propagator import OperatorTables, _apply_table, _u_values
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -166,6 +166,22 @@ def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
                                  + field_herm2.q_at((s - x) / 2.0)))
         assert np.abs(tab.k0[k, m] - k0).max() <= 1e-14
         assert np.abs(tab.k1[k, m] - k1).max() <= 1e-14
+
+
+def test_apply_table_batch_matches_single_controls(field_herm2):
+    # a stack of controls through one product equals one call per control
+    tab = OperatorTables(field_herm2, 1.0, 48)
+    rng = np.random.default_rng(6)
+    g = np.stack([wk.random_smooth_control(1.0, 2, rng).sample(tab.grid)[0] for _ in range(5)])
+    for table in (tab.k0, tab.k1):
+        batch = _apply_table(table, g)
+        assert batch.shape == g.shape
+        for got, one in zip(batch, g):
+            single = _apply_table(table, one)
+            scale = np.abs(single).max()
+            assert scale > 0.0
+            assert np.abs(got - single).max() <= 1e-14 * scale
+            assert np.abs(single - np.einsum("kmab,mb->ka", table, one)).max() <= 1e-14 * scale
 
 
 def test_propagate_dim_mismatch(field_herm2, bump1):
