@@ -66,15 +66,24 @@ def _load_potential(cfg: dict):
     return build_potential(parse_potential_file(pot_path))
 
 
+def _read_csv_table(path: Path) -> np.ndarray:
+    """Numeric rows of a comma-separated file, with or without a header line.
+
+    The first line is a header when its first field is not a number.
+    Raises OSError or ValueError for the caller to report.
+    """
+    lines = path.read_text().splitlines()
+    try:
+        float(lines[0].split(",", 1)[0])
+    except (IndexError, ValueError):
+        lines = lines[1:]
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
 def _read_control_csv(path: Path, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Times and complex values from rows t, f0_re, f0_im, ...; a header row is skipped."""
     try:
-        lines = path.read_text().splitlines()
-        try:
-            float(lines[0].split(",", 1)[0])
-        except (IndexError, ValueError):
-            lines = lines[1:]
-        raw = np.loadtxt(lines, delimiter=",", ndmin=2)
+        raw = _read_csv_table(path)
     except (OSError, ValueError) as exc:
         raise ControlError(f"cannot read control csv {path}: {exc}") from exc
     if raw.shape[1] != 1 + 2 * dim or not np.all(np.isfinite(raw)):
@@ -202,7 +211,7 @@ def cmd_invert(cfg: dict, out: Path, seed: int) -> int:
         raise ConfigError("invert needs a 'snapshot' key pointing at wave samples")
     snap_path = (cfg["_dir"] / cfg["snapshot"]).resolve()
     try:
-        raw = np.loadtxt(snap_path, delimiter=",", skiprows=1, ndmin=2)
+        raw = _read_csv_table(snap_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot {snap_path}: {exc}") from exc
     n = p.dim

@@ -11,6 +11,13 @@ Alongside the field itself the solver precomputes cumulative line
 integrals of q*v along lattice rows and columns.  Those tables give the
 first derivatives of the kernel and the explicit second time derivative
 of its smooth part in closed vectorized form.
+
+Layout: every KernelField array is node-major, (M+1, M+1, n, n), so that
+one index pair gives one matrix.  The Picard sweeps work plane-major
+instead: a contiguous (n, n, M+1, M+1) array holds one (M+1)^2 plane per
+matrix entry, so the products and the cumulative sums of a sweep run
+along contiguous memory.  solve_goursat and apply_V convert on entry and
+on exit; no other code sees that layout.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .potential import PotentialGrid, _cumtrapz, _opnorms, integral_Q
+from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
 
@@ -92,9 +99,10 @@ class KernelField:
 
     def wxx_lattice(self) -> np.ndarray:
         """Second space derivative of the smooth part via the interior identity."""
-        _, A, B = _grids(self.M)
-        qx = self.qh[np.clip(B - A, 0, self.M)]
-        return self.wtt_lattice() + np.einsum("ijab,ijbc->ijac", qx, self.v)
+        idx = np.arange(self.M + 1)
+        out = _mul(self.qh[np.clip(idx - idx[:, None], 0, self.M)], self.v)
+        out += self.wtt_lattice()
+        return out
 
 
 def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
@@ -165,22 +173,62 @@ def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
 
 
 def apply_V(p: PotentialGrid, values: np.ndarray, h: float) -> np.ndarray:
-    """One application of the fixed-point integral operator to a lattice field."""
+    """One application of the fixed-point integral operator to a lattice field.
+
+    values and the result are node-major, (M+1, M+1, n, n).
+    """
     M = values.shape[0] - 1
     qh = p.eval(np.arange(M + 1) * (h / 2.0))
-    return _apply_V_core(qh, values, h)
+    out = _apply_V_core(_toeplitz_planes(qh), _planes(values), h)
+    return np.ascontiguousarray(_node_view(out))
 
 
-def _apply_V_core(qh: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
-    M = values.shape[0] - 1
-    idx, A, B = _grids(M)
-    g = np.einsum("ijab,ijbc->ijac", qh[np.clip(B - A, 0, M)], values)
-    g[A > B] = 0.0
-    inner = _cumtrapz(g, h, axis=1)          # along eta
-    outer = _cumtrapz(inner, h, axis=0)      # along xi
-    out = -0.25 * (outer - outer[idx, idx][:, None])
-    out[A > B] = 0.0
-    out[idx, idx] = 0.0
+def _planes(a: np.ndarray) -> np.ndarray:
+    """Plane-major copy (n, n, M+1, M+1) of a node-major lattice array."""
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (2, 3)))
+
+
+def _node_view(a: np.ndarray) -> np.ndarray:
+    """Node-major view (M+1, M+1, n, n) of a plane-major array."""
+    return np.moveaxis(a, (2, 3), (0, 1))
+
+
+def _toeplitz_planes(qh: np.ndarray) -> np.ndarray:
+    """Plane-major q at each node: plane (a, b) holds qh[j - i, a, b] at (i, j).
+
+    Below the diagonal it holds qh[0]; _apply_V_core masks those nodes.
+    """
+    idx = np.arange(qh.shape[0])
+    return np.moveaxis(qh, 0, -1)[..., np.clip(idx - idx[:, None], 0, qh.shape[0] - 1)]
+
+
+def _apply_V_core(q_planes: np.ndarray, v_planes: np.ndarray, h: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The fixed-point operator V in the plane-major work layout.
+
+    q_planes (from _toeplitz_planes) and v_planes are (n, n, M+1, M+1): one
+    contiguous (M+1)^2 plane per matrix entry, where KernelField arrays are
+    node-major (M+1, M+1, n, n).  The product g = q v is formed for all
+    entries at once; then each plane in turn is masked to the triangle,
+    integrated by a cumulative trapezoid along eta and then along xi (one
+    reused work plane), shifted by its diagonal and scaled by -1/4.  Nodes
+    on and below the diagonal come out zero.  The result is written into
+    out when given, which must not overlap v_planes.
+    """
+    M = v_planes.shape[-1] - 1
+    if out is None:
+        out = np.empty(v_planes.shape, dtype=np.result_type(q_planes, v_planes))
+    _mul(_node_view(q_planes), _node_view(v_planes), out=_node_view(out))
+    below = np.tri(M + 1, k=-1, dtype=bool)
+    inner = np.empty((M + 1, M + 1), dtype=out.dtype)
+    for g in out.reshape(-1, M + 1, M + 1):
+        np.copyto(g, 0.0, where=below)
+        _cumtrapz(g, h, axis=1, out=inner)      # along eta
+        _cumtrapz(inner, h, axis=0, out=g)      # along xi
+        g -= g.diagonal()[:, None].copy()
+        g *= -0.25
+        np.copyto(g, 0.0, where=below)
+        np.fill_diagonal(g, 0.0)
     return out
 
 
@@ -208,10 +256,10 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     M, qh = _lattice_setup(p, T, h)
-    idx = np.arange(M + 1)
     v0 = _v0_lattice(qh, h)
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
-    v = v0.copy()
+    q_planes, v0_planes = _toeplitz_planes(qh), _planes(v0)
+    v, v_new = v0_planes.copy(), np.empty_like(v0_planes)
     iterations = 0
     delta = math.inf
     tail = _tail_bound(S_full, 2.0 * T, 0)
@@ -222,16 +270,26 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
                 f"(last change {delta:.3e}, tol {tol:.3e}); "
                 "tol may be below the quadrature floor for this h"
             )
-        v_new = v0 + _apply_V_core(qh, v, h)
-        v_new[idx, idx] = 0.0
-        delta = float(np.max(np.sqrt(np.sum(np.abs(v_new - v) ** 2, axis=(-2, -1)))))
-        v = v_new
+        _apply_V_core(q_planes, v, h, out=v_new)
+        v_new += v0_planes
+        delta = _max_node_change(v_new, v)
+        v, v_new = v_new, v
         iterations += 1
         tail = _tail_bound(S_full, 2.0 * T, iterations)
+    del q_planes, v0_planes, v_new
+    v = np.ascontiguousarray(_node_view(v))
     f = KernelField(T=float(T), step=float(h), v=v, v0=v0, iterations=max(iterations, 1),
                     tail_bound=tail, qh=qh)
     _attach_tables(f)
     return f
+
+
+def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
+    """Largest Frobenius norm of new - old over the nodes of two plane-major fields."""
+    sq = np.zeros(new.shape[-2:])
+    for a, b in zip(new.reshape(-1, *sq.shape), old.reshape(-1, *sq.shape)):
+        sq += np.abs(a - b) ** 2
+    return float(np.max(np.sqrt(sq)))
 
 
 def _attach_tables(f: KernelField) -> None:
@@ -242,24 +300,31 @@ def _attach_tables(f: KernelField) -> None:
     same range (constant xi).  Both power the derivative formulas.
     """
     M, h = f.M, f.step
-    idx, A, B = _grids(M)
+    idx = np.arange(M + 1)
+    row, col = idx[:, None], idx[None, :]
 
-    ge = np.einsum("mab,jmbc->jmac", f.qh, f.v[np.clip(A - B, 0, M), A])
-    ge[B > A] = 0.0
+    ge = _mul(f.qh, f.v[np.clip(row - col, 0, M), row])
+    ge[col > row] = 0.0
     f.e_cum = _cumtrapz(ge, h / 2.0, axis=1)
+    del ge
 
-    gd = np.einsum("mab,imbc->imac", f.qh, f.v[A, np.clip(A + B, 0, M)])
-    gd[A + B > M] = 0.0
+    gd = _mul(f.qh, f.v[row, np.clip(row + col, 0, M)])
+    gd[row + col > M] = 0.0
     f.d_cum = _cumtrapz(gd, h / 2.0, axis=1)
+    del gd
 
     # d/dx of the smooth part at node (i, j), from the derivative formulas in
     # characteristic coordinates:
     #   wx = -(1/2) e_cum[j, j] + (1/2) e_cum[j, j-i] + (1/2) d_cum[i, j-i]
     #        -(1/2) e_cum[i, i]
     e_diag = f.e_cum[idx, idx]
-    JM = np.clip(B - A, 0, M)
-    wx = 0.5 * (-e_diag[B] + f.e_cum[B, JM] + f.d_cum[A, JM] - e_diag[A])
-    wx[A > B] = 0.0
+    jm = np.clip(col - row, 0, M)
+    wx = f.e_cum[col, jm]
+    wx -= e_diag[None, :]
+    wx += f.d_cum[row, jm]
+    wx -= e_diag[:, None]
+    wx *= 0.5
+    wx[row > col] = 0.0
     f.wx_lat = wx
 
 
@@ -269,59 +334,81 @@ def _assemble_wtt(f: KernelField) -> np.ndarray:
     Assembled from the differentiated fixed-point equation: pointwise
     products of q with edge kernel values, six single q*q integrals, and
     the remaining double-integral terms built from e_cum/d_cum by one more
-    cumulative trapezoid along the outer integration variable.
+    cumulative trapezoid along the outer integration variable.  Each
+    full-lattice temporary is dropped once consumed, and factors that
+    depend on one lattice index are formed on the (M+1) vectors.
     """
     M, h = f.M, f.step
-    idx, A, B = _grids(M)
-    JM = np.clip(B - A, 0, M)           # JM[i, j] = j - i on the triangle
+    idx = np.arange(M + 1)
+    row, col = idx[:, None], idx[None, :]
+    jm = np.clip(col - row, 0, M)         # jm[i, j] = j - i on the triangle
     e_diag = f.e_cum[idx, idx]
 
-    # outer integrand over tau = m*h/2 at fixed xi_i (A = i, B = m):
+    # outer integrand over tau = m*h/2 at fixed xi_i (row i, column m):
     #   q(tau) [ d_cum[i, m] - e_cum[i, i] + e_cum[i+m, i+m] - e_cum[i+m, m] ]
-    ipm = np.clip(A + B, 0, M)
-    g1 = np.einsum("mab,imbc->imac", f.qh,
-                   f.d_cum[A, B] - e_diag[A] + e_diag[ipm] - f.e_cum[ipm, B])
-    g1[A + B > M] = 0.0
+    ipm = np.clip(row + col, 0, M)
+    t = f.d_cum - e_diag[:, None]
+    t += e_diag[ipm]
+    t -= f.e_cum[ipm, col]
+    g1 = _mul(f.qh, t)
+    del t
+    g1[row + col > M] = 0.0
     cum_x1 = _cumtrapz(g1, h / 2.0, axis=1)
+    del g1
 
-    # outer integrand over tau at fixed eta_j (A = j, B = m):
+    # outer integrand over tau at fixed eta_j (row j, column m):
     #   q(tau) [ d_cum[j-m, m] - e_cum[j-m, j-m] + e_cum[j, j] - e_cum[j, m] ]
-    jmm = np.clip(A - B, 0, M)
-    g3 = np.einsum("mab,jmbc->jmac", f.qh,
-                   f.d_cum[jmm, B] - e_diag[jmm] + e_diag[A] - f.e_cum[A, B])
-    g3[B > A] = 0.0
+    jmm = np.clip(row - col, 0, M)
+    t = f.d_cum[jmm, col]
+    t -= e_diag[jmm]
+    t += e_diag[:, None]
+    t -= f.e_cum
+    g3 = _mul(f.qh, t)
+    del t
+    g3[col > row] = 0.0
     cum_x3 = _cumtrapz(g3, h / 2.0, axis=1)
+    del g3
     x3_diag = cum_x3[idx, idx]
 
-    w_hat = 0.25 * (cum_x1[A, JM] - x3_diag[A] + x3_diag[B] - cum_x3[B, JM])
-
-    # pointwise edge terms
-    qv_edge = np.einsum("kab,kbc->kac", f.qh, f.v[0])
-    point = 0.25 * (qv_edge[A] - qv_edge[B])
+    w_hat = cum_x1[row, jm]
+    del cum_x1
+    w_hat -= x3_diag[:, None]
+    w_hat += x3_diag[None, :]
+    w_hat -= cum_x3[col, jm]
+    del cum_x3
+    w_hat *= 0.25
 
     # single q*q integrals; cc1 integrates q(s) q(xi/2 + s), cc6 integrates
     # q(s) q(c - s) up to the diagonal (the self-convolution at full range)
-    qq_fwd = np.einsum("mab,imbc->imac", f.qh, f.qh[ipm])
-    qq_fwd[A + B > M] = 0.0
-    cc1 = _cumtrapz(qq_fwd, h / 2.0, axis=1)
-    qq_bwd = np.einsum("mab,kmbc->kmac", f.qh, f.qh[jmm])
-    qq_bwd[B > A] = 0.0
-    cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=1)
-    cc6_diag = cc6[idx, idx]
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+    qq_fwd = _mul(f.qh, f.qh[ipm])
+    qq_fwd[row + col > M] = 0.0
+    cc1 = _cumtrapz(qq_fwd, h / 2.0, axis=1)
+    del qq_fwd
+    eighth = cc1[row, jm]
+    del cc1
+    eighth -= _mul(q_cum[jm], f.qh[:, None])
+    qq_bwd = _mul(f.qh, f.qh[jmm])
+    qq_bwd[col > row] = 0.0
+    cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=1)
+    del qq_bwd
+    cc6_diag = cc6[idx, idx]
+    eighth += cc6_diag[:, None]
+    eighth -= _mul(q_cum, f.qh)[:, None]
+    eighth += _mul(q_cum[None, :] - q_cum[jm], f.qh[None, :])
+    eighth -= cc6_diag[None, :]
+    eighth += cc6[col, jm]
+    del cc6
+    eighth *= 0.125
 
-    eighth = (
-        cc1[A, JM]
-        - np.einsum("ijab,ijbc->ijac", q_cum[JM], f.qh[A])
-        + cc6_diag[A]
-        - np.einsum("ijab,ijbc->ijac", q_cum[A], f.qh[A])
-        + np.einsum("ijab,ijbc->ijac", q_cum[B] - q_cum[JM], f.qh[B])
-        - cc6_diag[B]
-        + cc6[B, JM]
-    )
-
-    out = point + 0.125 * eighth + w_hat
-    out[A > B] = 0.0
+    # pointwise edge terms
+    qv_edge = _mul(f.qh, f.v[0])
+    out = qv_edge[:, None] - qv_edge[None, :]
+    out *= 0.25
+    out += eighth
+    del eighth
+    out += w_hat
+    out[row > col] = 0.0
     return out
 
 
@@ -364,8 +451,7 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
             return np.zeros((f.dim, f.dim), dtype=complex)
         k = max(2, int(np.ceil((b - a) / (h / 2.0))) + 1)
         s = np.linspace(a, b, k)
-        qv = np.einsum("kab,kbc->kac", p.eval(q_arg(s)),
-                       _interp_triangle(f.v, *v_pt(s), h, f.M))
+        qv = _mul(p.eval(q_arg(s)), _interp_triangle(f.v, *v_pt(s), h, f.M))
         return np.trapezoid(qv, x=s, axis=0)
 
     int1 = _line(xi, eta, lambda s: (s - xi) / 2.0, lambda s: (np.full_like(s, xi), s))
@@ -445,7 +531,7 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     edge = float(np.max(_opnorms(f.v[0] + 0.5 * ref)))
     mixed = (f.v[1:, 1:] - f.v[:-1, 1:] - f.v[1:, :-1] + f.v[:-1, :-1]) / h**2
     q_cell = f.qh[np.clip(B - A, 0, M)][:-1, :-1]
-    resid = mixed + 0.25 * np.einsum("ijab,ijbc->ijac", q_cell, f.v[:-1, :-1])
+    resid = mixed + 0.25 * _mul(q_cell, f.v[:-1, :-1])
     interior_mask = (A[:-1, :-1] + 1) <= B[:-1, :-1]
     interior = float(np.max(_opnorms(resid)[interior_mask])) if interior_mask.any() else 0.0
     count, excess = bound_violations(f)

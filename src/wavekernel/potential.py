@@ -9,6 +9,8 @@ is the operator 2-norm (largest singular value).
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,12 +56,44 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    """Cumulative trapezoid along one axis, starting at zero."""
+def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid along one axis, starting at zero.
+
+    Writes into ``out`` when given (same shape as vals, not overlapping it);
+    either way no temporary of the input's size is made.
+    """
+    if out is None:
+        out = np.empty_like(vals)
     pair = np.moveaxis(vals, axis, 0)
-    out = np.zeros_like(pair)
-    np.cumsum(0.5 * dx * (pair[:-1] + pair[1:]), axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
+    res = np.moveaxis(out, axis, 0)
+    res[:1] = 0.0
+    np.add(pair[:-1], pair[1:], out=res[1:])
+    res[1:] *= 0.5 * dx
+    np.cumsum(res[1:], axis=0, out=res[1:])
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product a @ b over broadcast leading axes, for small matrices.
+
+    Built one output entry at a time, out[..., r, c] = sum over k of
+    a[..., r, k] * b[..., k, c] (a plain product when n = 1).  For the
+    n <= 3 of a potential these n^3 whole-array products beat einsum's
+    generic sum-of-products loop, and on plane-major views every term is
+    one contiguous array.  ``out`` may be a strided view; it must not
+    overlap a or b.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        out = np.empty(shape, dtype=np.result_type(a, b))
+    for r in range(a.shape[-2]):
+        for c in range(b.shape[-1]):
+            entry = out[..., r, c]
+            np.multiply(a[..., r, 0], b[..., 0, c], out=entry)
+            for k in range(1, a.shape[-1]):
+                entry += a[..., r, k] * b[..., k, c]
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,14 +186,31 @@ def _finish(x_max: float, step: float, samples: np.ndarray) -> PotentialGrid:
     )
 
 
-def zero_potential(dim: int = 1, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
+def _grid_steps(dim, x_max, step) -> int:
+    """Number of grid steps m for the constructors below, after checking their sizes.
+
+    dim must be an integer >= 1, x_max and step finite and positive, and
+    [0, x_max] must hold at least one step; otherwise PotentialError.
+    """
+    if not (isinstance(dim, numbers.Integral) and dim >= 1):
+        raise PotentialError(f"dimension must be an integer >= 1, got {dim!r}")
+    for name, value in (("x_max", x_max), ("step", step)):
+        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            raise PotentialError(f"{name} must be finite and positive, got {value!r}")
     m = int(round(x_max / step))
+    if m < 1:
+        raise PotentialError(f"step {step} does not fit in [0, {x_max}]")
+    return m
+
+
+def zero_potential(dim: int = 1, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
+    m = _grid_steps(dim, x_max, step)
     return _finish(m * step, step, np.zeros((m + 1, dim, dim), dtype=complex))
 
 
 def constant_potential(matrix, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
     c = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    m = int(round(x_max / step))
+    m = _grid_steps(c.shape[-1], x_max, step)
     return _finish(m * step, step, np.broadcast_to(c, (m + 1, *c.shape)).copy())
 
 
@@ -181,7 +232,7 @@ def sampled_potential(x: np.ndarray, values: np.ndarray) -> PotentialGrid:
 
 
 def potential_from_callable(fn, dim: int, x_max: float, step: float) -> PotentialGrid:
-    m = int(round(x_max / step))
+    m = _grid_steps(dim, x_max, step)
     xs = np.arange(m + 1) * step
     vals = np.asarray(fn(xs), dtype=complex)
     if vals.ndim == 1:

@@ -199,6 +199,19 @@ def test_apply_and_invert_round_trip(tmp_path):
     assert np.abs(rec[:, 1] + 1j * rec[:, 2] - ref).max() < 1e-10
 
 
+def test_invert_reads_snapshot_with_or_without_header(tmp_path):
+    one_pot(tmp_path)
+    assert main(["propagate", "--config", str(write_cfg(tmp_path))]) == 0
+    lines = (tmp_path / "out" / "snapshot.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "bare.csv").write_text("".join(lines[1:]))
+    recovered = []
+    for snap, out in (("out/snapshot.csv", tmp_path / "inv"), ("bare.csv", tmp_path / "inv_bare")):
+        cfg = write_cfg(tmp_path, extra=f"snapshot = {snap}\n")
+        assert main(["invert", "--config", str(cfg), "--out", str(out)]) == 0
+        recovered.append((out / "control_recovered.csv").read_bytes())
+    assert recovered[0] == recovered[1]
+
+
 def test_propagate_zero_grid_exit(tmp_path, capsys):
     zero_pot(tmp_path)
     cfg = write_cfg(tmp_path, extra="N = 0\n")

@@ -42,8 +42,9 @@ def test_initial_v0_diag():
 
 
 def test_apply_V_zero_field(pot_one):
-    z = np.zeros((21, 21, 1, 1), dtype=complex)
-    assert np.abs(wk.apply_V(pot_one, z, 1 / 10)).max() == 0.0
+    for dtype in (complex, float):
+        z = np.zeros((21, 21, 1, 1), dtype=dtype)
+        assert np.abs(wk.apply_V(pot_one, z, 1 / 10)).max() == 0.0
 
 
 def test_apply_V_constant_closed_form():
@@ -291,14 +292,14 @@ def test_diagonal_decoupling():
 
 def test_picard_tail_dominates(pot_one):
     # measured sweep-to-sweep change is eventually below the factorial tail
-    from wavekernel.goursat import _apply_V_core, _v0_lattice, _tail_bound, _lattice_setup
+    from wavekernel.goursat import _v0_lattice, _tail_bound, _lattice_setup
     from wavekernel.potential import _opnorms
     M, qh = _lattice_setup(pot_one, 1.0, 1 / 50)
     v0 = _v0_lattice(qh, 1 / 50)
     S = float(0.5 * np.trapezoid(_opnorms(qh), dx=1 / 100))
     v = v0.copy()
     for sweep in range(1, 12):
-        v_new = v0 + _apply_V_core(qh, v, 1 / 50)
+        v_new = v0 + wk.apply_V(pot_one, v, 1 / 50)
         delta = node_norms(v_new - v).max()
         v = v_new
         if sweep >= 4:

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import wavekernel as wk
 from wavekernel.errors import DomainError, PotentialError
-from wavekernel.potential import _opnorms
+from wavekernel.potential import _opnorms, potential_from_callable
 
 
 def test_zero_potential_trivial():
@@ -53,6 +53,25 @@ def test_non_finite_samples_rejected(bad):
     vals[2] = bad
     with pytest.raises(PotentialError, match="finite"):
         wk.sampled_potential(x, vals)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wk.zero_potential(1, step=0.0),
+    lambda: wk.zero_potential(0),
+    lambda: wk.zero_potential(1.5),
+    lambda: wk.zero_potential(2, x_max=np.nan),
+    lambda: wk.zero_potential(1, x_max=0.25, step=1.0),
+    lambda: wk.constant_potential(np.eye(2), step=-1.0),
+    lambda: wk.constant_potential(np.eye(2), x_max=np.inf),
+    lambda: wk.constant_potential(np.zeros((0, 0))),
+    lambda: potential_from_callable(np.ones_like, 1, 1.0, np.nan),
+    lambda: potential_from_callable(np.ones_like, 0, 1.0, 0.125),
+], ids=["step_zero", "dim_zero", "dim_fraction", "x_max_nan", "no_step_fits",
+        "constant_step_negative", "constant_x_max_inf", "constant_empty",
+        "callable_step_nan", "callable_dim_zero"])
+def test_constructors_reject_degenerate_sizes(build):
+    with pytest.raises(PotentialError):
+        build()
 
 
 def test_integral_linear_potential():
