@@ -164,7 +164,10 @@ class _SobolevTables(OperatorTables):
         s = self.grid
         self.k2a = self.weighted(field.wxx_lattice())
         q_plus, q_minus = self.q_halves()
-        self.k2b = self.wgt * 0.25 * (q_plus - q_minus)    # acts on f'
+        q_plus -= q_minus
+        del q_minus
+        q_plus *= self.wgt * 0.25
+        self.k2b = q_plus                                   # acts on f'
         self.q_x = field.q_at(s)
         # half-integral of q along the grid
         self.q_half_cum = 0.5 * _cumtrapz(self.q_x, self.delta)

@@ -100,9 +100,14 @@ class KernelField:
     def wxx_lattice(self) -> np.ndarray:
         """Second space derivative of the smooth part via the interior identity."""
         idx = np.arange(self.M + 1)
-        out = _mul(self.qh[np.clip(idx - idx[:, None], 0, self.M)], self.v)
-        out += self.wtt_lattice()
-        return out
+        return _wxx(self.qh[np.clip(idx - idx[:, None], 0, self.M)], self.v, self.wtt_lattice())
+
+
+def _wxx(q: np.ndarray, v: np.ndarray, wtt: np.ndarray) -> np.ndarray:
+    """The interior identity w_xx = q(x) w + w_tt at nodes of q, v and wtt alike."""
+    out = _mul(q, v)
+    out += wtt
+    return out
 
 
 def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
@@ -491,20 +496,22 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
     nodes with i + j <= M.
     """
     M, h = f.M, f.step
-    _, A, B = _grids(M)
-    phys = (A <= B) & (A + B <= M)
-    b1 = float(np.max(_opnorms(f.wtilde_lattice())[phys]))
-    b2 = float(np.max(_opnorms(f.wx_lat)[phys]))
-    b4 = float(np.max(_opnorms(f.v)[phys]))
-    wxx_norm = _opnorms(f.wxx_lattice())
-    inner = []
-    xs = []
-    for d in range(0, M + 1, 2):
-        rows = np.arange((M - d) // 2 + 1)
-        vals = wxx_norm[rows, rows + d]
-        inner.append(float(np.trapezoid(vals, dx=h)) if rows.size > 1 else 0.0)
-        xs.append(d * h / 2.0)
-    b3 = float(np.trapezoid(np.asarray(inner) ** 2, x=np.asarray(xs)))
+    i, j = np.triu_indices(M + 1)
+    phys = i + j <= M
+    i, j = i[phys], j[phys]
+    b1 = float(np.max(_opnorms(f.v[i, j] - f.v0[i, j])))
+    b2 = float(np.max(_opnorms(f.wx_lat[i, j])))
+    b4 = float(np.max(_opnorms(f.v[i, j])))
+    # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another
+    ds = np.arange(0, M + 1, 2)
+    rows = (M - ds) // 2 + 1
+    d = np.repeat(ds, rows)
+    i = np.arange(d.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    j = i + d
+    wxx_norm = _opnorms(_wxx(f.qh[d], f.v[i, j], f.wtt_lattice()[i, j]))
+    inner = [float(np.trapezoid(vals, dx=h)) if vals.size > 1 else 0.0
+             for vals in np.split(wxx_norm, np.cumsum(rows)[:-1])]
+    b3 = float(np.trapezoid(np.asarray(inner) ** 2, x=ds * h / 2.0))
     return KernelConstants(b1=b1, b2=b2, b3=b3, b4=b4)
 
 

@@ -287,14 +287,26 @@ class OperatorTables:
     """The kernel sampled once on the uniform N-grid over [0, T].
 
     Row k, column m is the causal pair (x_k, s_m), s_m >= x_k, i.e. the
-    characteristic point (xi, eta) = (s_m - x_k, s_m + x_k).  wgt holds the
-    trapezoid weights over [x_k, T]; they vanish below the diagonal, so
-    every weighted table is causal.  k0 is the weighted kernel, the
-    operator of the representation formula and of the control-to-state
-    map; k1 is the weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of
-    the kernel inside the integral.  Both are built on first use.  Every
-    table has the layout (k, m, a, b) and is applied only through
-    _apply_table, to one control's samples or to a stack of them.
+    characteristic point (xi, eta) = (s_m - x_k, s_m + x_k) = (p, r) delta
+    with p = m - k and r = m + k.  wgt holds the trapezoid weights over
+    [x_k, T]; they vanish below the diagonal, so every weighted table is
+    causal.  k0 is the weighted kernel, the operator of the representation
+    formula and of the control-to-state map; k1 is the weighted
+    x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel inside the
+    integral.  Both are built on first use.  Every table has the layout
+    (k, m, a, b) and is applied only through _apply_table, to one
+    control's samples or to a stack of them.
+
+    Sampling is separable.  A pair's bilinear weights along xi depend only
+    on p and those along eta only on r, so sample lerps the lattice along
+    xi once, for p = 0..N, into an (N+1, M+1, n, n) array, and then lerps
+    that along eta with two gathers per pair.  Besides its result it holds
+    one more (N+1)^2 n^2 table and a few (N+1)^2 index and weight arrays.
+    A pair whose xi and eta fall in the same lattice cell touches the
+    diagonal, where the cell is a triangle, not bilinear; such pairs occur
+    only in rows with x_k below about h/2, and _interp_triangle evaluates
+    just those.  q_halves reads q at the 2N+1 points r delta / 2 once and
+    gathers.
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
@@ -305,26 +317,64 @@ class OperatorTables:
                               f"the kernel horizon")
         self.field = field
         self.delta = T / N
-        s = np.arange(N + 1) * self.delta
-        X, S = np.meshgrid(s, s, indexing="ij")
-        causal = S >= X
-        self.grid = s
-        self.xi = np.where(causal, S - X, 0.0)
-        self.eta = np.where(causal, S + X, 0.0)
-        wgt = np.where(causal, self.delta, 0.0)
+        self.grid = np.arange(N + 1) * self.delta
+        wgt = np.triu(np.full((N + 1, N + 1), self.delta))
         idx = np.arange(N + 1)
         wgt[idx, idx] = 0.5 * self.delta
         wgt[:-1, N] = 0.5 * self.delta
         wgt[N, N] = 0.0
         self.wgt = wgt[..., None, None]
 
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """p = |m - k| and r = m + k of every (k, m); mirrored below the diagonal."""
+        k = np.arange(self.grid.size)
+        return np.abs(k - k[:, None]), k + k[:, None]
+
     def sample(self, lattice: np.ndarray) -> np.ndarray:
-        """A lattice field at every (xi, eta) pair of the grid."""
-        return _interp_triangle(lattice, self.xi, self.eta, self.field.step, self.field.M)
+        """A lattice field at every causal (xi, eta) pair of the grid.
+
+        Entries below the diagonal are finite and unspecified; wgt zeroes
+        them in every weighted table.
+        """
+        h, M, N = self.field.step, self.field.M, self.grid.size - 1
+        # cell and offset of xi = p delta and eta = r delta, clipped as _interp_triangle does
+        steps = np.minimum(np.arange(2 * N + 1) * self.delta, M * h) / h
+        cell = np.minimum(steps.astype(int), M - 1)
+        frac = steps - cell
+        cols = cell[-1] + 2                     # the eta columns the grid reaches
+        i, s = cell[:N + 1], frac[:N + 1, None, None, None]
+        along_xi = lattice[i, :cols]
+        along_xi *= 1 - s
+        upper = lattice[i + 1, :cols]
+        upper *= s
+        along_xi += upper
+        del upper
+        along_xi = along_xi.reshape((N + 1) * cols, *lattice.shape[2:])
+        p, r = self._pairs()
+        flat = p * cols
+        flat += cell[r]
+        u = frac[r][..., None, None]
+        del p, r
+        out = np.take(along_xi, flat, axis=0)
+        flat += 1
+        work = np.take(along_xi, flat, axis=0)
+        del flat
+        out *= 1 - u
+        work *= u
+        out += work
+        del work
+        # triangle cells: xi and eta in one cell (j == i), so eta - xi = 2 x_k < h
+        k = np.arange(min(N, int(h / (2.0 * self.delta)) + 1) + 1)[:, None]
+        m = np.arange(N + 1)
+        k, m = np.nonzero((m >= k) & (cell[np.abs(m - k)] >= cell[m + k]))
+        out[k, m] = _interp_triangle(lattice, (m - k) * self.delta, (m + k) * self.delta, h, M)
+        return out
 
     def weighted(self, lattice: np.ndarray) -> np.ndarray:
         """Trapezoid-weighted samples of a lattice field; zero below the diagonal."""
-        return self.wgt * self.sample(lattice)
+        out = self.sample(lattice)
+        out *= self.wgt
+        return out
 
     def trace(self, lattice: np.ndarray) -> np.ndarray:
         """A lattice field on the diagonal x = s, i.e. at (xi, eta) = (0, 2x)."""
@@ -334,7 +384,9 @@ class OperatorTables:
 
     def q_halves(self) -> tuple[np.ndarray, np.ndarray]:
         """The potential at eta/2 and at xi/2 for every pair of the grid."""
-        return self.field.q_at(self.eta / 2.0), self.field.q_at(self.xi / 2.0)
+        q = self.field.q_at(np.arange(2 * self.grid.size - 1) * self.delta / 2.0)
+        p, r = self._pairs()
+        return np.take(q, r, axis=0), np.take(q, p, axis=0)
 
     @cached_property
     def k0(self) -> np.ndarray:
@@ -342,9 +394,15 @@ class OperatorTables:
 
     @cached_property
     def k1(self) -> np.ndarray:
-        wx = self.sample(self.field.wx_lat)     # before q_halves: lower peak memory
+        out = self.sample(self.field.wx_lat)    # before q_halves: lower peak memory
         q_plus, q_minus = self.q_halves()
-        return self.wgt * (wx - 0.25 * (q_plus + q_minus))
+        q_plus += q_minus
+        del q_minus
+        q_plus *= 0.25
+        out -= q_plus
+        del q_plus
+        out *= self.wgt
+        return out
 
 
 def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:

@@ -3,7 +3,9 @@
 The reference functions below are the earlier implementation of the
 fixed-point operator, the Picard loop, the derivative tables and the wtt
 assembly, kept unchanged: full-square node-major (M+1, M+1, n, n) arrays
-and einsum products.  The package must reproduce them to rounding.
+and einsum products.  The package must reproduce them to rounding.  The
+full-square kernel constants are kept too; the package reads only the
+physical nodes and must reproduce them exactly.
 """
 
 import math
@@ -14,8 +16,8 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    KernelField, _apply_V_core, _grids, _lattice_setup, _node_view, _planes, _tail_bound,
-    _toeplitz_planes, _v0_lattice,
+    KernelConstants, KernelField, _apply_V_core, _grids, _lattice_setup, _node_view, _planes,
+    _tail_bound, _toeplitz_planes, _v0_lattice,
 )
 from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
 
@@ -127,6 +129,32 @@ def ref_assemble_wtt(f):
     return out
 
 
+def ref_kernel_constants(p, f):
+    M, h = f.M, f.step
+    _, A, B = _grids(M)
+    phys = (A <= B) & (A + B <= M)
+    b1 = float(np.max(_opnorms(f.wtilde_lattice())[phys]))
+    b2 = float(np.max(_opnorms(f.wx_lat)[phys]))
+    b4 = float(np.max(_opnorms(f.v)[phys]))
+    wxx_norm = _opnorms(ref_wxx_lattice(f))
+    inner = []
+    xs = []
+    for d in range(0, M + 1, 2):
+        rows = np.arange((M - d) // 2 + 1)
+        vals = wxx_norm[rows, rows + d]
+        inner.append(float(np.trapezoid(vals, dx=h)) if rows.size > 1 else 0.0)
+        xs.append(d * h / 2.0)
+    b3 = float(np.trapezoid(np.asarray(inner) ** 2, x=np.asarray(xs)))
+    return KernelConstants(b1=b1, b2=b2, b3=b3, b4=b4)
+
+
+def ref_wxx_lattice(f):
+    idx = np.arange(f.M + 1)
+    out = _mul(f.qh[np.clip(idx - idx[:, None], 0, f.M)], f.v)
+    out += f.wtt_lattice()
+    return out
+
+
 # --- comparisons -------------------------------------------------------------
 
 def rel_gap(got, ref):
@@ -190,6 +218,11 @@ def test_solve_goursat_matches_reference(case):
 def test_wtt_lattice_matches_reference(case):
     _, _, f, ref = case
     assert rel_gap(f.wtt_lattice(), ref_assemble_wtt(ref)) <= REL
+
+
+def test_kernel_constants_match_reference(case):
+    p, _, f, _ = case
+    assert wk.kernel_constants(p, f) == ref_kernel_constants(p, f)
 
 
 def _peak_lattices(fn, lattice_bytes):

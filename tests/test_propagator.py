@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
+from wavekernel.goursat import _interp_triangle
 from wavekernel.propagator import OperatorTables, _apply_table, _u_values
 
 
@@ -166,6 +169,62 @@ def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
                                  + field_herm2.q_at((s - x) / 2.0)))
         assert np.abs(tab.k0[k, m] - k0).max() <= 1e-14
         assert np.abs(tab.k1[k, m] - k1).max() <= 1e-14
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["n1", "n2"])
+def field_h50(request, pot_one, pot_herm2):
+    return wk.solve_goursat(pot_one if request.param == 1 else pot_herm2, 1.0, 1 / 50, 1e-10)
+
+
+# (T, N) on the h = 1/50 field: delta = h, delta = h/8, unaligned grids, and a
+# horizon below the kernel's, where eta stays under M h and j does not clip
+@pytest.mark.parametrize("T, N", [(1.0, 50), (1.0, 400), (1.0, 1), (1.0, 2), (1.0, 37),
+                                  (1.0, 160), (0.7, 35), (0.7, 37), (0.5, 200)])
+def test_separable_sampling_matches_per_pair(field_h50, T, N):
+    # the per-pair computation the separable sampler replaced is the reference
+    f = field_h50
+    tab = OperatorTables(f, T, N)
+    X, S = np.meshgrid(tab.grid, tab.grid, indexing="ij")
+    causal = S >= X
+    xi = np.where(causal, S - X, 0.0)
+    eta = np.where(causal, S + X, 0.0)
+    q_plus, q_minus = tab.q_halves()
+    refs = {
+        "v": (tab.sample(f.v), _interp_triangle(f.v, xi, eta, f.step, f.M)),
+        "wx_lat": (tab.sample(f.wx_lat), _interp_triangle(f.wx_lat, xi, eta, f.step, f.M)),
+        "q_plus": (q_plus, f.q_at(eta / 2.0)),
+        "q_minus": (q_minus, f.q_at(xi / 2.0)),
+    }
+    for name, (got, ref) in refs.items():
+        scale = np.abs(ref[causal]).max()
+        assert np.abs(got - ref)[causal].max() <= 1e-15 * scale, name
+    # triangle cells (i == j) fill row 0; below delta = h/2 later rows have them too
+    i = np.minimum((xi / f.step).astype(int), f.M - 1)
+    j = np.maximum(np.minimum((eta / f.step).astype(int), f.M - 1), i)
+    tri = (i == j) & causal
+    assert tri[0].all()
+    if tab.delta < f.step / 2:
+        assert tri[1:].any()
+    for table in (tab.k0, tab.k1):
+        assert np.all(table[~causal] == 0.0)
+
+
+def _peak_tables(fn, table_bytes):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / table_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_memory_guard(field_herm2):
+    # 2x2, h = 1/100, N = 400; one table is (N+1)^2 n^2 complex values.  The
+    # per-pair sampler peaked at 5.26 (k0) and 5.89 (k1).
+    N = 400
+    table = (N + 1) ** 2 * 4 * 16
+    assert _peak_tables(lambda: OperatorTables(field_herm2, 1.0, N).k0, table) <= 4.0
+    assert _peak_tables(lambda: OperatorTables(field_herm2, 1.0, N).k1, table) <= 5.0
 
 
 def test_apply_table_batch_matches_single_controls(field_herm2):
