@@ -12,10 +12,17 @@ integrals of q*v along lattice rows and columns.  Those tables give the
 first derivatives of the kernel and the explicit second time derivative
 of its smooth part in closed vectorized form.
 
-Layout: every KernelField array is node-major, (M+1, M+1, n, n), so that
-one index pair gives one matrix.  The Picard sweeps work plane-major
-instead: a contiguous (n, n, M+1, M+1) array holds one (M+1)^2 plane per
-matrix entry, so the products and the cumulative sums of a sweep run
+Layout: every KernelField array is node-major, one index pair per matrix.
+The Picard sweeps run on the whole triangle, so v and v0 are full
+(M+1, M+1, n, n) squares.  The representation formula reads the kernel
+only for t <= T, that is i + j <= M, and a bilinear cell on that line
+reads one node beyond it.  So every table derived from v (d_cum, wx_lat,
+wtt, wxx) is built on the region i <= j, i + j <= M + 1 only, from nodes
+of that region only, and stored as a half-square (M/2+2, M+1, n, n) that
+is zero off the region; its last row exists for the interpolators' i + 1
+reads.  The dump holds the same node set.  The sweeps themselves work
+plane-major: a contiguous (n, n, M+1, M+1) array holds one (M+1)^2 plane
+per matrix entry, so the products and the cumulative sums of a sweep run
 along contiguous memory.  solve_goursat and apply_V convert on entry and
 on exit; no other code sees that layout.
 """
@@ -47,13 +54,28 @@ def _triangle_mask(M: int) -> np.ndarray:
     return A <= B
 
 
+def _region(M: int) -> np.ndarray:
+    """Half-square mask (M/2+2, M+1) of the nodes i <= j, i + j <= M + 1."""
+    i, j = np.arange(M // 2 + 2)[:, None], np.arange(M + 1)
+    return (i <= j) & (i + j <= M + 1)
+
+
 @dataclass
 class KernelField:
     """Kernel values on the characteristic triangle plus derived tables.
 
     v[i, j] holds the field at (xi_i, eta_j) = (i*h, j*h) for i <= j; entries
-    below the diagonal are zero.  qh holds the potential sampled at half-step
-    points m*h/2, the resolution every internal quadrature uses.
+    below the diagonal are zero.  v and v0 are full (M+1, M+1, n, n) squares;
+    a field read back from a dump holds zeros in v beyond the region
+    i + j <= M + 1.  qh holds the potential sampled at half-step points
+    m*h/2, the resolution every internal quadrature uses.
+
+    The derived tables cover the region i <= j, i + j <= M + 1 only and read
+    only its nodes.  e_cum is (M+1, M/2+2): e_cum[j, a] integrates
+    q(eta_j/2 - s) v(2s, eta_j) over s in [0, a*h/2], along eta_j from
+    xi = 0.  d_cum is (M/2+2, M+1): d_cum[i, m] integrates q(s)
+    v(xi_i, xi_i + 2s) over s in [0, m*h/2].  wx_lat and wtt_lattice() are
+    half-squares (M/2+2, M+1, n, n), zero off the region.
     """
 
     T: float
@@ -63,14 +85,14 @@ class KernelField:
     iterations: int
     tail_bound: float
     qh: np.ndarray = field(repr=False, default=None)       # (M+1, n, n)
-    e_cum: np.ndarray = field(repr=False, default=None)    # row integrals of q*v
-    d_cum: np.ndarray = field(repr=False, default=None)    # column integrals of q*v
+    e_cum: np.ndarray = field(repr=False, default=None)    # integrals of q*v along eta_j
+    d_cum: np.ndarray = field(repr=False, default=None)    # integrals of q*v along xi_i
     wx_lat: np.ndarray = field(repr=False, default=None)   # d/dx of the smooth part
     _wtt_lat: np.ndarray = field(repr=False, default=None)
 
     @property
     def M(self) -> int:
-        return self.v.shape[0] - 1
+        return self.v.shape[1] - 1
 
     @property
     def dim(self) -> int:
@@ -98,9 +120,16 @@ class KernelField:
         return self._wtt_lat
 
     def wxx_lattice(self) -> np.ndarray:
-        """Second space derivative of the smooth part via the interior identity."""
-        idx = np.arange(self.M + 1)
-        return _wxx(self.qh[np.clip(idx - idx[:, None], 0, self.M)], self.v, self.wtt_lattice())
+        """Second space derivative of the smooth part via the interior identity.
+
+        A half-square like wtt_lattice(), zero off the region.
+        """
+        M = self.M
+        region = _region(M)
+        i, j = np.nonzero(region)
+        out = np.zeros(region.shape + self.v.shape[2:], dtype=complex)
+        out[i, j] = _wxx(self.qh[j - i], self.v[i, j], self.wtt_lattice()[i, j])
+        return out
 
 
 def _wxx(q: np.ndarray, v: np.ndarray, wtt: np.ndarray) -> np.ndarray:
@@ -115,16 +144,19 @@ def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
 
     Off-diagonal cells use bilinear interpolation; cells touching the
     diagonal use linear interpolation on their three valid corners, which
-    keeps diagonal values exact.
+    keeps diagonal values exact.  arr is a full square or a half-square
+    table (fewer than M+1 rows), which holds only xi + eta <= M*h.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     top = M * h
     if np.any(xi < -_TOL) or np.any(eta > top + _TOL * (1 + top)) or np.any(xi > eta + _TOL):
         raise DomainError("interpolation point outside the characteristic triangle")
+    if arr.shape[0] <= M and np.any(xi + eta > top + _TOL * (1 + top)):
+        raise DomainError("interpolation point beyond t = T, outside the half-square table")
     xic = np.clip(xi, 0.0, top)
     etac = np.clip(np.maximum(eta, xic), 0.0, top)
-    i = np.minimum((xic / h).astype(int), M - 1)
+    i = np.minimum((xic / h).astype(int), arr.shape[0] - 2)
     j = np.minimum((etac / h).astype(int), M - 1)
     j = np.maximum(j, i)
     s = (xic / h - i)[..., None, None]
@@ -298,39 +330,43 @@ def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
 
 
 def _attach_tables(f: KernelField) -> None:
-    """Cumulative line integrals of q*v along both lattice directions.
+    """Cumulative line integrals of q*v along both lattice directions, and wx.
 
-    e_cum[j, m] integrates q(s) v(eta_j - 2s, eta_j) over s in [0, m*h/2]
-    (constant eta); d_cum[i, m] integrates q(s) v(xi_i, xi_i + 2s) over the
-    same range (constant xi).  Both power the derivative formulas.
+    e_cum[j, a] integrates q_{j-b} v[b, j] over b = 0..a (step h/2), along
+    eta_j from xi = 0; d_cum[i, m] integrates q_m v[i, i+m] over m.  Both
+    integrands are zero off the region i <= j, i + j <= M + 1, so every
+    table reads only the region's nodes.
     """
     M, h = f.M, f.step
-    idx = np.arange(M + 1)
-    row, col = idx[:, None], idx[None, :]
+    region = _region(M)
+    i, m = np.arange(region.shape[0])[:, None], np.arange(M + 1)
+    j, b = m[:, None], i.T                    # the transposed layout: rows eta_j, columns xi_b
 
-    ge = _mul(f.qh, f.v[np.clip(row - col, 0, M), row])
-    ge[col > row] = 0.0
+    ge = _mul(f.qh[np.clip(j - b, 0, M)], f.v[b, j])
+    ge[~region.T] = 0.0
     f.e_cum = _cumtrapz(ge, h / 2.0, axis=1)
     del ge
 
-    gd = _mul(f.qh, f.v[row, np.clip(row + col, 0, M)])
-    gd[row + col > M] = 0.0
+    gd = _mul(f.qh, f.v[i, np.clip(i + m, 0, M)])
+    gd[2 * i + m > M + 1] = 0.0
     f.d_cum = _cumtrapz(gd, h / 2.0, axis=1)
     del gd
 
     # d/dx of the smooth part at node (i, j), from the derivative formulas in
     # characteristic coordinates:
-    #   wx = -(1/2) e_cum[j, j] + (1/2) e_cum[j, j-i] + (1/2) d_cum[i, j-i]
-    #        -(1/2) e_cum[i, i]
-    e_diag = f.e_cum[idx, idx]
-    jm = np.clip(col - row, 0, M)
-    wx = f.e_cum[col, jm]
-    wx -= e_diag[None, :]
-    wx += f.d_cum[row, jm]
-    wx -= e_diag[:, None]
+    #   wx = (1/2) (d_cum[i, j-i] - e_cum[j, i] - e_cum[i, i])
+    wx = f.d_cum[i, np.clip(m - i, 0, M)]
+    wx -= f.e_cum.swapaxes(0, 1)
+    wx -= _diag(f.e_cum)[:, None]
     wx *= 0.5
-    wx[row > col] = 0.0
+    wx[~region] = 0.0
     f.wx_lat = wx
+
+
+def _diag(a: np.ndarray) -> np.ndarray:
+    """a[i, i] of a transposed half-square (M+1, M/2+2) table, for i <= M/2+1."""
+    idx = np.arange(a.shape[1])
+    return a[idx, idx]
 
 
 def _assemble_wtt(f: KernelField) -> np.ndarray:
@@ -339,81 +375,79 @@ def _assemble_wtt(f: KernelField) -> np.ndarray:
     Assembled from the differentiated fixed-point equation: pointwise
     products of q with edge kernel values, six single q*q integrals, and
     the remaining double-integral terms built from e_cum/d_cum by one more
-    cumulative trapezoid along the outer integration variable.  Each
-    full-lattice temporary is dropped once consumed, and factors that
-    depend on one lattice index are formed on the (M+1) vectors.
+    cumulative trapezoid along the outer integration variable.  Every
+    array is a half-square (or its transpose, rows eta_j and columns
+    xi_b); each is dropped once consumed, and factors that depend on one
+    lattice index are formed on the (M+1) vectors.
     """
     M, h = f.M, f.step
-    idx = np.arange(M + 1)
-    row, col = idx[:, None], idx[None, :]
-    jm = np.clip(col - row, 0, M)         # jm[i, j] = j - i on the triangle
-    e_diag = f.e_cum[idx, idx]
+    region = _region(M)
+    rows = region.shape[0]
+    i, m = np.arange(rows)[:, None], np.arange(M + 1)
+    j, b = m[:, None], i.T                    # the transposed layout: rows eta_j, columns xi_b
+    jm = np.clip(m - i, 0, M)                 # jm[i, j] = j - i on the region
+    jb = np.clip(j - b, 0, M)                 # jb[j, b] = j - b on the transposed region
+    ipm = np.clip(i + m, 0, M)
+    skew = 2 * i + m > M + 1                  # node (i, i+m) off the region
+    e_diag = _diag(f.e_cum)
 
     # outer integrand over tau = m*h/2 at fixed xi_i (row i, column m):
-    #   q(tau) [ d_cum[i, m] - e_cum[i, i] + e_cum[i+m, i+m] - e_cum[i+m, m] ]
-    ipm = np.clip(row + col, 0, M)
+    #   q(tau) [ d_cum[i, m] - e_cum[i, i] + e_cum[i+m, i] ]
     t = f.d_cum - e_diag[:, None]
-    t += e_diag[ipm]
-    t -= f.e_cum[ipm, col]
+    t += f.e_cum[ipm, i]
     g1 = _mul(f.qh, t)
     del t
-    g1[row + col > M] = 0.0
+    g1[skew] = 0.0
     cum_x1 = _cumtrapz(g1, h / 2.0, axis=1)
     del g1
 
-    # outer integrand over tau at fixed eta_j (row j, column m):
-    #   q(tau) [ d_cum[j-m, m] - e_cum[j-m, j-m] + e_cum[j, j] - e_cum[j, m] ]
-    jmm = np.clip(row - col, 0, M)
-    t = f.d_cum[jmm, col]
-    t -= e_diag[jmm]
-    t += e_diag[:, None]
-    t -= f.e_cum
-    g3 = _mul(f.qh, t)
+    # outer integrand over xi_b at fixed eta_j (row j, column b):
+    #   q_{j-b} [ d_cum[b, j-b] - e_cum[b, b] + e_cum[j, b] ]
+    t = f.d_cum[b, jb]
+    t -= e_diag
+    t += f.e_cum
+    g3 = _mul(f.qh[jb], t)
     del t
-    g3[col > row] = 0.0
+    g3[~region.T] = 0.0
     cum_x3 = _cumtrapz(g3, h / 2.0, axis=1)
     del g3
-    x3_diag = cum_x3[idx, idx]
 
-    w_hat = cum_x1[row, jm]
+    w_hat = cum_x1[i, jm]
     del cum_x1
-    w_hat -= x3_diag[:, None]
-    w_hat += x3_diag[None, :]
-    w_hat -= cum_x3[col, jm]
+    w_hat -= _diag(cum_x3)[:, None]
+    w_hat += cum_x3.swapaxes(0, 1)
     del cum_x3
     w_hat *= 0.25
 
-    # single q*q integrals; cc1 integrates q(s) q(xi/2 + s), cc6 integrates
-    # q(s) q(c - s) up to the diagonal (the self-convolution at full range)
+    # single q*q integrals; cc1 integrates q(s) q(xi/2 + s), cc6[j, a]
+    # integrates q_{j-b} q_b over b = 0..a
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
     qq_fwd = _mul(f.qh, f.qh[ipm])
-    qq_fwd[row + col > M] = 0.0
+    qq_fwd[skew] = 0.0
     cc1 = _cumtrapz(qq_fwd, h / 2.0, axis=1)
     del qq_fwd
-    eighth = cc1[row, jm]
+    eighth = cc1[i, jm]
     del cc1
-    eighth -= _mul(q_cum[jm], f.qh[:, None])
-    qq_bwd = _mul(f.qh, f.qh[jmm])
-    qq_bwd[col > row] = 0.0
+    eighth -= _mul(q_cum[jm], f.qh[:rows, None])
+    qq_bwd = _mul(f.qh[jb], f.qh[:rows])
+    qq_bwd[~region.T] = 0.0
     cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=1)
     del qq_bwd
-    cc6_diag = cc6[idx, idx]
-    eighth += cc6_diag[:, None]
-    eighth -= _mul(q_cum, f.qh)[:, None]
+    eighth += _diag(cc6)[:, None]
+    eighth -= _mul(q_cum[:rows], f.qh[:rows])[:, None]
     eighth += _mul(q_cum[None, :] - q_cum[jm], f.qh[None, :])
-    eighth -= cc6_diag[None, :]
-    eighth += cc6[col, jm]
+    eighth -= cc6.swapaxes(0, 1)
     del cc6
     eighth *= 0.125
 
     # pointwise edge terms
     qv_edge = _mul(f.qh, f.v[0])
-    out = qv_edge[:, None] - qv_edge[None, :]
+    out = qv_edge[:rows, None] - qv_edge[None, :]
     out *= 0.25
     out += eighth
     del eighth
     out += w_hat
-    out[row > col] = 0.0
+    out[~region] = 0.0
     return out
 
 
@@ -445,10 +479,11 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
 
     Evaluates the explicit formulas: a pointwise q term plus single line
     integrals of q*v along lattice-parallel segments, by trapezoid
-    quadrature of the interpolated field.
+    quadrature of the interpolated field.  The point must satisfy
+    xi + eta <= 2T (t <= T): beyond it a field read from a dump is zero.
     """
-    if not (-_TOL <= xi <= eta + _TOL and eta <= 2 * f.T * (1 + _TOL) + _TOL):
-        raise DomainError("characteristic point outside the triangle")
+    if not (-_TOL <= xi <= eta + _TOL and xi + eta <= 2 * f.T * (1 + _TOL) + _TOL):
+        raise DomainError("characteristic point outside 0 <= xi <= eta, xi + eta <= 2T")
     h = f.step
 
     def _line(a: float, b: float, q_arg, v_pt):
@@ -529,17 +564,19 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
 
     The edge condition is checked against the potential's own (finer)
     quadrature, the interior equation as a mixed second difference against
-    the pointwise product q*v at the lower cell corner.
+    the pointwise product q*v at the lower cell corner, on the cells whose
+    corners lie in the region i + j <= M + 1 that a dump holds.
     """
     M, h = f.M, f.step
-    idx, A, B = _grids(M)
+    idx = np.arange(M + 1)
     diag = float(np.max(_opnorms(f.v[idx, idx])))
     ref = np.stack([integral_Q(p, 0.0, j * h / 2.0) for j in idx])
     edge = float(np.max(_opnorms(f.v[0] + 0.5 * ref)))
-    mixed = (f.v[1:, 1:] - f.v[:-1, 1:] - f.v[1:, :-1] + f.v[:-1, :-1]) / h**2
-    q_cell = f.qh[np.clip(B - A, 0, M)][:-1, :-1]
-    resid = mixed + 0.25 * _mul(q_cell, f.v[:-1, :-1])
-    interior_mask = (A[:-1, :-1] + 1) <= B[:-1, :-1]
+    v = f.v[:M // 2 + 2]
+    a, b = np.arange(v.shape[0] - 1)[:, None], idx[:-1]     # lower corner of each cell
+    mixed = (v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]) / h**2
+    resid = mixed + 0.25 * _mul(f.qh[np.clip(b - a, 0, M)], v[:-1, :-1])
+    interior_mask = (a + 1 <= b) & (a + b <= M - 1)
     interior = float(np.max(_opnorms(resid)[interior_mask])) if interior_mask.any() else 0.0
     count, excess = bound_violations(f)
     return GoursatReport(diag_residual=diag, edge_residual=edge,
@@ -551,15 +588,17 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
     """Nodes where the field exceeds its exponential a priori bound.
 
     The majorant is evaluated with the same lattice quadrature the solver
-    uses, so the edge-equality case is reproduced exactly.
+    uses, so the edge-equality case is reproduced exactly.  Only the nodes of
+    the region i + j <= M + 1, which a dump holds, are checked.
     """
     M, h = f.M, f.step
+    region = _region(M)
     norms_qh = _opnorms(f.qh)
     s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
-    xi = np.arange(M + 1) * h
+    xi = np.arange(region.shape[0]) * h
     bound = s_lat[None, :] * np.exp(xi[:, None] * s_lat[None, :]) + f.tail_bound
-    excess = _opnorms(f.v) - (bound + rel_slack * (1.0 + bound))
-    bad = (excess > 0) & _triangle_mask(M)
+    excess = _opnorms(f.v[:region.shape[0]]) - (bound + rel_slack * (1.0 + bound))
+    bad = (excess > 0) & region
     worst = float(np.max(excess[bad])) if bad.any() else 0.0
     return int(np.count_nonzero(bad)), worst
 
@@ -580,14 +619,14 @@ def _dump_header(n: int) -> str:
 def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
     """Write the lattice field as CSV plus a JSON summary.
 
-    One row per node of the upper triangle, i-major: xi, eta, then the
-    real and imaginary parts of each entry of v in row-major order, each
-    as %.17g so that load_kernel restores the field bit for bit.  Rows end
-    in CRLF.
+    One row per node of the region i <= j, i + j <= M + 1 (t <= T plus one
+    halo anti-diagonal), i-major: xi, eta, then the real and imaginary
+    parts of each entry of v in row-major order, each as %.17g so that
+    load_kernel restores those nodes bit for bit.  Rows end in CRLF.
     """
     M, n = f.M, f.dim
     kc = kernel_constants(p, f)
-    i, j = np.triu_indices(M + 1)
+    i, j = np.nonzero(_region(M))
     vals = f.v[i, j].reshape(i.size, n * n)
     table = np.empty((i.size, 2 + 2 * n * n))
     table[:, 0] = i * f.step
@@ -611,10 +650,14 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     """Reconstruct a field from a dump; derivative tables are recomputed.
 
-    Raises DomainError when the dump is malformed: a header that does not
-    match the dimension, a non-finite or unparsable value, a short row, a
-    node off the lattice or below the diagonal, or a triangle whose nodes
-    do not each appear exactly once.
+    v is zero beyond the dumped region i + j <= M + 1, which every derived
+    table reads alone, so the field gives the same tables, constants and
+    operator tables as the solved field it was dumped from.  Raises
+    DomainError when the dump is malformed: a header that does not match
+    the dimension, a non-finite or unparsable value, a short row, a node
+    off the lattice, below the diagonal or beyond the region (a dump of
+    the whole triangle, as older versions wrote, is one), or a region
+    whose nodes do not each appear exactly once.
     """
     try:
         meta = json.loads(Path(json_path).read_text())
@@ -628,13 +671,13 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
         if header != _dump_header(n):
             raise DomainError(f"{csv_path}: header does not match dimension {n}")
         try:
-            with warnings.catch_warnings():   # an empty body fails the row count below
+            with warnings.catch_warnings():   # an empty body fails the shape check below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DomainError(f"{csv_path}: malformed kernel dump: {exc}") from exc
-    rows = (M + 1) * (M + 2) // 2
-    if data.shape != (rows, 2 + 2 * n * n):
+    rows = int(np.count_nonzero(_region(M)))
+    if data.shape[1:] != (2 + 2 * n * n,) or not len(data):
         raise DomainError(f"{csv_path}: expected {rows} rows of {2 + 2 * n * n} values, "
                           f"got shape {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -646,8 +689,12 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     i, j = node.astype(int).T
     if np.any(i > j):
         raise DomainError(f"{csv_path}: node below the diagonal xi <= eta")
-    if np.unique(i * (M + 1) + j).size != rows:
-        raise DomainError(f"{csv_path}: lattice nodes repeated or missing")
+    if np.any(i + j > M + 1):
+        raise DomainError(f"{csv_path}: node beyond xi + eta = 2T + h; a dump holds only "
+                          "t <= T plus one halo line (regenerate it with `wavekernel kernel`)")
+    if len(data) != rows or np.unique(i * (M + 1) + j).size != rows:
+        raise DomainError(f"{csv_path}: lattice nodes repeated or missing; expected {rows} "
+                          f"rows, got {len(data)}")
     v = np.zeros((M + 1, M + 1, n, n), dtype=complex)
     v.real[i, j] = data[:, 2::2].reshape(rows, n, n)
     v.imag[i, j] = data[:, 3::2].reshape(rows, n, n)

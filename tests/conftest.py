@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
+from wavekernel.goursat import _region
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,19 @@ def lattice_xt(field):
     xs = (jj - ii) * field.step / 2.0
     ts = (jj + ii) * field.step / 2.0
     return xs, ts, ii <= jj
+
+
+def region_square(M):
+    """The region i <= j, i + j <= M + 1 that a dump holds, as a mask of the full square."""
+    out = np.zeros((M + 1, M + 1), dtype=bool)
+    out[:M // 2 + 2] = _region(M)
+    return out
+
+
+def region_interior(field):
+    """(i, j) of the derived tables' nodes (i <= j, i + j <= M + 1) off the
+    lattice's first row and last column, where the full-square field has
+    centred second differences."""
+    i, j = np.nonzero(_region(field.M))
+    keep = (i >= 1) & (j <= field.M - 1)
+    return i[keep], j[keep]

@@ -141,6 +141,17 @@ def _wrong_header(lines):
     lines[0] = "xi,eta,v00_re,v00_im,v01_re,v01_im,v10_re,v10_im,v11_re,v11_im"
 
 
+def _beyond_region(lines):
+    # node (25, 78) of the M = 100 lattice: above the diagonal, but i + j > M + 1
+    lines[4] = ",".join(["0.5", "1.56"] + lines[4].split(",")[2:])
+
+
+def _whole_triangle(lines):
+    # every node i <= j of the M = 100 lattice, as a dump of the whole triangle holds
+    lines[1:] = [f"{i * 0.02:.17g},{j * 0.02:.17g},0,0\r"
+                 for i in range(101) for j in range(i, 101)] + [""]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_wrong_header, "header"),
     (_set_field(4, 2, "nan"), "non-finite"),
@@ -154,8 +165,11 @@ def _wrong_header(lines):
     (_duplicate_row, "repeated or missing"),
     (_drop_row, "rows"),
     (_header_only, "rows"),
+    (_beyond_region, "regenerate it with `wavekernel kernel`"),
+    (_whole_triangle, "regenerate it with `wavekernel kernel`"),
 ], ids=["header", "nan", "inf", "unparsable", "short_row", "off_grid", "beyond_lattice",
-        "negative", "below_diagonal", "duplicate", "missing", "empty"])
+        "negative", "below_diagonal", "duplicate", "missing", "empty", "beyond_region",
+        "whole_triangle"])
 def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)

@@ -8,7 +8,7 @@ import wavekernel as wk
 from wavekernel.errors import ConvergenceError, DomainError
 from wavekernel.goursat import _interp_triangle
 
-from conftest import lattice_xt
+from conftest import lattice_xt, region_interior, region_square
 
 
 def node_norms(arr):
@@ -195,11 +195,9 @@ def test_wtt_second_difference(preset):
     h = 1 / 100
     fld = wk.solve_goursat(p, 1.0, h, 1e-11)
     wt = fld.wtilde_lattice()
-    num = (wt[2:, 2:] - 2 * wt[1:-1, 1:-1] + wt[:-2, :-2]) / h**2
-    ana = fld.wtt_lattice()[1:-1, 1:-1]
-    Mi = num.shape[0]
-    A, B = np.meshgrid(np.arange(Mi), np.arange(Mi), indexing="ij")
-    err = node_norms(num - ana)[A <= B].max()
+    i, j = region_interior(fld)
+    num = (wt[i + 1, j + 1] - 2 * wt[i, j] + wt[i - 1, j - 1]) / h**2
+    err = node_norms(num - fld.wtt_lattice()[i, j]).max()
     assert err < 5e-4
 
 
@@ -207,12 +205,10 @@ def test_wtt_pde_identity(pot_one, field_one):
     # second space derivative of the smooth part equals wtt + q w
     h = field_one.step
     wt = field_one.wtilde_lattice()
-    num = (wt[:-2, 2:] - 2 * wt[1:-1, 1:-1] + wt[2:, :-2]) / h**2
-    ana = field_one.wxx_lattice()[1:-1, 1:-1]
-    Mi = num.shape[0]
-    A, B = np.meshgrid(np.arange(Mi), np.arange(Mi), indexing="ij")
-    mask = (A + 1) <= (B - 1)
-    assert node_norms(num - ana)[mask].max() < 5e-4
+    i, j = region_interior(field_one)
+    i, j = i[i + 1 < j], j[i + 1 < j]
+    num = (wt[i - 1, j + 1] - 2 * wt[i, j] + wt[i + 1, j - 1]) / h**2
+    assert node_norms(num - field_one.wxx_lattice()[i, j]).max() < 5e-4
 
 
 def test_kernel_constants_zero(pot_zero, field_zero):
@@ -313,13 +309,42 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     wk.dump_kernel(field_herm2, pot_herm2, csv_path, json_path)
     back = wk.load_kernel(csv_path, json_path, pot_herm2)
     assert back.M == field_herm2.M
-    assert np.abs(back.v - field_herm2.v).max() < 1e-15
+    region = region_square(back.M)
+    assert np.abs(back.v[region] - field_herm2.v[region]).max() < 1e-15
     assert back.iterations == field_herm2.iterations
-    assert np.array_equal(back.v, field_herm2.v)
+    assert np.array_equal(back.v[region], field_herm2.v[region])
+    assert not back.v[~region].any()
+    M = back.M
+    assert len(csv_path.read_bytes().splitlines()) == 1 + (M // 2 + 1) * (M // 2 + 2) - 1
+
+
+@pytest.fixture(scope="module")
+def loaded_herm2(tmp_path_factory, pot_herm2, field_herm2):
+    d = tmp_path_factory.mktemp("dump")
+    wk.dump_kernel(field_herm2, pot_herm2, d / "k.csv", d / "k.json")
+    return wk.load_kernel(d / "k.csv", d / "k.json", pot_herm2)
+
+
+def test_derivatives_v_rejects_points_beyond_T(pot_herm2, loaded_herm2):
+    # beyond t = T a loaded field holds its zero fill
+    wk.derivatives_v(pot_herm2, loaded_herm2, 0.8, 1.2)
+    with pytest.raises(DomainError, match="xi \\+ eta <= 2T"):
+        wk.derivatives_v(pot_herm2, loaded_herm2, 0.8, 1.3)
+
+
+def test_interp_half_table_rejects_points_beyond_its_rows(loaded_herm2):
+    f = loaded_herm2
+    assert f.wx_lat.shape[0] == f.M // 2 + 2
+    _interp_triangle(f.wx_lat, 1.0, 1.0, f.step, f.M)
+    with pytest.raises(DomainError, match="half-square"):
+        _interp_triangle(f.wx_lat, 1.4, 1.9, f.step, f.M)
+    with pytest.raises(DomainError, match="half-square"):
+        _interp_triangle(f.wtt_lattice(), np.array([0.2, 1.9]), np.array([0.3, 2.0]),
+                         f.step, f.M)
 
 
 def _csv_writer_dump(f, path):
-    """Reference writer: one csv.writer row per upper-triangle node."""
+    """Reference writer: one csv.writer row per node i <= j, i + j <= M + 1."""
     n = f.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -328,8 +353,8 @@ def _csv_writer_dump(f, path):
             for b in range(n):
                 header += [f"v{a}{b}_re", f"v{a}{b}_im"]
         writer.writerow(header)
-        for i in range(f.M + 1):
-            for j in range(i, f.M + 1):
+        for i in range(f.M // 2 + 1):
+            for j in range(i, min(f.M, f.M + 1 - i) + 1):
                 row = [f"{i * f.step:.17g}", f"{j * f.step:.17g}"]
                 for a in range(n):
                     for b in range(n):
@@ -348,8 +373,10 @@ def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, fi
     _csv_writer_dump(planted, tmp_path / "ref.csv")
     assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
-    assert np.array_equal(back.v, v)
-    assert back.v.tobytes() == v.tobytes()      # signed zeros and subnormals too
+    region = region_square(back.M)
+    assert np.array_equal(back.v[region], v[region])
+    assert back.v[region].tobytes() == v[region].tobytes()     # signed zeros and subnormals too
+    assert not back.v[~region].any()
 
 
 @pytest.mark.parametrize("T, h, tol", [

@@ -3,9 +3,11 @@
 The reference functions below are the earlier implementation of the
 fixed-point operator, the Picard loop, the derivative tables and the wtt
 assembly, kept unchanged: full-square node-major (M+1, M+1, n, n) arrays
-and einsum products.  The package must reproduce them to rounding.  The
-full-square kernel constants are kept too; the package reads only the
-physical nodes and must reproduce them exactly.
+and einsum products.  The package must reproduce them to rounding; its
+derived tables are half-squares on the region i <= j, i + j <= M + 1, so
+they are compared on that region's nodes.  The full-square kernel
+constants are kept too; the package reads only the physical nodes and
+must reproduce them exactly.
 """
 
 import math
@@ -17,8 +19,11 @@ import pytest
 import wavekernel as wk
 from wavekernel.goursat import (
     KernelConstants, KernelField, _apply_V_core, _grids, _lattice_setup, _node_view, _planes,
-    _tail_bound, _toeplitz_planes, _v0_lattice,
+    _region, _tail_bound, _toeplitz_planes, _v0_lattice,
 )
+from wavekernel.propagator import OperatorTables
+
+from conftest import region_square
 from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
 
 REL = 1e-14
@@ -134,7 +139,7 @@ def ref_kernel_constants(p, f):
     _, A, B = _grids(M)
     phys = (A <= B) & (A + B <= M)
     b1 = float(np.max(_opnorms(f.wtilde_lattice())[phys]))
-    b2 = float(np.max(_opnorms(f.wx_lat)[phys]))
+    b2 = float(np.max(_opnorms(full_square(f.wx_lat))[phys]))
     b4 = float(np.max(_opnorms(f.v)[phys]))
     wxx_norm = _opnorms(ref_wxx_lattice(f))
     inner = []
@@ -151,7 +156,14 @@ def ref_kernel_constants(p, f):
 def ref_wxx_lattice(f):
     idx = np.arange(f.M + 1)
     out = _mul(f.qh[np.clip(idx - idx[:, None], 0, f.M)], f.v)
-    out += f.wtt_lattice()
+    out += full_square(f.wtt_lattice())
+    return out
+
+
+def full_square(half):
+    """A half-square table padded with zero rows to the full (M+1)^2 square."""
+    out = np.zeros((half.shape[1],) + half.shape[1:], dtype=half.dtype)
+    out[:half.shape[0]] = half
     return out
 
 
@@ -211,18 +223,48 @@ def test_solve_goursat_matches_reference(case):
     _, _, f, ref = case
     assert f.iterations == ref.iterations
     assert f.tail_bound == ref.tail_bound
-    for name in ("v", "v0", "e_cum", "d_cum", "wx_lat"):
+    for name in ("v", "v0"):
         assert rel_gap(getattr(f, name), getattr(ref, name)) <= REL, name
+    # region nodes (i, j); e_cum[j, i] integrates along eta_j from xi = 0 to xi_i
+    i, j = np.nonzero(_region(f.M))
+    assert f.e_cum.shape[:2] == (f.M + 1, f.M // 2 + 2)
+    assert rel_gap(f.e_cum[j, i], ref.e_cum[j, j] - ref.e_cum[j, j - i]) <= REL
+    assert rel_gap(f.d_cum[i, j - i], ref.d_cum[i, j - i]) <= REL
+    assert rel_gap(f.wx_lat[i, j], ref.wx_lat[i, j]) <= REL
 
 
 def test_wtt_lattice_matches_reference(case):
     _, _, f, ref = case
-    assert rel_gap(f.wtt_lattice(), ref_assemble_wtt(ref)) <= REL
+    region = _region(f.M)
+    i, j = np.nonzero(region)
+    for table in (f.wx_lat, f.wtt_lattice(), f.wxx_lattice()):
+        assert table.shape == (f.M // 2 + 2, f.M + 1, f.dim, f.dim)
+        assert not table[~region].any()
+    assert rel_gap(f.wtt_lattice()[i, j], ref_assemble_wtt(ref)[i, j]) <= REL
 
 
 def test_kernel_constants_match_reference(case):
     p, _, f, _ = case
     assert wk.kernel_constants(p, f) == ref_kernel_constants(p, f)
+
+
+def test_loaded_field_equals_solved_field(case, tmp_path):
+    # every derived table reads only the dumped region, so a field read back
+    # from its dump reproduces the solved field's tables bit for bit
+    p, _, f, _ = case
+    wk.dump_kernel(f, p, tmp_path / "k.csv", tmp_path / "k.json")
+    back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p)
+    region = region_square(f.M)
+    assert np.array_equal(back.v[region], f.v[region])
+    assert not back.v[~region].any()
+    assert np.array_equal(back.wx_lat, f.wx_lat)
+    assert np.array_equal(back.wtt_lattice(), f.wtt_lattice())
+    assert wk.kernel_constants(p, back) == wk.kernel_constants(p, f)
+    assert wk.check_goursat(p, back) == wk.check_goursat(p, f)
+    for N in (37, 160):
+        got, ref = OperatorTables(back, 1.0, N), OperatorTables(f, 1.0, N)
+        assert np.array_equal(got.k0, ref.k0)
+        assert np.array_equal(got.k1, ref.k1)
 
 
 def _peak_lattices(fn, lattice_bytes):
@@ -236,11 +278,12 @@ def _peak_lattices(fn, lattice_bytes):
 
 def test_lattice_memory_guard(pot_herm2):
     # 2x2 at M = 200; one lattice is (M+1)^2 n^2 complex values.  The
-    # node-major einsum formulation peaked at 8.4 (solve) and 14.7 (wtt).
+    # node-major einsum formulation peaked at 8.4 (solve) and 14.7 (wtt); the
+    # full-square tables at 6.2 and 5.7; the half-square tables at 5.5 and 2.9.
     lattice = 201 ** 2 * 4 * 16
     holder = {}
     solve_peak = _peak_lattices(
         lambda: holder.setdefault("f", wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10)), lattice)
     wtt_peak = _peak_lattices(holder["f"].wtt_lattice, lattice)
-    assert solve_peak <= 7.5
-    assert wtt_peak <= 10.0
+    assert solve_peak <= 6.3
+    assert wtt_peak <= 3.3
