@@ -12,19 +12,19 @@ integrals of q*v along lattice rows and columns.  Those tables give the
 first derivatives of the kernel and the explicit second time derivative
 of its smooth part in closed vectorized form.
 
-Layout: every KernelField array is node-major, one index pair per matrix.
-The Picard sweeps run on the whole triangle, so v and v0 are full
-(M+1, M+1, n, n) squares.  The representation formula reads the kernel
-only for t <= T, that is i + j <= M, and a bilinear cell on that line
-reads one node beyond it.  So every table derived from v (d_cum, wx_lat,
-wtt, wxx) is built on the region i <= j, i + j <= M + 1 only, from nodes
-of that region only, and stored as a half-square (M/2+2, M+1, n, n) that
-is zero off the region; its last row exists for the interpolators' i + 1
-reads.  The dump holds the same node set.  The sweeps themselves work
+Layout: the representation formula reads the kernel only for t <= T,
+that is i + j <= M, and a bilinear cell on that line reads one node beyond
+it.  So v and every table derived from it (d_cum, wx_lat, wtt, wxx) are
+stored on the region i <= j, i + j <= M + 1 only, node-major, one index
+pair per matrix, as a half-square (M/2+2, M+1, n, n) that is zero off the
+region; its last row exists for the interpolators' i + 1 reads.  The dump
+holds the same node set, so a field read back from it equals the solved
+field array for array.  The Picard sweeps alone run on the whole triangle,
 plane-major: a contiguous (n, n, M+1, M+1) array holds one (M+1)^2 plane
 per matrix entry, so the products and the cumulative sums of a sweep run
-along contiguous memory.  solve_goursat and apply_V convert on entry and
-on exit; no other code sees that layout.
+along contiguous memory.  solve_goursat crops the result to the region;
+apply_V, the operator on full squares, converts on entry and on exit; no
+other code sees the plane-major layout.
 """
 
 from __future__ import annotations
@@ -43,17 +43,6 @@ from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 _TOL = 1e-9
 
 
-def _grids(M: int):
-    idx = np.arange(M + 1)
-    A, B = np.meshgrid(idx, idx, indexing="ij")
-    return idx, A, B
-
-
-def _triangle_mask(M: int) -> np.ndarray:
-    _, A, B = _grids(M)
-    return A <= B
-
-
 def _region(M: int) -> np.ndarray:
     """Half-square mask (M/2+2, M+1) of the nodes i <= j, i + j <= M + 1."""
     i, j = np.arange(M // 2 + 2)[:, None], np.arange(M + 1)
@@ -64,24 +53,23 @@ def _region(M: int) -> np.ndarray:
 class KernelField:
     """Kernel values on the characteristic triangle plus derived tables.
 
-    v[i, j] holds the field at (xi_i, eta_j) = (i*h, j*h) for i <= j; entries
-    below the diagonal are zero.  v and v0 are full (M+1, M+1, n, n) squares;
-    a field read back from a dump holds zeros in v beyond the region
-    i + j <= M + 1.  qh holds the potential sampled at half-step points
-    m*h/2, the resolution every internal quadrature uses.
+    v[i, j] holds the field at (xi_i, eta_j) = (i*h, j*h) on the region
+    i <= j, i + j <= M + 1 (t <= T plus one halo anti-diagonal), as a
+    half-square (M/2+2, M+1, n, n) that is zero off the region.  A solved
+    field and a field read back from its dump hold the same arrays.  qh
+    holds the potential sampled at half-step points m*h/2, the resolution
+    every internal quadrature uses.
 
-    The derived tables cover the region i <= j, i + j <= M + 1 only and read
-    only its nodes.  e_cum is (M+1, M/2+2): e_cum[j, a] integrates
-    q(eta_j/2 - s) v(2s, eta_j) over s in [0, a*h/2], along eta_j from
-    xi = 0.  d_cum is (M/2+2, M+1): d_cum[i, m] integrates q(s)
-    v(xi_i, xi_i + 2s) over s in [0, m*h/2].  wx_lat and wtt_lattice() are
-    half-squares (M/2+2, M+1, n, n), zero off the region.
+    The derived tables cover the same region and read only its nodes.
+    e_cum is (M+1, M/2+2): e_cum[j, a] integrates q(eta_j/2 - s)
+    v(2s, eta_j) over s in [0, a*h/2], along eta_j from xi = 0.  d_cum is
+    (M/2+2, M+1): d_cum[i, m] integrates q(s) v(xi_i, xi_i + 2s) over s in
+    [0, m*h/2].  wx_lat and wtt_lattice() are half-squares like v.
     """
 
     T: float
     step: float
-    v: np.ndarray                   # (M+1, M+1, n, n)
-    v0: np.ndarray
+    v: np.ndarray                   # (M/2+2, M+1, n, n)
     iterations: int
     tail_bound: float
     qh: np.ndarray = field(repr=False, default=None)       # (M+1, n, n)
@@ -107,7 +95,8 @@ class KernelField:
         return self.qh[k] * (1.0 - frac) + self.qh[k + 1] * frac
 
     def wtilde_lattice(self) -> np.ndarray:
-        return self.v - self.v0
+        """The smooth part v - v0 on the region, v0 the explicit potential integral."""
+        return self.v - _v0_lattice(self.qh, self.step)
 
     def wtt_lattice(self) -> np.ndarray:
         """Explicit second time derivative of the smooth kernel part.
@@ -140,20 +129,18 @@ def _wxx(q: np.ndarray, v: np.ndarray, wtt: np.ndarray) -> np.ndarray:
 
 
 def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
-    """Interpolate a lattice field at points of the characteristic triangle.
+    """Interpolate a half-square lattice field at points with t <= T.
 
     Off-diagonal cells use bilinear interpolation; cells touching the
     diagonal use linear interpolation on their three valid corners, which
-    keeps diagonal values exact.  arr is a full square or a half-square
-    table (fewer than M+1 rows), which holds only xi + eta <= M*h.
+    keeps diagonal values exact.  The points must be finite and satisfy
+    0 <= xi <= eta, xi + eta <= M*h = 2T.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     top = M * h
-    if np.any(xi < -_TOL) or np.any(eta > top + _TOL * (1 + top)) or np.any(xi > eta + _TOL):
-        raise DomainError("interpolation point outside the characteristic triangle")
-    if arr.shape[0] <= M and np.any(xi + eta > top + _TOL * (1 + top)):
-        raise DomainError("interpolation point beyond t = T, outside the half-square table")
+    if not np.all((xi >= -_TOL) & (xi <= eta + _TOL) & (xi + eta <= top + _TOL * (1 + top))):
+        raise DomainError("interpolation point outside 0 <= xi <= eta, xi + eta <= 2T")
     xic = np.clip(xi, 0.0, top)
     etac = np.clip(np.maximum(eta, xic), 0.0, top)
     i = np.minimum((xic / h).astype(int), arr.shape[0] - 2)
@@ -191,19 +178,27 @@ def _lattice_setup(p: PotentialGrid, T: float, h: float):
 
 
 def _v0_lattice(qh: np.ndarray, h: float) -> np.ndarray:
-    M = qh.shape[0] - 1
+    """The explicit part v0 = -1/2 (Q(eta/2) - Q(xi/2)) as a half-square, zero off the region."""
+    region = _region(qh.shape[0] - 1)
     q_cum = _cumtrapz(qh, h / 2.0, axis=0)
-    v0 = -0.5 * (q_cum[None, :, :, :] - q_cum[:, None, :, :])
-    v0[~_triangle_mask(M)] = 0.0
+    v0 = -0.5 * (q_cum[None, :] - q_cum[:region.shape[0], None])
+    v0[~region] = 0.0
+    return v0
+
+
+def _v0_planes(qh: np.ndarray, h: float) -> np.ndarray:
+    """The explicit part v0 on the whole triangle, plane-major (n, n, M+1, M+1)."""
+    q_cum = np.ascontiguousarray(np.moveaxis(_cumtrapz(qh, h / 2.0, axis=0), 0, -1))
+    v0 = -0.5 * (q_cum[..., None, :] - q_cum[..., :, None])
+    v0[..., np.tri(qh.shape[0], k=-1, dtype=bool)] = 0.0
     return v0
 
 
 def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
     """Field holding only the explicit part: the potential integral between
     the two characteristic coordinates."""
-    M, qh = _lattice_setup(p, T, h)
-    v0 = _v0_lattice(qh, h)
-    f = KernelField(T=float(T), step=float(h), v=v0.copy(), v0=v0, iterations=0,
+    _, qh = _lattice_setup(p, T, h)
+    f = KernelField(T=float(T), step=float(h), v=_v0_lattice(qh, h), iterations=0,
                     tail_bound=float("inf"), qh=qh)
     _attach_tables(f)
     return f
@@ -286,16 +281,18 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
                   max_sweeps: int = 100) -> KernelField:
     """Solve the kernel fixed-point equation by Picard sweeps.
 
-    Stops when the sup-norm change over all nodes falls below tol, or when
-    the analytic factorial tail of the remainder does; raises
-    ConvergenceError at the sweep cap.  Diagonal nodes are pinned to zero.
+    The sweeps run on the whole triangle.  They stop when the sup-norm
+    change over all its nodes falls below tol, or when the analytic
+    factorial tail of the remainder does; ConvergenceError at the sweep
+    cap.  Diagonal nodes are pinned to zero.  The field keeps the region
+    i + j <= M + 1 of the result.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     M, qh = _lattice_setup(p, T, h)
-    v0 = _v0_lattice(qh, h)
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
-    q_planes, v0_planes = _toeplitz_planes(qh), _planes(v0)
+    v0_planes = _v0_planes(qh, h)
+    q_planes = _toeplitz_planes(qh)
     v, v_new = v0_planes.copy(), np.empty_like(v0_planes)
     iterations = 0
     delta = math.inf
@@ -314,8 +311,10 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
         iterations += 1
         tail = _tail_bound(S_full, 2.0 * T, iterations)
     del q_planes, v0_planes, v_new
-    v = np.ascontiguousarray(_node_view(v))
-    f = KernelField(T=float(T), step=float(h), v=v, v0=v0, iterations=max(iterations, 1),
+    region = _region(M)
+    v = np.ascontiguousarray(_node_view(v)[:region.shape[0]])
+    v[~region] = 0.0
+    f = KernelField(T=float(T), step=float(h), v=v, iterations=max(iterations, 1),
                     tail_bound=tail, qh=qh)
     _attach_tables(f)
     return f
@@ -469,7 +468,7 @@ def split_w(p: PotentialGrid, f: KernelField, x: float, t: float) -> tuple[np.nd
 def _check_xt(f: KernelField, x, t) -> None:
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(x < -_TOL) or np.any(x > t + _TOL) or np.any(t > f.T * (1 + _TOL) + _TOL):
+    if not np.all((x >= -_TOL) & (x <= t + _TOL) & (t <= f.T * (1 + _TOL) + _TOL)):
         raise DomainError(f"(x, t) outside the triangle 0 <= x <= t <= {f.T}")
 
 
@@ -480,7 +479,7 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
     Evaluates the explicit formulas: a pointwise q term plus single line
     integrals of q*v along lattice-parallel segments, by trapezoid
     quadrature of the interpolated field.  The point must satisfy
-    xi + eta <= 2T (t <= T): beyond it a field read from a dump is zero.
+    xi + eta <= 2T (t <= T), where v is stored.
     """
     if not (-_TOL <= xi <= eta + _TOL and xi + eta <= 2 * f.T * (1 + _TOL) + _TOL):
         raise DomainError("characteristic point outside 0 <= xi <= eta, xi + eta <= 2T")
@@ -531,10 +530,10 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
     nodes with i + j <= M.
     """
     M, h = f.M, f.step
-    i, j = np.triu_indices(M + 1)
+    i, j = np.nonzero(_region(M))
     phys = i + j <= M
     i, j = i[phys], j[phys]
-    b1 = float(np.max(_opnorms(f.v[i, j] - f.v0[i, j])))
+    b1 = float(np.max(_opnorms(f.wtilde_lattice()[i, j])))
     b2 = float(np.max(_opnorms(f.wx_lat[i, j])))
     b4 = float(np.max(_opnorms(f.v[i, j])))
     # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another
@@ -565,14 +564,13 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     The edge condition is checked against the potential's own (finer)
     quadrature, the interior equation as a mixed second difference against
     the pointwise product q*v at the lower cell corner, on the cells whose
-    corners lie in the region i + j <= M + 1 that a dump holds.
+    corners lie in the region i + j <= M + 1 that a field stores.
     """
-    M, h = f.M, f.step
+    M, h, v = f.M, f.step, f.v
     idx = np.arange(M + 1)
-    diag = float(np.max(_opnorms(f.v[idx, idx])))
-    ref = np.stack([integral_Q(p, 0.0, j * h / 2.0) for j in idx])
-    edge = float(np.max(_opnorms(f.v[0] + 0.5 * ref)))
-    v = f.v[:M // 2 + 2]
+    d = np.arange(v.shape[0])
+    diag = float(np.max(_opnorms(v[d, d])))
+    edge = float(np.max(_opnorms(v[0] + 0.5 * integral_Q(p, 0.0, idx * h / 2.0))))
     a, b = np.arange(v.shape[0] - 1)[:, None], idx[:-1]     # lower corner of each cell
     mixed = (v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]) / h**2
     resid = mixed + 0.25 * _mul(f.qh[np.clip(b - a, 0, M)], v[:-1, :-1])
@@ -589,7 +587,7 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
 
     The majorant is evaluated with the same lattice quadrature the solver
     uses, so the edge-equality case is reproduced exactly.  Only the nodes of
-    the region i + j <= M + 1, which a dump holds, are checked.
+    the region i + j <= M + 1, which a field stores, are checked.
     """
     M, h = f.M, f.step
     region = _region(M)
@@ -597,7 +595,7 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
     s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
     xi = np.arange(region.shape[0]) * h
     bound = s_lat[None, :] * np.exp(xi[:, None] * s_lat[None, :]) + f.tail_bound
-    excess = _opnorms(f.v[:region.shape[0]]) - (bound + rel_slack * (1.0 + bound))
+    excess = _opnorms(f.v) - (bound + rel_slack * (1.0 + bound))
     bad = (excess > 0) & region
     worst = float(np.max(excess[bad])) if bad.any() else 0.0
     return int(np.count_nonzero(bad)), worst
@@ -650,9 +648,9 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     """Reconstruct a field from a dump; derivative tables are recomputed.
 
-    v is zero beyond the dumped region i + j <= M + 1, which every derived
-    table reads alone, so the field gives the same tables, constants and
-    operator tables as the solved field it was dumped from.  Raises
+    The dump holds the whole region i + j <= M + 1 that a field stores, so
+    the loaded field equals the solved field it was dumped from, array for
+    array.  Raises
     DomainError when the dump is malformed: a header that does not match
     the dimension, a non-finite or unparsable value, a short row, a node
     off the lattice, below the diagonal or beyond the region (a dump of
@@ -695,10 +693,9 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     if len(data) != rows or np.unique(i * (M + 1) + j).size != rows:
         raise DomainError(f"{csv_path}: lattice nodes repeated or missing; expected {rows} "
                           f"rows, got {len(data)}")
-    v = np.zeros((M + 1, M + 1, n, n), dtype=complex)
+    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)
     v.real[i, j] = data[:, 2::2].reshape(rows, n, n)
     v.imag[i, j] = data[:, 3::2].reshape(rows, n, n)
-    f = KernelField(T=T, step=h, v=v, v0=_v0_lattice(qh, h),
-                    iterations=iterations, tail_bound=tail, qh=qh)
+    f = KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)
     _attach_tables(f)
     return f

@@ -10,6 +10,7 @@ it is trusted as a reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,13 @@ class FDConfig:
     cfl: float = 1.0
 
     def __post_init__(self):
-        if self.cfl > 1.0:
-            raise DomainError(f"cfl = {self.cfl} > 1 is unstable")
-        if self.N_x < 16:
-            raise DomainError("need at least 16 space cells")
+        if isinstance(self.N_x, bool) or not isinstance(self.N_x, (int, np.integer)) \
+                or self.N_x < 16:
+            raise DomainError(f"need an integer N_x >= 16 space cells, got {self.N_x!r}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise DomainError(f"horizon T = {self.T} must be finite and positive")
+        if not 0.0 < self.cfl <= 1.0:
+            raise DomainError(f"cfl = {self.cfl} must lie in (0, 1]; above 1 is unstable")
 
 
 def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:

@@ -311,11 +311,13 @@ def build_potential(spec: dict) -> PotentialGrid:
 
 # --- spec'd operations ----------------------------------------------------
 
-def integral_Q(p: PotentialGrid, a: float, b: float) -> np.ndarray:
-    """Trapezoid value of the matrix integral of q over [a, b]."""
-    if not (0.0 <= a <= b + _RANGE_TOL and b <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL):
-        raise DomainError(f"integral bounds [{a}, {b}] outside [0, {p.x_max}]")
-    return p.integral(a, min(b, p.x_max))
+def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
+    """Trapezoid value of the matrix integral of q over [a, b]; a and b may be arrays."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all((0.0 <= a) & (a <= b + _RANGE_TOL)
+                  & (b <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
+        raise DomainError(f"integral bounds [{a.min()}, {b.max()}] outside [0, {p.x_max}]")
+    return p.integral(a, np.minimum(b, p.x_max))
 
 
 def majorant_S(p: PotentialGrid, eta: float) -> float:
@@ -327,8 +329,8 @@ def majorant_S(p: PotentialGrid, eta: float) -> float:
 
 def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
     """L1 and L2 norm constants of q over [0, T]: (half the L1 norm, the L2 norm)."""
-    if T > p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
-        raise DomainError(f"T = {T} exceeds potential domain [0, {p.x_max}]")
+    if not 0.0 <= T <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
+        raise DomainError(f"T = {T} outside the potential domain [0, {p.x_max}]")
     T = min(T, p.x_max)
     a1 = float(0.5 * p.norm_integral(T))
     sq = p.norms**2

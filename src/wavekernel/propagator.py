@@ -214,6 +214,8 @@ def control_from_samples(ts, values, T: float = None, support_start: float = Non
         values = values[:, None]
     if ts.ndim != 1 or ts.size != values.shape[0] or ts.size < 7:
         raise ControlError("need at least 7 samples aligned with their times")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
+        raise ControlError("control samples and their times must be finite")
     T = float(ts[-1]) if T is None else float(T)
     dim = values.shape[1]
     mags = np.max(np.abs(values), axis=1)
@@ -431,14 +433,7 @@ def u_tt(field: KernelField, f: Control, x: float, t: float) -> np.ndarray:
     """Second time derivative of the wave at one interior point."""
     if not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
         raise DomainError("point outside 0 <= x <= t <= T")
-    f2x = f.sample(np.asarray([t - x]))[2][0]
-    if t - x < 1e-14:
-        return f2x
-    k = max(2, int(math.ceil((t - x) / (field.step / 2.0))) + 1)
-    s = np.linspace(x, t, k)
-    W = _interp_triangle(field.v, s - x, s + x, field.step, field.M)
-    f2 = f.sample(t - s)[2]
-    return f2x + np.trapezoid(np.einsum("kab,kb->ka", W, f2), x=s, axis=0)
+    return _u_values(field, f, t, np.array([x]), deriv=2)[0]
 
 
 def _u_values(field: KernelField, f: Control, t_prime: float, xs: np.ndarray,
@@ -478,8 +473,11 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     u_t(., t) is measured; the report carries the fitted log-log slope.
     """
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
-    if np.any(h_arr <= 0):
-        raise DomainError("steps must be positive")
+    if np.unique(h_arr).size < 2 or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
+        raise DomainError(f"steps must be at least two distinct finite positive numbers "
+                          f"(a slope needs two), got {list(h_list)}")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"time t = {t} must be finite and non-negative")
     if t + h_arr.max() > field.T * (1 + 1e-12) + 1e-12:
         raise DomainError("t + max(h) exceeds the kernel horizon")
     xs = np.linspace(0.0, t + h_arr.max(), N + 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.goursat import _region
+from wavekernel.goursat import _lattice_setup, _node_view, _region, _v0_planes
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +41,12 @@ def field_one_fine(pot_one):
 
 
 @pytest.fixture(scope="session")
+def field_one_2T(pot_one):
+    """field_one's lattice on twice its horizon: it holds field_one's whole triangle."""
+    return wk.solve_goursat(pot_one, 2.0, 1 / 100, 1e-10)
+
+
+@pytest.fixture(scope="session")
 def field_one_T12(pot_one):
     return wk.solve_goursat(pot_one, 1.2, 1 / 100, 1e-10)
 
@@ -56,26 +62,25 @@ def bump1():
 
 
 def lattice_xt(field):
-    """(x, t) coordinates of every lattice node, plus the triangle mask."""
-    M = field.M
-    idx = np.arange(M + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    xs = (jj - ii) * field.step / 2.0
-    ts = (jj + ii) * field.step / 2.0
-    return xs, ts, ii <= jj
+    """(x, t) of every node of the half-square field, plus the mask of the
+    triangle i <= j <= M/2: the whole lattice of the horizon field.T / 2.
+    A test that compares on a whole triangle solves on twice its horizon."""
+    i, j = np.indices(field.v.shape[:2])
+    xs = (j - i) * field.step / 2.0
+    ts = (j + i) * field.step / 2.0
+    return xs, ts, (i <= j) & (j <= field.M // 2)
 
 
-def region_square(M):
-    """The region i <= j, i + j <= M + 1 that a dump holds, as a mask of the full square."""
-    out = np.zeros((M + 1, M + 1), dtype=bool)
-    out[:M // 2 + 2] = _region(M)
-    return out
+def full_v0(p, T, h):
+    """The explicit part v0 on the whole triangle, node-major (M+1, M+1, n, n)."""
+    _, qh = _lattice_setup(p, T, h)
+    return np.ascontiguousarray(_node_view(_v0_planes(qh, h)))
 
 
-def region_interior(field):
-    """(i, j) of the derived tables' nodes (i <= j, i + j <= M + 1) off the
-    lattice's first row and last column, where the full-square field has
-    centred second differences."""
-    i, j = np.nonzero(_region(field.M))
-    keep = (i >= 1) & (j <= field.M - 1)
+def region_interior(M):
+    """(i, j) of the region i <= j, i + j <= M + 1 of a lattice of size M,
+    off its first row and last column, where a field holds centred second
+    differences."""
+    i, j = np.nonzero(_region(M))
+    keep = (i >= 1) & (j <= M - 1)
     return i[keep], j[keep]

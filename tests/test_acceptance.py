@@ -76,7 +76,7 @@ def test_criterion_03_bessel_oracle(c):
     assert sub <= 1e-8
     p = wk.constant_potential(c, x_max=2.0, step=1 / 1024)
     h = 1 / 100
-    fld = wk.solve_goursat(p, 1.0, h, TOL)
+    fld = wk.solve_goursat(p, 2.0, h, TOL)      # holds the whole triangle of T = 1
     xs, ts, mask = lattice_xt(fld)
     ref = wk.bessel_kernel_constant(c, xs[mask], ts[mask])
     err = np.abs(fld.v[..., 0, 0][mask] - ref).max()
@@ -181,8 +181,11 @@ def test_criterion_09_equivariance_and_decoupling(pot_herm2, field_herm2_100):
     c = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 2.0]])
     p_conj = wk.constant_potential(u @ c @ u.conj().T, x_max=4.0, step=1 / 2048)
     f_conj = wk.solve_goursat(p_conj, 1.0, 1 / 100, TOL)
-    conj = np.einsum("ab,ijbc,dc->ijad", u, field_herm2_100.v, u.conj())
-    kerr = np.abs(f_conj.v - conj).max()
+    # kernels on horizon 2T, which hold the whole triangle of T = 1
+    fa2 = wk.solve_goursat(pot_herm2, 2.0, 1 / 100, TOL)
+    fb2 = wk.solve_goursat(p_conj, 2.0, 1 / 100, TOL)
+    conj = np.einsum("ab,ijbc,dc->ijad", u, fa2.v, u.conj())
+    kerr = np.abs(fb2.v - conj).max()
     assert kerr <= 10 * TOL
     ka = wk.kernel_constants(pot_herm2, field_herm2_100)
     kb = wk.kernel_constants(p_conj, f_conj)
@@ -194,9 +197,9 @@ def test_criterion_09_equivariance_and_decoupling(pot_herm2, field_herm2_100):
     assert abs(cond_a - cond_b) / cond_a <= 1e-8
 
     pd = wk.constant_potential(np.diag([1.0, 4.0]), x_max=4.0, step=1 / 2048)
-    fd = wk.solve_goursat(pd, 1.0, 1 / 100, TOL)
-    f1 = wk.solve_goursat(wk.constant_potential(1.0, 4.0, 1 / 2048), 1.0, 1 / 100, TOL)
-    f4 = wk.solve_goursat(wk.constant_potential(4.0, 4.0, 1 / 2048), 1.0, 1 / 100, TOL)
+    fd = wk.solve_goursat(pd, 2.0, 1 / 100, TOL)
+    f1 = wk.solve_goursat(wk.constant_potential(1.0, 4.0, 1 / 2048), 2.0, 1 / 100, TOL)
+    f4 = wk.solve_goursat(wk.constant_potential(4.0, 4.0, 1 / 2048), 2.0, 1 / 100, TOL)
     derr = max(np.abs(fd.v[..., 0, 0] - f1.v[..., 0, 0]).max(),
                np.abs(fd.v[..., 1, 1] - f4.v[..., 0, 0]).max(),
                np.abs(fd.v[..., 0, 1]).max())
@@ -215,7 +218,7 @@ def test_criterion_10_pde_identity(pot_quad, pot_herm2, field_herm2_100):
     for h in (1 / 50, 1 / 100, 1 / 200):
         fld = wk.solve_goursat(pot_quad, 1.0, h, TOL)
         wt = fld.wtilde_lattice()
-        i, j = region_interior(fld)
+        i, j = region_interior(fld.M)
         i, j = i[i + 1 < j], j[i + 1 < j]
         num = (wt[i - 1, j + 1] - 2 * wt[i, j] + wt[i + 1, j - 1]) / h**2
         resids.append(np.abs(num - fld.wxx_lattice()[i, j]).max())
@@ -224,7 +227,7 @@ def test_criterion_10_pde_identity(pot_quad, pot_herm2, field_herm2_100):
     # matrix case at one resolution
     h = field_herm2_100.step
     wt = field_herm2_100.wtilde_lattice()
-    i, j = region_interior(field_herm2_100)
+    i, j = region_interior(field_herm2_100.M)
     i, j = i[i + 1 < j], j[i + 1 < j]
     num = (wt[i - 1, j + 1] - 2 * wt[i, j] + wt[i + 1, j - 1]) / h**2
     merr = np.abs(num - field_herm2_100.wxx_lattice()[i, j]).max()

@@ -3,12 +3,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel.errors import ConvergenceError, DomainError
-from wavekernel.goursat import _interp_triangle
+from wavekernel.goursat import _interp_triangle, _region
+from wavekernel.potential import potential_from_callable
 
-from conftest import lattice_xt, region_interior, region_square
+from conftest import full_v0, lattice_xt, region_interior
 
 
 def node_norms(arr):
@@ -22,14 +24,16 @@ def test_initial_v0_zero(pot_zero):
 
 
 def test_initial_v0_constant():
+    # on twice the horizon, so the field holds the whole triangle of T = 1
     c = 1.7
-    p = wk.constant_potential(c, x_max=1.0, step=1 / 128)
-    f = wk.initial_v0(p, 1.0, 1 / 20)
+    p = wk.constant_potential(c, x_max=2.0, step=1 / 128)
+    f = wk.initial_v0(p, 2.0, 1 / 20)
     M = f.M
-    ii, jj = np.meshgrid(np.arange(M + 1), np.arange(M + 1), indexing="ij")
+    assert f.v.shape == (M // 2 + 2, M + 1, 1, 1)
+    ii, jj = np.indices(f.v.shape[:2])
     expect = -c * (jj - ii) * f.step / 4.0
     got = f.v[..., 0, 0].real
-    assert np.abs(got - np.where(ii <= jj, expect, 0.0)).max() < 1e-13
+    assert np.abs(got - np.where(_region(M), expect, 0.0)).max() < 1e-13
 
 
 def test_initial_v0_diag():
@@ -51,9 +55,8 @@ def test_apply_V_constant_closed_form():
     c = 1.0
     p = wk.constant_potential(c, x_max=1.0, step=1 / 256)
     h = 1 / 50
-    f = wk.initial_v0(p, 1.0, h)
-    out = wk.apply_V(p, f.v0, h)
-    M = f.M
+    out = wk.apply_V(p, full_v0(p, 1.0, h), h)
+    M = out.shape[0] - 1
     ii, jj = np.meshgrid(np.arange(M + 1), np.arange(M + 1), indexing="ij")
     xi = ii * h
     eta = jj * h
@@ -77,16 +80,16 @@ def test_solve_apriori_bound(field_one):
     assert excess == 0.0
 
 
-def test_solve_diagonal_exact(field_one):
+def test_solve_diagonal_exact(field_one, field_one_2T):
     idx = np.arange(field_one.M + 1)
-    assert np.abs(field_one.v[idx, idx]).max() == 0.0
+    assert np.abs(field_one_2T.v[idx, idx]).max() == 0.0
 
 
-def test_solve_matches_bessel(field_one):
-    xs, ts, mask = lattice_xt(field_one)
+def test_solve_matches_bessel(field_one_2T):
+    xs, ts, mask = lattice_xt(field_one_2T)
     ref = wk.bessel_kernel_constant(1.0, xs[mask], ts[mask])
-    got = field_one.v[..., 0, 0][mask]
-    assert np.abs(got - ref).max() < 10 * field_one.step**2
+    got = field_one_2T.v[..., 0, 0][mask]
+    assert np.abs(got - ref).max() < 10 * field_one_2T.step**2
 
 
 def test_solve_nonconvergence():
@@ -191,11 +194,12 @@ def test_wtt_zero(pot_zero, field_zero):
 
 @pytest.mark.parametrize("preset", ["one_plus_quadratic", "herm2"])
 def test_wtt_second_difference(preset):
+    # the stencils of the T = 1 region's interior, on a field of horizon 2T
     p = wk.preset_potential(preset, x_max=2.0, step=1 / 2048)
     h = 1 / 100
-    fld = wk.solve_goursat(p, 1.0, h, 1e-11)
+    fld = wk.solve_goursat(p, 2.0, h, 1e-11)
     wt = fld.wtilde_lattice()
-    i, j = region_interior(fld)
+    i, j = region_interior(fld.M // 2)
     num = (wt[i + 1, j + 1] - 2 * wt[i, j] + wt[i - 1, j - 1]) / h**2
     err = node_norms(num - fld.wtt_lattice()[i, j]).max()
     assert err < 5e-4
@@ -205,7 +209,7 @@ def test_wtt_pde_identity(pot_one, field_one):
     # second space derivative of the smooth part equals wtt + q w
     h = field_one.step
     wt = field_one.wtilde_lattice()
-    i, j = region_interior(field_one)
+    i, j = region_interior(field_one.M)
     i, j = i[i + 1 < j], j[i + 1 < j]
     num = (wt[i - 1, j + 1] - 2 * wt[i, j] + wt[i + 1, j - 1]) / h**2
     assert node_norms(num - field_one.wxx_lattice()[i, j]).max() < 5e-4
@@ -263,24 +267,47 @@ def test_check_goursat_edge_order(pot_quad):
 
 
 def test_unitary_equivariance_field():
+    # on horizon 2T, so the fields hold the whole triangle of T = 1
     rng = np.random.default_rng(17)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     c = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 2.0]])
     tol = 1e-9
-    pa = wk.constant_potential(c, x_max=1.0, step=1 / 256)
-    pb = wk.constant_potential(u @ c @ u.conj().T, x_max=1.0, step=1 / 256)
-    fa = wk.solve_goursat(pa, 1.0, 1 / 50, tol)
-    fb = wk.solve_goursat(pb, 1.0, 1 / 50, tol)
+    pa = wk.constant_potential(c, x_max=2.0, step=1 / 256)
+    pb = wk.constant_potential(u @ c @ u.conj().T, x_max=2.0, step=1 / 256)
+    fa = wk.solve_goursat(pa, 2.0, 1 / 50, tol)
+    fb = wk.solve_goursat(pb, 2.0, 1 / 50, tol)
+    conj = np.einsum("ab,ijbc,dc->ijad", u, fa.v, u.conj())
+    assert np.abs(fb.v - conj).max() < 10 * tol
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_unitary_equivariance_random_potentials(seed, n):
+    # q -> U q U* maps the kernel v -> U v U* for every Hermitian q
+    rng = np.random.default_rng(seed)
+    base, wave = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))) / 4
+    base, wave = base + base.conj().T, wave + wave.conj().T
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    def q(xs):
+        return base + np.cos(3.0 * xs)[:, None, None] * wave
+
+    tol = 1e-10
+    pa = potential_from_callable(q, n, 1.0, 1 / 256)
+    pb = potential_from_callable(lambda xs: u @ q(xs) @ u.conj().T, n, 1.0, 1 / 256)
+    fa = wk.solve_goursat(pa, 1.0, 1 / 20, tol)
+    fb = wk.solve_goursat(pb, 1.0, 1 / 20, tol)
     conj = np.einsum("ab,ijbc,dc->ijad", u, fa.v, u.conj())
     assert np.abs(fb.v - conj).max() < 10 * tol
 
 
 def test_diagonal_decoupling():
+    # on horizon 2T, so the fields hold the whole triangle of T = 1
     tol = 1e-9
-    pd = wk.constant_potential(np.diag([1.0, 4.0]), x_max=1.0, step=1 / 256)
-    fd = wk.solve_goursat(pd, 1.0, 1 / 50, tol)
-    f1 = wk.solve_goursat(wk.constant_potential(1.0, 1.0, 1 / 256), 1.0, 1 / 50, tol)
-    f4 = wk.solve_goursat(wk.constant_potential(4.0, 1.0, 1 / 256), 1.0, 1 / 50, tol)
+    pd = wk.constant_potential(np.diag([1.0, 4.0]), x_max=2.0, step=1 / 256)
+    fd = wk.solve_goursat(pd, 2.0, 1 / 50, tol)
+    f1 = wk.solve_goursat(wk.constant_potential(1.0, 2.0, 1 / 256), 2.0, 1 / 50, tol)
+    f4 = wk.solve_goursat(wk.constant_potential(4.0, 2.0, 1 / 256), 2.0, 1 / 50, tol)
     assert np.abs(fd.v[..., 0, 0] - f1.v[..., 0, 0]).max() < 10 * tol
     assert np.abs(fd.v[..., 1, 1] - f4.v[..., 0, 0]).max() < 10 * tol
     assert np.abs(fd.v[..., 0, 1]).max() < 10 * tol
@@ -288,10 +315,10 @@ def test_diagonal_decoupling():
 
 def test_picard_tail_dominates(pot_one):
     # measured sweep-to-sweep change is eventually below the factorial tail
-    from wavekernel.goursat import _v0_lattice, _tail_bound, _lattice_setup
+    from wavekernel.goursat import _tail_bound, _lattice_setup
     from wavekernel.potential import _opnorms
     M, qh = _lattice_setup(pot_one, 1.0, 1 / 50)
-    v0 = _v0_lattice(qh, 1 / 50)
+    v0 = full_v0(pot_one, 1.0, 1 / 50)
     S = float(0.5 * np.trapezoid(_opnorms(qh), dx=1 / 100))
     v = v0.copy()
     for sweep in range(1, 12):
@@ -309,13 +336,21 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     wk.dump_kernel(field_herm2, pot_herm2, csv_path, json_path)
     back = wk.load_kernel(csv_path, json_path, pot_herm2)
     assert back.M == field_herm2.M
-    region = region_square(back.M)
-    assert np.abs(back.v[region] - field_herm2.v[region]).max() < 1e-15
+    assert np.abs(back.v - field_herm2.v).max() < 1e-15
     assert back.iterations == field_herm2.iterations
-    assert np.array_equal(back.v[region], field_herm2.v[region])
-    assert not back.v[~region].any()
+    assert np.array_equal(back.v, field_herm2.v)
     M = back.M
     assert len(csv_path.read_bytes().splitlines()) == 1 + (M // 2 + 1) * (M // 2 + 2) - 1
+
+
+def test_every_field_has_the_half_square_layout(tmp_path, pot_herm2, field_herm2):
+    wk.dump_kernel(field_herm2, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    loaded = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
+    for f in (field_herm2, wk.initial_v0(pot_herm2, 1.0, 1 / 100), loaded):
+        region = _region(f.M)
+        assert f.v.shape == region.shape + (2, 2)
+        assert not f.v[~region].any()
+        assert not hasattr(f, "v0")
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +361,7 @@ def loaded_herm2(tmp_path_factory, pot_herm2, field_herm2):
 
 
 def test_derivatives_v_rejects_points_beyond_T(pot_herm2, loaded_herm2):
-    # beyond t = T a loaded field holds its zero fill
+    # beyond t = T no field holds v
     wk.derivatives_v(pot_herm2, loaded_herm2, 0.8, 1.2)
     with pytest.raises(DomainError, match="xi \\+ eta <= 2T"):
         wk.derivatives_v(pot_herm2, loaded_herm2, 0.8, 1.3)
@@ -334,11 +369,12 @@ def test_derivatives_v_rejects_points_beyond_T(pot_herm2, loaded_herm2):
 
 def test_interp_half_table_rejects_points_beyond_its_rows(loaded_herm2):
     f = loaded_herm2
-    assert f.wx_lat.shape[0] == f.M // 2 + 2
+    assert f.wx_lat.shape[0] == f.v.shape[0] == f.M // 2 + 2
     _interp_triangle(f.wx_lat, 1.0, 1.0, f.step, f.M)
-    with pytest.raises(DomainError, match="half-square"):
-        _interp_triangle(f.wx_lat, 1.4, 1.9, f.step, f.M)
-    with pytest.raises(DomainError, match="half-square"):
+    for table in (f.v, f.wx_lat):
+        with pytest.raises(DomainError, match="xi \\+ eta <= 2T"):
+            _interp_triangle(table, 1.4, 1.9, f.step, f.M)
+    with pytest.raises(DomainError, match="xi \\+ eta <= 2T"):
         _interp_triangle(f.wtt_lattice(), np.array([0.2, 1.9]), np.array([0.3, 2.0]),
                          f.step, f.M)
 
@@ -373,10 +409,8 @@ def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, fi
     _csv_writer_dump(planted, tmp_path / "ref.csv")
     assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
-    region = region_square(back.M)
-    assert np.array_equal(back.v[region], v[region])
-    assert back.v[region].tobytes() == v[region].tobytes()     # signed zeros and subnormals too
-    assert not back.v[~region].any()
+    assert np.array_equal(back.v, v)
+    assert back.v.tobytes() == v.tobytes()     # signed zeros and subnormals too
 
 
 @pytest.mark.parametrize("T, h, tol", [
@@ -387,3 +421,15 @@ def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, fi
 def test_solve_rejects_non_finite_parameters(pot_one, T, h, tol):
     with pytest.raises(DomainError, match="finite and positive"):
         wk.solve_goursat(pot_one, T, h, tol)
+
+
+@pytest.mark.parametrize("x, t", [(float("nan"), 0.5), (0.1, float("nan")), (0.1, float("inf"))],
+                         ids=["nan_x", "nan_t", "inf_t"])
+@pytest.mark.parametrize("evaluator", [
+    lambda p, f, x, t: wk.kernel_w(f, x, t),
+    lambda p, f, x, t: wk.wtilde_x(p, f, x, t),
+    lambda p, f, x, t: wk.wtt_explicit(p, f, x, t),
+], ids=["kernel_w", "wtilde_x", "wtt_explicit"])
+def test_point_evaluators_reject_non_finite(pot_one, field_one, evaluator, x, t):
+    with pytest.raises(DomainError):
+        evaluator(pot_one, field_one, x, t)

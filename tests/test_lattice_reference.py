@@ -4,12 +4,14 @@ The reference functions below are the earlier implementation of the
 fixed-point operator, the Picard loop, the derivative tables and the wtt
 assembly, kept unchanged: full-square node-major (M+1, M+1, n, n) arrays
 and einsum products.  The package must reproduce them to rounding; its
-derived tables are half-squares on the region i <= j, i + j <= M + 1, so
-they are compared on that region's nodes.  The full-square kernel
-constants are kept too; the package reads only the physical nodes and
-must reproduce them exactly.
+field and derived tables are half-squares on the region i <= j,
+i + j <= M + 1, so they are compared on that region's nodes.  The
+full-square kernel constants are kept too, reading the package's
+half-squares padded to the full square; the package reads only the
+physical nodes and must reproduce them exactly.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,18 +20,24 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    KernelConstants, KernelField, _apply_V_core, _grids, _lattice_setup, _node_view, _planes,
-    _region, _tail_bound, _toeplitz_planes, _v0_lattice,
+    KernelConstants, KernelField, _apply_V_core, _lattice_setup, _node_view, _planes,
+    _region, _tail_bound, _toeplitz_planes,
 )
 from wavekernel.propagator import OperatorTables
 
-from conftest import region_square
+from conftest import full_v0
 from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
 
 REL = 1e-14
 
 
 # --- reference: node-major einsum formulation -------------------------------
+
+def _grids(M):
+    idx = np.arange(M + 1)
+    A, B = np.meshgrid(idx, idx, indexing="ij")
+    return idx, A, B
+
 
 def ref_apply_V_core(qh, values, h):
     M = values.shape[0] - 1
@@ -47,7 +55,7 @@ def ref_apply_V_core(qh, values, h):
 def ref_solve_goursat(p, T, h, tol, max_sweeps=100):
     M, qh = _lattice_setup(p, T, h)
     idx = np.arange(M + 1)
-    v0 = _v0_lattice(qh, h)
+    v0 = full_v0(p, T, h)
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
     v = v0.copy()
     iterations = 0
@@ -61,7 +69,7 @@ def ref_solve_goursat(p, T, h, tol, max_sweeps=100):
         v = v_new
         iterations += 1
         tail = _tail_bound(S_full, 2.0 * T, iterations)
-    f = KernelField(T=float(T), step=float(h), v=v, v0=v0, iterations=max(iterations, 1),
+    f = KernelField(T=float(T), step=float(h), v=v, iterations=max(iterations, 1),
                     tail_bound=tail, qh=qh)
     ref_attach_tables(f)
     return f
@@ -138,9 +146,9 @@ def ref_kernel_constants(p, f):
     M, h = f.M, f.step
     _, A, B = _grids(M)
     phys = (A <= B) & (A + B <= M)
-    b1 = float(np.max(_opnorms(f.wtilde_lattice())[phys]))
+    b1 = float(np.max(_opnorms(full_square(f.wtilde_lattice()))[phys]))
     b2 = float(np.max(_opnorms(full_square(f.wx_lat))[phys]))
-    b4 = float(np.max(_opnorms(f.v)[phys]))
+    b4 = float(np.max(_opnorms(full_square(f.v))[phys]))
     wxx_norm = _opnorms(ref_wxx_lattice(f))
     inner = []
     xs = []
@@ -155,7 +163,7 @@ def ref_kernel_constants(p, f):
 
 def ref_wxx_lattice(f):
     idx = np.arange(f.M + 1)
-    out = _mul(f.qh[np.clip(idx - idx[:, None], 0, f.M)], f.v)
+    out = _mul(f.qh[np.clip(idx - idx[:, None], 0, f.M)], full_square(f.v))
     out += full_square(f.wtt_lattice())
     return out
 
@@ -214,19 +222,20 @@ def test_apply_V_core_matches_reference(case):
     p, h, f, _ = case
     M, qh = _lattice_setup(p, 1.0, h)
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal(f.v.shape) + 1j * rng.standard_normal(f.v.shape)
+    shape = (f.M + 1, f.M + 1, f.dim, f.dim)       # apply_V works on full squares
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got = _node_view(_apply_V_core(_toeplitz_planes(qh), _planes(vals), h))
     assert rel_gap(got, ref_apply_V_core(qh, vals, h)) <= REL
 
 
 def test_solve_goursat_matches_reference(case):
-    _, _, f, ref = case
+    p, h, f, ref = case
     assert f.iterations == ref.iterations
     assert f.tail_bound == ref.tail_bound
-    for name in ("v", "v0"):
-        assert rel_gap(getattr(f, name), getattr(ref, name)) <= REL, name
     # region nodes (i, j); e_cum[j, i] integrates along eta_j from xi = 0 to xi_i
     i, j = np.nonzero(_region(f.M))
+    assert rel_gap(f.v[i, j], ref.v[i, j]) <= REL
+    assert rel_gap(f.wtilde_lattice()[i, j], (ref.v - full_v0(p, 1.0, h))[i, j]) <= REL
     assert f.e_cum.shape[:2] == (f.M + 1, f.M // 2 + 2)
     assert rel_gap(f.e_cum[j, i], ref.e_cum[j, j] - ref.e_cum[j, j - i]) <= REL
     assert rel_gap(f.d_cum[i, j - i], ref.d_cum[i, j - i]) <= REL
@@ -249,14 +258,12 @@ def test_kernel_constants_match_reference(case):
 
 
 def test_loaded_field_equals_solved_field(case, tmp_path):
-    # every derived table reads only the dumped region, so a field read back
-    # from its dump reproduces the solved field's tables bit for bit
+    # a dump holds the whole region a field stores, so a field read back from
+    # its dump equals the solved field array for array
     p, _, f, _ = case
     wk.dump_kernel(f, p, tmp_path / "k.csv", tmp_path / "k.json")
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p)
-    region = region_square(f.M)
-    assert np.array_equal(back.v[region], f.v[region])
-    assert not back.v[~region].any()
+    assert np.array_equal(back.v, f.v)
     assert np.array_equal(back.wx_lat, f.wx_lat)
     assert np.array_equal(back.wtt_lattice(), f.wtt_lattice())
     assert wk.kernel_constants(p, back) == wk.kernel_constants(p, f)
@@ -279,11 +286,17 @@ def _peak_lattices(fn, lattice_bytes):
 def test_lattice_memory_guard(pot_herm2):
     # 2x2 at M = 200; one lattice is (M+1)^2 n^2 complex values.  The
     # node-major einsum formulation peaked at 8.4 (solve) and 14.7 (wtt); the
-    # full-square tables at 6.2 and 5.7; the half-square tables at 5.5 and 2.9.
+    # full-square tables at 6.2 and 5.7; the half-square tables at 5.5 and 2.9;
+    # the half-square field at 4.5 (solve).  A solved field held 3.5 lattices
+    # with a full-square v and v0, and holds 2.0 with a half-square v alone.
     lattice = 201 ** 2 * 4 * 16
     holder = {}
     solve_peak = _peak_lattices(
         lambda: holder.setdefault("f", wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10)), lattice)
-    wtt_peak = _peak_lattices(holder["f"].wtt_lattice, lattice)
-    assert solve_peak <= 6.3
+    f = holder["f"]
+    arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
+    resident = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) / lattice
+    wtt_peak = _peak_lattices(f.wtt_lattice, lattice)
+    assert solve_peak <= 5.0
+    assert resident <= 2.2
     assert wtt_peak <= 3.3

@@ -13,6 +13,15 @@ def test_fd_config_validation():
         wk.FDConfig(N_x=8, T=1.0)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(cfl=0.0), dict(cfl=-0.5), dict(cfl=float("nan")), dict(T=0.0), dict(T=float("nan")),
+    dict(T=float("inf")), dict(N_x=32.5),
+], ids=["cfl_zero", "cfl_negative", "cfl_nan", "T_zero", "T_nan", "T_inf", "N_x_fraction"])
+def test_fd_config_rejects_degenerate(kw):
+    with pytest.raises(DomainError):
+        wk.FDConfig(**{"N_x": 32, "T": 1.0, **kw})
+
+
 def test_fd_zero_control(pot_one):
     snap = wk.fd_solve(pot_one, wk.zero_control(1.0, 1), wk.FDConfig(N_x=64, T=1.0))
     assert np.abs(snap.u).max() == 0.0

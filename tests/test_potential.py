@@ -133,6 +133,13 @@ def test_norm_constants_values():
         wk.norm_constants(px, 1.5)
 
 
+@pytest.mark.parametrize("T", [float("nan"), -0.5])
+def test_norm_constants_rejects_bad_horizon(T):
+    p = wk.constant_potential(3.0, x_max=2.0, step=1 / 64)
+    with pytest.raises(DomainError):
+        wk.norm_constants(p, T)
+
+
 def test_norm_constants_unitary_invariant():
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
@@ -66,6 +67,23 @@ def test_control_from_samples_roundtrip():
     f0f, f1f, _ = fit.sample(probe)
     assert np.abs(f0f - f0s).max() < 1e-8
     assert np.abs(f1f - f1s).max() < 1e-4
+
+
+@pytest.mark.parametrize("bad", ["nan_values", "nan_value", "inf_value", "nan_time"])
+def test_control_from_samples_rejects_non_finite(bad):
+    ts = np.linspace(0, 1, 50)
+    vals = wk.bump_control(1.0, 0.2, 0.8, 1.0).sample(ts)[0]
+    if bad == "nan_values":
+        vals = np.full_like(vals, np.nan)       # used to give a zero control
+    elif bad == "nan_value":
+        vals[25] = np.nan
+    elif bad == "inf_value":
+        vals[25] = np.inf
+    else:
+        ts = ts.copy()
+        ts[25] = np.nan
+    with pytest.raises(ControlError, match="finite"):
+        wk.control_from_samples(ts, vals)
 
 
 def test_control_from_samples_rejects_nonvanishing():
@@ -301,3 +319,58 @@ def test_difference_quotient_slope(field_one_T12, bump1):
 def test_difference_quotient_domain(field_one, bump1):
     with pytest.raises(DomainError):
         wk.difference_quotient_test(field_one, bump1, 0.99, [0.1])
+
+
+@pytest.mark.parametrize("t, h_list", [
+    (float("nan"), [0.1, 0.05]), (0.5, [float("nan")]), (0.5, []), (0.5, [0.1, float("inf")]),
+    (-0.2, [0.1, 0.05]), (0.5, [0.1]), (0.5, [0.1, 0.1]),
+], ids=["nan_t", "nan_h", "no_h", "inf_h", "negative_t", "one_h", "repeated_h"])
+def test_difference_quotient_rejects_degenerate(field_one, bump1, t, h_list):
+    with pytest.raises(DomainError):
+        wk.difference_quotient_test(field_one, bump1, t, h_list)
+
+
+@st.composite
+def bump_sums(draw, dim, lo=0.05, hi=1.0):
+    """A control on [0, 1]: one to three bumps with supports inside (lo, hi)."""
+    ctrl = None
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.floats(lo, hi - 0.03))
+        stop = draw(st.floats(start + 0.02, hi))
+        amp = [complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+               for _ in range(dim)]
+        piece = wk.bump_control(1.0, start, stop, np.array(amp))
+        ctrl = piece if ctrl is None else ctrl + piece
+    return ctrl
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_propagate_linear_in_the_control(field_herm2, data):
+    f, g = data.draw(bump_sums(2)), data.draw(bump_sums(2))
+    alpha = complex(data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0)))
+    N = data.draw(st.sampled_from([40, 101]))
+    comb = wk.propagate(field_herm2, f.scaled(alpha) + g, 1.0, N)
+    sf, sg = wk.propagate(field_herm2, f, 1.0, N), wk.propagate(field_herm2, g, 1.0, N)
+    for name in ("u", "u_x", "u_xx"):
+        a, b = alpha * getattr(sf, name), getattr(sg, name)
+        scale = max(np.abs(a).max(), np.abs(b).max())
+        assert np.abs(getattr(comb, name) - (a + b)).max() <= 1e-12 * scale, name
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_propagate_exactly_causal(field_herm2, data):
+    # u(x, T) reads the control on [0, T - x] only, so a perturbation
+    # supported in (T - x0, T] leaves every node x >= x0 unchanged
+    T, N = 1.0, 100
+    k0 = data.draw(st.integers(6, N - 6))
+    x0 = k0 * (T / N)
+    f = data.draw(bump_sums(2))
+    g = data.draw(bump_sums(2, lo=T - x0, hi=T))
+    base = wk.propagate(field_herm2, f, T, N)
+    pert = wk.propagate(field_herm2, f + g, T, N)
+    assert base.grid[k0] == x0
+    for name in ("u", "u_x", "u_xx"):
+        a, b = getattr(base, name), getattr(pert, name)
+        assert np.abs(b[k0:] - a[k0:]).max() <= 1e-15 * np.abs(a).max(), name
