@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control_op import (_l2, build_volterra, certify_h2_bound, condition_estimate,
-                         invert_W, measure_h2_bound, reflect)
+from .control_op import (build_volterra, certify_h2_bound, condition_estimate, invert_W,
+                         measure_h2_bound, reflect)
 from .errors import (CertificationError, ConfigError, ControlError,
                      ConvergenceError, DomainError, PotentialError,
                      SingularSystemError)
@@ -30,7 +30,7 @@ from .goursat import (check_goursat, dump_kernel, load_kernel, solve_goursat,
 from .oracle import FDConfig, compare, fd_solve
 from .potential import (_read_key_values, build_potential, parse_complex,
                         parse_potential_file)
-from .propagator import (Control, bump_control, control_from_samples,
+from .propagator import (Control, _l2, bump_control, control_from_samples,
                          difference_quotient_test, propagate, ramp_control,
                          zero_control)
 
@@ -278,8 +278,7 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
                            N=min(N, 256), seed=seed)
     dq_t = _cfg_float(cfg, "dq_t", 0.75 * T)
     dq_h = [2.0**-k for k in range(4, 9)]
-    nonzero = f.sample(np.linspace(0, T, 64))[0]
-    if np.max(np.abs(nonzero)) == 0.0 or dq_t + max(dq_h) > field.T:
+    if dq_t + max(dq_h) > field.T:
         dq_slope = float("inf")
     else:
         dq_slope = difference_quotient_test(field, f, dq_t, dq_h).slope
@@ -302,8 +301,7 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
         failing.append("apriori_bound")
     if rel > thresholds["oracle_rel_tol"]:
         failing.append("oracle_agreement")
-    if rep.ratio_i > rep.bound_i or rep.ratio_ii > rep.bound_ii \
-            or rep.ratio_iii > rep.bound_iii or rep.empirical_ratio > rep.composite_bound:
+    if rep.violations():
         failing.append("h2_bounds")
     if dq_slope < thresholds["dq_slope_min"]:
         failing.append("difference_quotient")

@@ -650,11 +650,11 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
 
     The dump holds the whole region i + j <= M + 1 that a field stores, so
     the loaded field equals the solved field it was dumped from, array for
-    array.  Raises
-    DomainError when the dump is malformed: a header that does not match
-    the dimension, a non-finite or unparsable value, a short row, a node
-    off the lattice, below the diagonal or beyond the region (a dump of
-    the whole triangle, as older versions wrote, is one), or a region
+    array.  Raises DomainError when the summary's dimension n is not the
+    potential's, and when the dump is malformed: a header that does not
+    match the dimension, a non-finite or unparsable value, a short row, a
+    node off the lattice, below the diagonal or beyond the region (a dump
+    of the whole triangle, as older versions wrote, is one), or a region
     whose nodes do not each appear exactly once.
     """
     try:
@@ -663,6 +663,8 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
         iterations, tail = int(meta["iterations"]), float(meta["tail_bound"])
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed kernel summary {json_path}: {exc!r}") from exc
+    if n != p.dim:
+        raise DomainError(f"{json_path}: kernel dimension {n} != potential dimension {p.dim}")
     M, qh = _lattice_setup(p, T, h)
     with open(csv_path) as fh:
         header = fh.readline().rstrip("\n")

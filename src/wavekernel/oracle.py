@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .potential import PotentialGrid
-from .propagator import Control, WaveSnapshot
+from .propagator import Control, WaveSnapshot, _l2
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def compare(a: WaveSnapshot, b: WaveSnapshot) -> tuple[float, float, float]:
         fine_u[:, comp] = np.interp(grid, fine.grid, fine.u[:, comp].real) \
             + 1j * np.interp(grid, fine.grid, fine.u[:, comp].imag)
     diff = fine_u - coarse.u
-    l2 = float(np.sqrt(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=1), x=grid)))
+    l2 = float(_l2(grid, diff))
     mx = float(np.max(np.abs(diff)))
-    base = float(np.sqrt(np.trapezoid(np.sum(np.abs(a.u) ** 2, axis=1), x=a.grid)))
+    base = float(_l2(a.grid, a.u))
     rel = 0.0 if (l2 == 0.0 and base == 0.0) else (np.inf if base == 0.0 else l2 / base)
     return l2, mx, rel

@@ -7,6 +7,11 @@ kernel representation: the reflected control plus a causal integral of
 the kernel against the control history.  Second space derivatives come
 from the interior equation rather than from differentiating the kernel
 twice, which is the only route the kernel's regularity supports.
+
+OperatorTables is the one layer that samples the kernel onto a grid; propagate
+and difference_quotient_test read its k0.  By time invariance a wave at any time
+t' <= H is a wave at the horizon H (f(t' - s) vanishes for s > t'), so one table
+on [0, H] serves all the difference-quotient test's times.
 """
 
 from __future__ import annotations
@@ -216,6 +221,8 @@ def control_from_samples(ts, values, T: float = None, support_start: float = Non
         raise ControlError("need at least 7 samples aligned with their times")
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
         raise ControlError("control samples and their times must be finite")
+    if not np.all(np.diff(ts) > 0):
+        raise ControlError("control sample times must be strictly increasing")
     T = float(ts[-1]) if T is None else float(T)
     dim = values.shape[1]
     mags = np.max(np.abs(values), axis=1)
@@ -270,6 +277,11 @@ class WaveSnapshot:
     @property
     def dim(self) -> int:
         return self.u.shape[-1]
+
+
+def _l2(grid: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """L2 norms over the grid of samples (..., N+1, n), one per leading index."""
+    return np.sqrt(np.trapezoid(np.sum(np.abs(g) ** 2, axis=-1), x=grid, axis=-1))
 
 
 def _apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -430,32 +442,17 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
 
 
 def u_tt(field: KernelField, f: Control, x: float, t: float) -> np.ndarray:
-    """Second time derivative of the wave at one interior point."""
+    """Second time derivative of the wave at one point (own trapezoid); zero beyond the front."""
     if not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
         raise DomainError("point outside 0 <= x <= t <= T")
-    return _u_values(field, f, t, np.array([x]), deriv=2)[0]
-
-
-def _u_values(field: KernelField, f: Control, t_prime: float, xs: np.ndarray,
-              deriv: int = 0) -> np.ndarray:
-    """Representation-formula values of the wave (or a time derivative) at
-    time t_prime on arbitrary x nodes; zero beyond the wave front."""
-    xs = np.asarray(xs, dtype=float)
-    live = xs < t_prime - 1e-14
-    out = np.zeros((xs.size, field.dim), dtype=complex)
-    if not live.any():
-        return out
-    xl = xs[live]
-    k = max(2, int(math.ceil(t_prime / (field.step / 2.0))) + 1)
-    frac = np.linspace(0.0, 1.0, k)
-    s = xl[:, None] + (t_prime - xl)[:, None] * frac[None, :]
-    W = _interp_triangle(field.v, s - xl[:, None], s + xl[:, None], field.step, field.M)
-    fv = f.sample(t_prime - s)[deriv]
-    g = np.einsum("rkab,rkb->rka", W, fv)
-    dx = (t_prime - xl) / (k - 1)
-    integ = dx[:, None] * (g.sum(axis=1) - 0.5 * g[:, 0] - 0.5 * g[:, -1])
-    out[live] = f.sample(t_prime - xl)[deriv] + integ
-    return out
+    if x >= t - 1e-14:
+        return np.zeros(field.dim, dtype=complex)
+    k = max(2, int(math.ceil(t / (field.step / 2.0))) + 1)
+    s = x + (t - x) * np.linspace(0.0, 1.0, k)
+    W = _interp_triangle(field.v, s - x, s + x, field.step, field.M)
+    g = np.einsum("kab,kb->ka", W, f.sample(t - s)[2])
+    dx = (t - x) / (k - 1)
+    return f.sample(np.array([t - x]))[2][0] + dx * (g.sum(axis=0) - 0.5 * g[0] - 0.5 * g[-1])
 
 
 @dataclass(frozen=True)
@@ -469,8 +466,13 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
                              h_list, N: int = 400) -> DifferenceQuotientReport:
     """Convergence of time difference quotients of the wave to its derivative.
 
-    For each step h the L2 distance between (u(., t+h) - u(., t))/h and
-    u_t(., t) is measured; the report carries the fitted log-log slope.
+    For each step h the L2 distance over [0, H], H = t + max h, between
+    (u(., t+h) - u(., t))/h and u_t(., t) is measured; the report carries
+    the fitted log-log slope.  By time invariance, in
+    u(x, t') = f(t' - x) + int_x^H w(x, s) f(t' - s) ds the samples
+    f(t' - s) vanish for s > t', so OperatorTables(field, H, N), which
+    checks N and H, serves every t' <= H: u(., t), each u(., t + h) and
+    u_t(., t) (f' for f) come from one k0 product, as in propagate.
     """
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
     if np.unique(h_arr).size < 2 or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
@@ -478,17 +480,14 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
                           f"(a slope needs two), got {list(h_list)}")
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time t = {t} must be finite and non-negative")
-    if t + h_arr.max() > field.T * (1 + 1e-12) + 1e-12:
-        raise DomainError("t + max(h) exceeds the kernel horizon")
-    xs = np.linspace(0.0, t + h_arr.max(), N + 1)
-    base = _u_values(field, f, t, xs, deriv=0)
-    rate = _u_values(field, f, t, xs, deriv=1)
-    errs = []
-    for h in h_arr:
-        ahead = _u_values(field, f, t + h, xs, deriv=0)
-        diff = (ahead - base) / h - rate
-        errs.append(float(np.sqrt(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=1), x=xs))))
-    errs = np.asarray(errs)
+    if f.dim != field.dim:
+        raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
+    tab = OperatorTables(field, t + h_arr.max(), N)
+    s = tab.grid
+    f0, f1, _ = f.sample(t - s)
+    g = np.stack([f0, *(f.sample(t + h - s)[0] for h in h_arr), f1])
+    u = g + _apply_table(tab.k0, g)
+    errs = _l2(s, (u[1:-1] - u[0]) / h_arr[:, None, None] - u[-1])
     if np.all(errs < 1e-15):
         slope = math.inf
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -185,6 +186,19 @@ def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     assert not (tmp_path / "out2" / "snapshot.csv").exists()
 
 
+def test_kernel_dump_of_another_dimension_rejected(tmp_path, capsys):
+    # a 2x2 dump read with a scalar potential used to end in an IndexError traceback
+    write_pot(tmp_path / "herm2.txt",
+              "kind = preset\nname = herm2\nx_max = 2.0\nstep = 0.0009765625\n")
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, pot="herm2.txt"))]) == 0
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="kernel_dump = out/kernel.csv\nN = 32\ntrials = 3\n")
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimension 2 != potential dimension 1" in err
+    assert not (tmp_path / "b" / "bounds.json").exists()
+
+
 def test_invert_rejects_off_grid_snapshot(tmp_path, capsys):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)
@@ -247,14 +261,18 @@ def test_non_integral_config_int(tmp_path, capsys):
     ("propagate", "kind = zero\n", "control = csv\n", {}),
     ("propagate", "kind = zero\n", "control = csv ctrl.csv\n",
      {"ctrl.csv": "".join(f"{k / 10},0\n" for k in range(11))}),       # t, re only
+    ("propagate", "kind = zero\n", "control = csv ctrl.csv\n",
+     {"ctrl.csv": "".join(f"{t},{float(t > 0.3)},0\n"                  # 0.6 before 0.5
+                          for t in (0, .1, .2, .3, .4, .6, .5, .7, .8, .9, 1))}),
     ("kernel", "kind = zero\ndimension = one\n", "", {}),
     ("kernel", "kind = zero\nx_max = big\n", "", {}),
     ("kernel", "kind = zero\ndimension = 0\n", "", {}),
     ("kernel", "kind = zero\nx_max = -1\n", "", {}),
     ("kernel", "kind = zero\nstep = 0\n", "", {}),
     ("kernel", "kind = zero\nstep = nan\n", "", {}),
-], ids=["bump_start", "csv_no_path", "csv_columns", "pot_dimension", "pot_x_max",
-        "pot_dimension_zero", "pot_x_max_negative", "pot_step_zero", "pot_step_nan"])
+], ids=["bump_start", "csv_no_path", "csv_columns", "csv_unordered_times", "pot_dimension",
+        "pot_x_max", "pot_dimension_zero", "pot_x_max_negative", "pot_step_zero",
+        "pot_step_nan"])
 def test_malformed_spec_rejected(tmp_path, capsys, command, pot, extra, files):
     write_pot(tmp_path / "pot.txt", pot)
     for name, body in files.items():
@@ -354,6 +372,28 @@ def test_validate_reports_h2_failure(tmp_path, capsys, monkeypatch):
     assert rep["h2"]["empirical_ratio"] > rep["h2"]["composite_bound"] == 0.0
 
 
+@pytest.mark.parametrize("excess, codes", [(1e-10, (0, 0)), (1e-6, (1, 3))],
+                         ids=["within_slack", "beyond_slack"])
+def test_bounds_and_validate_share_the_h2_verdict(tmp_path, monkeypatch, excess, codes):
+    # bounds exits 1 on CertificationError, validate 3 on a failed check; a ratio
+    # 1e-10 above its bound used to pass bounds and fail validate
+    from wavekernel import cli, control_op
+    measure = control_op.measure_h2_bound
+
+    def nudged(*args, **kwargs):
+        rep = measure(*args, **kwargs)
+        return dataclasses.replace(rep, ratio_ii=rep.bound_ii * (1 + excess))
+
+    monkeypatch.setattr(control_op, "measure_h2_bound", nudged)
+    monkeypatch.setattr(cli, "measure_h2_bound", nudged)
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="trials = 3\n")
+    assert (main(["bounds", "--config", str(cfg)]), main(["validate", "--config", str(cfg)])) \
+        == codes
+    rep = json.loads((tmp_path / "out" / "validate.json").read_text())
+    assert rep["failing"] == ([] if codes == (0, 0) else ["h2_bounds"])
+
+
 def test_oracle_command(tmp_path):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)
@@ -363,13 +403,20 @@ def test_oracle_command(tmp_path):
 
 
 def test_deterministic_outputs(tmp_path):
+    # each command twice, in fresh processes: every output file byte for byte
     one_pot(tmp_path)
-    cfg = write_cfg(tmp_path)
-    run = [sys.executable, "-m", "wavekernel.cli", "kernel", "--config", str(cfg)]
+    cfg = write_cfg(tmp_path, extra="trials = 3\n")
     src_dir = str(Path(wk.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    subprocess.run(run + ["--out", str(tmp_path / "a")], check=True, cwd=tmp_path, env=env)
-    subprocess.run(run + ["--out", str(tmp_path / "b")], check=True, cwd=tmp_path, env=env)
-    for name in ("kernel.csv", "kernel.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    outputs = {"kernel": {"kernel.csv", "kernel.json", "manifest.json"},
+               "propagate": {"snapshot.csv", "manifest.json"},
+               "validate": {"validate.json", "manifest.json"}}
+    for command, names in outputs.items():
+        run = [sys.executable, "-m", "wavekernel.cli", command, "--config", str(cfg)]
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        subprocess.run(run + ["--out", str(a)], check=True, cwd=tmp_path, env=env)
+        subprocess.run(run + ["--out", str(b)], check=True, cwd=tmp_path, env=env)
+        assert {p.name for p in a.iterdir()} == {p.name for p in b.iterdir()} == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (command, name)

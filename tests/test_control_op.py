@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel import control_op
-from wavekernel.control_op import (VolterraSystem, _apply_A_with_derivatives, _l2,
-                                   _SobolevTables, _sup)
+from wavekernel.control_op import VolterraSystem, _apply_A_with_derivatives, _SobolevTables, _sup
 from wavekernel.errors import CertificationError, DomainError, SingularSystemError
+from wavekernel.propagator import _l2
 
 
 def test_reflect_basics():
@@ -263,6 +264,18 @@ def test_certify_raises_where_measure_reports(monkeypatch, pot_one, field_one):
     assert rep.composite_bound == 0.0 and rep.empirical_ratio > 0.0
     with pytest.raises(CertificationError, match="exceeds"):
         wk.certify_h2_bound(field_one, pot_one, 1.0, trials=3, N=64, seed=2)
+
+
+@pytest.mark.parametrize("ratio, bound", [("ratio_i", "bound_i"), ("ratio_ii", "bound_ii"),
+                                          ("ratio_iii", "bound_iii"),
+                                          ("empirical_ratio", "composite_bound")])
+def test_h2_verdict_allows_rounding_slack(pot_one, field_one, ratio, bound):
+    rep = wk.measure_h2_bound(field_one, pot_one, 1.0, trials=3, N=64, seed=2)
+    assert rep.violations() == []
+    near = dataclasses.replace(rep, **{ratio: getattr(rep, bound) * (1 + 1e-10)})
+    far = dataclasses.replace(rep, **{ratio: getattr(rep, bound) * (1 + 1e-6)})
+    assert near.violations() == []
+    assert len(far.violations()) == 1 and "exceeds" in far.violations()[0]
 
 
 def test_condition_zero_potential(field_zero):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
 from wavekernel.goursat import _interp_triangle
-from wavekernel.propagator import OperatorTables, _apply_table, _u_values
+from wavekernel.propagator import OperatorTables, _apply_table
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -86,6 +86,19 @@ def test_control_from_samples_rejects_non_finite(bad):
         wk.control_from_samples(ts, vals)
 
 
+@pytest.mark.parametrize("order", ["swapped", "repeated"])
+def test_control_from_samples_rejects_unordered_times(order):
+    # used to end in the spline fit's ValueError
+    ts = np.linspace(0, 1, 50)
+    vals = wk.bump_control(1.0, 0.2, 0.8, 1.0).sample(ts)[0]
+    if order == "swapped":
+        ts[[30, 31]] = ts[[31, 30]]
+    else:
+        ts[30] = ts[29]
+    with pytest.raises(ControlError, match="strictly increasing"):
+        wk.control_from_samples(ts, vals)
+
+
 def test_control_from_samples_rejects_nonvanishing():
     ts = np.linspace(0, 1, 50)
     vals = np.cos(ts)   # nonzero at t = 0
@@ -115,9 +128,14 @@ def test_propagate_boundary_traces(field_one, bump1):
 
 
 def test_propagate_beyond_front_zero(field_one, bump1):
-    xs = np.array([0.5, 0.7, 0.9])
-    vals = _u_values(field_one, bump1, 0.5, xs)
-    assert np.abs(vals).max() == 0.0
+    # bump1 vanishes on [0, 0.1], so at t = 0.5 the wave is exactly zero for x >= 0.4,
+    # nodes 40..50 of the snapshot
+    snap = wk.propagate(field_one, bump1, 0.5, 50)
+    for name in ("u", "u_x", "u_xx"):
+        assert np.abs(getattr(snap, name)[40:]).max() == 0.0, name
+    assert np.abs(snap.u[39]).max() > 0.0
+    for x in (0.41, 0.45, 0.49, 0.5):
+        assert np.abs(wk.u_tt(field_one, bump1, x, 0.5)).max() == 0.0
 
 
 def test_propagate_linearity(field_one):
@@ -328,6 +346,19 @@ def test_difference_quotient_domain(field_one, bump1):
 def test_difference_quotient_rejects_degenerate(field_one, bump1, t, h_list):
     with pytest.raises(DomainError):
         wk.difference_quotient_test(field_one, bump1, t, h_list)
+
+
+@pytest.mark.parametrize("N", [0, -3, 2.5])
+def test_difference_quotient_rejects_degenerate_grid(field_one, bump1, N):
+    # N = 0 used to return slope inf with zero errors, which counts as a pass
+    with pytest.raises(DomainError, match="grid size N"):
+        wk.difference_quotient_test(field_one, bump1, 0.5, [0.1, 0.05], N=N)
+
+
+def test_difference_quotient_dim_mismatch(field_one):
+    f = wk.bump_control(1.0, 0.1, 0.9, np.array([1.0, 1.0j]))
+    with pytest.raises(ControlError, match="dimension"):
+        wk.difference_quotient_test(field_one, f, 0.5, [0.1, 0.05])
 
 
 @st.composite
