@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PotentialError, SingularSystemError
+from .fileio import write_table
 from .potential import PotentialGrid
 
 _PD_TOL = 1e-12
@@ -123,20 +124,10 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
 
 
 def dump_weyl(K: WeylSolution, path) -> None:
-    """Write the solution samples as CSV: x, then entries row-major (re, im)."""
+    """Write the solution samples as numeric CSV: x, then entries row-major (re, im)."""
     n = K.dim
-    with open(path, "w", newline="") as fh:
-        header = ["x"]
-        for a in range(n):
-            for b in range(n):
-                header += [f"K{a}{b}_re", f"K{a}{b}_im"]
-        fh.write(",".join(header) + "\n")
-        for x, mat in zip(K.grid, K.samples):
-            row = ["%.17g" % x]
-            for a in range(n):
-                for b in range(n):
-                    row += ["%.17g" % mat[a, b].real, "%.17g" % mat[a, b].imag]
-            fh.write(",".join(row) + "\n")
+    write_table(path, ["x"], [f"K{a}{b}" for a in range(n) for b in range(n)],
+                K.grid[:, None], K.samples.reshape(len(K.grid), n * n))
 
 
 def lambda_map(K: WeylSolution, vec) -> callable:

@@ -1,0 +1,106 @@
+"""The package's file formats: ``key = value`` text, numeric CSV and JSON.
+
+Numeric CSV: a header line, then one row per record, lines ending in CRLF.
+Real columns come first, then each complex column as the pair
+``<name>_re,<name>_im``.  Values are written as %.17g, so they read back
+bit for bit, signed zeros and subnormals included.  The first line is the
+header when its first field is not a number, so a file may leave it out.
+
+JSON: keys sorted, indent 2, a trailing newline.
+"""
+
+from __future__ import annotations
+
+import json
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+_BLOCK = 4096       # rows formatted per write
+
+
+def read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
+    """``key = value`` lines of a text file; ``#`` starts a comment.
+
+    Unreadable files and malformed lines raise the caller's error type.
+    """
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    out: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
+
+
+def header(real_names, complex_names) -> str:
+    """Header line of a numeric CSV: the real columns, then a re/im pair per complex one."""
+    return ",".join([*real_names, *(f"{c}_{p}" for c in complex_names for p in ("re", "im"))])
+
+
+def write_table(path, real_names, complex_names, real: np.ndarray, cplx: np.ndarray) -> None:
+    """Write rows of real values (rows, a) and complex values (rows, b) as numeric CSV."""
+    # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
+    table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header(real_names, complex_names) + "\r\n")
+        for start in range(0, len(table), _BLOCK):
+            block = table[start:start + _BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def read_table(path, what: str, error: type[Exception], n_real: int
+               ) -> tuple[str | None, np.ndarray, np.ndarray]:
+    """Header (None when absent), the n_real real columns and the complex columns.
+
+    An empty body gives zero rows; callers check the counts.  A file that
+    cannot be read or parsed, holds a non-finite value or has columns that
+    are not n_real reals plus re/im pairs raises the caller's error type.
+    """
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            try:
+                float(first.split(",", 1)[0])
+                head = None
+                fh.seek(0)
+            except ValueError:
+                head = first.rstrip("\r\n")
+            with warnings.catch_warnings():     # an empty body is zero rows
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+    if not raw.size:
+        raw = np.empty((0, n_real))
+    if raw.shape[1] < n_real or (raw.shape[1] - n_real) % 2:
+        raise error(f"{what} {path} has {raw.shape[1]} columns; expected {n_real} "
+                    "real column(s), then re/im pairs")
+    if not np.all(np.isfinite(raw)):
+        raise error(f"non-finite value in {what} {path}")
+    return head, raw[:, :n_real], np.ascontiguousarray(raw[:, n_real:]).view(complex)
+
+
+def write_json(path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def read_json(path, what: str, error: type[Exception]):
+    """Parsed JSON file; unreadable or malformed files raise the caller's error type."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc

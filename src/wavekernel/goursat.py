@@ -29,14 +29,12 @@ other code sees the plane-major layout.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .errors import ConvergenceError, DomainError
 from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 
@@ -284,11 +282,15 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     The sweeps run on the whole triangle.  They stop when the sup-norm
     change over all its nodes falls below tol, or when the analytic
     factorial tail of the remainder does; ConvergenceError at the sweep
-    cap.  Diagonal nodes are pinned to zero.  The field keeps the region
-    i + j <= M + 1 of the result.
+    cap max_sweeps, an integer >= 1 (DomainError otherwise).  Diagonal
+    nodes are pinned to zero.  The field keeps the region i + j <= M + 1
+    of the result.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) \
+            or max_sweeps < 1:
+        raise DomainError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     M, qh = _lattice_setup(p, T, h)
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
     v0_planes = _v0_planes(qh, h)
@@ -603,46 +605,29 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
 
 # --- persistence ------------------------------------------------------------
 
-_DUMP_BLOCK = 4096      # rows formatted per write
-
-
-def _dump_header(n: int) -> str:
-    cols = ["xi", "eta"]
-    for a in range(n):
-        for b in range(n):
-            cols += [f"v{a}{b}_re", f"v{a}{b}_im"]
-    return ",".join(cols)
+def _dump_names(n: int) -> list[str]:
+    return [f"v{a}{b}" for a in range(n) for b in range(n)]
 
 
 def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
-    """Write the lattice field as CSV plus a JSON summary.
+    """Write the lattice field as numeric CSV plus a JSON summary.
 
     One row per node of the region i <= j, i + j <= M + 1 (t <= T plus one
-    halo anti-diagonal), i-major: xi, eta, then the real and imaginary
-    parts of each entry of v in row-major order, each as %.17g so that
-    load_kernel restores those nodes bit for bit.  Rows end in CRLF.
+    halo anti-diagonal), i-major: xi, eta, then each entry of v in
+    row-major order as a re/im pair, in the format of fileio.write_table,
+    so that load_kernel restores those nodes bit for bit.
     """
     M, n = f.M, f.dim
     kc = kernel_constants(p, f)
     i, j = np.nonzero(_region(M))
-    vals = f.v[i, j].reshape(i.size, n * n)
-    table = np.empty((i.size, 2 + 2 * n * n))
-    table[:, 0] = i * f.step
-    table[:, 1] = j * f.step
-    table[:, 2::2] = vals.real
-    table[:, 3::2] = vals.imag
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(_dump_header(n) + "\r\n")
-        for start in range(0, len(table), _DUMP_BLOCK):
-            block = table[start:start + _DUMP_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
-    summary = {
+    fileio.write_table(csv_path, ("xi", "eta"), _dump_names(n),
+                       np.stack([i * f.step, j * f.step], axis=1),
+                       f.v[i, j].reshape(i.size, n * n))
+    fileio.write_json(json_path, {
         "T": f.T, "h": f.step, "n": n,
         "iterations": f.iterations, "tail_bound": f.tail_bound,
         "b1": kc.b1, "b2": kc.b2, "b3": kc.b3, "b4": kc.b4,
-    }
-    Path(json_path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
@@ -650,15 +635,16 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
 
     The dump holds the whole region i + j <= M + 1 that a field stores, so
     the loaded field equals the solved field it was dumped from, array for
-    array.  Raises DomainError when the summary's dimension n is not the
-    potential's, and when the dump is malformed: a header that does not
-    match the dimension, a non-finite or unparsable value, a short row, a
-    node off the lattice, below the diagonal or beyond the region (a dump
-    of the whole triangle, as older versions wrote, is one), or a region
-    whose nodes do not each appear exactly once.
+    array.  The CSV header may be left out.  Raises DomainError when a file
+    cannot be read, when the summary's dimension n is not the potential's,
+    and when the dump is malformed: a header that does not match the
+    dimension, a non-finite or unparsable value, a short row, a node off
+    the lattice, below the diagonal or beyond the region (a dump of the
+    whole triangle, as older versions wrote, is one), or a region whose
+    nodes do not each appear exactly once.
     """
+    meta = fileio.read_json(json_path, "kernel summary", DomainError)
     try:
-        meta = json.loads(Path(json_path).read_text())
         T, h, n = float(meta["T"]), float(meta["h"]), int(meta["n"])
         iterations, tail = int(meta["iterations"]), float(meta["tail_bound"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -666,23 +652,14 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     if n != p.dim:
         raise DomainError(f"{json_path}: kernel dimension {n} != potential dimension {p.dim}")
     M, qh = _lattice_setup(p, T, h)
-    with open(csv_path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _dump_header(n):
-            raise DomainError(f"{csv_path}: header does not match dimension {n}")
-        try:
-            with warnings.catch_warnings():   # an empty body fails the shape check below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DomainError(f"{csv_path}: malformed kernel dump: {exc}") from exc
+    head, xy, vals = fileio.read_table(csv_path, "kernel dump", DomainError, 2)
+    if head is not None and head != fileio.header(("xi", "eta"), _dump_names(n)):
+        raise DomainError(f"{csv_path}: header does not match dimension {n}")
     rows = int(np.count_nonzero(_region(M)))
-    if data.shape[1:] != (2 + 2 * n * n,) or not len(data):
+    if vals.shape[1] != n * n or not len(vals):
         raise DomainError(f"{csv_path}: expected {rows} rows of {2 + 2 * n * n} values, "
-                          f"got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise DomainError(f"{csv_path}: non-finite value in kernel dump")
-    pos = data[:, :2] / h
+                          f"got {len(vals)} rows of {2 + 2 * vals.shape[1]}")
+    pos = xy / h
     node = np.rint(pos)
     if np.max(np.abs(pos - node)) > 1e-6 or node.min() < 0 or node.max() > M:
         raise DomainError(f"{csv_path}: node off the lattice of step {h} and size {M}")
@@ -692,12 +669,11 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     if np.any(i + j > M + 1):
         raise DomainError(f"{csv_path}: node beyond xi + eta = 2T + h; a dump holds only "
                           "t <= T plus one halo line (regenerate it with `wavekernel kernel`)")
-    if len(data) != rows or np.unique(i * (M + 1) + j).size != rows:
+    if len(vals) != rows or np.unique(i * (M + 1) + j).size != rows:
         raise DomainError(f"{csv_path}: lattice nodes repeated or missing; expected {rows} "
-                          f"rows, got {len(data)}")
+                          f"rows, got {len(vals)}")
     v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)
-    v.real[i, j] = data[:, 2::2].reshape(rows, n, n)
-    v.imag[i, j] = data[:, 3::2].reshape(rows, n, n)
+    v[i, j] = vals.reshape(rows, n, n)
     f = KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)
     _attach_tables(f)
     return f

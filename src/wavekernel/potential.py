@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .errors import DomainError, PotentialError
 
 _HERMITIAN_TOL = 1e-8
@@ -220,8 +221,12 @@ def sampled_potential(x: np.ndarray, values: np.ndarray) -> PotentialGrid:
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None, None]
-    if x.size < 2:
-        raise PotentialError("need at least two sample points")
+    if x.ndim != 1 or x.size < 2:
+        raise PotentialError("need at least two sample points in a 1-D grid")
+    if values.shape[:1] != x.shape:
+        raise PotentialError(f"samples of shape {values.shape} for {x.size} grid points")
+    if not np.all(np.isfinite(x)):
+        raise PotentialError("sample grid points must be finite (found NaN or inf)")
     if abs(x[0]) > _RANGE_TOL:
         raise PotentialError("sample grid must start at x = 0")
     steps = np.diff(x)
@@ -373,27 +378,6 @@ def parse_complex(token: str) -> complex:
         raise PotentialError(f"cannot parse complex entry {token!r}") from exc
 
 
-def _read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
-    """``key = value`` lines of a text file; ``#`` starts a comment.
-
-    Unreadable files and malformed lines raise the caller's error type.
-    """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def parse_potential_file(path) -> dict:
     """Parse a plain-text key-value potential description.
 
@@ -402,7 +386,7 @@ def parse_potential_file(path) -> dict:
     or ``name`` (preset registry key).
     """
     path = Path(path)
-    spec = _read_key_values(path, "potential file", PotentialError)
+    spec = fileio.read_key_values(path, "potential file", PotentialError)
     kind = spec.get("kind")
     if kind not in {"zero", "constant", "sampled", "preset"}:
         raise PotentialError(f"{path}: kind must be zero/constant/sampled/preset, got {kind!r}")
@@ -428,19 +412,11 @@ def parse_potential_file(path) -> dict:
         if "csv" not in spec:
             raise PotentialError(f"{path}: sampled potential needs a 'csv' field")
         csv_path = (path.parent / spec["csv"]).resolve()
-        try:
-            raw = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise PotentialError(f"cannot read sample csv {csv_path}: {exc}") from exc
-        except ValueError as exc:
-            raise PotentialError(f"malformed sample csv {csv_path}: {exc}") from exc
-        n_sq, rem = divmod(raw.shape[1] - 1, 2)
-        if rem != 0 or n_sq < 1:
-            raise PotentialError(f"{csv_path}: expected columns x plus re/im pairs")
-        n = int(round(np.sqrt(n_sq)))
-        if n * n != n_sq:
-            raise PotentialError(f"{csv_path}: {n_sq} entries per row is not a square matrix")
-        vals = raw[:, 1::2] + 1j * raw[:, 2::2]
-        out["x"] = raw[:, 0]
+        _, x, vals = fileio.read_table(csv_path, "sample csv", PotentialError, 1)
+        n = math.isqrt(vals.shape[1])
+        if n < 1 or n * n != vals.shape[1]:
+            raise PotentialError(f"{csv_path}: {vals.shape[1]} entries per row is not a "
+                                 "square matrix")
+        out["x"] = x[:, 0]
         out["values"] = vals.reshape(-1, n, n)
     return out

@@ -154,19 +154,24 @@ class Control:
 
 
 def _checked(ctrl: Control) -> Control:
-    """Verify the vanishing-near-zero contract at 16 probe points."""
+    """Verify the vanishing-near-zero contract at 16 probe points, and finiteness."""
     probes = np.linspace(0.0, ctrl.support_start, 16)
-    f, f1, f2 = ctrl.sample(probes)
+    worst = float(np.max(np.abs(ctrl.sample(probes))))
     grid = np.linspace(0.0, ctrl.T, 257)
-    scale = max(float(np.max(np.abs(ctrl.sample(grid)[0]))), 1.0)
-    worst = max(float(np.max(np.abs(f))), float(np.max(np.abs(f1))),
-                float(np.max(np.abs(f2))))
-    if worst > _SUPPORT_TOL * scale:
+    scale = float(np.maximum(np.max(np.abs(ctrl.sample(grid)[0])), 1.0))
+    if not worst <= _SUPPORT_TOL * scale:       # false for NaN, so it fails too
         raise ControlError(
-            f"control {ctrl.label!r} does not vanish on [0, {ctrl.support_start}]: "
-            f"worst probe magnitude {worst:.3e}"
+            f"control {ctrl.label!r} is not finite or does not vanish on "
+            f"[0, {ctrl.support_start}]: worst probe magnitude {worst:.3e}"
         )
     return ctrl
+
+
+def _amplitude(amplitude) -> np.ndarray:
+    amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
+    if not np.all(np.isfinite(amp)):
+        raise ControlError(f"control amplitude must be finite, got {amp.tolist()}")
+    return amp
 
 
 def zero_control(T: float, dim: int = 1) -> Control:
@@ -182,7 +187,7 @@ def bump_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
     """Bump profile times a constant amplitude vector; support in (start, stop)."""
     if not (0.0 < start < stop <= T):
         raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
-    amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
+    amp = _amplitude(amplitude)
     dim = amp.size
 
     def ev(t):
@@ -196,7 +201,7 @@ def ramp_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
     """Smooth step from zero to the amplitude vector; nonzero at t = T."""
     if not (0.0 < start < stop <= T):
         raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
-    amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
+    amp = _amplitude(amplitude)
     dim = amp.size
 
     def ev(t):

@@ -79,10 +79,11 @@ def test_propagate_zero_reflects_control(tmp_path):
     assert np.abs(u - f.sample(1.0 - grid)[0][:, 0]).max() < 1e-15
 
 
-def test_propagate_missing_kernel_dump(tmp_path):
+def test_propagate_missing_kernel_dump(tmp_path, capsys):
     zero_pot(tmp_path)
     cfg = write_cfg(tmp_path, extra="kernel_dump = nowhere.csv\n")
     assert main(["propagate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read kernel summary")
 
 
 def test_propagate_golden_against_library(tmp_path):
@@ -240,6 +241,44 @@ def test_invert_reads_snapshot_with_or_without_header(tmp_path):
     assert recovered[0] == recovered[1]
 
 
+def _strip_header(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[1:]))
+
+
+def test_kernel_dump_reads_with_or_without_header(tmp_path):
+    one_pot(tmp_path)
+    assert main(["kernel", "--config", str(write_cfg(tmp_path))]) == 0
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("kernel.csv", "kernel.json"):
+        (bare / name).write_bytes((tmp_path / "out" / name).read_bytes())
+    _strip_header(bare / "kernel.csv")
+    snaps = []
+    for dump in ("out/kernel.csv", "bare/kernel.csv"):
+        out = tmp_path / dump.split("/")[0] / "prop"
+        cfg = write_cfg(tmp_path, extra=f"kernel_dump = {dump}\n")
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 0
+        snaps.append((out / "snapshot.csv").read_bytes())
+    assert snaps[0] == snaps[1]
+
+
+def test_control_csv_reads_with_or_without_header(tmp_path):
+    one_pot(tmp_path)
+    ts = np.linspace(0.0, 1.0, 41)
+    f = wk.bump_control(1.0, 0.1, 0.9, 1.0 - 0.5j)
+    body = "".join(f"{t:.17g},{z.real:.17g},{z.imag:.17g}\n"
+                   for t, z in zip(ts, f.sample(ts)[0][:, 0]))
+    (tmp_path / "head.csv").write_text("t,f0_re,f0_im\n" + body)
+    (tmp_path / "bare.csv").write_text(body)
+    snaps = []
+    for name in ("head", "bare"):
+        cfg = write_cfg(tmp_path, extra=f"control = csv {name}.csv\n")
+        assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        snaps.append((tmp_path / name / "snapshot.csv").read_bytes())
+    assert snaps[0] == snaps[1]
+
+
 def test_propagate_zero_grid_exit(tmp_path, capsys):
     zero_pot(tmp_path)
     cfg = write_cfg(tmp_path, extra="N = 0\n")
@@ -270,9 +309,12 @@ def test_non_integral_config_int(tmp_path, capsys):
     ("kernel", "kind = zero\nx_max = -1\n", "", {}),
     ("kernel", "kind = zero\nstep = 0\n", "", {}),
     ("kernel", "kind = zero\nstep = nan\n", "", {}),
+    ("propagate", "kind = zero\n", "control = bump start=0.1 stop=0.9 amp=nan\n", {}),
+    ("propagate", "kind = zero\n", "control = ramp start=0.1 stop=0.9 amp=inf\n", {}),
+    ("kernel", "kind = zero\n", "max_sweeps = 0\n", {}),
 ], ids=["bump_start", "csv_no_path", "csv_columns", "csv_unordered_times", "pot_dimension",
         "pot_x_max", "pot_dimension_zero", "pot_x_max_negative", "pot_step_zero",
-        "pot_step_nan"])
+        "pot_step_nan", "amp_nan", "amp_inf", "max_sweeps_zero"])
 def test_malformed_spec_rejected(tmp_path, capsys, command, pot, extra, files):
     write_pot(tmp_path / "pot.txt", pot)
     for name, body in files.items():
@@ -337,10 +379,26 @@ def test_validate_zero_potential(tmp_path):
     zero_pot(tmp_path)
     cfg = write_cfg(tmp_path, extra="control = zero\ntrials = 5\n")
     assert main(["validate", "--config", str(cfg)]) == 0
-    rep = json.loads((tmp_path / "out" / "validate.json").read_text())
+    text = (tmp_path / "out" / "validate.json").read_text()
+    rep = json.loads(text)
     assert rep["pass"] is True
     assert rep["cond"]["cond"] == 1.0
     assert rep["goursat"]["edge"] == 0.0
+    # a zero wave has no slope to fit: null, not the non-JSON Infinity
+    assert rep["dq_slope"] is None and "Infinity" not in text
+
+
+@pytest.mark.parametrize("dq_t, code", [(0.99, 1), (0.9375, 0)])
+def test_validate_dq_t_must_leave_room_for_the_steps(tmp_path, capsys, dq_t, code):
+    # dq_t = 0.99 used to skip the difference-quotient test and pass it
+    zero_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra=f"trials = 3\ndq_t = {dq_t}\n")
+    assert main(["validate", "--config", str(cfg)]) == code
+    if code:
+        assert "largest allowed value is 0.9375" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "validate.json").exists()
+    else:
+        assert json.loads((tmp_path / "out" / "validate.json").read_text())["dq_slope"] > 0.9
 
 
 def test_validate_q1_passes(tmp_path):
@@ -403,20 +461,30 @@ def test_oracle_command(tmp_path):
 
 
 def test_deterministic_outputs(tmp_path):
-    # each command twice, in fresh processes: every output file byte for byte
+    # every command in each of two fresh processes: every output file byte for byte
     one_pot(tmp_path)
-    cfg = write_cfg(tmp_path, extra="trials = 3\n")
+    cfg = write_cfg(tmp_path, extra="trials = 3\nN = 64\nsnapshot = propagate/a/snapshot.csv\n")
     src_dir = str(Path(wk.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
     outputs = {"kernel": {"kernel.csv", "kernel.json", "manifest.json"},
                "propagate": {"snapshot.csv", "manifest.json"},
-               "validate": {"validate.json", "manifest.json"}}
+               "apply": {"wave.csv", "manifest.json"},
+               "invert": {"control_recovered.csv", "invert.json", "manifest.json"},
+               "bounds": {"bounds.json", "manifest.json"},
+               "validate": {"validate.json", "manifest.json"},
+               "oracle": {"fd_snapshot.csv", "oracle.json", "manifest.json"}}
+    script = ("import sys\n"
+              "from wavekernel.cli import main\n"
+              "cfg, side, *commands = sys.argv[1:]\n"
+              "for command in commands:\n"
+              "    if main([command, '--config', cfg, '--out', f'{command}/{side}']):\n"
+              "        sys.exit(f'{command} failed')\n")
+    for side in ("a", "b"):
+        subprocess.run([sys.executable, "-c", script, str(cfg), side, *outputs],
+                       check=True, cwd=tmp_path, env=env)
     for command, names in outputs.items():
-        run = [sys.executable, "-m", "wavekernel.cli", command, "--config", str(cfg)]
         a, b = tmp_path / command / "a", tmp_path / command / "b"
-        subprocess.run(run + ["--out", str(a)], check=True, cwd=tmp_path, env=env)
-        subprocess.run(run + ["--out", str(b)], check=True, cwd=tmp_path, env=env)
         assert {p.name for p in a.iterdir()} == {p.name for p in b.iterdir()} == names
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), (command, name)

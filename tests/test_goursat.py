@@ -98,6 +98,13 @@ def test_solve_nonconvergence():
         wk.solve_goursat(p, 1.0, 1 / 50, 1e-12, max_sweeps=2)
 
 
+@pytest.mark.parametrize("max_sweeps", [0, -4, True, 2.5])
+def test_solve_rejects_bad_max_sweeps(pot_one, max_sweeps):
+    # each used to end in ConvergenceError ("no convergence after 0 sweeps")
+    with pytest.raises(DomainError, match="max_sweeps must be an integer >= 1"):
+        wk.solve_goursat(pot_one, 1.0, 1 / 50, 1e-10, max_sweeps=max_sweeps)
+
+
 def test_solve_rejects_bad_grid(pot_one):
     with pytest.raises(DomainError):
         wk.solve_goursat(pot_one, 1.0, 0.3, 1e-8)     # does not divide 2T evenly

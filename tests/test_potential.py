@@ -44,6 +44,17 @@ def test_sampled_nonuniform_rejected():
         wk.sampled_potential(x, np.ones_like(x))
 
 
+@pytest.mark.parametrize("x, match", [
+    (np.array([0.0, 0.1, np.nan, 0.3]), "finite"),
+    (np.array([0.0, 0.1, 0.2]), "3 grid points"),
+    (np.array([0.0, 0.1, 0.2, 0.3, 0.4]), "5 grid points"),
+], ids=["nan_point", "short_values", "long_values"])
+def test_sampled_broken_grid_rejected(x, match):
+    # a NaN point used to give step = nan; 4 points with 3 samples gave x_max = 0.3
+    with pytest.raises(PotentialError, match=match):
+        wk.sampled_potential(x, np.ones(4))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_samples_rejected(bad):
     with pytest.raises(PotentialError, match="finite"):
@@ -212,6 +223,23 @@ def test_potential_file_roundtrip(tmp_path):
     spec3.write_text("kind = preset\nname = diag14\nx_max = 1.0\nstep = 0.25\n")
     p3 = wk.build_potential(wk.parse_potential_file(spec3))
     assert p3.samples[0, 1, 1] == pytest.approx(4.0)
+
+
+def test_sample_csv_reads_with_or_without_header(tmp_path):
+    xs = np.linspace(0.0, 1.0, 17)
+    body = "".join(f"{x:.17g},{1 + x:.17g},-0,0.25,0.5,0.25,-0.5,{2 - x:.17g},0\n" for x in xs)
+    (tmp_path / "bare.csv").write_text(body)
+    (tmp_path / "head.csv").write_text(
+        "x,q00_re,q00_im,q01_re,q01_im,q10_re,q10_im,q11_re,q11_im\n" + body)
+    specs = []
+    for name in ("bare", "head"):
+        (tmp_path / f"{name}.txt").write_text(f"kind = sampled\ncsv = {name}.csv\n")
+        specs.append(wk.parse_potential_file(tmp_path / f"{name}.txt"))
+    bare, head = specs
+    assert bare["values"].shape == (17, 2, 2)
+    assert bare["x"].tobytes() == head["x"].tobytes()
+    assert bare["values"].tobytes() == head["values"].tobytes()
+    assert np.signbit(bare["values"][:, 0, 0].imag).all()      # -0 read back as -0
 
 
 def test_potential_file_malformed(tmp_path):

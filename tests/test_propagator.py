@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
 from wavekernel.goursat import _interp_triangle
-from wavekernel.propagator import OperatorTables, _apply_table
+from wavekernel.propagator import OperatorTables, _apply_table, _checked
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -31,6 +31,24 @@ def test_control_support_contract():
     assert np.abs(f.sample(np.array([-0.5]))[0]).max() == 0.0
     with pytest.raises(ControlError):
         wk.bump_control(1.0, 0.0, 0.5, 1.0)   # support must avoid t = 0
+
+
+@pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
+@pytest.mark.parametrize("amp", [np.nan, np.inf, [1.0, complex(0.0, -np.inf)]],
+                         ids=["nan", "inf", "vector_inf"])
+def test_control_rejects_non_finite_amplitude(maker, amp):
+    with pytest.raises(ControlError, match="finite"):
+        maker(1.0, 0.1, 0.9, amp)
+
+
+def test_support_check_fails_on_non_finite_probe():
+    # NaN > tol is false, so a NaN probe used to pass the support check
+    def ev(t):
+        z = np.full(np.shape(t) + (1,), np.nan, dtype=complex)
+        return z, z, z
+
+    with pytest.raises(ControlError, match="not finite"):
+        _checked(wk.Control(1.0, 1, 0.5, ev, label="nan"))
 
 
 def test_control_zero():
