@@ -65,17 +65,27 @@ def _load_potential(cfg: dict):
     return build_potential(parse_potential_file(pot_path))
 
 
+_CONTROL_KEYS = {"zero": (), "bump": ("start", "stop", "amp"),
+                 "ramp": ("start", "stop", "amp"), "csv": ()}
+
+
 def _load_control(cfg: dict, T: float, dim: int) -> Control:
     spec = cfg.get("control", "zero")
-    parts = spec.split()
-    kind = parts[0]
-    kv = {}
-    for tok in parts[1:]:
-        if "=" in tok:
-            k, _, v = tok.partition("=")
+    kind, *tokens = spec.split() or [""]
+    if kind not in _CONTROL_KEYS:
+        raise ControlError(f"unknown control kind {kind!r}")
+    kv, bare = {}, []
+    for tok in tokens:
+        k, eq, v = tok.partition("=")
+        if not eq:
+            bare.append(tok)
+        elif k in _CONTROL_KEYS[kind] and k not in kv:
             kv[k] = v
         else:
-            kv["path"] = tok
+            raise ControlError(f"control {spec!r}: unexpected token {tok!r}")
+    n_bare = 1 if kind == "csv" else 0      # the csv file path
+    if len(bare) > n_bare:
+        raise ControlError(f"control {spec!r}: unexpected token {bare[n_bare]!r}")
     if kind == "zero":
         return zero_control(T, dim)
     if kind in ("bump", "ramp"):
@@ -90,16 +100,14 @@ def _load_control(cfg: dict, T: float, dim: int) -> Control:
             raise ControlError(f"control amplitude has {len(amp)} entries, need {dim}")
         maker = bump_control if kind == "bump" else ramp_control
         return maker(T, start, stop, np.asarray(amp))
-    if kind == "csv":
-        if "path" not in kv:
-            raise ControlError("control 'csv' needs a file path: control = csv <file>")
-        path = (cfg["_dir"] / kv["path"]).resolve()
-        _, ts, vals = read_table(path, "control csv", ControlError, 1)
-        if vals.shape[1] != dim:
-            raise ControlError(f"control csv {path} needs columns t plus {dim} re/im "
-                               f"pair(s), got {vals.shape[1]} pair(s)")
-        return control_from_samples(ts[:, 0], vals, T=T)
-    raise ControlError(f"unknown control kind {kind!r}")
+    if not bare:
+        raise ControlError("control 'csv' needs a file path: control = csv <file>")
+    path = (cfg["_dir"] / bare[0]).resolve()
+    _, ts, vals = read_table(path, "control csv", ControlError, 1)
+    if vals.shape[1] != dim:
+        raise ControlError(f"control csv {path} needs columns t plus {dim} re/im "
+                           f"pair(s), got {vals.shape[1]} pair(s)")
+    return control_from_samples(ts[:, 0], vals, T=T)
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, seed: int) -> None:

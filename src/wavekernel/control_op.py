@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import CertificationError, DomainError, SingularSystemError
 from .goursat import KernelField, kernel_constants
@@ -137,15 +136,29 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
             g2: np.ndarray = None) -> float:
     """Sobolev norm combining a sampled function and its first two derivatives.
 
-    Missing derivatives are filled by quintic-spline differentiation.
+    Missing derivatives are filled by quintic-spline differentiation, which
+    needs at least 3 nodes.
     """
     grid = np.asarray(grid, dtype=float)
     g = np.asarray(g, dtype=complex)
     if g.ndim == 1:
         g = g[:, None]
-    if g1 is None or g2 is None:
-        k = min(5, len(grid) - 1)
-        spl = make_interp_spline(grid, g, k=k)
+    fill = g1 is None or g2 is None
+    nodes = 3 if fill else 2
+    if grid.ndim != 1 or grid.size < nodes:
+        raise DomainError(f"h2_norm needs a 1-D grid of at least {nodes} nodes, "
+                          f"got shape {grid.shape}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise DomainError("h2_norm grid must be finite and strictly increasing")
+    if g.shape[0] != grid.size or any(d is not None and np.size(d) != g.size for d in (g1, g2)):
+        raise DomainError(f"h2_norm samples do not match the grid of {grid.size} nodes")
+    if not all(np.all(np.isfinite(d)) for d in (g, g1, g2) if d is not None):
+        raise DomainError("h2_norm samples must be finite")
+    if fill:
+        # scipy.interpolate takes ~0.5 s to import; only the spline fallback needs it
+        from scipy.interpolate import make_interp_spline
+
+        spl = make_interp_spline(grid, g, k=min(5, grid.size - 1))
         g1 = np.asarray(spl.derivative(1)(grid)) if g1 is None else g1
         g2 = np.asarray(spl.derivative(2)(grid)) if g2 is None else g2
     g1 = np.asarray(g1, dtype=complex).reshape(g.shape)

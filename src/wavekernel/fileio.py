@@ -23,13 +23,15 @@ _BLOCK = 4096       # rows formatted per write
 def read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
     """``key = value`` lines of a text file; ``#`` starts a comment.
 
-    Unreadable files and malformed lines raise the caller's error type.
+    Unreadable files, malformed lines and repeated keys raise the caller's
+    error type.
     """
     try:
         text = path.read_text()
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     out: dict = {}
+    first: dict = {}        # key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -37,7 +39,11 @@ def read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
         if "=" not in line:
             raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise error(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+        first[key] = lineno
+        out[key] = value.strip()
     return out
 
 

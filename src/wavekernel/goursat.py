@@ -669,7 +669,9 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     if np.any(i + j > M + 1):
         raise DomainError(f"{csv_path}: node beyond xi + eta = 2T + h; a dump holds only "
                           "t <= T plus one halo line (regenerate it with `wavekernel kernel`)")
-    if len(vals) != rows or np.unique(i * (M + 1) + j).size != rows:
+    seen = np.zeros((M // 2 + 2, M + 1), dtype=bool)
+    seen[i, j] = True           # not np.unique, which imports numpy.ma (~20 ms)
+    if len(vals) != rows or np.count_nonzero(seen) != rows:
         raise DomainError(f"{csv_path}: lattice nodes repeated or missing; expected {rows} "
                           f"rows, got {len(vals)}")
     v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import ControlError, DomainError
 from .goursat import KernelField, _interp_triangle
@@ -96,6 +95,12 @@ class Control:
     support_start: float
     _eval: callable    # t array -> (f, f', f'') stacked as (3, ..., dim)
     label: str = "control"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ControlError(f"control horizon T must be finite and positive, got {self.T}")
+        if self.dim < 1:
+            raise ControlError(f"control dimension must be at least 1, got {self.dim}")
 
     def sample(self, t):
         """Values and first two derivatives at t; zero for negative arguments."""
@@ -238,6 +243,9 @@ def control_from_samples(ts, values, T: float = None, support_start: float = Non
         if nz[0] == 0:
             raise ControlError("sampled control must vanish on an initial segment")
         support_start = float(ts[nz[0] - 1])
+    # scipy.interpolate takes ~0.5 s to import; only sampled controls need it
+    from scipy.interpolate import make_interp_spline
+
     spl = make_interp_spline(ts, values, k=5)
     d1 = spl.derivative(1)
     d2 = spl.derivative(2)
@@ -480,7 +488,8 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     u_t(., t) (f' for f) come from one k0 product, as in propagate.
     """
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
-    if np.unique(h_arr).size < 2 or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
+    # sorted, so two distinct steps differ at the ends; np.unique would import numpy.ma
+    if h_arr.size < 2 or h_arr[0] == h_arr[-1] or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
         raise DomainError(f"steps must be at least two distinct finite positive numbers "
                           f"(a slope needs two), got {list(h_list)}")
     if not (math.isfinite(t) and t >= 0):

@@ -28,11 +28,13 @@ def one_pot(tmp_path):
 
 
 def write_cfg(tmp_path, extra="", pot="pot.txt"):
+    """Default run config; the `key = value` lines of extra replace or add keys."""
+    defaults = {"potential": pot, "T": "1.0", "h": "0.02", "N": "100", "tol": "1e-10",
+                "control": "bump start=0.1 stop=0.9 amp=1", "out": "out", "seed": "3"}
+    given = {line.partition("=")[0].strip() for line in extra.splitlines()}
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"potential = {pot}\nT = 1.0\nh = 0.02\nN = 100\ntol = 1e-10\n"
-        f"control = bump start=0.1 stop=0.9 amp=1\nout = out\nseed = 3\n" + extra
-    )
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items() if k not in given)
+                   + extra)
     return cfg
 
 
@@ -295,6 +297,9 @@ def test_non_integral_config_int(tmp_path, capsys):
     assert not (tmp_path / "out" / "snapshot.csv").exists()
 
 
+ZERO_CONTROL_CSV = "".join(f"{k / 10},0,0\n" for k in range(11))
+
+
 @pytest.mark.parametrize("command, pot, extra, files", [
     ("propagate", "kind = zero\n", "control = bump start=abc stop=0.9 amp=1\n", {}),
     ("propagate", "kind = zero\n", "control = csv\n", {}),
@@ -312,9 +317,24 @@ def test_non_integral_config_int(tmp_path, capsys):
     ("propagate", "kind = zero\n", "control = bump start=0.1 stop=0.9 amp=nan\n", {}),
     ("propagate", "kind = zero\n", "control = ramp start=0.1 stop=0.9 amp=inf\n", {}),
     ("kernel", "kind = zero\n", "max_sweeps = 0\n", {}),
+    # unknown, repeated or stray control tokens used to be ignored
+    ("propagate", "kind = zero\n", "control = bump start=0.1 stop=0.9 amplitude=5\n", {}),
+    ("propagate", "kind = zero\n", "control = ramp amp=2 amp=5\n", {}),
+    ("propagate", "kind = zero\n", "control = bump start=0.1 stop=0.9 amp=5 x.csv\n", {}),
+    ("propagate", "kind = zero\n", "control = zero amp=5\n", {}),
+    ("propagate", "kind = zero\n", "control = csv a.csv b.csv\n",
+     {"a.csv": ZERO_CONTROL_CSV, "b.csv": ZERO_CONTROL_CSV}),
+    ("propagate", "kind = zero\n", "control = csv a.csv amp=2\n", {"a.csv": ZERO_CONTROL_CSV}),
+    ("propagate", "kind = zero\n", "control =\n", {}),
+    # a repeated key used to overwrite the earlier one
+    ("propagate", "kind = zero\n", "T = 0.5\nT = 1\n", {}),
+    ("kernel", "kind = preset\nkind = zero\n", "", {}),
 ], ids=["bump_start", "csv_no_path", "csv_columns", "csv_unordered_times", "pot_dimension",
         "pot_x_max", "pot_dimension_zero", "pot_x_max_negative", "pot_step_zero",
-        "pot_step_nan", "amp_nan", "amp_inf", "max_sweeps_zero"])
+        "pot_step_nan", "amp_nan", "amp_inf", "max_sweeps_zero", "control_unknown_key",
+        "control_repeated_key", "control_stray_token", "zero_control_token",
+        "csv_two_paths", "csv_key_token", "control_empty", "cfg_repeated_key",
+        "pot_repeated_key"])
 def test_malformed_spec_rejected(tmp_path, capsys, command, pot, extra, files):
     write_pot(tmp_path / "pot.txt", pot)
     for name, body in files.items():
@@ -322,6 +342,16 @@ def test_malformed_spec_rejected(tmp_path, capsys, command, pot, extra, files):
     cfg = write_cfg(tmp_path, extra=extra)
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("control = bump start=0.1 stop=0.9 amplitude=5\n", "unexpected token 'amplitude=5'"),
+    ("control = ramp amp=2 x.csv\n", "unexpected token 'x.csv'"),
+], ids=["unknown_key", "stray_token"])
+def test_control_error_names_the_token(tmp_path, capsys, extra, message):
+    zero_pot(tmp_path)
+    assert main(["propagate", "--config", str(write_cfg(tmp_path, extra=extra))]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_control_csv_reads_recovered_control(tmp_path):

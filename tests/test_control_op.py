@@ -166,6 +166,39 @@ def test_h2_norm_values():
     assert val2 == pytest.approx(val, rel=1e-6)
 
 
+@pytest.mark.parametrize("case", ["one_node", "two_nodes_no_g2", "nan_sample", "inf_g2",
+                                  "decreasing", "repeated_node", "nan_node", "empty",
+                                  "length", "g1_length", "grid_2d"])
+def test_h2_norm_rejects_bad_input(case):
+    # each case used to end in a bare ValueError or IndexError from the spline fit
+    grid = np.linspace(0, 1, 11)
+    g, g1, g2 = grid ** 2, 2 * grid, np.full(11, 2.0)
+    if case == "one_node":
+        grid, g, g1, g2 = grid[:1], g[:1], None, None
+    elif case == "two_nodes_no_g2":
+        grid, g, g1, g2 = grid[:2], g[:2], g1[:2], None
+    elif case == "nan_sample":
+        g[4], g1, g2 = np.nan, None, None
+    elif case == "inf_g2":
+        g2[4] = np.inf
+    elif case == "decreasing":
+        grid, g1, g2 = grid[::-1], None, None
+    elif case == "repeated_node":
+        grid[5] = grid[4]
+    elif case == "nan_node":
+        grid[5] = np.nan
+    elif case == "empty":
+        grid, g, g1, g2 = grid[:0], g[:0], None, None
+    elif case == "length":
+        g, g1, g2 = g[:10], None, None
+    elif case == "g1_length":
+        g1 = g1[:10]
+    else:
+        grid = np.stack([grid, grid])
+    with pytest.raises(DomainError):
+        wk.h2_norm(grid, g, g1, g2)
+
+
 def test_h2_norm_unitary_invariant():
     rng = np.random.default_rng(8)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))

@@ -87,6 +87,13 @@ def test_missing_files_raise_the_callers_error(tmp_path):
             read(tmp_path / "missing")
 
 
+def test_repeated_key_names_both_lines(tmp_path):
+    # a repeated key used to overwrite the earlier one
+    (tmp_path / "run.cfg").write_text("T = 1\n# comment\nN = 4\nT = 0.5\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:4: key 'T' repeats line 1"):
+        fileio.read_key_values(tmp_path / "run.cfg", "config", ConfigError)
+
+
 def test_dump_weyl_ends_lines_in_crlf(tmp_path):
     K = wk.weyl_solution(wk.constant_potential(1.0, x_max=2.0, step=1 / 128), 1.5, 1.0)
     wk.dump_weyl(K, tmp_path / "weyl.csv")

@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Each call is the only one in its interpreter, so it must bring in scipy itself.
+CALLS = {
+    "control_from_samples": "ts = np.linspace(0, 1, 101)\n"
+                            "f = wk.control_from_samples(ts, np.where(ts > 0.2, (ts - 0.2) ** 6, 0))\n"
+                            "assert abs(f.sample(np.array([0.7]))[0][0, 0] - 0.5 ** 6) < 1e-9",
+    "h2_norm_spline": "grid = np.linspace(0, 1, 2001)\n"
+                      "assert abs(wk.h2_norm(grid, grid ** 2) - (83 / 15) ** 0.5) < 1e-5",
+}
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_cli_import_leaves_scipy_out(call):
+    script = ("import sys\nimport numpy as np\nimport wavekernel as wk, wavekernel.cli\n"
+              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+              + CALLS[call] + "\nassert 'scipy.interpolate' in sys.modules\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

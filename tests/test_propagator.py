@@ -41,6 +41,25 @@ def test_control_rejects_non_finite_amplitude(maker, amp):
         maker(1.0, 0.1, 0.9, amp)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: wk.zero_control(np.nan),
+    lambda: wk.zero_control(np.inf, 2),
+    lambda: wk.zero_control(0.0),
+    lambda: wk.zero_control(1.0, 0),
+    lambda: wk.bump_control(np.inf, 0.1, 0.5),
+    lambda: wk.ramp_control(np.inf, 0.1, 0.5),
+    lambda: wk.control_from_samples(np.linspace(0, 1, 50), np.zeros(50), T=-1.0),
+    lambda: wk.control_from_samples(np.linspace(0, 1, 50),
+                                    wk.bump_control(1.0, 0.2, 0.8).sample(
+                                        np.linspace(0, 1, 50))[0], T=np.nan),
+], ids=["zero_nan_T", "zero_inf_T", "zero_T0", "zero_dim0", "bump_inf_T", "ramp_inf_T",
+        "samples_negative_T", "samples_nan_T"])
+def test_control_rejects_bad_horizon_or_dimension(make):
+    # each used to return a Control without complaint
+    with pytest.raises(ControlError, match="horizon|dimension"):
+        make()
+
+
 def test_support_check_fails_on_non_finite_probe():
     # NaN > tol is false, so a NaN probe used to pass the support check
     def ev(t):
