@@ -75,10 +75,12 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     The caller asserts q(x) = c for x >= X with c positive definite.  The
     ODE is integrated backward from the cutoff with classical fourth-order
     steps on the sampled potential; failure to renormalize at the origin
-    signals that the positivity assertion does not hold.
+    signals that the positivity assertion does not hold.  The cutoff X must
+    be finite, positive and within the sampled domain (PotentialError).
     """
-    if X > p.x_max * (1 + 1e-12):
-        raise PotentialError(f"cutoff {X} beyond the sampled domain {p.x_max}")
+    if not 0.0 < X <= p.x_max * (1 + 1e-12):
+        raise PotentialError(f"cutoff {X} must be positive and within the sampled "
+                             f"domain (0, {p.x_max}]")
     root_c = _sqrtm_pd(c)
     n = p.dim
     if root_c.shape != (n, n):

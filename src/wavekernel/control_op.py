@@ -108,7 +108,13 @@ def invert_W(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
 
 
 def neumann_partial_sums(sys: VolterraSystem, u: np.ndarray, terms: int) -> list[np.ndarray]:
-    """Partial sums of the alternating operator power series for the inverse."""
+    """Partial sums of the alternating operator power series for the inverse.
+
+    terms, the number of terms after the first, is an integer >= 0
+    (DomainError otherwise).
+    """
+    if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)) or terms < 0:
+        raise DomainError(f"terms must be an integer >= 0, got {terms!r}")
     u = _checked_snapshot(sys, u)
     sums = [u.copy()]
     for _ in range(terms):

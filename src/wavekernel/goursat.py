@@ -14,17 +14,18 @@ of its smooth part in closed vectorized form.
 
 Layout: the representation formula reads the kernel only for t <= T,
 that is i + j <= M, and a bilinear cell on that line reads one node beyond
-it.  So v and every table derived from it (d_cum, wx_lat, wtt, wxx) are
-stored on the region i <= j, i + j <= M + 1 only, node-major, one index
-pair per matrix, as a half-square (M/2+2, M+1, n, n) that is zero off the
-region; its last row exists for the interpolators' i + 1 reads.  The dump
-holds the same node set, so a field read back from it equals the solved
-field array for array.  The Picard sweeps alone run on the whole triangle,
-plane-major: a contiguous (n, n, M+1, M+1) array holds one (M+1)^2 plane
-per matrix entry, so the products and the cumulative sums of a sweep run
-along contiguous memory.  solve_goursat crops the result to the region;
-apply_V, the operator on full squares, converts on entry and on exit; no
-other code sees the plane-major layout.
+it.  So v and every table derived from it (e_cum, d_cum, wx_lat, wtt, wxx)
+are stored on the region i <= j, i + j <= M + 1 only, indexed by node
+(i, j), one index pair per matrix, as a half-square (M/2+2, M+1, n, n)
+that is zero off the region; its last row exists for the interpolators'
+i + 1 reads.  The dump holds the same node set, so a field read back from
+it equals the solved field array for array.  Only wtt's cc1 (rows that
+start on the diagonal) and the Picard sweeps use other layouts.  The
+sweeps run on the whole triangle, plane-major: a contiguous (n, n, M+1,
+M+1) array holds one (M+1)^2 plane per matrix entry, so the products and
+the cumulative sums of a sweep run along contiguous memory.  solve_goursat
+crops the result to the region; apply_V, the operator on full squares,
+converts on entry and on exit; no other code sees the plane-major layout.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _region(M: int) -> np.ndarray:
     return (i <= j) & (i + j <= M + 1)
 
 
+def _offset(M: int) -> np.ndarray:
+    """j - i at each node of the half-square, 0 below the diagonal: qh[_offset(M)] is q_{j-i}."""
+    i, j = np.arange(M // 2 + 2)[:, None], np.arange(M + 1)
+    return np.maximum(j - i, 0)
+
+
 @dataclass
 class KernelField:
     """Kernel values on the characteristic triangle plus derived tables.
@@ -58,11 +65,10 @@ class KernelField:
     holds the potential sampled at half-step points m*h/2, the resolution
     every internal quadrature uses.
 
-    The derived tables cover the same region and read only its nodes.
-    e_cum is (M+1, M/2+2): e_cum[j, a] integrates q(eta_j/2 - s)
-    v(2s, eta_j) over s in [0, a*h/2], along eta_j from xi = 0.  d_cum is
-    (M/2+2, M+1): d_cum[i, m] integrates q(s) v(xi_i, xi_i + 2s) over s in
-    [0, m*h/2].  wx_lat and wtt_lattice() are half-squares like v.
+    The derived tables e_cum, d_cum, wx_lat and wtt_lattice() are
+    half-squares like v and read only the region's nodes.  e_cum[i, j]
+    integrates q(eta_j/2 - s) v(2s, eta_j) over s in [0, xi_i/2]; d_cum[i, j]
+    integrates q(s) v(xi_i, xi_i + 2s) over s in [0, (eta_j - xi_i)/2].
     """
 
     T: float
@@ -71,8 +77,8 @@ class KernelField:
     iterations: int
     tail_bound: float
     qh: np.ndarray = field(repr=False, default=None)       # (M+1, n, n)
-    e_cum: np.ndarray = field(repr=False, default=None)    # integrals of q*v along eta_j
-    d_cum: np.ndarray = field(repr=False, default=None)    # integrals of q*v along xi_i
+    e_cum: np.ndarray = field(repr=False, default=None)    # (M/2+2, M+1, n, n), along eta_j
+    d_cum: np.ndarray = field(repr=False, default=None)    # (M/2+2, M+1, n, n), along xi_i
     wx_lat: np.ndarray = field(repr=False, default=None)   # d/dx of the smooth part
     _wtt_lat: np.ndarray = field(repr=False, default=None)
 
@@ -85,8 +91,10 @@ class KernelField:
         return self.v.shape[-1]
 
     def q_at(self, pts) -> np.ndarray:
-        """Potential at arbitrary points of [0, T], interpolated from qh."""
+        """Potential at finite points, interpolated from qh, held constant beyond [0, T]."""
         pts = np.asarray(pts, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("potential requested at a non-finite point")
         pos = np.clip(pts, 0.0, self.T) / (0.5 * self.step)
         k = np.minimum(np.floor(pos).astype(int), self.M - 1)
         frac = (pos - k)[..., None, None]
@@ -109,14 +117,9 @@ class KernelField:
     def wxx_lattice(self) -> np.ndarray:
         """Second space derivative of the smooth part via the interior identity.
 
-        A half-square like wtt_lattice(), zero off the region.
+        A half-square like wtt_lattice(), zero off the region like v and wtt.
         """
-        M = self.M
-        region = _region(M)
-        i, j = np.nonzero(region)
-        out = np.zeros(region.shape + self.v.shape[2:], dtype=complex)
-        out[i, j] = _wxx(self.qh[j - i], self.v[i, j], self.wtt_lattice()[i, j])
-        return out
+        return _wxx(self.qh[_offset(self.M)], self.v, self.wtt_lattice())
 
 
 def _wxx(q: np.ndarray, v: np.ndarray, wtt: np.ndarray) -> np.ndarray:
@@ -205,8 +208,15 @@ def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
 def apply_V(p: PotentialGrid, values: np.ndarray, h: float) -> np.ndarray:
     """One application of the fixed-point integral operator to a lattice field.
 
-    values and the result are node-major, (M+1, M+1, n, n).
+    values (finite) and the result are node-major, (M+1, M+1, n, n) with
+    n = p.dim, and h is finite and positive; DomainError otherwise.
     """
+    values, n = np.asarray(values), p.dim
+    if values.shape != values.shape[:1] * 2 + (n, n) or not np.all(np.isfinite(values)):
+        raise DomainError(f"lattice must be finite, of shape (M+1, M+1, {n}, {n}); "
+                          f"got shape {values.shape}")
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"h = {h} must be finite and positive")
     M = values.shape[0] - 1
     qh = p.eval(np.arange(M + 1) * (h / 2.0))
     out = _apply_V_core(_toeplitz_planes(qh), _planes(values), h)
@@ -333,31 +343,25 @@ def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
 def _attach_tables(f: KernelField) -> None:
     """Cumulative line integrals of q*v along both lattice directions, and wx.
 
-    e_cum[j, a] integrates q_{j-b} v[b, j] over b = 0..a (step h/2), along
-    eta_j from xi = 0; d_cum[i, m] integrates q_m v[i, i+m] over m.  Both
-    integrands are zero off the region i <= j, i + j <= M + 1, so every
-    table reads only the region's nodes.
+    One integrand g[i, j] = q_{j-i} v[i, j], zero off the region, is
+    cumulated (step h/2) along xi from 0 into e_cum and along eta from j = 0
+    into d_cum.  Before the diagonal d_cum adds exact zeros, and v vanishes
+    on it, so d_cum integrates from the diagonal; a field with v[i, i] != 0
+    breaks that Goursat condition, and row i of d_cum moves by
+    (h/4) q_0 v[i, i].
     """
     M, h = f.M, f.step
     region = _region(M)
-    i, m = np.arange(region.shape[0])[:, None], np.arange(M + 1)
-    j, b = m[:, None], i.T                    # the transposed layout: rows eta_j, columns xi_b
-
-    ge = _mul(f.qh[np.clip(j - b, 0, M)], f.v[b, j])
-    ge[~region.T] = 0.0
-    f.e_cum = _cumtrapz(ge, h / 2.0, axis=1)
-    del ge
-
-    gd = _mul(f.qh, f.v[i, np.clip(i + m, 0, M)])
-    gd[2 * i + m > M + 1] = 0.0
-    f.d_cum = _cumtrapz(gd, h / 2.0, axis=1)
-    del gd
+    g = _mul(f.qh[_offset(M)], f.v)
+    g[~region] = 0.0
+    f.e_cum = _cumtrapz(g, h / 2.0, axis=0)
+    f.d_cum = _cumtrapz(g, h / 2.0, axis=1)
+    del g
 
     # d/dx of the smooth part at node (i, j), from the derivative formulas in
     # characteristic coordinates:
-    #   wx = (1/2) (d_cum[i, j-i] - e_cum[j, i] - e_cum[i, i])
-    wx = f.d_cum[i, np.clip(m - i, 0, M)]
-    wx -= f.e_cum.swapaxes(0, 1)
+    #   wx = (1/2) (d_cum[i, j] - e_cum[i, j] - e_cum[i, i])
+    wx = f.d_cum - f.e_cum
     wx -= _diag(f.e_cum)[:, None]
     wx *= 0.5
     wx[~region] = 0.0
@@ -365,8 +369,8 @@ def _attach_tables(f: KernelField) -> None:
 
 
 def _diag(a: np.ndarray) -> np.ndarray:
-    """a[i, i] of a transposed half-square (M+1, M/2+2) table, for i <= M/2+1."""
-    idx = np.arange(a.shape[1])
+    """a[i, i] of a half-square table, one entry per row."""
+    idx = np.arange(a.shape[0])
     return a[idx, idx]
 
 
@@ -375,69 +379,53 @@ def _assemble_wtt(f: KernelField) -> np.ndarray:
 
     Assembled from the differentiated fixed-point equation: pointwise
     products of q with edge kernel values, six single q*q integrals, and
-    the remaining double-integral terms built from e_cum/d_cum by one more
-    cumulative trapezoid along the outer integration variable.  Every
-    array is a half-square (or its transpose, rows eta_j and columns
-    xi_b); each is dropped once consumed, and factors that depend on one
-    lattice index are formed on the (M+1) vectors.
+    the double-integral terms: one outer integrand built from e_cum/d_cum,
+    cumulated along each lattice direction.  Every array is a node
+    half-square like v except cc1, whose integrand q_0 q_i does not vanish
+    on the diagonal, so cc1[i, m] starts there at node (i, i+m).  Each is
+    dropped once consumed, and factors that depend on one lattice index
+    are formed on the (M+1) vectors.
     """
     M, h = f.M, f.step
     region = _region(M)
     rows = region.shape[0]
     i, m = np.arange(rows)[:, None], np.arange(M + 1)
-    j, b = m[:, None], i.T                    # the transposed layout: rows eta_j, columns xi_b
-    jm = np.clip(m - i, 0, M)                 # jm[i, j] = j - i on the region
-    jb = np.clip(j - b, 0, M)                 # jb[j, b] = j - b on the transposed region
-    ipm = np.clip(i + m, 0, M)
-    skew = 2 * i + m > M + 1                  # node (i, i+m) off the region
-    e_diag = _diag(f.e_cum)
+    jm = _offset(M)
 
-    # outer integrand over tau = m*h/2 at fixed xi_i (row i, column m):
-    #   q(tau) [ d_cum[i, m] - e_cum[i, i] + e_cum[i+m, i] ]
-    t = f.d_cum - e_diag[:, None]
-    t += f.e_cum[ipm, i]
-    g1 = _mul(f.qh, t)
-    del t
-    g1[skew] = 0.0
-    cum_x1 = _cumtrapz(g1, h / 2.0, axis=1)
-    del g1
-
-    # outer integrand over xi_b at fixed eta_j (row j, column b):
-    #   q_{j-b} [ d_cum[b, j-b] - e_cum[b, b] + e_cum[j, b] ]
-    t = f.d_cum[b, jb]
-    t -= e_diag
+    # outer integrand at node (i, j), zero on the diagonal:
+    #   q_{j-i} [ d_cum[i, j] - e_cum[i, i] + e_cum[i, j] ]
+    # integrated along eta_j from the diagonal and along xi_i from 0
+    t = f.d_cum - _diag(f.e_cum)[:, None]
     t += f.e_cum
-    g3 = _mul(f.qh[jb], t)
+    g = _mul(f.qh[jm], t)
     del t
-    g3[~region.T] = 0.0
-    cum_x3 = _cumtrapz(g3, h / 2.0, axis=1)
-    del g3
-
-    w_hat = cum_x1[i, jm]
-    del cum_x1
-    w_hat -= _diag(cum_x3)[:, None]
-    w_hat += cum_x3.swapaxes(0, 1)
-    del cum_x3
+    g[~region] = 0.0
+    w_hat = _cumtrapz(g, h / 2.0, axis=1)
+    cum_xi = _cumtrapz(g, h / 2.0, axis=0)
+    del g
+    w_hat -= _diag(cum_xi)[:, None]
+    w_hat += cum_xi
+    del cum_xi
     w_hat *= 0.25
 
-    # single q*q integrals; cc1 integrates q(s) q(xi/2 + s), cc6[j, a]
-    # integrates q_{j-b} q_b over b = 0..a
+    # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from the
+    # diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
-    qq_fwd = _mul(f.qh, f.qh[ipm])
-    qq_fwd[skew] = 0.0
+    qq_fwd = _mul(f.qh, f.qh[np.minimum(i + m, M)])
+    qq_fwd[2 * i + m > M + 1] = 0.0           # node (i, i+m) off the region
     cc1 = _cumtrapz(qq_fwd, h / 2.0, axis=1)
     del qq_fwd
     eighth = cc1[i, jm]
     del cc1
     eighth -= _mul(q_cum[jm], f.qh[:rows, None])
-    qq_bwd = _mul(f.qh[jb], f.qh[:rows])
-    qq_bwd[~region.T] = 0.0
-    cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=1)
+    qq_bwd = _mul(f.qh[jm], f.qh[:rows, None])
+    qq_bwd[~region] = 0.0
+    cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=0)
     del qq_bwd
     eighth += _diag(cc6)[:, None]
     eighth -= _mul(q_cum[:rows], f.qh[:rows])[:, None]
     eighth += _mul(q_cum[None, :] - q_cum[jm], f.qh[None, :])
-    eighth -= cc6.swapaxes(0, 1)
+    eighth -= cc6
     del cc6
     eighth *= 0.125
 
@@ -570,12 +558,11 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     """
     M, h, v = f.M, f.step, f.v
     idx = np.arange(M + 1)
-    d = np.arange(v.shape[0])
-    diag = float(np.max(_opnorms(v[d, d])))
+    diag = float(np.max(_opnorms(_diag(v))))
     edge = float(np.max(_opnorms(v[0] + 0.5 * integral_Q(p, 0.0, idx * h / 2.0))))
     a, b = np.arange(v.shape[0] - 1)[:, None], idx[:-1]     # lower corner of each cell
     mixed = (v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]) / h**2
-    resid = mixed + 0.25 * _mul(f.qh[np.clip(b - a, 0, M)], v[:-1, :-1])
+    resid = mixed + 0.25 * _mul(f.qh[_offset(M)[:-1, :-1]], v[:-1, :-1])
     interior_mask = (a + 1 <= b) & (a + b <= M - 1)
     interior = float(np.max(_opnorms(resid)[interior_mask])) if interior_mask.any() else 0.0
     count, excess = bound_violations(f)

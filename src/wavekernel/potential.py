@@ -121,9 +121,9 @@ class PotentialGrid:
 
     def _locate(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < -_RANGE_TOL) or np.any(x > self.x_max * (1 + _RANGE_TOL) + _RANGE_TOL):
+        if not np.all((x >= -_RANGE_TOL) & (x <= self.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
             raise DomainError(
-                f"evaluation at x outside [0, {self.x_max}] "
+                f"evaluation at x outside [0, {self.x_max}] or not finite "
                 f"(requested range [{x.min()}, {x.max()}])"
             )
         xc = np.clip(x, 0.0, self.x_max)

@@ -263,7 +263,9 @@ def control_from_samples(ts, values, T: float = None, support_start: float = Non
 
 def random_smooth_control(T: float, dim: int, rng: np.random.Generator,
                           n_bumps: int = 3) -> Control:
-    """Random combination of bumps; reproducible from the generator state."""
+    """Random combination of n_bumps >= 1 bumps; reproducible from the generator state."""
+    if isinstance(n_bumps, bool) or not isinstance(n_bumps, (int, np.integer)) or n_bumps < 1:
+        raise ControlError(f"n_bumps must be an integer >= 1, got {n_bumps!r}")
     ctrl = None
     for _ in range(n_bumps):
         start = float(rng.uniform(0.05, 0.45)) * T

@@ -71,6 +71,13 @@ def test_weyl_against_independent_integrator():
     assert np.abs(K.eval(xs)[:, 0, 0] - ref).max() < 1e-7
 
 
+@pytest.mark.parametrize("X", [float("nan"), 0.0, -1.0])
+def test_weyl_rejects_bad_cutoff(X):
+    p = wk.constant_potential(1.0, x_max=2.0, step=1 / 128)
+    with pytest.raises(PotentialError, match="cutoff"):
+        wk.weyl_solution(p, X, 1.0)
+
+
 def test_weyl_rejects_bad_decay_matrix():
     p = wk.constant_potential(1.0, x_max=2.0, step=1 / 128)
     with pytest.raises(PotentialError):

@@ -130,6 +130,20 @@ def test_neumann_rejects_bad_snapshot(field_one):
         wk.neumann_partial_sums(sysv, u, 3)
 
 
+@pytest.mark.parametrize("terms", [-1, 2.5, True, "3", None])
+def test_neumann_rejects_bad_term_count(field_one, terms):
+    sysv = wk.build_volterra(field_one, 1.0, 50)
+    with pytest.raises(DomainError, match="terms must be an integer >= 0"):
+        wk.neumann_partial_sums(sysv, np.zeros((51, 1), dtype=complex), terms)
+
+
+def test_neumann_zero_terms_is_the_snapshot(field_one):
+    sysv = wk.build_volterra(field_one, 1.0, 50)
+    u = np.ones((51, 1), dtype=complex)
+    sums = wk.neumann_partial_sums(sysv, u, np.int64(0))
+    assert len(sums) == 1 and np.array_equal(sums[0], u)
+
+
 def test_invert_singular_block():
     grid = np.linspace(0, 1, 4)
     blocks = np.zeros((4, 4, 1, 1), dtype=complex)

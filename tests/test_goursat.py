@@ -51,6 +51,36 @@ def test_apply_V_zero_field(pot_one):
         assert np.abs(wk.apply_V(pot_one, z, 1 / 10)).max() == 0.0
 
 
+@pytest.mark.parametrize("shape, h, match", [
+    ((21, 21, 2, 2), 1 / 10, "shape"),          # a 2x2 lattice for a scalar potential
+    ((21, 20, 1, 1), 1 / 10, "shape"),
+    ((21, 21, 1), 1 / 10, "shape"),
+    ((21, 21, 1, 1), 0.0, "finite and positive"),
+    ((21, 21, 1, 1), -1 / 10, "finite and positive"),
+    ((21, 21, 1, 1), float("nan"), "finite and positive"),
+    ((21, 21, 1, 1), float("inf"), "finite and positive"),
+])
+def test_apply_V_rejects_bad_input(pot_one, shape, h, match):
+    with pytest.raises(DomainError, match=match):
+        wk.apply_V(pot_one, np.zeros(shape), h)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_apply_V_rejects_non_finite_lattice(pot_one, bad):
+    vals = np.zeros((21, 21, 1, 1))
+    vals[3, 7] = bad
+    with pytest.raises(DomainError, match="finite"):
+        wk.apply_V(pot_one, vals, 1 / 10)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_q_at_rejects_non_finite_points(field_one, bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        field_one.q_at(bad)
+    with pytest.raises(DomainError, match="non-finite"):
+        field_one.q_at(np.array([0.25, bad]))
+
+
 def test_apply_V_constant_closed_form():
     c = 1.0
     p = wk.constant_potential(c, x_max=1.0, step=1 / 256)

@@ -9,6 +9,12 @@ i + j <= M + 1, so they are compared on that region's nodes.  The
 full-square kernel constants are kept too, reading the package's
 half-squares padded to the full square; the package reads only the
 physical nodes and must reproduce them exactly.
+
+A second reference keeps the half-square derivative tables as they were
+built on three layouts (node, offset (i, j - i) and eta-major (j, i)),
+with each integrand formed once per layout.  The package's node-only
+tables multiply the same numbers and add the same terms in the same
+order, so they must reproduce it bit for bit.
 """
 
 import dataclasses
@@ -20,8 +26,8 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    KernelConstants, KernelField, _apply_V_core, _lattice_setup, _node_view, _planes,
-    _region, _tail_bound, _toeplitz_planes,
+    KernelConstants, KernelField, _apply_V_core, _attach_tables, _lattice_setup, _node_view,
+    _planes, _region, _tail_bound, _toeplitz_planes,
 )
 from wavekernel.propagator import OperatorTables
 
@@ -142,6 +148,120 @@ def ref_assemble_wtt(f):
     return out
 
 
+# --- reference: half-square tables on the offset and eta-major layouts --------
+
+def layered_attach_tables(f):
+    M, h = f.M, f.step
+    region = _region(M)
+    i, m = np.arange(region.shape[0])[:, None], np.arange(M + 1)
+    j, b = m[:, None], i.T                    # the transposed layout: rows eta_j, columns xi_b
+
+    ge = _mul(f.qh[np.clip(j - b, 0, M)], f.v[b, j])
+    ge[~region.T] = 0.0
+    f.e_cum = _cumtrapz(ge, h / 2.0, axis=1)
+    del ge
+
+    gd = _mul(f.qh, f.v[i, np.clip(i + m, 0, M)])
+    gd[2 * i + m > M + 1] = 0.0
+    f.d_cum = _cumtrapz(gd, h / 2.0, axis=1)
+    del gd
+
+    # d/dx of the smooth part at node (i, j), from the derivative formulas in
+    # characteristic coordinates:
+    #   wx = (1/2) (d_cum[i, j-i] - e_cum[j, i] - e_cum[i, i])
+    wx = f.d_cum[i, np.clip(m - i, 0, M)]
+    wx -= f.e_cum.swapaxes(0, 1)
+    wx -= _diag_T(f.e_cum)[:, None]
+    wx *= 0.5
+    wx[~region] = 0.0
+    f.wx_lat = wx
+
+
+def _diag_T(a):
+    """a[i, i] of a transposed half-square (M+1, M/2+2) table, for i <= M/2+1."""
+    idx = np.arange(a.shape[1])
+    return a[idx, idx]
+
+
+def layered_assemble_wtt(f):
+    M, h = f.M, f.step
+    region = _region(M)
+    rows = region.shape[0]
+    i, m = np.arange(rows)[:, None], np.arange(M + 1)
+    j, b = m[:, None], i.T                    # the transposed layout: rows eta_j, columns xi_b
+    jm = np.clip(m - i, 0, M)                 # jm[i, j] = j - i on the region
+    jb = np.clip(j - b, 0, M)                 # jb[j, b] = j - b on the transposed region
+    ipm = np.clip(i + m, 0, M)
+    skew = 2 * i + m > M + 1                  # node (i, i+m) off the region
+    e_diag = _diag_T(f.e_cum)
+
+    # outer integrand over tau = m*h/2 at fixed xi_i (row i, column m):
+    #   q(tau) [ d_cum[i, m] - e_cum[i, i] + e_cum[i+m, i] ]
+    t = f.d_cum - e_diag[:, None]
+    t += f.e_cum[ipm, i]
+    g1 = _mul(f.qh, t)
+    del t
+    g1[skew] = 0.0
+    cum_x1 = _cumtrapz(g1, h / 2.0, axis=1)
+    del g1
+
+    # outer integrand over xi_b at fixed eta_j (row j, column b):
+    #   q_{j-b} [ d_cum[b, j-b] - e_cum[b, b] + e_cum[j, b] ]
+    t = f.d_cum[b, jb]
+    t -= e_diag
+    t += f.e_cum
+    g3 = _mul(f.qh[jb], t)
+    del t
+    g3[~region.T] = 0.0
+    cum_x3 = _cumtrapz(g3, h / 2.0, axis=1)
+    del g3
+
+    w_hat = cum_x1[i, jm]
+    del cum_x1
+    w_hat -= _diag_T(cum_x3)[:, None]
+    w_hat += cum_x3.swapaxes(0, 1)
+    del cum_x3
+    w_hat *= 0.25
+
+    # single q*q integrals; cc1 integrates q(s) q(xi/2 + s), cc6[j, a]
+    # integrates q_{j-b} q_b over b = 0..a
+    q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+    qq_fwd = _mul(f.qh, f.qh[ipm])
+    qq_fwd[skew] = 0.0
+    cc1 = _cumtrapz(qq_fwd, h / 2.0, axis=1)
+    del qq_fwd
+    eighth = cc1[i, jm]
+    del cc1
+    eighth -= _mul(q_cum[jm], f.qh[:rows, None])
+    qq_bwd = _mul(f.qh[jb], f.qh[:rows])
+    qq_bwd[~region.T] = 0.0
+    cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=1)
+    del qq_bwd
+    eighth += _diag_T(cc6)[:, None]
+    eighth -= _mul(q_cum[:rows], f.qh[:rows])[:, None]
+    eighth += _mul(q_cum[None, :] - q_cum[jm], f.qh[None, :])
+    eighth -= cc6.swapaxes(0, 1)
+    del cc6
+    eighth *= 0.125
+
+    # pointwise edge terms
+    qv_edge = _mul(f.qh, f.v[0])
+    out = qv_edge[:rows, None] - qv_edge[None, :]
+    out *= 0.25
+    out += eighth
+    del eighth
+    out += w_hat
+    out[~region] = 0.0
+    return out
+
+
+def layered_tables(f):
+    """A copy of f with its derivative tables rebuilt by the layered reference."""
+    ref = dataclasses.replace(f, e_cum=None, d_cum=None, wx_lat=None, _wtt_lat=None)
+    layered_attach_tables(ref)
+    return ref
+
+
 def ref_kernel_constants(p, f):
     M, h = f.M, f.step
     _, A, B = _grids(M)
@@ -232,13 +352,13 @@ def test_solve_goursat_matches_reference(case):
     p, h, f, ref = case
     assert f.iterations == ref.iterations
     assert f.tail_bound == ref.tail_bound
-    # region nodes (i, j); e_cum[j, i] integrates along eta_j from xi = 0 to xi_i
+    # region nodes (i, j); e_cum[i, j] integrates along eta_j from xi = 0 to xi_i
     i, j = np.nonzero(_region(f.M))
     assert rel_gap(f.v[i, j], ref.v[i, j]) <= REL
     assert rel_gap(f.wtilde_lattice()[i, j], (ref.v - full_v0(p, 1.0, h))[i, j]) <= REL
-    assert f.e_cum.shape[:2] == (f.M + 1, f.M // 2 + 2)
-    assert rel_gap(f.e_cum[j, i], ref.e_cum[j, j] - ref.e_cum[j, j - i]) <= REL
-    assert rel_gap(f.d_cum[i, j - i], ref.d_cum[i, j - i]) <= REL
+    assert f.e_cum.shape == f.d_cum.shape == f.v.shape
+    assert rel_gap(f.e_cum[i, j], ref.e_cum[j, j] - ref.e_cum[j, j - i]) <= REL
+    assert rel_gap(f.d_cum[i, j], ref.d_cum[i, j - i]) <= REL
     assert rel_gap(f.wx_lat[i, j], ref.wx_lat[i, j]) <= REL
 
 
@@ -250,6 +370,44 @@ def test_wtt_lattice_matches_reference(case):
         assert table.shape == (f.M // 2 + 2, f.M + 1, f.dim, f.dim)
         assert not table[~region].any()
     assert rel_gap(f.wtt_lattice()[i, j], ref_assemble_wtt(ref)[i, j]) <= REL
+
+
+def _assert_tables_match_layered(f):
+    ref = layered_tables(f)
+    i, j = np.nonzero(_region(f.M))
+    assert f.e_cum.shape == f.d_cum.shape == f.v.shape
+    assert np.array_equal(f.e_cum[i, j], ref.e_cum[j, i])
+    assert np.array_equal(f.d_cum[i, j], ref.d_cum[i, j - i])
+    assert np.array_equal(f.wx_lat, ref.wx_lat)
+    assert np.array_equal(f.wtt_lattice(), layered_assemble_wtt(ref))
+
+
+def test_tables_match_layered_reference_bit_for_bit(case, tmp_path):
+    p, h, f, _ = case
+    _assert_tables_match_layered(f)
+    _assert_tables_match_layered(wk.initial_v0(p, 1.0, h))
+    wk.dump_kernel(f, p, tmp_path / "k.csv", tmp_path / "k.json")
+    _assert_tables_match_layered(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p))
+
+
+def test_nonzero_diagonal_shifts_d_cum(case):
+    # d_cum runs along eta from j = 0 and relies on v[i, i] = 0, the Goursat
+    # condition on the diagonal.  A field that breaks it (the planted values
+    # of the dump round-trip test are one) has row i of d_cum moved by
+    # (h/4) q_0 v[i, i] from the diagonal on; e_cum and v stay exact.
+    p, h, f, _ = case
+    v = f.v.copy()
+    v[5, 5] = np.eye(f.dim)
+    planted = dataclasses.replace(f, v=v)
+    _attach_tables(planted)
+    ref = layered_tables(planted)
+    shift = 0.25 * h * f.qh[0]
+    assert np.allclose(planted.d_cum[5, 5:42] - ref.d_cum[5, :37], shift, rtol=0, atol=1e-14)
+    i, j = np.nonzero(_region(f.M))
+    assert np.array_equal(planted.e_cum[i, j], ref.e_cum[j, i])
+    others = i != 5
+    assert np.array_equal(planted.d_cum[i[others], j[others]],
+                          ref.d_cum[i[others], (j - i)[others]])
 
 
 def test_kernel_constants_match_reference(case):

@@ -113,6 +113,19 @@ def test_integral_domain_errors():
         wk.integral_Q(p, -0.1, 0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("evaluate", [
+    lambda p, x: p.eval(x),
+    lambda p, x: p.eval(np.array([0.5, x])),
+    lambda p, x: p.integral(x, 1.0),
+    lambda p, x: p.norm_integral(x),
+], ids=["eval", "eval_array", "integral", "norm_integral"])
+def test_non_finite_point_is_a_domain_error(evaluate, bad):
+    p = wk.preset_potential("herm2", x_max=2.0, step=1 / 64)
+    with pytest.raises(DomainError, match="not finite"):
+        evaluate(p, bad)
+
+
 def test_majorant_scalar_and_diag():
     p = wk.constant_potential(2.0, x_max=2.0, step=1 / 64)
     assert wk.majorant_S(p, 1.0) == pytest.approx(2.0 / 4.0, abs=1e-14)

@@ -143,6 +143,12 @@ def test_control_from_samples_rejects_nonvanishing():
         wk.control_from_samples(ts, vals)
 
 
+@pytest.mark.parametrize("n_bumps", [0, -2, 1.5, True])
+def test_random_smooth_control_rejects_bad_bump_count(n_bumps):
+    with pytest.raises(ControlError, match="n_bumps must be an integer >= 1"):
+        wk.random_smooth_control(1.0, 2, np.random.default_rng(4), n_bumps=n_bumps)
+
+
 def test_random_smooth_control_reproducible():
     a = wk.random_smooth_control(1.0, 2, np.random.default_rng(4))
     b = wk.random_smooth_control(1.0, 2, np.random.default_rng(4))
