@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PotentialError, SingularSystemError
+from .errors import DomainError, PotentialError, SingularSystemError
 from .fileio import write_table
 from .potential import PotentialGrid
 
@@ -48,8 +48,13 @@ class WeylSolution:
         return self.samples.shape[-1]
 
     def eval(self, x) -> np.ndarray:
-        """K(x) anywhere on the half-line; exponential formula beyond the cutoff."""
+        """K(x) anywhere on the half-line; exponential formula beyond the cutoff.
+
+        x must be finite and >= 0 up to a 1e-12 rounding allowance (DomainError).
+        """
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x) & (x >= -1e-12)):
+            raise DomainError(f"K(x) needs finite x >= 0, got x in [{x.min()}, {x.max()}]")
         scal = x.ndim == 0
         xs = np.atleast_1d(x)
         out = np.empty(xs.shape + (self.dim, self.dim), dtype=complex)

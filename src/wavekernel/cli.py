@@ -2,9 +2,9 @@
 
 Subcommands: kernel, propagate, apply, invert, bounds, validate, oracle.
 Exit codes: 0 ok, 1 input error, 2 non-convergence, 3 validation failure.
-Every command writes a manifest echoing the resolved configuration, and
-identical configurations with identical seeds produce byte-identical
-output files.
+A config key outside _CONFIG_KEYS is an input error.  Every command writes
+a manifest echoing the resolved configuration, and identical configurations
+with identical seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .control_op import (build_volterra, certify_h2_bound, condition_estimate, i
 from .errors import (CertificationError, ConfigError, ControlError,
                      ConvergenceError, DomainError, PotentialError,
                      SingularSystemError)
-from .fileio import read_key_values, read_table, write_json, write_table
+from .fileio import read_key_values, read_table, reject_unknown_keys, write_json, write_table
 # kernel_constants is not called here; it stays importable from cli, where
 # bench/tracer.py wraps it by name
 from .goursat import (check_goursat, dump_kernel, load_kernel, solve_goursat,
@@ -34,8 +34,20 @@ from .propagator import (Control, _l2, bump_control, control_from_samples,
                          zero_control)
 
 
+# Every key a command reads.  One set serves all commands, so one config file
+# can drive each of them; any other key is an input error.
+_CONFIG_KEYS = frozenset({"potential", "T", "h", "tol", "max_sweeps", "N", "control",
+                          "kernel_dump", "snapshot", "trials", "dq_t", "out", "seed"})
+
+# validate's fixed thresholds; its interior threshold is max(10 h, 0.05)
+_EDGE_TOL = 1e-4
+_ORACLE_REL_TOL = 1e-2
+_DQ_SLOPE_MIN = 0.9
+
+
 def _parse_config(path: Path) -> dict:
     cfg = read_key_values(path, "config", ConfigError)
+    reject_unknown_keys(cfg, _CONFIG_KEYS, path, "config", ConfigError)
     cfg["_dir"] = path.parent
     return cfg
 
@@ -241,7 +253,7 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
 
     report = check_goursat(p, field)
     snap = propagate(field, f, T, N)
-    fd = fd_solve(p, f, FDConfig(N_x=_cfg_int(cfg, "fd_nx", 2 * N), T=T))
+    fd = fd_solve(p, f, FDConfig(N_x=2 * N, T=T))
     _, _, rel = compare(snap, fd)
     rep = measure_h2_bound(field, p, T, trials=_cfg_int(cfg, "trials", 25),
                            N=min(N, 256), seed=seed)
@@ -251,10 +263,10 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
     s_min, s_max, cond = condition_estimate(build_volterra(field, T, min(N, 512)))
 
     thresholds = {
-        "edge_tol": _cfg_float(cfg, "edge_tol", 1e-4),
-        "interior_tol": _cfg_float(cfg, "interior_tol", max(10.0 * field.step, 0.05)),
-        "oracle_rel_tol": _cfg_float(cfg, "oracle_rel_tol", 1e-2),
-        "dq_slope_min": _cfg_float(cfg, "dq_slope_min", 0.9),
+        "edge_tol": _EDGE_TOL,
+        "interior_tol": max(10.0 * field.step, 0.05),
+        "oracle_rel_tol": _ORACLE_REL_TOL,
+        "dq_slope_min": _DQ_SLOPE_MIN,
     }
     failing = []
     if report.diag_residual > 0.0:
@@ -304,7 +316,7 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
 def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
     p, f, snap = _wave(cfg)
     N = snap.grid.size - 1
-    fd = fd_solve(p, f, FDConfig(N_x=_cfg_int(cfg, "fd_nx", 2 * N), T=snap.T))
+    fd = fd_solve(p, f, FDConfig(N_x=2 * N, T=snap.T))
     l2, mx, rel = compare(snap, fd)
     _write_series_csv(out / "fd_snapshot.csv", "x", fd.grid, u=fd.u, ux=fd.u_x, uxx=fd.u_xx)
     write_json(out / "oracle.json", {"l2_err": l2, "max_err": mx, "rel_l2": rel})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, SingularSystemError
+from .errors import CertificationError, DomainError, SingularSystemError, check_count
 from .goursat import KernelField, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
 from .propagator import (Control, OperatorTables, _apply_table, _l2, propagate,
@@ -113,8 +113,7 @@ def neumann_partial_sums(sys: VolterraSystem, u: np.ndarray, terms: int) -> list
     terms, the number of terms after the first, is an integer >= 0
     (DomainError otherwise).
     """
-    if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)) or terms < 0:
-        raise DomainError(f"terms must be an integer >= 0, got {terms!r}")
+    check_count(terms, "terms", 0, DomainError)
     u = _checked_snapshot(sys, u)
     sums = [u.copy()]
     for _ in range(terms):
@@ -251,8 +250,7 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     denominator.  Returns the report whether or not the ratios stay within
     their bounds.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
+    check_count(trials, "trials", 1, DomainError)
     tab = _SobolevTables(field, T, N)
     grid = tab.grid
     a1, a2 = norm_constants(p, T)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check for counts."""
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -27,3 +29,12 @@ class CertificationError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration or spec file could not be parsed."""
+
+
+def check_count(value, name: str, least: int, error: type[Exception]) -> None:
+    """Raise the caller's error unless value is an integer >= least.
+
+    A bool is not a count, though Python treats it as an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")

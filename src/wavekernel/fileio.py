@@ -47,6 +47,16 @@ def read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
     return out
 
 
+def reject_unknown_keys(kv: dict, known, path: Path, what: str,
+                        error: type[Exception]) -> None:
+    """Raise the caller's error, naming the keys and the file, if kv has a key not in known."""
+    unknown = [key for key in kv if key not in known]
+    if unknown:
+        raise error(f"{path}: unknown {what} key{'s' * (len(unknown) > 1)} "
+                    f"{', '.join(map(repr, unknown))}; "
+                    f"known keys: {', '.join(sorted(known))}")
+
+
 def header(real_names, complex_names) -> str:
     """Header line of a numeric CSV: the real columns, then a re/im pair per complex one."""
     return ",".join([*real_names, *(f"{c}_{p}" for c in complex_names for p in ("re", "im"))])

@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_count
 from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
+_BOUND_SLACK = 1e-10      # relative slack of bound_violations, for rounding
 
 
 def _region(M: int) -> np.ndarray:
@@ -298,9 +299,7 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) \
-            or max_sweeps < 1:
-        raise DomainError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
+    check_count(max_sweeps, "max_sweeps", 1, DomainError)
     M, qh = _lattice_setup(p, T, h)
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
     v0_planes = _v0_planes(qh, h)
@@ -571,12 +570,13 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
                          bound_violations=count, bound_excess=excess)
 
 
-def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, float]:
+def bound_violations(f: KernelField) -> tuple[int, float]:
     """Nodes where the field exceeds its exponential a priori bound.
 
     The majorant is evaluated with the same lattice quadrature the solver
-    uses, so the edge-equality case is reproduced exactly.  Only the nodes of
-    the region i + j <= M + 1, which a field stores, are checked.
+    uses, so the edge-equality case is reproduced exactly; a node counts only
+    when it exceeds the bound by more than _BOUND_SLACK * (1 + bound).  Only
+    the nodes of the region i + j <= M + 1, which a field stores, are checked.
     """
     M, h = f.M, f.step
     region = _region(M)
@@ -584,7 +584,7 @@ def bound_violations(f: KernelField, rel_slack: float = 1e-10) -> tuple[int, flo
     s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
     xi = np.arange(region.shape[0]) * h
     bound = s_lat[None, :] * np.exp(xi[:, None] * s_lat[None, :]) + f.tail_bound
-    excess = _opnorms(f.v) - (bound + rel_slack * (1.0 + bound))
+    excess = _opnorms(f.v) - (bound + _BOUND_SLACK * (1.0 + bound))
     bad = (excess > 0) & region
     worst = float(np.max(excess[bad])) if bad.any() else 0.0
     return int(np.count_nonzero(bad)), worst

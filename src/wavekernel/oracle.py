@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .potential import PotentialGrid
 from .propagator import Control, WaveSnapshot, _l2
+
+_N_QUAD = 400        # Simpson cells per axis (even) in bessel_substitution_residual
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,7 @@ class FDConfig:
     cfl: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.N_x, bool) or not isinstance(self.N_x, (int, np.integer)) \
-                or self.N_x < 16:
-            raise DomainError(f"need an integer N_x >= 16 space cells, got {self.N_x!r}")
+        check_count(self.N_x, "N_x (space cells)", 16, DomainError)
         if not (math.isfinite(self.T) and self.T > 0):
             raise DomainError(f"horizon T = {self.T} must be finite and positive")
         if not 0.0 < self.cfl <= 1.0:
@@ -101,27 +101,30 @@ def bessel_j1_over_z(z2: np.ndarray) -> np.ndarray:
 
 
 def bessel_kernel_constant(c: float, x, t) -> np.ndarray:
-    """Closed-form scalar kernel for a constant potential c > 0."""
-    if c <= 0:
-        raise DomainError("constant must be positive")
+    """Closed-form scalar kernel for a constant potential c > 0.
+
+    c, x and t must be finite, with 0 <= x <= t up to 1e-12 (DomainError).
+    """
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError(f"constant must be finite and positive, got {c}")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+        raise DomainError("x and t must be finite (found NaN or inf)")
     if np.any(x < -1e-12) or np.any(x > t + 1e-12):
         raise DomainError("need 0 <= x <= t")
     z2 = c * np.maximum(t**2 - x**2, 0.0)
     return -c * x * bessel_j1_over_z(z2)
 
 
-def bessel_substitution_residual(c: float, points, n_quad: int = 400) -> float:
+def bessel_substitution_residual(c: float, points) -> float:
     """Residual of the closed-form kernel in the characteristic integral equation.
 
     Substitutes the Bessel form into v = v0 + V v at the given (xi, eta)
     points, evaluating the double integral with an independent fine
-    Simpson rule.  A small residual certifies the closed form before it is
-    used as an oracle.
+    Simpson rule of _N_QUAD cells per axis.  A small residual certifies the
+    closed form before it is used as an oracle.
     """
-    if n_quad % 2 != 0:
-        n_quad += 1
 
     def v_of(xi, eta):
         xs = (eta - xi) / 2.0
@@ -135,15 +138,15 @@ def bessel_substitution_residual(c: float, points, n_quad: int = 400) -> float:
         if xi < 1e-14:
             integral = 0.0
         else:
-            s1 = np.linspace(0.0, xi, n_quad + 1)
-            s2 = np.linspace(xi, eta, n_quad + 1)
+            s1 = np.linspace(0.0, xi, _N_QUAD + 1)
+            s2 = np.linspace(xi, eta, _N_QUAD + 1)
             X1, X2 = np.meshgrid(s1, s2, indexing="ij")
             vals = c * v_of(X1, X2)
-            w = np.ones(n_quad + 1)
+            w = np.ones(_N_QUAD + 1)
             w[1:-1:2] = 4.0
             w[2:-1:2] = 2.0
-            w1 = w * (xi / n_quad / 3.0)
-            w2 = w * ((eta - xi) / n_quad / 3.0)
+            w1 = w * (xi / _N_QUAD / 3.0)
+            w2 = w * ((eta - xi) / _N_QUAD / 3.0)
             integral = -0.25 * np.einsum("i,ij,j->", w1, vals, w2)
         worst = max(worst, abs(float(v_val) - (v0 + integral)))
     return worst

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, PotentialError
+from .errors import DomainError, PotentialError, check_count
 
 _HERMITIAN_TOL = 1e-8
 _RANGE_TOL = 1e-9
@@ -193,8 +193,7 @@ def _grid_steps(dim, x_max, step) -> int:
     dim must be an integer >= 1, x_max and step finite and positive, and
     [0, x_max] must hold at least one step; otherwise PotentialError.
     """
-    if not (isinstance(dim, numbers.Integral) and dim >= 1):
-        raise PotentialError(f"dimension must be an integer >= 1, got {dim!r}")
+    check_count(dim, "dimension", 1, PotentialError)
     for name, value in (("x_max", x_max), ("step", step)):
         if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
             raise PotentialError(f"{name} must be finite and positive, got {value!r}")
@@ -378,18 +377,31 @@ def parse_complex(token: str) -> complex:
         raise PotentialError(f"cannot parse complex entry {token!r}") from exc
 
 
+# keys each kind of potential spec reads, besides kind
+_SPEC_KEYS = {
+    "zero": {"dimension", "x_max", "step"},
+    "constant": {"dimension", "x_max", "step", "matrix"},
+    "sampled": {"csv"},
+    "preset": {"name", "x_max", "step"},
+}
+
+
 def parse_potential_file(path) -> dict:
     """Parse a plain-text key-value potential description.
 
-    Fields: kind, dimension, x_max, step, and one of ``matrix`` (row-major
-    complex entries), ``csv`` (sample file path, relative to the spec file)
-    or ``name`` (preset registry key).
+    Fields: kind, then per kind (_SPEC_KEYS): zero takes dimension, x_max
+    and step; constant those plus ``matrix`` (row-major complex entries);
+    sampled only ``csv`` (sample file path, relative to the spec file);
+    preset ``name`` (registry key), x_max and step.  Any other key is a
+    PotentialError.
     """
     path = Path(path)
     spec = fileio.read_key_values(path, "potential file", PotentialError)
     kind = spec.get("kind")
-    if kind not in {"zero", "constant", "sampled", "preset"}:
+    if kind not in _SPEC_KEYS:
         raise PotentialError(f"{path}: kind must be zero/constant/sampled/preset, got {kind!r}")
+    fileio.reject_unknown_keys(spec, {"kind", *_SPEC_KEYS[kind]}, path,
+                               f"{kind} potential", PotentialError)
     out: dict = {"kind": kind}
     for key, convert in (("dimension", int), ("x_max", float), ("step", float)):
         if key in spec:

@@ -22,10 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ControlError, DomainError
+from .errors import ControlError, DomainError, check_count
 from .goursat import KernelField, _interp_triangle
 
 _SUPPORT_TOL = 1e-12
+_RANDOM_BUMPS = 3         # bumps per random_smooth_control
+_DQ_N = 400               # grid intervals of difference_quotient_test
 
 
 def _bump_profile(t: np.ndarray, start: float, stop: float):
@@ -216,12 +218,13 @@ def ramp_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
     return _checked(Control(T, dim, start, ev, label=f"ramp({start},{stop})"))
 
 
-def control_from_samples(ts, values, T: float = None, support_start: float = None) -> Control:
+def control_from_samples(ts, values, T: float = None) -> Control:
     """Quintic-spline fit of sampled control values.
 
-    The samples must be identically zero on an initial segment; the spline
-    is clamped to zero below support_start and the smoothness contract is
-    verified at construction.
+    The samples must be identically zero on an initial segment.  The
+    support starts at the last sample time of that segment; the spline is
+    clamped to zero up to it and the smoothness contract is verified at
+    construction.  All-zero samples give the zero control.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -237,12 +240,11 @@ def control_from_samples(ts, values, T: float = None, support_start: float = Non
     dim = values.shape[1]
     mags = np.max(np.abs(values), axis=1)
     nz = np.nonzero(mags > _SUPPORT_TOL * max(mags.max(), 1.0))[0]
-    if support_start is None:
-        if nz.size == 0:
-            return zero_control(T, dim)
-        if nz[0] == 0:
-            raise ControlError("sampled control must vanish on an initial segment")
-        support_start = float(ts[nz[0] - 1])
+    if nz.size == 0:
+        return zero_control(T, dim)
+    if nz[0] == 0:
+        raise ControlError("sampled control must vanish on an initial segment")
+    support_start = float(ts[nz[0] - 1])
     # scipy.interpolate takes ~0.5 s to import; only sampled controls need it
     from scipy.interpolate import make_interp_spline
 
@@ -261,13 +263,10 @@ def control_from_samples(ts, values, T: float = None, support_start: float = Non
     return _checked(Control(T, dim, support_start, ev, label="sampled"))
 
 
-def random_smooth_control(T: float, dim: int, rng: np.random.Generator,
-                          n_bumps: int = 3) -> Control:
-    """Random combination of n_bumps >= 1 bumps; reproducible from the generator state."""
-    if isinstance(n_bumps, bool) or not isinstance(n_bumps, (int, np.integer)) or n_bumps < 1:
-        raise ControlError(f"n_bumps must be an integer >= 1, got {n_bumps!r}")
+def random_smooth_control(T: float, dim: int, rng: np.random.Generator) -> Control:
+    """Random sum of _RANDOM_BUMPS bumps; reproducible from the generator state."""
     ctrl = None
-    for _ in range(n_bumps):
+    for _ in range(_RANDOM_BUMPS):
         start = float(rng.uniform(0.05, 0.45)) * T
         width = float(rng.uniform(0.25, 0.5)) * T
         stop = min(start + width, 0.97 * T)
@@ -339,8 +338,7 @@ class OperatorTables:
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-            raise DomainError(f"grid size N must be an integer >= 1, got {N!r}")
+        check_count(N, "grid size N", 1, DomainError)
         if not 0.0 < T <= field.T * (1 + 1e-12) + 1e-12:
             raise DomainError(f"horizon T = {T} must lie in (0, {field.T}], "
                               f"the kernel horizon")
@@ -478,7 +476,7 @@ class DifferenceQuotientReport:
 
 
 def difference_quotient_test(field: KernelField, f: Control, t: float,
-                             h_list, N: int = 400) -> DifferenceQuotientReport:
+                             h_list) -> DifferenceQuotientReport:
     """Convergence of time difference quotients of the wave to its derivative.
 
     For each step h the L2 distance over [0, H], H = t + max h, between
@@ -486,8 +484,9 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     the fitted log-log slope.  By time invariance, in
     u(x, t') = f(t' - x) + int_x^H w(x, s) f(t' - s) ds the samples
     f(t' - s) vanish for s > t', so OperatorTables(field, H, N), which
-    checks N and H, serves every t' <= H: u(., t), each u(., t + h) and
-    u_t(., t) (f' for f) come from one k0 product, as in propagate.
+    checks H, serves every t' <= H: u(., t), each u(., t + h) and
+    u_t(., t) (f' for f) come from one k0 product, as in propagate.  The
+    grid has N = _DQ_N intervals.
     """
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
     # sorted, so two distinct steps differ at the ends; np.unique would import numpy.ma
@@ -498,7 +497,7 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
         raise DomainError(f"time t = {t} must be finite and non-negative")
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
-    tab = OperatorTables(field, t + h_arr.max(), N)
+    tab = OperatorTables(field, t + h_arr.max(), _DQ_N)
     s = tab.grid
     f0, f1, _ = f.sample(t - s)
     g = np.stack([f0, *(f.sample(t + h - s)[0] for h in h_arr), f1])

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import wavekernel as wk
-from wavekernel.errors import PotentialError
+from wavekernel.errors import DomainError, PotentialError
 
 
 def test_weyl_scalar_exponential():
@@ -76,6 +76,20 @@ def test_weyl_rejects_bad_cutoff(X):
     p = wk.constant_potential(1.0, x_max=2.0, step=1 / 128)
     with pytest.raises(PotentialError, match="cutoff"):
         wk.weyl_solution(p, X, 1.0)
+
+
+@pytest.mark.parametrize("x", [float("nan"), -1.0, float("inf"), [0.5, float("nan")],
+                               -2e-12], ids=["nan", "negative", "inf", "array_nan", "below_rounding"])
+def test_weyl_eval_rejects_bad_point(x):
+    # eval(nan) used to return a NaN matrix, eval(-1) K(0); lambda_map passed both on
+    p = wk.constant_potential(1.0, x_max=2.0, step=1 / 128)
+    K = wk.weyl_solution(p, 1.5, 1.0)
+    with pytest.raises(DomainError):
+        K.eval(x)
+    with pytest.raises(DomainError):
+        wk.lambda_map(K, [1.0])(x)
+    # within the rounding allowance, x = -1e-13 reads K(0)
+    assert np.array_equal(K.eval(-1e-13), K.eval(0.0))
 
 
 def test_weyl_rejects_bad_decay_matrix():

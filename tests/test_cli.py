@@ -344,6 +344,34 @@ def test_malformed_spec_rejected(tmp_path, capsys, command, pot, extra, files):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+SAMPLES_CSV = "".join(f"{k / 8},1,0\n" for k in range(17))
+
+
+@pytest.mark.parametrize("command, pot, extra, key", [
+    ("validate", "kind = zero\n", "NN = 7\n", "NN"),
+    # validate's thresholds and the oracle grid were config keys before they became
+    # constants; each default value below used to be accepted and run
+    ("validate", "kind = zero\n", "fd_nx = 200\n", "fd_nx"),
+    ("validate", "kind = zero\n", "edge_tol = 1e-4\n", "edge_tol"),
+    ("validate", "kind = zero\n", "interior_tol = 0.2\n", "interior_tol"),
+    ("validate", "kind = zero\n", "oracle_rel_tol = 1e-2\n", "oracle_rel_tol"),
+    ("validate", "kind = zero\n", "dq_slope_min = 0.9\n", "dq_slope_min"),
+    # potential spec keys the kind does not read used to be parsed and dropped
+    ("kernel", "kind = zero\nstpe = 0.01\n", "", "stpe"),
+    ("kernel", "kind = sampled\ncsv = q.csv\nstep = 0.125\n", "", "step"),
+    ("kernel", "kind = preset\nname = one\ndimension = 1\nx_max = 2.0\n", "", "dimension"),
+], ids=["cfg_NN", "cfg_fd_nx", "cfg_edge_tol", "cfg_interior_tol", "cfg_oracle_rel_tol",
+        "cfg_dq_slope_min", "pot_stpe", "sampled_step", "preset_dimension"])
+def test_unknown_key_rejected(tmp_path, capsys, command, pot, extra, key):
+    write_pot(tmp_path / "pot.txt", pot)
+    (tmp_path / "q.csv").write_text(SAMPLES_CSV)
+    cfg = write_cfg(tmp_path, extra=extra)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown" in err and repr(key) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("extra, message", [
     ("control = bump start=0.1 stop=0.9 amplitude=5\n", "unexpected token 'amplitude=5'"),
     ("control = ramp amp=2 x.csv\n", "unexpected token 'x.csv'"),
@@ -437,9 +465,14 @@ def test_validate_q1_passes(tmp_path):
     assert main(["validate", "--config", str(cfg)]) == 0
 
 
-def test_validate_threshold_failure(tmp_path, capsys):
+def test_validate_threshold_failure(tmp_path, capsys, monkeypatch):
+    # the interior threshold is max(10 h, 0.05) = 0.2 here; report a residual above it
+    from wavekernel import cli
+    check = cli.check_goursat
+    monkeypatch.setattr(cli, "check_goursat",
+                        lambda p, f: dataclasses.replace(check(p, f), interior_residual=1.0))
     one_pot(tmp_path)
-    cfg = write_cfg(tmp_path, extra="trials = 5\ninterior_tol = 1e-30\n")
+    cfg = write_cfg(tmp_path, extra="trials = 5\n")
     assert main(["validate", "--config", str(cfg)]) == 3
     assert "goursat_interior" in capsys.readouterr().err
     rep = json.loads((tmp_path / "out" / "validate.json").read_text())

@@ -67,10 +67,20 @@ def test_bessel_limits():
         wk.bessel_kernel_constant(1.0, 0.8, 0.5)
 
 
+@pytest.mark.parametrize("c, x, t", [
+    (float("nan"), 0.3, 0.5), (float("inf"), 0.3, 0.5), (1.0, float("nan"), 0.5),
+    (1.0, 0.3, float("nan")), (1.0, [0.1, float("nan")], 0.5), (1.0, 0.3, float("inf")),
+], ids=["c_nan", "c_inf", "x_nan", "t_nan", "x_array_nan", "t_inf"])
+def test_bessel_rejects_non_finite(c, x, t):
+    # a NaN c, x or t used to pass the c > 0 and 0 <= x <= t checks and return NaN
+    with pytest.raises(DomainError, match="finite"):
+        wk.bessel_kernel_constant(c, x, t)
+
+
 @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
 def test_bessel_substitution(c):
     pts = [(0.0, 1.0), (0.3, 0.9), (0.5, 1.5), (1.0, 2.0), (1.7, 1.9)]
-    assert wk.bessel_substitution_residual(c, pts, 400) < 1e-8
+    assert wk.bessel_substitution_residual(c, pts) < 1e-8
 
 
 def test_compare_trivial(pot_zero, bump1):

@@ -77,9 +77,10 @@ def test_non_finite_samples_rejected(bad):
     lambda: wk.constant_potential(np.zeros((0, 0))),
     lambda: potential_from_callable(np.ones_like, 1, 1.0, np.nan),
     lambda: potential_from_callable(np.ones_like, 0, 1.0, 0.125),
+    lambda: wk.zero_potential(True),
 ], ids=["step_zero", "dim_zero", "dim_fraction", "x_max_nan", "no_step_fits",
         "constant_step_negative", "constant_x_max_inf", "constant_empty",
-        "callable_step_nan", "callable_dim_zero"])
+        "callable_step_nan", "callable_dim_zero", "dim_bool"])
 def test_constructors_reject_degenerate_sizes(build):
     with pytest.raises(PotentialError):
         build()

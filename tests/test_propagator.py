@@ -143,12 +143,6 @@ def test_control_from_samples_rejects_nonvanishing():
         wk.control_from_samples(ts, vals)
 
 
-@pytest.mark.parametrize("n_bumps", [0, -2, 1.5, True])
-def test_random_smooth_control_rejects_bad_bump_count(n_bumps):
-    with pytest.raises(ControlError, match="n_bumps must be an integer >= 1"):
-        wk.random_smooth_control(1.0, 2, np.random.default_rng(4), n_bumps=n_bumps)
-
-
 def test_random_smooth_control_reproducible():
     a = wk.random_smooth_control(1.0, 2, np.random.default_rng(4))
     b = wk.random_smooth_control(1.0, 2, np.random.default_rng(4))
@@ -389,13 +383,6 @@ def test_difference_quotient_domain(field_one, bump1):
 def test_difference_quotient_rejects_degenerate(field_one, bump1, t, h_list):
     with pytest.raises(DomainError):
         wk.difference_quotient_test(field_one, bump1, t, h_list)
-
-
-@pytest.mark.parametrize("N", [0, -3, 2.5])
-def test_difference_quotient_rejects_degenerate_grid(field_one, bump1, N):
-    # N = 0 used to return slope inf with zero errors, which counts as a pass
-    with pytest.raises(DomainError, match="grid size N"):
-        wk.difference_quotient_test(field_one, bump1, 0.5, [0.1, 0.05], N=N)
 
 
 def test_difference_quotient_dim_mismatch(field_one):
