@@ -2,9 +2,9 @@
 
 Subcommands: kernel, propagate, apply, invert, bounds, validate, oracle.
 Exit codes: 0 ok, 1 input error, 2 non-convergence, 3 validation failure.
-A config key outside _CONFIG_KEYS is an input error.  Every command writes
-a manifest echoing the resolved configuration, and identical configurations
-with identical seeds produce byte-identical output files.
+A config key outside _CONFIG_KEYS is an input error.  Every command that
+returns writes a manifest echoing the resolved configuration, and identical
+configurations with identical seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .control_op import (build_volterra, certify_h2_bound, condition_estimate, i
                          measure_h2_bound, reflect)
 from .errors import (CertificationError, ConfigError, ControlError,
                      ConvergenceError, DomainError, PotentialError,
-                     SingularSystemError)
+                     SingularSystemError, check_count)
 from .fileio import read_key_values, read_table, reject_unknown_keys, write_json, write_table
 # kernel_constants is not called here; it stays importable from cli, where
 # bench/tracer.py wraps it by name
@@ -122,12 +122,6 @@ def _load_control(cfg: dict, T: float, dim: int) -> Control:
     return control_from_samples(ts[:, 0], vals, T=T)
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed: int) -> None:
-    echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    write_json(out / "manifest.json",
-               {"command": command, "version": __version__, "seed": seed, "config": echo})
-
-
 def _write_series_csv(path: Path, axis: str, grid: np.ndarray, **series) -> None:
     """One row per grid node: the node, then every component of every series."""
     names = [f"{name}{c}" for name, values in series.items() for c in range(values.shape[1])]
@@ -156,7 +150,6 @@ def cmd_kernel(cfg: dict, out: Path, seed: int) -> int:
     p = _load_potential(cfg)
     field = _solve_field(cfg, p)
     dump_kernel(field, p, out / "kernel.csv", out / "kernel.json")
-    _write_manifest(out, "kernel", cfg, seed)
     return 0
 
 
@@ -174,14 +167,12 @@ def cmd_propagate(cfg: dict, out: Path, seed: int) -> int:
     _, _, snap = _wave(cfg)
     _write_series_csv(out / "snapshot.csv", "x", snap.grid, u=snap.u, ux=snap.u_x,
                       uxx=snap.u_xx)
-    _write_manifest(out, "propagate", cfg, seed)
     return 0
 
 
 def cmd_apply(cfg: dict, out: Path, seed: int) -> int:
     _, _, snap = _wave(cfg)
     _write_series_csv(out / "wave.csv", "t", snap.grid, u=snap.u)
-    _write_manifest(out, "apply", cfg, seed)
     return 0
 
 
@@ -212,7 +203,6 @@ def cmd_invert(cfg: dict, out: Path, seed: int) -> int:
         num, den = _l2(sysv.grid, recovered - ref), _l2(sysv.grid, ref)
         summary["roundtrip_rel_l2"] = float(num / den) if den > 0 else 0.0
     write_json(out / "invert.json", summary)
-    _write_manifest(out, "invert", cfg, seed)
     return 0
 
 
@@ -236,7 +226,6 @@ def cmd_bounds(cfg: dict, out: Path, seed: int) -> int:
         "seed": seed, "trials": trials,
     }
     write_json(out / "bounds.json", payload)
-    _write_manifest(out, "bounds", cfg, seed)
     return 0
 
 
@@ -306,7 +295,6 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
         "pass": not failing,
     }
     write_json(out / "validate.json", payload)
-    _write_manifest(out, "validate", cfg, seed)
     if failing:
         print(f"validation failed: {', '.join(failing)}", file=sys.stderr)
         return 3
@@ -320,7 +308,6 @@ def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
     l2, mx, rel = compare(snap, fd)
     _write_series_csv(out / "fd_snapshot.csv", "x", fd.grid, u=fd.u, ux=fd.u_x, uxx=fd.u_xx)
     write_json(out / "oracle.json", {"l2_err": l2, "max_err": mx, "rel_l2": rel})
-    _write_manifest(out, "oracle", cfg, seed)
     return 0
 
 
@@ -349,13 +336,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = _parse_config(args.config)
-        out = args.out if args.out is not None else Path(cfg.get("out", "."))
-        if not out.is_absolute():
-            base = Path.cwd() if args.out is not None else cfg["_dir"]
-            out = base / out
-        out.mkdir(parents=True, exist_ok=True)
+        out = Path.cwd() / args.out if args.out is not None else cfg["_dir"] / cfg.get("out", ".")
         seed = args.seed if args.seed is not None else _cfg_int(cfg, "seed", 0)
-        return _COMMANDS[args.command](cfg, out, seed)
+        check_count(seed, "seed", 0, ConfigError)
+        code = _COMMANDS[args.command](cfg, out, seed)
+        echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
+        write_json(out / "manifest.json", {"command": args.command, "version": __version__,
+                                           "seed": seed, "config": echo})
+        return code
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

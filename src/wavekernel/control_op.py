@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CertificationError, DomainError, SingularSystemError, check_count
 from .goursat import KernelField, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import (Control, OperatorTables, _apply_table, _l2, propagate,
+from .propagator import (Control, OperatorTables, _apply_table, _flat, _l2, propagate,
                          random_smooth_control)
 
 _DENSE_SVD_CAP = 1024
@@ -57,11 +57,9 @@ class VolterraSystem:
         return g + _apply_table(self.blocks, g)
 
     def dense(self) -> np.ndarray:
-        """Full ((N+1)n) x ((N+1)n) matrix of I + A: the blocks applied to every unit vector."""
-        size = (self.N + 1) * self.dim
-        eye = np.eye(size, dtype=complex)
-        cols = _apply_table(self.blocks, eye.reshape(size, self.N + 1, self.dim))
-        return eye + cols.reshape(size, size).T
+        """Full ((N+1)n) x ((N+1)n) matrix of I + A: the identity plus the flattened blocks."""
+        flat = _flat(self.blocks)
+        return np.eye(len(flat), dtype=complex) + flat
 
 
 def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
@@ -137,6 +135,11 @@ def _sup(g: np.ndarray) -> np.ndarray:
     return np.max(np.sqrt(np.sum(np.abs(g) ** 2, axis=-1)), axis=-1)
 
 
+def _h2(grid: np.ndarray, g: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """H2 norms over the grid of samples (..., N+1, n) and their two derivatives."""
+    return np.sqrt(_l2(grid, g) ** 2 + _l2(grid, g1) ** 2 + _l2(grid, g2) ** 2)
+
+
 def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
             g2: np.ndarray = None) -> float:
     """Sobolev norm combining a sampled function and its first two derivatives.
@@ -168,7 +171,7 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
         g2 = np.asarray(spl.derivative(2)(grid)) if g2 is None else g2
     g1 = np.asarray(g1, dtype=complex).reshape(g.shape)
     g2 = np.asarray(g2, dtype=complex).reshape(g.shape)
-    return float(math.sqrt(_l2(grid, g) ** 2 + _l2(grid, g1) ** 2 + _l2(grid, g2) ** 2))
+    return float(_h2(grid, g, g1, g2))
 
 
 class _SobolevTables(OperatorTables):
@@ -270,14 +273,12 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     samples = [random_smooth_control(T, field.dim, rng).sample(grid) for _ in range(trials)]
     f0, f1, f2 = (np.stack(parts) for parts in zip(*samples))     # (trials, N+1, n)
     Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
-    l2_f = _l2(grid, f0)
     sup_f = _sup(f0)
-    h2_f = np.sqrt(l2_f**2 + _l2(grid, f1) ** 2 + _l2(grid, f2) ** 2)
-    h2_Af = np.sqrt(_l2(grid, Af) ** 2 + _l2(grid, Af1) ** 2 + _l2(grid, Af2) ** 2)
-    h2_Wf = np.sqrt(_l2(grid, f0 + Af) ** 2 + _l2(grid, f1 + Af1) ** 2
-                    + _l2(grid, f2 + Af2) ** 2)
+    h2_f = _h2(grid, f0, f1, f2)
+    h2_Af = _h2(grid, Af, Af1, Af2)
+    h2_Wf = _h2(grid, f0 + Af, f1 + Af1, f2 + Af2)
     num = np.stack([_sup(Af), _sup(Af1), _l2(grid, Af2), h2_Af, h2_f])
-    den = np.stack([l2_f, sup_f, np.maximum(sup_f, _sup(f1)), h2_f, h2_Wf])
+    den = np.stack([_l2(grid, f0), sup_f, np.maximum(sup_f, _sup(f1)), h2_f, h2_Wf])
     # worst ratio over the trials with a nonzero denominator; 0 when there are none
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0).max(axis=1)
     r_i, r_ii, r_iii, r_h2, r_inv = ratio.tolist()

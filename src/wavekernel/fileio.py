@@ -6,7 +6,8 @@ Real columns come first, then each complex column as the pair
 bit for bit, signed zeros and subnormals included.  The first line is the
 header when its first field is not a number, so a file may leave it out.
 
-JSON: keys sorted, indent 2, a trailing newline.
+JSON: keys sorted, indent 2, a trailing newline.  Both writers create the
+directory they write into.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def write_table(path, real_names, complex_names, real: np.ndarray, cplx: np.ndar
     # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
     table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
     row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(header(real_names, complex_names) + "\r\n")
         for start in range(0, len(table), _BLOCK):
@@ -109,6 +111,7 @@ def read_table(path, what: str, error: type[Exception], n_real: int
 
 
 def write_json(path, payload: dict) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

@@ -101,15 +101,39 @@ def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 class PotentialGrid:
     """Hermitian matrix potential q sampled on a uniform grid over [0, x_max].
 
-    Immutable after construction; all methods are pure reads.
+    Immutable after construction; all methods are pure reads.  Construction
+    rejects bad samples or grid sizes (PotentialError) and derives the rest.
     """
 
     x_max: float
     step: float
     samples: np.ndarray            # (m+1, n, n) complex, Hermitian at each node
-    norms: np.ndarray = field(repr=False, default=None)
-    cum_integral: np.ndarray = field(repr=False, default=None)
-    cum_norm_integral: np.ndarray = field(repr=False, default=None)
+    norms: np.ndarray = field(repr=False, init=False)
+    cum_integral: np.ndarray = field(repr=False, init=False)
+    cum_norm_integral: np.ndarray = field(repr=False, init=False)
+
+    def __post_init__(self):
+        samples = np.ascontiguousarray(self.samples, dtype=complex)
+        shape = samples.shape
+        if len(shape) != 3 or shape[0] < 2 or not 1 <= shape[1] == shape[2]:
+            raise PotentialError(f"samples must be (m+1, n, n) with m, n >= 1, got {shape}")
+        if not np.all(np.isfinite(samples)):
+            raise PotentialError("potential samples must be finite (found NaN or inf)")
+        asym = _opnorms(samples - samples.conj().transpose(0, 2, 1))
+        worst = float(np.max(asym / np.maximum(_opnorms(samples), 1e-30)))
+        if worst > _HERMITIAN_TOL:
+            raise PotentialError(
+                f"potential is not Hermitian: relative asymmetry {worst:.3e} "
+                f"exceeds tolerance {_HERMITIAN_TOL:.0e}"
+            )
+        samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
+        norms = _opnorms(samples)
+        step = _positive("step", self.step)
+        for name, value in (("x_max", _positive("x_max", self.x_max)), ("step", step),
+                            ("samples", samples), ("norms", norms),
+                            ("cum_integral", _cumtrapz(samples, step)),
+                            ("cum_norm_integral", _cumtrapz(norms, step))):
+            object.__setattr__(self, name, value)    # frozen: set once, here
 
     @property
     def dim(self) -> int:
@@ -142,13 +166,10 @@ class PotentialGrid:
         # cum holds node values of the antiderivative; finish the partial cell
         # with a trapezoid against the linearly interpolated integrand.
         xc, k, frac = self._locate(x)
-        if nodal.ndim == 3:
-            q_x = nodal[k] * (1.0 - frac)[..., None, None] + nodal[k + 1] * frac[..., None, None]
-            part = (xc - k * self.step)[..., None, None] * 0.5 * (nodal[k] + q_x)
-        else:
-            q_x = nodal[k] * (1.0 - frac) + nodal[k + 1] * frac
-            part = (xc - k * self.step) * 0.5 * (nodal[k] + q_x)
-        return cum[k] + part
+        entry = (...,) + (None,) * (nodal.ndim - 1)    # frac against matrix or scalar nodes
+        frac, width = frac[entry], (xc - k * self.step)[entry]
+        q_x = nodal[k] * (1.0 - frac) + nodal[k + 1] * frac
+        return cum[k] + width * 0.5 * (nodal[k] + q_x)
 
     def integral(self, a, b) -> np.ndarray:
         """Matrix antiderivative difference: integral of q over [a, b]."""
@@ -161,30 +182,11 @@ class PotentialGrid:
         return self._cum_at(self.cum_norm_integral, self.norms, x)
 
 
-def _finish(x_max: float, step: float, samples: np.ndarray) -> PotentialGrid:
-    samples = np.ascontiguousarray(samples, dtype=complex)
-    if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-        raise PotentialError(f"samples must be (m+1, n, n), got {samples.shape}")
-    if not np.all(np.isfinite(samples)):
-        raise PotentialError("potential samples must be finite (found NaN or inf)")
-    asym = _opnorms(samples - samples.conj().transpose(0, 2, 1))
-    scale = np.maximum(_opnorms(samples), 1e-30)
-    worst = float(np.max(asym / scale)) if samples.size else 0.0
-    if worst > _HERMITIAN_TOL:
-        raise PotentialError(
-            f"potential is not Hermitian: relative asymmetry {worst:.3e} "
-            f"exceeds tolerance {_HERMITIAN_TOL:.0e}"
-        )
-    samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
-    norms = _opnorms(samples)
-    return PotentialGrid(
-        x_max=float(x_max),
-        step=float(step),
-        samples=samples,
-        norms=norms,
-        cum_integral=_cumtrapz(samples, step),
-        cum_norm_integral=_cumtrapz(norms, step),
-    )
+def _positive(name: str, value) -> float:
+    """value as a float, after checking it is finite and positive (PotentialError)."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise PotentialError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 def _grid_steps(dim, x_max, step) -> int:
@@ -194,10 +196,7 @@ def _grid_steps(dim, x_max, step) -> int:
     [0, x_max] must hold at least one step; otherwise PotentialError.
     """
     check_count(dim, "dimension", 1, PotentialError)
-    for name, value in (("x_max", x_max), ("step", step)):
-        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-            raise PotentialError(f"{name} must be finite and positive, got {value!r}")
-    m = int(round(x_max / step))
+    m = int(round(_positive("x_max", x_max) / _positive("step", step)))
     if m < 1:
         raise PotentialError(f"step {step} does not fit in [0, {x_max}]")
     return m
@@ -205,13 +204,13 @@ def _grid_steps(dim, x_max, step) -> int:
 
 def zero_potential(dim: int = 1, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
     m = _grid_steps(dim, x_max, step)
-    return _finish(m * step, step, np.zeros((m + 1, dim, dim), dtype=complex))
+    return PotentialGrid(m * step, step, np.zeros((m + 1, dim, dim), dtype=complex))
 
 
 def constant_potential(matrix, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
     c = np.atleast_2d(np.asarray(matrix, dtype=complex))
     m = _grid_steps(c.shape[-1], x_max, step)
-    return _finish(m * step, step, np.broadcast_to(c, (m + 1, *c.shape)).copy())
+    return PotentialGrid(m * step, step, np.broadcast_to(c, (m + 1, *c.shape)).copy())
 
 
 def sampled_potential(x: np.ndarray, values: np.ndarray) -> PotentialGrid:
@@ -232,7 +231,7 @@ def sampled_potential(x: np.ndarray, values: np.ndarray) -> PotentialGrid:
     step = steps[0]
     if step <= 0 or np.max(np.abs(steps - step)) > 1e-8 * max(step, 1.0):
         raise PotentialError("nonuniform sample grid is unsupported")
-    return _finish(x[-1], step, values)
+    return PotentialGrid(x[-1], step, values)
 
 
 def potential_from_callable(fn, dim: int, x_max: float, step: float) -> PotentialGrid:
@@ -243,7 +242,7 @@ def potential_from_callable(fn, dim: int, x_max: float, step: float) -> Potentia
         vals = vals[:, None, None]
     if vals.shape != (m + 1, dim, dim):
         raise PotentialError(f"preset callable returned shape {vals.shape}")
-    return _finish(m * step, step, vals)
+    return PotentialGrid(m * step, step, vals)
 
 
 def _smooth_bump(x: np.ndarray, left: float, right: float) -> np.ndarray:
@@ -287,29 +286,22 @@ def build_potential(spec: dict) -> PotentialGrid:
     preset takes a registry ``name``.
     """
     kind = spec.get("kind")
+    # only the keys the spec holds, so unset ones take the constructors' defaults
+    grid = {key: float(spec[key]) for key in ("x_max", "step") if key in spec}
     if kind == "zero":
-        return zero_potential(
-            dim=int(spec.get("dimension", 1)),
-            x_max=float(spec.get("x_max", 4.0)),
-            step=float(spec.get("step", 1.0 / 2048)),
-        )
+        if "dimension" in spec:
+            grid["dim"] = int(spec["dimension"])
+        return zero_potential(**grid)
     if kind == "constant":
         n = int(spec.get("dimension", 1))
         entries = spec["matrix"]
         if len(entries) != n * n:
             raise PotentialError(f"constant matrix needs {n * n} entries, got {len(entries)}")
-        c = np.asarray(entries, dtype=complex).reshape(n, n)
-        return constant_potential(
-            c, x_max=float(spec.get("x_max", 4.0)), step=float(spec.get("step", 1.0 / 2048))
-        )
+        return constant_potential(np.asarray(entries, dtype=complex).reshape(n, n), **grid)
     if kind == "sampled":
         return sampled_potential(spec["x"], spec["values"])
     if kind == "preset":
-        return preset_potential(
-            spec["name"],
-            x_max=float(spec.get("x_max", 4.0)),
-            step=float(spec.get("step", 1.0 / 2048)),
-        )
+        return preset_potential(spec["name"], **grid)
     raise PotentialError(f"unknown potential kind {kind!r}")
 
 

@@ -136,13 +136,8 @@ class Control:
 
     def delayed(self, tau: float) -> "Control":
         """The same control started tau later (zero-padded at the front)."""
-        f = self._eval
-
         def ev(t):
-            ts = np.asarray(t, dtype=float) - tau
-            a = f(ts)
-            neg = (ts < 0.0)[..., None]
-            return tuple(np.where(neg, 0.0, a[k]) for k in range(3))
+            return self.sample(np.asarray(t, dtype=float) - tau)
 
         return Control(self.T, self.dim, self.support_start + tau, ev,
                        label=f"{self.label}@+{tau}")
@@ -174,13 +169,6 @@ def _checked(ctrl: Control) -> Control:
     return ctrl
 
 
-def _amplitude(amplitude) -> np.ndarray:
-    amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
-    if not np.all(np.isfinite(amp)):
-        raise ControlError(f"control amplitude must be finite, got {amp.tolist()}")
-    return amp
-
-
 def zero_control(T: float, dim: int = 1) -> Control:
     def ev(t):
         shape = np.shape(t) + (dim,)
@@ -190,32 +178,30 @@ def zero_control(T: float, dim: int = 1) -> Control:
     return Control(T, dim, T, ev, label="zero")
 
 
-def bump_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
-    """Bump profile times a constant amplitude vector; support in (start, stop)."""
+def _profile_control(T: float, start: float, stop: float, amplitude, profile,
+                     name: str) -> Control:
+    """A scalar profile on (start, stop) times a constant amplitude vector."""
     if not (0.0 < start < stop <= T):
         raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
-    amp = _amplitude(amplitude)
-    dim = amp.size
+    amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
+    if not np.all(np.isfinite(amp)):
+        raise ControlError(f"control amplitude must be finite, got {amp.tolist()}")
 
     def ev(t):
-        f, f1, f2 = _bump_profile(t, start, stop)
+        f, f1, f2 = profile(t, start, stop)
         return f[..., None] * amp, f1[..., None] * amp, f2[..., None] * amp
 
-    return _checked(Control(T, dim, start, ev, label=f"bump({start},{stop})"))
+    return _checked(Control(T, amp.size, start, ev, label=f"{name}({start},{stop})"))
+
+
+def bump_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
+    """Bump profile times a constant amplitude vector; support in (start, stop)."""
+    return _profile_control(T, start, stop, amplitude, _bump_profile, "bump")
 
 
 def ramp_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
     """Smooth step from zero to the amplitude vector; nonzero at t = T."""
-    if not (0.0 < start < stop <= T):
-        raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
-    amp = _amplitude(amplitude)
-    dim = amp.size
-
-    def ev(t):
-        f, f1, f2 = _ramp_profile(t, start, stop)
-        return f[..., None] * amp, f1[..., None] * amp, f2[..., None] * amp
-
-    return _checked(Control(T, dim, start, ev, label=f"ramp({start},{stop})"))
+    return _profile_control(T, start, stop, amplitude, _ramp_profile, "ramp")
 
 
 def control_from_samples(ts, values, T: float = None) -> Control:
@@ -302,13 +288,16 @@ def _apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Apply an (N+1, N+1, n, n) table to samples of shape (..., N+1, n).
 
     Row k of the result is sum_m table[k, m] @ g[m], computed as one
-    matrix product with the table flattened to a ((N+1)n) x ((N+1)n)
-    matrix; leading axes of g are a batch.
+    matrix product with the _flat table; leading axes of g are a batch.
     """
+    flat = _flat(table)
+    return (g.reshape(g.shape[:-2] + flat.shape[1:]) @ flat.T).reshape(g.shape)
+
+
+def _flat(table: np.ndarray) -> np.ndarray:
+    """An (N+1, N+1, n, n) table as the ((N+1)n) x ((N+1)n) matrix it represents."""
     rows, cols, n, _ = table.shape
-    flat = table.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
-    batch = g.shape[:-2]
-    return (g.reshape(batch + (cols * n,)) @ flat.T).reshape(batch + (rows, n))
+    return table.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
 
 
 class OperatorTables:

@@ -369,7 +369,7 @@ def test_unknown_key_rejected(tmp_path, capsys, command, pot, extra, key):
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "unknown" in err and repr(key) in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -431,6 +431,20 @@ def test_bounds_rejects_zero_trials(tmp_path, capsys):
     assert main(["bounds", "--config", str(cfg)]) == 1
     assert "trials must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out" / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_rejected(tmp_path, capsys, command, source):
+    # numpy's generator used to end the run in a ValueError traceback
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="trials = 2\nN = 32\n"
+                    + ("seed = -1\n" if source == "config" else ""))
+    argv = [command, "--config", str(cfg)] + (["--seed", "-1"] if source == "flag" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be an integer >= 0" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_validate_zero_potential(tmp_path):

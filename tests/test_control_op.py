@@ -325,6 +325,13 @@ def test_h2_verdict_allows_rounding_slack(pot_one, field_one, ratio, bound):
     assert len(far.violations()) == 1 and "exceeds" in far.violations()[0]
 
 
+def test_dense_columns_are_apply_on_unit_vectors(field_herm2):
+    sysv = wk.build_volterra(field_herm2, 1.0, 24)
+    size = 25 * sysv.dim
+    cols = [sysv.apply(e.reshape(25, sysv.dim)).ravel() for e in np.eye(size)]
+    assert np.array_equal(sysv.dense(), np.stack(cols, axis=1))
+
+
 def test_condition_zero_potential(field_zero):
     s_min, s_max, cond = wk.condition_estimate(wk.build_volterra(field_zero, 1.0, 80))
     assert s_min == 1.0 and s_max == 1.0 and cond == 1.0

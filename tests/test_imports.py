@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -5,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # Each call is the only one in its interpreter, so it must bring in scipy itself.
 CALLS = {
@@ -27,3 +31,16 @@ def test_cli_import_leaves_scipy_out(call):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_names_resolve():
+    # the benchmark wraps these names in place; a refactor that drops one breaks it
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    for mod, attr in tracer.WRAPPED:
+        owner = importlib.import_module(f"wavekernel.{mod}")
+        assert callable(getattr(owner, attr, None)), f"wavekernel.{mod}.{attr}"
+    from wavekernel.goursat import KernelField
+    assert inspect.isfunction(KernelField.__dict__.get("wtt_lattice"))

@@ -86,6 +86,34 @@ def test_constructors_reject_degenerate_sizes(build):
         build()
 
 
+@pytest.mark.parametrize("x_max, step, samples, match", [
+    (1.0, 0.5, np.full((3, 1, 1), np.nan), "finite"),
+    (1.0, 0.5, np.full((3, 2, 2), complex(0.0, np.inf)), "finite"),
+    (1.0, 0.5, np.tile([[0.0, 1.0], [0.0, 0.0]], (3, 1, 1)), "Hermitian"),
+    (1.0, 0.5, np.ones((3, 1)), "must be"),
+    (1.0, 0.5, np.ones((3, 2, 1)), "must be"),
+    (1.0, 0.5, np.ones((3, 0, 0)), "must be"),
+    (0.0, 0.5, np.ones((1, 1, 1)), "must be"),
+    (np.nan, 0.5, np.ones((3, 1, 1)), "x_max"),
+    (1.0, -0.5, np.ones((3, 1, 1)), "step"),
+], ids=["nan", "inf", "non_hermitian", "rank_2", "not_square", "empty_matrix", "one_node",
+        "x_max_nan", "step_negative"])
+def test_grid_rejects_bad_input(x_max, step, samples, match):
+    # built directly, a NaN grid used to construct and then fail in majorant_S
+    with pytest.raises(PotentialError, match=match):
+        wk.PotentialGrid(x_max, step, samples)
+
+
+def test_grid_derives_what_the_constructors_did():
+    c = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 2.0]])
+    ref = wk.constant_potential(c, x_max=1.0, step=1 / 32)
+    p = wk.PotentialGrid(1, 1 / 32, np.broadcast_to(c, (33, 2, 2)))
+    assert (p.x_max, p.step) == (1.0, 1 / 32) and isinstance(p.x_max, float)
+    for name in ("samples", "norms", "cum_integral", "cum_norm_integral"):
+        assert np.array_equal(getattr(p, name), getattr(ref, name)), name
+    assert wk.majorant_S(p, 1.5) == wk.majorant_S(ref, 1.5)
+
+
 def test_integral_linear_potential():
     x = np.linspace(0, 1, 501)
     p = wk.sampled_potential(x, x.astype(complex))
