@@ -1,7 +1,9 @@
 """Batch front-end: reproducible runs driven by flat key-value config files.
 
 Subcommands: kernel, propagate, apply, invert, bounds, validate, oracle.
-Exit codes: 0 ok, 1 input error, 2 non-convergence, 3 validation failure.
+Exit codes: 0 ok, 1 input error, 2 kernel residual above tol, 3 validation
+failure.  The kernel is solved by the anti-diagonal march (solve_goursat's
+method="march").
 A config key outside _CONFIG_KEYS is an input error.  Every command that
 returns writes a manifest echoing the resolved configuration, and identical
 configurations with identical seeds produce byte-identical output files.
@@ -36,8 +38,8 @@ from .propagator import (Control, _l2, bump_control, control_from_samples,
 
 # Every key a command reads.  One set serves all commands, so one config file
 # can drive each of them; any other key is an input error.
-_CONFIG_KEYS = frozenset({"potential", "T", "h", "tol", "max_sweeps", "N", "control",
-                          "kernel_dump", "snapshot", "trials", "dq_t", "out", "seed"})
+_CONFIG_KEYS = frozenset({"potential", "T", "h", "tol", "N", "control", "kernel_dump",
+                          "snapshot", "trials", "dq_t", "out", "seed"})
 
 # validate's fixed thresholds; its interior threshold is max(10 h, 0.05)
 _EDGE_TOL = 1e-4
@@ -132,8 +134,7 @@ def _solve_field(cfg: dict, p):
     T = _cfg_float(cfg, "T")
     h = _cfg_float(cfg, "h")
     tol = _cfg_float(cfg, "tol", 1e-10)
-    max_sweeps = _cfg_int(cfg, "max_sweeps", 100)
-    return solve_goursat(p, T, h, tol, max_sweeps=max_sweeps)
+    return solve_goursat(p, T, h, tol, method="march")
 
 
 def _field_for(cfg: dict, p):

@@ -2,10 +2,20 @@
 
 The kernel w(x,t) is computed in characteristic coordinates xi = t - x,
 eta = t + x, where the hyperbolic problem becomes a fixed-point equation
-v = v0 + V v for the field v on the triangle 0 <= xi <= eta <= 2T.  The
-fixed point is reached by Picard sweeps; every integral is a composite
-trapezoid on a uniform characteristic lattice with spacing h, so one
-sweep costs O(M^2) via cumulative prefix sums (M = 2T/h).
+v = v0 + V v for the field v on the triangle 0 <= xi <= eta <= 2T.  Every
+integral is a composite trapezoid on a uniform characteristic lattice with
+spacing h (M = 2T/h), and the discrete equation v = v0 + V_h v has two
+solvers (solve_goursat's method):
+
+- the march: V_h is lower-triangular in the lattice's partial order, so
+  one pass over the anti-diagonals d = i + j = 0..M+1 solves the discrete
+  equation exactly (the marching scheme for 2-D Volterra equations; H.
+  Brunner, Collocation Methods for Volterra Integral and Related
+  Functional Equations, CUP 2004).  It is certified by its residual, from
+  one application of V_h on the region; the CLI runs it;
+- Picard sweeps, each O(M^2) via cumulative prefix sums, stopped by the
+  sweep-to-sweep change or an analytic factorial tail: the library default
+  and the reference the march is tested against.
 
 Alongside the field itself the solver precomputes cumulative line
 integrals of q*v along lattice rows and columns.  Those tables give the
@@ -19,13 +29,15 @@ are stored on the region i <= j, i + j <= M + 1 only, indexed by node
 (i, j), one index pair per matrix, as a half-square (M/2+2, M+1, n, n)
 that is zero off the region; its last row exists for the interpolators'
 i + 1 reads.  The dump holds the same node set, so a field read back from
-it equals the solved field array for array.  Only wtt's cc1 (rows that
-start on the diagonal) and the Picard sweeps use other layouts.  The
-sweeps run on the whole triangle, plane-major: a contiguous (n, n, M+1,
-M+1) array holds one (M+1)^2 plane per matrix entry, so the products and
-the cumulative sums of a sweep run along contiguous memory.  solve_goursat
-crops the result to the region; apply_V, the operator on full squares,
-converts on entry and on exit; no other code sees the plane-major layout.
+it equals the solved field array for array.  The march writes straight
+into the half-square and keeps O(M) state besides.  Only wtt's cc1 (rows
+that start on the diagonal) and V_h use other layouts.  V_h runs
+plane-major: a contiguous (n, n, rows, M+1) array holds one plane per
+matrix entry, so its products and cumulative sums run along contiguous
+memory.  The Picard sweeps apply it to the whole square (rows = M+1) and
+solve_goursat crops their result to the region; the march's residual
+applies it to the half-square; apply_V, the operator on full squares,
+converts on entry and on exit.  No other code sees the plane-major layout.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio
-from .errors import ConvergenceError, DomainError, check_count
+from .errors import ConvergenceError, DomainError, SingularSystemError, check_count
 from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
@@ -75,8 +87,8 @@ class KernelField:
     T: float
     step: float
     v: np.ndarray                   # (M/2+2, M+1, n, n)
-    iterations: int
-    tail_bound: float
+    iterations: int                 # Picard sweeps, or the march's M + 2 anti-diagonals
+    tail_bound: float               # Picard's factorial tail, or the march's residual
     qh: np.ndarray = field(repr=False, default=None)       # (M+1, n, n)
     e_cum: np.ndarray = field(repr=False, default=None)    # (M/2+2, M+1, n, n), along eta_j
     d_cum: np.ndarray = field(repr=False, default=None)    # (M/2+2, M+1, n, n), along xi_i
@@ -188,11 +200,13 @@ def _v0_lattice(qh: np.ndarray, h: float) -> np.ndarray:
     return v0
 
 
-def _v0_planes(qh: np.ndarray, h: float) -> np.ndarray:
-    """The explicit part v0 on the whole triangle, plane-major (n, n, M+1, M+1)."""
+def _v0_planes(qh: np.ndarray, h: float, rows: int | None = None) -> np.ndarray:
+    """The explicit part v0 on rows i < rows (all M+1 by default) of the
+    triangle, plane-major (n, n, rows, M+1)."""
     q_cum = np.ascontiguousarray(np.moveaxis(_cumtrapz(qh, h / 2.0, axis=0), 0, -1))
-    v0 = -0.5 * (q_cum[..., None, :] - q_cum[..., :, None])
-    v0[..., np.tri(qh.shape[0], k=-1, dtype=bool)] = 0.0
+    v0 = q_cum[..., None, :] - q_cum[..., :rows, None]
+    v0 *= -0.5
+    v0[..., np.tri(*v0.shape[-2:], k=-1, dtype=bool)] = 0.0
     return v0
 
 
@@ -234,35 +248,39 @@ def _node_view(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, (2, 3), (0, 1))
 
 
-def _toeplitz_planes(qh: np.ndarray) -> np.ndarray:
+def _toeplitz_planes(qh: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Plane-major q at each node: plane (a, b) holds qh[j - i, a, b] at (i, j).
 
-    Below the diagonal it holds qh[0]; _apply_V_core masks those nodes.
+    Covers rows i < rows (all M+1 by default).  Below the diagonal it holds
+    qh[0]; _apply_V_core masks those nodes.
     """
-    idx = np.arange(qh.shape[0])
-    return np.moveaxis(qh, 0, -1)[..., np.clip(idx - idx[:, None], 0, qh.shape[0] - 1)]
+    j = np.arange(qh.shape[0])
+    i = j[:rows, None]
+    return np.moveaxis(qh, 0, -1)[..., np.maximum(j - i, 0)]
 
 
 def _apply_V_core(q_planes: np.ndarray, v_planes: np.ndarray, h: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The fixed-point operator V in the plane-major work layout.
 
-    q_planes (from _toeplitz_planes) and v_planes are (n, n, M+1, M+1): one
-    contiguous (M+1)^2 plane per matrix entry, where KernelField arrays are
-    node-major (M+1, M+1, n, n).  The product g = q v is formed for all
-    entries at once; then each plane in turn is masked to the triangle,
-    integrated by a cumulative trapezoid along eta and then along xi (one
-    reused work plane), shifted by its diagonal and scaled by -1/4.  Nodes
-    on and below the diagonal come out zero.  The result is written into
-    out when given, which must not overlap v_planes.
+    q_planes (from _toeplitz_planes) and v_planes are (n, n, rows, M+1): one
+    contiguous plane per matrix entry, where KernelField arrays are
+    node-major.  rows is M+1 for the whole square; fewer rows give V on
+    those rows exactly, since node (i, j) reads only nodes (a, b) with
+    a <= i.  The product g = q v is formed for all entries at once; then
+    each plane in turn is masked to the triangle, integrated by a cumulative
+    trapezoid along eta and then along xi (one reused work plane), shifted
+    by its diagonal and scaled by -1/4.  Nodes on and below the diagonal
+    come out zero.  The result is written into out when given, which must
+    not overlap v_planes.
     """
-    M = v_planes.shape[-1] - 1
+    shape = v_planes.shape[-2:]
     if out is None:
         out = np.empty(v_planes.shape, dtype=np.result_type(q_planes, v_planes))
     _mul(_node_view(q_planes), _node_view(v_planes), out=_node_view(out))
-    below = np.tri(M + 1, k=-1, dtype=bool)
-    inner = np.empty((M + 1, M + 1), dtype=out.dtype)
-    for g in out.reshape(-1, M + 1, M + 1):
+    below = np.tri(*shape, k=-1, dtype=bool)
+    inner = np.empty(shape, dtype=out.dtype)
+    for g in out.reshape(-1, *shape):
         np.copyto(g, 0.0, where=below)
         _cumtrapz(g, h, axis=1, out=inner)      # along eta
         _cumtrapz(inner, h, axis=0, out=g)      # along xi
@@ -286,21 +304,56 @@ def _tail_bound(S: float, width: float, n_done: int) -> float:
     return total
 
 
-def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
-                  max_sweeps: int = 100) -> KernelField:
-    """Solve the kernel fixed-point equation by Picard sweeps.
+_METHODS = ("picard", "march")
 
-    The sweeps run on the whole triangle.  They stop when the sup-norm
-    change over all its nodes falls below tol, or when the analytic
-    factorial tail of the remainder does; ConvergenceError at the sweep
-    cap max_sweeps, an integer >= 1 (DomainError otherwise).  Diagonal
-    nodes are pinned to zero.  The field keeps the region i + j <= M + 1
-    of the result.
+
+def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
+                  max_sweeps: int = 100, method: str = "picard") -> KernelField:
+    """Solve the kernel fixed-point equation v = v0 + V v on the lattice.
+
+    method="picard", the default and the reference, runs sweeps on the
+    whole triangle.  They stop when the sup-norm change over all its nodes
+    falls below tol, or when the analytic factorial tail of the remainder
+    does; ConvergenceError at the sweep cap max_sweeps, an integer >= 1
+    (DomainError otherwise).  The field records the sweeps as iterations
+    and the tail as tail_bound.
+
+    method="march" solves the same discrete equation exactly, one
+    anti-diagonal at a time (_march); max_sweeps does not bound it.  Its
+    certificate is the residual max |v - v0 - V v| over the region, from one
+    application of V: ConvergenceError when it exceeds tol,
+    SingularSystemError when a step matrix I + h^2/16 q_k is singular.  The
+    field records the M + 2 anti-diagonals as iterations and the residual
+    as tail_bound.
+
+    Diagonal nodes are zero, and the field keeps the region i + j <= M + 1.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     check_count(max_sweeps, "max_sweeps", 1, DomainError)
+    if method not in _METHODS:
+        raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     M, qh = _lattice_setup(p, T, h)
+    if method == "march":
+        v = _march(qh, h)
+        residual = _residual(qh, v, h)
+        if not residual <= tol:
+            raise ConvergenceError(
+                f"march residual {residual:.3e} exceeds tol {tol:.3e}; "
+                "tol may be below the rounding floor of this lattice"
+            )
+        iterations, tail = M + 2, residual
+    else:
+        v, iterations, tail = _picard(qh, T, h, tol, max_sweeps)
+    f = KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
+                    tail_bound=tail, qh=qh)
+    _attach_tables(f)
+    return f
+
+
+def _picard(qh: np.ndarray, T: float, h: float, tol: float, max_sweeps: int):
+    """Picard sweeps on the whole triangle: (v on the region, sweeps, tail bound)."""
+    M = qh.shape[0] - 1
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
     v0_planes = _v0_planes(qh, h)
     q_planes = _toeplitz_planes(qh)
@@ -325,10 +378,122 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     region = _region(M)
     v = np.ascontiguousarray(_node_view(v)[:region.shape[0]])
     v[~region] = 0.0
-    f = KernelField(T=float(T), step=float(h), v=v, iterations=max(iterations, 1),
-                    tail_bound=tail, qh=qh)
-    _attach_tables(f)
-    return f
+    return v, max(iterations, 1), tail
+
+
+def _march(qh: np.ndarray, h: float) -> np.ndarray:
+    """The solution of v = v0 + V v on the region, one anti-diagonal at a time.
+
+    Node (i, j) of V v reads only nodes (a, b) with a <= i and b <= j, so
+    the nodes of one anti-diagonal d = i + j depend only on earlier ones.
+    With g = q_{j-i} v, inner[i, j] its cumulative trapezoid along eta,
+    C[i, j] that of inner along xi, V v[i, j] = -1/4 (C[i, j] - C[i, i]) and
+    ip = inner[i, j-1] + h/2 g[i, j-1], each node 1 <= i < j solves
+
+        (I + h^2/16 q_{j-i}) v[i, j]
+            = v0[i, j] - 1/4 (C[i-1, j] + h/2 inner[i-1, j] + h/2 ip - C[i, i]),
+
+    then inner[i, j] = ip + h/2 g[i, j] and
+    C[i, j] = C[i-1, j] + h/2 (inner[i-1, j] + inner[i, j]).  Row 0 is v0
+    with C = 0; a diagonal node has v = inner = 0 and
+    C[i, i] = C[i-1, i] + h/2 inner[i-1, i], which only the vector of
+    diagonal values keeps.  So the march keeps inner, C and g of the
+    previous anti-diagonal, indexed by i, and C[i, i], and writes v straight
+    into the half-square (M/2+2, M+1, n, n), zero off the region.
+    SingularSystemError when some I + h^2/16 q_k is numerically singular
+    (_step_inverses).
+    """
+    M, n = qh.shape[0] - 1, qh.shape[-1]
+    step_inv = _step_inverses(qh, h)
+    q_cum = _cumtrapz(qh, h / 2.0, axis=0)
+    half = 0.5 * h
+    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)
+    nodes = v.reshape(-1, n, n)             # node (i, d - i) sits at d + i M
+    inner, C, g, inner_new, C_new, g_new, c_diag = np.zeros((7, M // 2 + 2, n, n),
+                                                            dtype=complex)
+    for d in range(1, M + 2):
+        if d <= M:                          # row 0: v = v0, C = 0
+            nodes[d] = -0.5 * (q_cum[d] - q_cum[0])
+            _mul(qh[d], nodes[d], out=g_new[0])
+            np.add(g[0], g_new[0], out=inner_new[0])
+            inner_new[0] *= half
+            inner_new[0] += inner[0]
+        a, b = max(d - M, 1), (d - 1) // 2  # rows 1 <= i < j off the diagonal
+        if a <= b:
+            rows, prev = slice(a, b + 1), slice(a - 1, b)
+            offsets = slice(d - 2 * a, d - 2 * b - 1, -2)
+            ip = half * g[rows]
+            ip += inner[rows]
+            base = half * inner[prev]
+            base += C[prev]
+            rhs = half * ip
+            rhs += base
+            rhs -= c_diag[rows]
+            rhs *= -0.25
+            rhs += -0.5 * (q_cum[d - a:d - b - 1:-1] - q_cum[rows])
+            vd = nodes[d + a * M:d + b * M + 1:M]
+            _mul(step_inv[offsets], rhs, out=vd)
+            _mul(qh[offsets], vd, out=g_new[rows])
+            np.multiply(g_new[rows], half, out=inner_new[rows])
+            inner_new[rows] += ip
+            np.multiply(inner_new[rows], half, out=C_new[rows])
+            C_new[rows] += base
+        if d % 2 == 0:                      # diagonal node (d/2, d/2)
+            i = d // 2
+            g_new[i] = inner_new[i] = 0.0
+            np.multiply(inner[i - 1], half, out=c_diag[i])
+            c_diag[i] += C[i - 1]
+        inner, inner_new, C, C_new, g, g_new = inner_new, inner, C_new, C, g_new, g
+    return v
+
+
+def _step_inverses(qh: np.ndarray, h: float) -> np.ndarray:
+    """(I + h^2/16 q_k)^-1 for every offset k, (M+1, n, n).
+
+    SingularSystemError names the first k whose smallest singular value is
+    at most n eps times its largest.  For n <= 2 the singular values and the
+    inverse have closed forms (|det| is the product of the singular
+    values), so the kernel path needs no LAPACK, whose first call maps
+    work buffers that show in the peak memory of a command that never
+    needs them otherwise.
+    """
+    n = qh.shape[-1]
+    step = np.eye(n) + (h * h / 16.0) * qh
+    if n <= 2:
+        a, d = step[:, 0, 0], step[:, -1, -1]
+        det = a if n == 1 else a * d - step[:, 0, 1] * step[:, 1, 0]
+        s_max = _opnorms(step)
+        s_min = np.abs(det) / s_max ** (n - 1)
+    else:
+        sv = np.linalg.svd(step, compute_uv=False)
+        s_min, s_max = sv[:, -1], sv[:, 0]
+    singular = ~(s_min > n * np.finfo(float).eps * s_max)
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise SingularSystemError(
+            f"march step matrix I + h^2/16 q_k is singular at offset k = j - i = {k} "
+            f"(q at x = {k * h / 2}) for h = {h}")
+    if n > 2:
+        return np.linalg.inv(step)
+    if n == 1:
+        return 1.0 / step
+    adj = np.stack([d, -step[:, 0, 1], -step[:, 1, 0], a], axis=-1).reshape(-1, 2, 2)
+    return adj / det[:, None, None]
+
+
+def _residual(qh: np.ndarray, v: np.ndarray, h: float) -> float:
+    """Largest operator norm of v - v0 - V v over the region, from one V on v's rows.
+
+    V on the half-square is exact on the region: its nodes read only region
+    nodes.
+    """
+    rows = v.shape[0]
+    v_planes = _planes(v)
+    r = _apply_V_core(_toeplitz_planes(qh, rows), v_planes, h)
+    np.subtract(v_planes, r, out=r)
+    del v_planes
+    r -= _v0_planes(qh, h, rows)
+    return float(np.max(_opnorms(_node_view(r))[_region(v.shape[1] - 1)]))
 
 
 def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:

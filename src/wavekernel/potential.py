@@ -22,6 +22,7 @@ from .errors import DomainError, PotentialError, check_count
 
 _HERMITIAN_TOL = 1e-8
 _RANGE_TOL = 1e-9
+_STEP_TOL = 1e-8       # uniformity of a sampled grid's steps, relative to max(step, 1)
 
 
 def _opnorms(mats: np.ndarray) -> np.ndarray:
@@ -102,7 +103,8 @@ class PotentialGrid:
     """Hermitian matrix potential q sampled on a uniform grid over [0, x_max].
 
     Immutable after construction; all methods are pure reads.  Construction
-    rejects bad samples or grid sizes (PotentialError) and derives the rest.
+    rejects bad samples, bad grid sizes and an x_max that is not the span of
+    the samples (PotentialError), and derives the rest.
     """
 
     x_max: float
@@ -128,8 +130,14 @@ class PotentialGrid:
             )
         samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
         norms = _opnorms(samples)
-        step = _positive("step", self.step)
-        for name, value in (("x_max", _positive("x_max", self.x_max)), ("step", step),
+        step, x_max = _positive("step", self.step), _positive("x_max", self.x_max)
+        # sampled_potential's steps may each miss the first by _STEP_TOL, and
+        # its first node 0 by _RANGE_TOL
+        m = shape[0] - 1
+        if abs(x_max - m * step) > _STEP_TOL * max(step, 1.0) * m + _RANGE_TOL:
+            raise PotentialError(f"x_max = {x_max} does not match {shape[0]} samples at "
+                                 f"step {step}, which span [0, {m * step}]")
+        for name, value in (("x_max", x_max), ("step", step),
                             ("samples", samples), ("norms", norms),
                             ("cum_integral", _cumtrapz(samples, step)),
                             ("cum_norm_integral", _cumtrapz(norms, step))):
@@ -183,8 +191,11 @@ class PotentialGrid:
 
 
 def _positive(name: str, value) -> float:
-    """value as a float, after checking it is finite and positive (PotentialError)."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    """value as a float, after checking it is finite and positive (PotentialError).
+
+    A bool is not a length, though Python treats it as a number.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise PotentialError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
 
@@ -229,7 +240,7 @@ def sampled_potential(x: np.ndarray, values: np.ndarray) -> PotentialGrid:
         raise PotentialError("sample grid must start at x = 0")
     steps = np.diff(x)
     step = steps[0]
-    if step <= 0 or np.max(np.abs(steps - step)) > 1e-8 * max(step, 1.0):
+    if step <= 0 or np.max(np.abs(steps - step)) > _STEP_TOL * max(step, 1.0):
         raise PotentialError("nonuniform sample grid is unsupported")
     return PotentialGrid(x[-1], step, values)
 

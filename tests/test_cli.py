@@ -43,7 +43,8 @@ def test_kernel_zero_potential(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["kernel", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "kernel.json").read_text())
-    assert summary["iterations"] == 1
+    assert summary["iterations"] == 100 + 2       # the march's M + 2 anti-diagonals, M = 2T/h
+    assert summary["tail_bound"] == 0.0
     assert summary["b1"] == 0.0 and summary["b4"] == 0.0
     assert (tmp_path / "out" / "manifest.json").exists()
 
@@ -64,10 +65,24 @@ def test_kernel_malformed_potential(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
-def test_kernel_nonconvergence_exit(tmp_path):
+def test_kernel_nonconvergence_exit(tmp_path, capsys):
+    # no lattice field has a residual below 1e-300, so the march's certificate fails
     one_pot(tmp_path)
-    cfg = write_cfg(tmp_path, extra="tol = 1e-12\nmax_sweeps = 2\n")
+    cfg = write_cfg(tmp_path, extra="tol = 1e-300\n")
     assert main(["kernel", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: march residual")
+
+
+def test_kernel_singular_step_matrix(tmp_path, capsys):
+    # q = -16/h^2: the march's step matrix I + h^2/16 q_k is zero at every offset
+    write_pot(tmp_path / "pot.txt",
+              "kind = constant\nmatrix = -256\nx_max = 1.0\nstep = 0.015625\n")
+    cfg = write_cfg(tmp_path, extra="h = 0.25\n")
+    assert main(["kernel", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: march step matrix") and "k = j - i = 0" in err
+    assert "h = 0.25" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_propagate_zero_reflects_control(tmp_path):
@@ -94,7 +109,7 @@ def test_propagate_golden_against_library(tmp_path):
     assert main(["propagate", "--config", str(cfg)]) == 0
     raw = np.loadtxt(tmp_path / "out" / "snapshot.csv", delimiter=",", skiprows=1)
     p = wk.build_potential(wk.parse_potential_file(tmp_path / "pot.txt"))
-    fld = wk.solve_goursat(p, 1.0, 0.02, 1e-10)
+    fld = wk.solve_goursat(p, 1.0, 0.02, 1e-10, method="march")
     f = wk.bump_control(1.0, 0.1, 0.9, 1.0)
     snap = wk.propagate(fld, f, 1.0, 100)
     assert np.abs(raw[:, 1] + 1j * raw[:, 2] - snap.u[:, 0]).max() == 0.0
@@ -316,7 +331,6 @@ ZERO_CONTROL_CSV = "".join(f"{k / 10},0,0\n" for k in range(11))
     ("kernel", "kind = zero\nstep = nan\n", "", {}),
     ("propagate", "kind = zero\n", "control = bump start=0.1 stop=0.9 amp=nan\n", {}),
     ("propagate", "kind = zero\n", "control = ramp start=0.1 stop=0.9 amp=inf\n", {}),
-    ("kernel", "kind = zero\n", "max_sweeps = 0\n", {}),
     # unknown, repeated or stray control tokens used to be ignored
     ("propagate", "kind = zero\n", "control = bump start=0.1 stop=0.9 amplitude=5\n", {}),
     ("propagate", "kind = zero\n", "control = ramp amp=2 amp=5\n", {}),
@@ -331,7 +345,7 @@ ZERO_CONTROL_CSV = "".join(f"{k / 10},0,0\n" for k in range(11))
     ("kernel", "kind = preset\nkind = zero\n", "", {}),
 ], ids=["bump_start", "csv_no_path", "csv_columns", "csv_unordered_times", "pot_dimension",
         "pot_x_max", "pot_dimension_zero", "pot_x_max_negative", "pot_step_zero",
-        "pot_step_nan", "amp_nan", "amp_inf", "max_sweeps_zero", "control_unknown_key",
+        "pot_step_nan", "amp_nan", "amp_inf", "control_unknown_key",
         "control_repeated_key", "control_stray_token", "zero_control_token",
         "csv_two_paths", "csv_key_token", "control_empty", "cfg_repeated_key",
         "pot_repeated_key"])
@@ -356,12 +370,16 @@ SAMPLES_CSV = "".join(f"{k / 8},1,0\n" for k in range(17))
     ("validate", "kind = zero\n", "interior_tol = 0.2\n", "interior_tol"),
     ("validate", "kind = zero\n", "oracle_rel_tol = 1e-2\n", "oracle_rel_tol"),
     ("validate", "kind = zero\n", "dq_slope_min = 0.9\n", "dq_slope_min"),
+    # the CLI's march has no sweeps to bound; max_sweeps = 0 used to be a range error
+    ("kernel", "kind = zero\n", "max_sweeps = 100\n", "max_sweeps"),
+    ("kernel", "kind = zero\n", "max_sweeps = 0\n", "max_sweeps"),
     # potential spec keys the kind does not read used to be parsed and dropped
     ("kernel", "kind = zero\nstpe = 0.01\n", "", "stpe"),
     ("kernel", "kind = sampled\ncsv = q.csv\nstep = 0.125\n", "", "step"),
     ("kernel", "kind = preset\nname = one\ndimension = 1\nx_max = 2.0\n", "", "dimension"),
 ], ids=["cfg_NN", "cfg_fd_nx", "cfg_edge_tol", "cfg_interior_tol", "cfg_oracle_rel_tol",
-        "cfg_dq_slope_min", "pot_stpe", "sampled_step", "preset_dimension"])
+        "cfg_dq_slope_min", "cfg_max_sweeps", "max_sweeps_zero", "pot_stpe", "sampled_step",
+        "preset_dimension"])
 def test_unknown_key_rejected(tmp_path, capsys, command, pot, extra, key):
     write_pot(tmp_path / "pot.txt", pot)
     (tmp_path / "q.csv").write_text(SAMPLES_CSV)

@@ -1,0 +1,170 @@
+"""The anti-diagonal march against the Picard reference.
+
+solve_goursat(method="march") solves the discrete fixed-point equation
+v = v0 + V_h v exactly, one anti-diagonal at a time; method="picard", the
+library default, iterates V_h to tol.  At tol 1e-14 the two must give the
+same field and derived tables to 1e-12.  The march's step count is fixed by
+M, so no potential can make it look faster, and its certificate is the
+residual of the discrete equation over the region it stores.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import wavekernel as wk
+from wavekernel.errors import ConvergenceError, DomainError, SingularSystemError
+from wavekernel.goursat import (_apply_V_core, _lattice_setup, _march, _planes, _region,
+                                _residual, _toeplitz_planes)
+from wavekernel.potential import potential_from_callable
+
+GAP = 1e-12
+
+
+def seeded_potential(seed, n):
+    """Hermitian base plus two seeded cosine terms, on [0, 2] at step 1/1024."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return 0.25 * (a + a.conj().T)
+
+    base, w1, w2 = hermitian() + np.eye(n), hermitian(), hermitian()
+    f1, f2 = rng.uniform(1.0, 4.0, 2)
+    return potential_from_callable(
+        lambda xs: base + np.cos(f1 * xs)[:, None, None] * w1
+        + np.sin(f2 * xs)[:, None, None] * w2, n, 2.0, 1 / 1024)
+
+
+@pytest.mark.parametrize("n, M", [(1, 40), (1, 100), (2, 40), (2, 100), (3, 40)])
+def test_march_matches_picard(n, M):
+    # n <= 2 inverts the step matrices in closed form, n = 3 through LAPACK
+    p = seeded_potential(7, n)
+    h = 2.0 / M
+    march = wk.solve_goursat(p, 1.0, h, 1e-14, method="march")
+    picard = wk.solve_goursat(p, 1.0, h, 1e-14, method="picard")
+    for name in ("v", "e_cum", "d_cum", "wx_lat"):
+        got, ref = getattr(march, name), getattr(picard, name)
+        assert got.shape == ref.shape == (M // 2 + 2, M + 1, n, n)
+        assert np.abs(got - ref).max() <= GAP, name
+    assert np.abs(march.wtt_lattice() - picard.wtt_lattice()).max() <= GAP
+    assert not march.v[~_region(M)].any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wk.zero_potential(1, x_max=2.0, step=1 / 512),
+    lambda: wk.preset_potential("one", x_max=2.0, step=1 / 1024),
+    lambda: wk.preset_potential("herm2", x_max=2.0, step=1 / 1024),
+    *(lambda s=s, n=n: seeded_potential(s, n) for s in range(3) for n in (1, 2)),
+], ids=["zero", "one", "herm2", *(f"seed{s}_n{n}" for s in range(3) for n in (1, 2))])
+def test_march_steps_are_fixed_by_M(make):
+    # a potential must not change the step count, so no input looks like a speed-up
+    p = make()
+    f = wk.solve_goursat(p, 1.0, 1 / 100, 1e-10, method="march")
+    assert f.iterations == 200 + 2
+    assert f.tail_bound <= 1e-14
+    assert wk.bound_violations(f) == (0, 0.0)
+
+
+def test_march_solves_where_picard_fails():
+    # q = 400 at T = 1: the Neumann series converges too slowly for Picard, while
+    # the march's error against the closed form is second order in h
+    p = wk.constant_potential(400.0, x_max=1.0, step=1 / 2048)
+    with pytest.raises(ConvergenceError, match="after 100 sweeps"):
+        wk.solve_goursat(p, 1.0, 1 / 25, 1e-10)
+    errors = []
+    for M in (100, 200, 400):
+        h = 2.0 / M
+        f = wk.solve_goursat(p, 1.0, h, 1e-10, method="march")
+        i, j = np.nonzero(_region(M))
+        phys = i + j <= M
+        i, j = i[phys], j[phys]
+        ref = wk.bessel_kernel_constant(400.0, (j - i) * h / 2.0, (j + i) * h / 2.0)
+        errors.append(np.abs(f.v[i, j, 0, 0] - ref).max())
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
+def test_march_residual_above_tol_raises(pot_one):
+    with pytest.raises(ConvergenceError, match="march residual"):
+        wk.solve_goursat(pot_one, 1.0, 1 / 50, 1e-300, method="march")
+
+
+def test_residual_reads_the_halo_anti_diagonal(pot_herm2):
+    # the certificate covers every stored node, the line i + j = M + 1 too
+    M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 50)
+    v = _march(qh, 1 / 50)
+    assert _residual(qh, v, 1 / 50) <= 1e-15
+    v[M // 2, M // 2 + 1] += 1e-6 * np.eye(2)
+    assert _residual(qh, v, 1 / 50) >= 0.99e-6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_V_core_on_leading_rows_equals_the_square(n):
+    # node (i, j) of V v reads only rows a <= i, so V on the leading rows is exact
+    p = seeded_potential(1, n)
+    M, qh = _lattice_setup(p, 1.0, 1 / 20)
+    rng = np.random.default_rng(n)
+    shape = (M + 1, M + 1, n, n)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = _apply_V_core(_toeplitz_planes(qh), _planes(vals), 1 / 20)
+    rows = M // 2 + 2
+    part = _apply_V_core(_toeplitz_planes(qh, rows), _planes(vals[:rows]), 1 / 20)
+    assert np.array_equal(part, full[..., :rows, :])
+
+
+def test_singular_step_matrix_is_a_typed_error():
+    # h^2/16 q = -1 exactly: I + h^2/16 q_0 is zero
+    p = wk.constant_potential(-256.0, x_max=1.0, step=1 / 64)
+    with pytest.raises(SingularSystemError, match=r"k = j - i = 0 .* h = 0\.25"):
+        wk.solve_goursat(p, 1.0, 0.25, 1e-10, method="march")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_singular_step_matrix_is_named(n):
+    # a potential whose step matrix is singular at one offset only, q at x = 0.5
+    x = np.arange(9) / 8
+    vals = np.tile(np.eye(n, dtype=complex), (9, 1, 1))
+    vals[4, -1, -1] = -256.0
+    with pytest.raises(SingularSystemError, match=r"k = j - i = 4 \(q at x = 0\.5\)"):
+        wk.solve_goursat(wk.sampled_potential(x, vals), 1.0, 0.25, 1e-10, method="march")
+
+
+def test_march_needs_no_lapack_up_to_2x2(monkeypatch):
+    # LAPACK's first call maps work buffers, which would raise the peak memory
+    # of a kernel command that needs no dense linear algebra otherwise
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("svd", "inv", "solve", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for n in (1, 2):
+        f = wk.solve_goursat(seeded_potential(0, n), 1.0, 1 / 20, 1e-10, method="march")
+        assert f.iterations == 42
+
+
+def test_solve_rejects_unknown_method(pot_one):
+    with pytest.raises(DomainError, match="method must be one of"):
+        wk.solve_goursat(pot_one, 1.0, 1 / 50, 1e-10, method="direct")
+
+
+def _peak_lattices(fn, lattice_bytes):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / lattice_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_march_builds_no_full_square(pot_herm2):
+    # 2x2 at M = 200; one lattice is (M+1)^2 n^2 complex values, the size of one
+    # full-square work array.  Picard peaks at 4.5 lattices.  The march holds the
+    # half-square v (0.51) and O(M) state; its residual peaks at 2.3 with four
+    # half-squares (v, v plane-major, q, V v) and one plane of product terms.
+    lattice = 201 ** 2 * 4 * 16
+    M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 100)
+    assert _peak_lattices(lambda: _march(qh, 1 / 100), lattice) <= 0.6
+    solve = lambda: wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
+    assert _peak_lattices(solve, lattice) <= 2.5

@@ -78,9 +78,12 @@ def test_non_finite_samples_rejected(bad):
     lambda: potential_from_callable(np.ones_like, 1, 1.0, np.nan),
     lambda: potential_from_callable(np.ones_like, 0, 1.0, 0.125),
     lambda: wk.zero_potential(True),
+    # True is a number to Python; it used to build a grid of step 1.0
+    lambda: wk.zero_potential(1, x_max=4.0, step=True),
+    lambda: wk.constant_potential(1.0, x_max=True, step=1 / 32),
 ], ids=["step_zero", "dim_zero", "dim_fraction", "x_max_nan", "no_step_fits",
         "constant_step_negative", "constant_x_max_inf", "constant_empty",
-        "callable_step_nan", "callable_dim_zero", "dim_bool"])
+        "callable_step_nan", "callable_dim_zero", "dim_bool", "step_bool", "x_max_bool"])
 def test_constructors_reject_degenerate_sizes(build):
     with pytest.raises(PotentialError):
         build()
@@ -96,12 +99,29 @@ def test_constructors_reject_degenerate_sizes(build):
     (0.0, 0.5, np.ones((1, 1, 1)), "must be"),
     (np.nan, 0.5, np.ones((3, 1, 1)), "x_max"),
     (1.0, -0.5, np.ones((3, 1, 1)), "step"),
+    (1.0, True, np.ones((2, 1, 1)), "step"),
+    # three nodes at step 0.5 span [0, 1]; eval(2.0) used to extrapolate to 4
+    (2.0, 0.5, np.array([0.0, 1.0, 2.0])[:, None, None], "does not match"),
+    (1.0, 0.5, np.ones((4, 1, 1)), "does not match"),
 ], ids=["nan", "inf", "non_hermitian", "rank_2", "not_square", "empty_matrix", "one_node",
-        "x_max_nan", "step_negative"])
+        "x_max_nan", "step_negative", "step_bool", "x_max_beyond_samples",
+        "x_max_short_of_samples"])
 def test_grid_rejects_bad_input(x_max, step, samples, match):
     # built directly, a NaN grid used to construct and then fail in majorant_S
     with pytest.raises(PotentialError, match=match):
         wk.PotentialGrid(x_max, step, samples)
+
+
+def test_x_max_check_keeps_sampled_grids_within_their_tolerance():
+    # sampled_potential accepts steps that each miss the first by up to 1e-8, so
+    # x[-1] may drift from m * step by up to m * 1e-8; such grids still build
+    m = 64
+    x = np.arange(m + 1) / 16
+    x[1:] += 0.9e-8 * np.arange(1, m + 1) - 0.9e-8
+    p = wk.sampled_potential(x, np.ones(m + 1))
+    assert p.x_max == x[-1] and abs(p.x_max - m * p.step) > 5e-7
+    with pytest.raises(PotentialError, match="does not match"):
+        wk.PotentialGrid(x[-1] + 1e-6, p.step, p.samples)
 
 
 def test_grid_derives_what_the_constructors_did():
