@@ -1,9 +1,9 @@
 """Batch front-end: reproducible runs driven by flat key-value config files.
 
 Subcommands: kernel, propagate, apply, invert, bounds, validate, oracle.
-Exit codes: 0 ok, 1 input error, 2 kernel residual above tol, 3 validation
-failure.  The kernel is solved by the anti-diagonal march (solve_goursat's
-method="march").
+Exit codes: 0 ok, 1 input error (a lattice or grid too fine for memory
+included), 2 kernel residual above tol, 3 validation failure.  The kernel
+is solved by the anti-diagonal march (solve_goursat's method="march").
 A config key outside _CONFIG_KEYS is an input error.  Every command that
 returns writes a manifest echoing the resolved configuration, and identical
 configurations with identical seeds produce byte-identical output files.
@@ -351,6 +351,10 @@ def main(argv=None) -> int:
     except (ConfigError, PotentialError, ControlError, DomainError,
             SingularSystemError, CertificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation failed'}); a coarser "
+              "lattice (larger h) or grid (smaller N) needs less", file=sys.stderr)
         return 1
 
 

@@ -30,8 +30,9 @@ are stored on the region i <= j, i + j <= M + 1 only, indexed by node
 that is zero off the region; its last row exists for the interpolators'
 i + 1 reads.  The dump holds the same node set, so a field read back from
 it equals the solved field array for array.  The march writes straight
-into the half-square and keeps O(M) state besides.  Only wtt's cc1 (rows
-that start on the diagonal) and V_h use other layouts.  V_h runs
+into the half-square and keeps O(M) state besides.  wtt's assembly holds
+one table, cc1, with rows that start on the diagonal, and shifts it to the
+node layout within its own buffer; only V_h keeps another layout.  V_h runs
 plane-major: a contiguous (n, n, rows, M+1) array holds one plane per
 matrix entry, so its products and cumulative sums run along contiguous
 memory.  The Picard sweeps apply it to the whole square (rows = M+1) and
@@ -191,11 +192,20 @@ def _lattice_setup(p: PotentialGrid, T: float, h: float):
     return M, qh
 
 
+def _v0_at(q_cum: np.ndarray, i, j) -> np.ndarray:
+    """The explicit part v0 = -1/2 (Q(eta_j/2) - Q(xi_i/2)) at nodes (i, j).
+
+    q_cum = _cumtrapz(qh, h/2) holds Q at the half-step points; i and j
+    index it (integers, slices or broadcasting index arrays).
+    """
+    return -0.5 * (q_cum[j] - q_cum[i])
+
+
 def _v0_lattice(qh: np.ndarray, h: float) -> np.ndarray:
-    """The explicit part v0 = -1/2 (Q(eta/2) - Q(xi/2)) as a half-square, zero off the region."""
+    """The explicit part v0 as a half-square, zero off the region."""
     region = _region(qh.shape[0] - 1)
-    q_cum = _cumtrapz(qh, h / 2.0, axis=0)
-    v0 = -0.5 * (q_cum[None, :] - q_cum[:region.shape[0], None])
+    v0 = _v0_at(_cumtrapz(qh, h / 2.0, axis=0), np.arange(region.shape[0])[:, None],
+                np.arange(qh.shape[0]))
     v0[~region] = 0.0
     return v0
 
@@ -413,7 +423,7 @@ def _march(qh: np.ndarray, h: float) -> np.ndarray:
                                                             dtype=complex)
     for d in range(1, M + 2):
         if d <= M:                          # row 0: v = v0, C = 0
-            nodes[d] = -0.5 * (q_cum[d] - q_cum[0])
+            nodes[d] = _v0_at(q_cum, 0, d)
             _mul(qh[d], nodes[d], out=g_new[0])
             np.add(g[0], g_new[0], out=inner_new[0])
             inner_new[0] *= half
@@ -430,7 +440,7 @@ def _march(qh: np.ndarray, h: float) -> np.ndarray:
             rhs += base
             rhs -= c_diag[rows]
             rhs *= -0.25
-            rhs += -0.5 * (q_cum[d - a:d - b - 1:-1] - q_cum[rows])
+            rhs += _v0_at(q_cum, rows, slice(d - a, d - b - 1, -1))
             vd = nodes[d + a * M:d + b * M + 1:M]
             _mul(step_inv[offsets], rhs, out=vd)
             _mul(qh[offsets], vd, out=g_new[rows])
@@ -538,69 +548,94 @@ def _diag(a: np.ndarray) -> np.ndarray:
     return a[idx, idx]
 
 
+_BLOCK = 32    # rows of a half-square per block of a product with gathered q
+
+
+def _blocks(rows: int):
+    """Slices of at most _BLOCK consecutive rows covering range(rows)."""
+    return (slice(a, min(a + _BLOCK, rows)) for a in range(0, rows, _BLOCK))
+
+
 def _assemble_wtt(f: KernelField) -> np.ndarray:
     """Explicit second time derivative of the smooth kernel part.
 
     Assembled from the differentiated fixed-point equation: pointwise
     products of q with edge kernel values, six single q*q integrals, and
     the double-integral terms: one outer integrand built from e_cum/d_cum,
-    cumulated along each lattice direction.  Every array is a node
-    half-square like v except cc1, whose integrand q_0 q_i does not vanish
-    on the diagonal, so cc1[i, m] starts there at node (i, i+m).  Each is
-    dropped once consumed, and factors that depend on one lattice index
-    are formed on the (M+1) vectors.
+    cumulated along each lattice direction.  The work is three half-squares
+    like v and no other array of that size:
+
+    - w_hat, the double integrals: the outer integrand g cumulated along
+      eta.  g's buffer is then cumulated along xi in place, and w_hat
+      absorbs it;
+    - eighth, the q*q terms, in g's spent buffer.  It starts as cc1, whose
+      integrand q_0 q_i does not vanish on the diagonal, so its rows start
+      there: cc1[i, m] belongs to node (i, i+m).  A shift within each row
+      moves it from column m to column i+m, the layout of every other
+      table;
+    - out: qq_fwd (cc1's integrand), then qq_bwd and, in place, its
+      cumulation cc6, then the result.
+
+    A product with q gathered at each node's offset is formed per block of
+    _BLOCK rows straight into its destination, so no gathered half-square
+    exists, and factors that depend on one lattice index are formed on the
+    (M+1) vectors.  Every node gets the same operations in the same order
+    as when each term had an array of its own, so the bits do not depend on
+    the buffer plan.
     """
     M, h = f.M, f.step
-    region = _region(M)
-    rows = region.shape[0]
+    dx, qh = h / 2.0, f.qh
+    off = ~_region(M)
+    rows = off.shape[0]
     i, m = np.arange(rows)[:, None], np.arange(M + 1)
     jm = _offset(M)
 
     # outer integrand at node (i, j), zero on the diagonal:
     #   q_{j-i} [ d_cum[i, j] - e_cum[i, i] + e_cum[i, j] ]
     # integrated along eta_j from the diagonal and along xi_i from 0
-    t = f.d_cum - _diag(f.e_cum)[:, None]
-    t += f.e_cum
-    g = _mul(f.qh[jm], t)
-    del t
-    g[~region] = 0.0
-    w_hat = _cumtrapz(g, h / 2.0, axis=1)
-    cum_xi = _cumtrapz(g, h / 2.0, axis=0)
-    del g
+    e_diag = _diag(f.e_cum)
+    g = np.empty_like(f.v)
+    for b in _blocks(rows):
+        t = f.d_cum[b] - e_diag[b, None]
+        t += f.e_cum[b]
+        _mul(qh[jm[b]], t, out=g[b])
+    g[off] = 0.0
+    w_hat = _cumtrapz(g, dx, axis=1)
+    cum_xi = _cumtrapz(g, dx, axis=0, out=g)
     w_hat -= _diag(cum_xi)[:, None]
     w_hat += cum_xi
-    del cum_xi
     w_hat *= 0.25
 
     # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from the
     # diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
-    q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
-    qq_fwd = _mul(f.qh, f.qh[np.minimum(i + m, M)])
-    qq_fwd[2 * i + m > M + 1] = 0.0           # node (i, i+m) off the region
-    cc1 = _cumtrapz(qq_fwd, h / 2.0, axis=1)
-    del qq_fwd
-    eighth = cc1[i, jm]
-    del cc1
-    eighth -= _mul(q_cum[jm], f.qh[:rows, None])
-    qq_bwd = _mul(f.qh[jm], f.qh[:rows, None])
-    qq_bwd[~region] = 0.0
-    cc6 = _cumtrapz(qq_bwd, h / 2.0, axis=0)
-    del qq_bwd
+    q_cum = _cumtrapz(qh, dx, axis=0)
+    out = np.empty_like(f.v)
+    for b in _blocks(rows):                   # qq_fwd, zero where node (i, i+m) is off the region
+        _mul(qh, qh[np.minimum(i[b] + m, M)], out=out[b])
+        out[b][2 * i[b] + m > M + 1] = 0.0
+    eighth = _cumtrapz(out, dx, axis=1, out=cum_xi)
+    for r in range(1, rows):                  # eighth[i, j] = cc1[i, max(j - i, 0)]
+        eighth[r, r:] = eighth[r, :M + 1 - r]
+        eighth[r, :r] = eighth[r, r]
+    for b in _blocks(rows):                   # then qq_bwd into out
+        eighth[b] -= _mul(q_cum[jm[b]], qh[b, None])
+        _mul(qh[jm[b]], qh[b, None], out=out[b])
+    out[off] = 0.0
+    cc6 = _cumtrapz(out, dx, axis=0, out=out)
     eighth += _diag(cc6)[:, None]
-    eighth -= _mul(q_cum[:rows], f.qh[:rows])[:, None]
-    eighth += _mul(q_cum[None, :] - q_cum[jm], f.qh[None, :])
+    eighth -= _mul(q_cum[:rows], qh[:rows])[:, None]
+    for b in _blocks(rows):
+        eighth[b] += _mul(q_cum[None, :] - q_cum[jm[b]], qh[None, :])
     eighth -= cc6
-    del cc6
     eighth *= 0.125
 
     # pointwise edge terms
-    qv_edge = _mul(f.qh, f.v[0])
-    out = qv_edge[:rows, None] - qv_edge[None, :]
+    qv_edge = _mul(qh, f.v[0])
+    np.subtract(qv_edge[:rows, None], qv_edge[None, :], out=out)
     out *= 0.25
     out += eighth
-    del eighth
     out += w_hat
-    out[~region] = 0.0
+    out[off] = 0.0
     return out
 
 
@@ -687,7 +722,8 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
     i, j = np.nonzero(_region(M))
     phys = i + j <= M
     i, j = i[phys], j[phys]
-    b1 = float(np.max(_opnorms(f.wtilde_lattice()[i, j])))
+    q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+    b1 = float(np.max(_opnorms(f.v[i, j] - _v0_at(q_cum, i, j))))
     b2 = float(np.max(_opnorms(f.wx_lat[i, j])))
     b4 = float(np.max(_opnorms(f.v[i, j])))
     # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another

@@ -62,13 +62,29 @@ def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0,
               out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative trapezoid along one axis, starting at zero.
 
-    Writes into ``out`` when given (same shape as vals, not overlapping it);
-    either way no temporary of the input's size is made.
+    Writes into ``out`` when given: an array of vals' shape that is either
+    vals itself or does not overlap it.  ``out is vals`` runs in place, one
+    slice along the axis at a time: keep the previous input slice, add it
+    to the current one, scale by dx/2, then add the previous output slice.
+    Those are the out-of-place path's operations on the same operands, so
+    both give the same bits; in place the work is two slices of scratch.
+    Either way no temporary of the input's size is made.
     """
     if out is None:
         out = np.empty_like(vals)
-    pair = np.moveaxis(vals, axis, 0)
     res = np.moveaxis(out, axis, 0)
+    if out is vals:
+        prev, cur = res[0].copy(), np.empty_like(res[0])
+        res[0] = 0.0
+        half, last = 0.5 * dx, res[0]
+        for row in res[1:]:
+            np.copyto(cur, row)
+            np.add(prev, cur, out=row)
+            row *= half
+            row += last
+            prev, cur, last = cur, prev, row
+        return out
+    pair = np.moveaxis(vals, axis, 0)
     res[:1] = 0.0
     np.add(pair[:-1], pair[1:], out=res[1:])
     res[1:] *= 0.5 * dx

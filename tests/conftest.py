@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,14 @@ def region_interior(M):
     i, j = np.nonzero(_region(M))
     keep = (i >= 1) & (j <= M - 1)
     return i[keep], j[keep]
+
+
+def traced_peak(fn, unit_bytes):
+    """The tracemalloc peak while fn() runs, in units of unit_bytes (a
+    lattice, a half-square or a table: each guard names its own)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / unit_bytes
+    finally:
+        tracemalloc.stop()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
+from wavekernel import cli
 from wavekernel.cli import main
 
 
@@ -82,6 +83,24 @@ def test_kernel_singular_step_matrix(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: march step matrix") and "k = j - i = 0" in err
     assert "h = 0.25" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kernel_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # h = 1e-6 makes the march ask numpy for ~29 TiB.  The failed allocation is
+    # simulated: a real one can succeed lazily under overcommit and then touch
+    # memory.
+    def too_fine(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                          "(1000002, 2000001, 1, 1) and data type complex128")
+
+    monkeypatch.setattr(cli, "solve_goursat", too_fine)
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path)
+    assert main(["kernel", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (Unable to allocate 29.1 TiB")
+    assert "larger h" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,6 @@ M, so no potential can make it look faster, and its certificate is the
 residual of the discrete equation over the region it stores.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,8 @@ from wavekernel.errors import ConvergenceError, DomainError, SingularSystemError
 from wavekernel.goursat import (_apply_V_core, _lattice_setup, _march, _planes, _region,
                                 _residual, _toeplitz_planes)
 from wavekernel.potential import potential_from_callable
+
+from conftest import traced_peak
 
 GAP = 1e-12
 
@@ -149,15 +149,6 @@ def test_solve_rejects_unknown_method(pot_one):
         wk.solve_goursat(pot_one, 1.0, 1 / 50, 1e-10, method="direct")
 
 
-def _peak_lattices(fn, lattice_bytes):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / lattice_bytes
-    finally:
-        tracemalloc.stop()
-
-
 def test_march_builds_no_full_square(pot_herm2):
     # 2x2 at M = 200; one lattice is (M+1)^2 n^2 complex values, the size of one
     # full-square work array.  Picard peaks at 4.5 lattices.  The march holds the
@@ -165,6 +156,6 @@ def test_march_builds_no_full_square(pot_herm2):
     # half-squares (v, v plane-major, q, V v) and one plane of product terms.
     lattice = 201 ** 2 * 4 * 16
     M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 100)
-    assert _peak_lattices(lambda: _march(qh, 1 / 100), lattice) <= 0.6
+    assert traced_peak(lambda: _march(qh, 1 / 100), lattice) <= 0.6
     solve = lambda: wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
-    assert _peak_lattices(solve, lattice) <= 2.5
+    assert traced_peak(solve, lattice) <= 2.5

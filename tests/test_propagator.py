@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +6,8 @@ import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError
 from wavekernel.goursat import _interp_triangle
 from wavekernel.propagator import OperatorTables, _apply_table, _checked
+
+from conftest import traced_peak
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -282,22 +282,13 @@ def test_separable_sampling_matches_per_pair(field_h50, T, N):
         assert np.all(table[~causal] == 0.0)
 
 
-def _peak_tables(fn, table_bytes):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / table_bytes
-    finally:
-        tracemalloc.stop()
-
-
 def test_table_memory_guard(field_herm2):
     # 2x2, h = 1/100, N = 400; one table is (N+1)^2 n^2 complex values.  The
     # per-pair sampler peaked at 5.26 (k0) and 5.89 (k1).
     N = 400
     table = (N + 1) ** 2 * 4 * 16
-    assert _peak_tables(lambda: OperatorTables(field_herm2, 1.0, N).k0, table) <= 4.0
-    assert _peak_tables(lambda: OperatorTables(field_herm2, 1.0, N).k1, table) <= 5.0
+    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k0, table) <= 4.0
+    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k1, table) <= 5.0
 
 
 def test_apply_table_batch_matches_single_controls(field_herm2):
