@@ -802,8 +802,11 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
 
     One row per node of the region i <= j, i + j <= M + 1 (t <= T plus one
     halo anti-diagonal), i-major: xi, eta, then each entry of v in
-    row-major order as a re/im pair, in the format of fileio.write_table,
-    so that load_kernel restores those nodes bit for bit.
+    row-major order as a re/im pair, in the format of fileio.write_table:
+    each value the shortest string that reads back to its bits, so that
+    load_kernel restores those nodes bit for bit.  Dumps that earlier
+    versions wrote as %.17g load the same.  A non-finite value raises
+    DomainError before the CSV is opened.
     """
     M, n = f.M, f.dim
     kc = kernel_constants(p, f)

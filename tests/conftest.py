@@ -97,3 +97,18 @@ def traced_peak(fn, unit_bytes):
         return tracemalloc.get_traced_memory()[1] / unit_bytes
     finally:
         tracemalloc.stop()
+
+
+def shortest(x: float) -> str:
+    """x as the numeric CSV writer spells it: the shortest string that reads
+    back to the same bits (the digits of repr), in orjson's notation.  That
+    notation writes the exponent with no '+' and no leading zero (1e16 and
+    1e-7, where repr has 1e+16 and 1e-07) and writes [1e-5, 1e-4) without
+    one (0.000015, where repr has 1.5e-05); elsewhere it is repr's."""
+    mantissa, _, exp = repr(float(x)).partition("e")
+    if not exp:
+        return mantissa
+    if int(exp) == -5:
+        sign, digits = mantissa[:mantissa.startswith("-")], mantissa.lstrip("-").replace(".", "")
+        return f"{sign}0.0000{digits}"
+    return f"{mantissa}e{int(exp)}"

@@ -10,7 +10,7 @@ from wavekernel.errors import ConvergenceError, DomainError
 from wavekernel.goursat import _interp_triangle, _region
 from wavekernel.potential import potential_from_callable
 
-from conftest import full_v0, lattice_xt, region_interior
+from conftest import full_v0, lattice_xt, region_interior, shortest
 
 
 def node_norms(arr):
@@ -416,8 +416,9 @@ def test_interp_half_table_rejects_points_beyond_its_rows(loaded_herm2):
                          f.step, f.M)
 
 
-def _csv_writer_dump(f, path):
-    """Reference writer: one csv.writer row per node i <= j, i + j <= M + 1."""
+def _csv_writer_dump(f, path, spell=shortest):
+    """Reference writer: one csv.writer row per node i <= j, i + j <= M + 1,
+    every value spelled by spell (the package's spelling, or an older one)."""
     n = f.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -428,19 +429,25 @@ def _csv_writer_dump(f, path):
         writer.writerow(header)
         for i in range(f.M // 2 + 1):
             for j in range(i, min(f.M, f.M + 1 - i) + 1):
-                row = [f"{i * f.step:.17g}", f"{j * f.step:.17g}"]
+                row = [spell(i * f.step), spell(j * f.step)]
                 for a in range(n):
                     for b in range(n):
-                        row += [f"{f.v[i, j, a, b].real:.17g}", f"{f.v[i, j, a, b].imag:.17g}"]
+                        row += [spell(f.v[i, j, a, b].real), spell(f.v[i, j, a, b].imag)]
                 writer.writerow(row)
 
 
-def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, field_herm2):
-    v = field_herm2.v.copy()
+def _planted_field(field):
+    v = field.v.copy()
     v[0, 5, 0, 1] = complex(-0.0, 5e-324)
     v[3, 7, 1, 0] = complex(1e300, -1.2345678901234567e-7)
     v[10, 10, 1, 1] = complex(-1.2345678901234567e-7, -0.0)
-    planted = dataclasses.replace(field_herm2, v=v)
+    v[11, 12, 0, 0] = complex(1e16, 1.5e-5)
+    return dataclasses.replace(field, v=v)
+
+
+def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, field_herm2):
+    planted = _planted_field(field_herm2)
+    v = planted.v
     with np.errstate(over="ignore", invalid="ignore"):
         wk.dump_kernel(planted, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
     _csv_writer_dump(planted, tmp_path / "ref.csv")
@@ -448,6 +455,19 @@ def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, fi
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
     assert np.array_equal(back.v, v)
     assert back.v.tobytes() == v.tobytes()     # signed zeros and subnormals too
+
+
+def test_dump_written_as_17g_still_loads_bit_for_bit(tmp_path, pot_herm2, field_herm2):
+    # earlier versions wrote every value as %.17g
+    planted = _planted_field(field_herm2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wk.dump_kernel(planted, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    _csv_writer_dump(planted, tmp_path / "old.csv", spell=lambda x: f"{x:.17g}")
+    assert (tmp_path / "old.csv").read_bytes() != (tmp_path / "k.csv").read_bytes()
+    back = wk.load_kernel(tmp_path / "old.csv", tmp_path / "k.json", pot_herm2)
+    assert back.v.tobytes() == planted.v.tobytes()
+    assert np.signbit(back.v[0, 5, 0, 1].real) and back.v[0, 5, 0, 1].imag == 5e-324
+    assert back.v[3, 7, 1, 0].real == 1e300
 
 
 @pytest.mark.parametrize("T, h, tol", [

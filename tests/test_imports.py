@@ -21,16 +21,29 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", CALLS)
-def test_cli_import_leaves_scipy_out(call):
-    script = ("import sys\nimport numpy as np\nimport wavekernel as wk, wavekernel.cli\n"
-              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-              + CALLS[call] + "\nassert 'scipy.interpolate' in sys.modules\n")
+def _run_fresh(script: str, *args: str) -> None:
+    """Run script in a new interpreter that imports the package from this tree."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_cli_import_leaves_scipy_out(call):
+    _run_fresh("import sys\nimport numpy as np\nimport wavekernel as wk, wavekernel.cli\n"
+               "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+               + CALLS[call] + "\nassert 'scipy.interpolate' in sys.modules\n")
+
+
+def test_cli_import_leaves_orjson_out_until_a_table_is_written(tmp_path):
+    # only commands that write a CSV import the writer's formatter
+    _run_fresh("import sys\nimport numpy as np\nimport wavekernel, wavekernel.cli\n"
+               "from wavekernel.fileio import write_table\n"
+               "assert 'orjson' not in sys.modules\n"
+               "write_table(sys.argv[1], ('x',), (), np.zeros((2, 1)), np.zeros((2, 0)))\n"
+               "assert 'orjson' in sys.modules\n", str(tmp_path / "t.csv"))
 
 
 def test_bench_tracer_names_resolve():
