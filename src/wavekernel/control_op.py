@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,11 @@ class VolterraSystem:
     """Discretized identity-plus-causal-integral operator.
 
     blocks[k, m] holds the trapezoid-weighted kernel sample w(x_k, s_m) for
-    s_m >= x_k and zero below the causal diagonal; the represented operator
-    is I + A with (A g)(x_k) = sum_m blocks[k, m] g(s_m).
+    s_m >= x_k and exactly zero below the causal diagonal; the represented
+    operator is I + A with (A g)(x_k) = sum_m blocks[k, m] g(s_m).  blocks
+    from build_volterra is the k0 table, stored in product order (k, a, m, b)
+    so that _flat is a view; any (N+1, N+1, n, n) array works, at the cost
+    of a copy per product.
     """
 
     T: float
@@ -92,10 +96,12 @@ def invert_W(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
     """
     u = _checked_snapshot(sys, u)
     g = np.zeros_like(u)
-    eye = np.eye(sys.dim)
+    flat, g_flat, n = _flat(sys.blocks), g.reshape(-1), sys.dim
+    eye = np.eye(n)
     for k in range(sys.N, -1, -1):
-        rhs = u[k] - np.einsum("mab,mb->a", sys.blocks[k, k + 1:], g[k + 1:])
-        diag = eye + sys.blocks[k, k]
+        row = flat[k * n:(k + 1) * n]
+        rhs = u[k] - row[:, (k + 1) * n:] @ g_flat[(k + 1) * n:]
+        diag = eye + row[:, k * n:(k + 1) * n]
         try:
             g[k] = np.linalg.solve(diag, rhs)
         except np.linalg.LinAlgError as exc:
@@ -175,22 +181,35 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
 
 
 class _SobolevTables(OperatorTables):
-    """The shared k0/k1 plus the second-derivative terms of (A f)''."""
+    """The shared k0/k1 plus the second-derivative terms of (A f)''.
+
+    k2a and k2b are causal tables filled by the same _causal, built on first use.
+    """
 
     def __init__(self, field: KernelField, T: float, N: int):
         super().__init__(field, T, N)
         s = self.grid
-        self.k2a = self.weighted(field.wxx_lattice())
-        q_plus, q_minus = self.q_halves()
-        q_plus -= q_minus
-        del q_minus
-        q_plus *= self.wgt * 0.25
-        self.k2b = q_plus                                   # acts on f'
         self.q_x = field.q_at(s)
         # half-integral of q along the grid
         self.q_half_cum = 0.5 * _cumtrapz(self.q_x, self.delta)
         self.wx_diag = self.trace(field.wx_lat)
         self.q_mix_T = 0.25 * (field.q_at((T - s) / 2.0) - field.q_at((T + s) / 2.0))
+
+    @cached_property
+    def k2a(self) -> np.ndarray:
+        return self.weighted(self.field.wxx_lattice())
+
+    @cached_property
+    def k2b(self) -> np.ndarray:
+        """(q(eta/2) - q(xi/2))/4, weighted; acts on f'."""
+        q = self.q_half
+
+        def values(p, r):
+            out = np.take(q, r, axis=0)
+            out -= np.take(q, p, axis=0)
+            return out
+
+        return self._causal(values, 0.25)
 
 
 def _apply_A_with_derivatives(tab: _SobolevTables, f0, f1):

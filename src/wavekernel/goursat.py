@@ -548,7 +548,7 @@ def _diag(a: np.ndarray) -> np.ndarray:
     return a[idx, idx]
 
 
-_BLOCK = 32    # rows of a half-square per block of a product with gathered q
+_BLOCK = 32    # rows per block: of a half-square product with gathered q, of an operator table
 
 
 def _blocks(rows: int):

@@ -9,9 +9,12 @@ from the interior equation rather than from differentiating the kernel
 twice, which is the only route the kernel's regularity supports.
 
 OperatorTables is the one layer that samples the kernel onto a grid; propagate
-and difference_quotient_test read its k0.  By time invariance a wave at any time
-t' <= H is a wave at the horizon H (f(t' - s) vanishes for s > t'), so one table
-on [0, H] serves all the difference-quotient test's times.
+and difference_quotient_test read its k0.  It evaluates only the causal pairs
+s >= x, the block upper triangle of the operator, and stores each table in the
+order of its matrix product, so applying a table copies nothing.  By time
+invariance a wave at any time t' <= H is a wave at the horizon H (f(t' - s)
+vanishes for s > t'), so one table on [0, H] serves all the difference-quotient
+test's times.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ControlError, DomainError, check_count
-from .goursat import KernelField, _interp_triangle
+from .goursat import KernelField, _blocks, _interp_triangle
 
 _SUPPORT_TOL = 1e-12
 _RANDOM_BUMPS = 3         # bumps per random_smooth_control
@@ -289,13 +292,19 @@ def _apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Row k of the result is sum_m table[k, m] @ g[m], computed as one
     matrix product with the _flat table; leading axes of g are a batch.
+    An OperatorTables table is stored in product order, so no table-sized
+    copy is made.
     """
     flat = _flat(table)
     return (g.reshape(g.shape[:-2] + flat.shape[1:]) @ flat.T).reshape(g.shape)
 
 
 def _flat(table: np.ndarray) -> np.ndarray:
-    """An (N+1, N+1, n, n) table as the ((N+1)n) x ((N+1)n) matrix it represents."""
+    """An (N+1, N+1, n, n) table as the ((N+1)n) x ((N+1)n) matrix it represents.
+
+    A view of an OperatorTables table, which is stored in this order; a copy
+    of a table stored in (k, m, a, b) order.
+    """
     rows, cols, n, _ = table.shape
     return table.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
 
@@ -303,27 +312,28 @@ def _flat(table: np.ndarray) -> np.ndarray:
 class OperatorTables:
     """The kernel sampled once on the uniform N-grid over [0, T].
 
-    Row k, column m is the causal pair (x_k, s_m), s_m >= x_k, i.e. the
-    characteristic point (xi, eta) = (s_m - x_k, s_m + x_k) = (p, r) delta
-    with p = m - k and r = m + k.  wgt holds the trapezoid weights over
-    [x_k, T]; they vanish below the diagonal, so every weighted table is
-    causal.  k0 is the weighted kernel, the operator of the representation
-    formula and of the control-to-state map; k1 is the weighted
-    x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel inside the
-    integral.  Both are built on first use.  Every table has the layout
-    (k, m, a, b) and is applied only through _apply_table, to one
-    control's samples or to a stack of them.
+    Row k, column m is the pair (x_k, s_m), i.e. the characteristic point
+    (xi, eta) = (s_m - x_k, s_m + x_k) = (p, r) delta with p = m - k and
+    r = m + k.  Only the causal pairs m >= k are evaluated; every entry
+    below the diagonal is exactly 0.  Each value is weighted by the
+    trapezoid rule over [x_k, T].  k0 is the weighted kernel, the operator
+    of the representation formula and of the control-to-state map; k1 is
+    the weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel
+    inside the integral.  Both are built on first use.  A table is one
+    zeroed (N+1, n, N+1, n) array, the order of its matrix product, exposed
+    as its (k, m, a, b) view; it is applied only through _apply_table, to
+    one control's samples or to a stack of them.
 
+    _causal fills the causal pairs one block of rows (goursat's _blocks) at
+    a time straight into the table, so no full-square temporary exists.
     Sampling is separable.  A pair's bilinear weights along xi depend only
-    on p and those along eta only on r, so sample lerps the lattice along
-    xi once, for p = 0..N, into an (N+1, M+1, n, n) array, and then lerps
-    that along eta with two gathers per pair.  Besides its result it holds
-    one more (N+1)^2 n^2 table and a few (N+1)^2 index and weight arrays.
-    A pair whose xi and eta fall in the same lattice cell touches the
-    diagonal, where the cell is a triangle, not bilinear; such pairs occur
-    only in rows with x_k below about h/2, and _interp_triangle evaluates
-    just those.  q_halves reads q at the 2N+1 points r delta / 2 once and
-    gathers.
+    on p and those along eta only on r, so _sampler lerps the lattice along
+    xi once, for p = 0..N, into an (N+1, M+1, n, n) array, and lerps that
+    along eta with two gathers per pair.  A pair whose xi and eta fall in
+    the same lattice cell touches the diagonal, where the cell is a
+    triangle, not bilinear; such pairs occur only in rows with x_k below
+    about h/2, and _interp_triangle evaluates just those.  q_half holds q
+    at the 2N+1 points r delta / 2, gathered per pair.
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
@@ -334,24 +344,31 @@ class OperatorTables:
         self.field = field
         self.delta = T / N
         self.grid = np.arange(N + 1) * self.delta
-        wgt = np.triu(np.full((N + 1, N + 1), self.delta))
-        idx = np.arange(N + 1)
-        wgt[idx, idx] = 0.5 * self.delta
-        wgt[:-1, N] = 0.5 * self.delta
-        wgt[N, N] = 0.0
-        self.wgt = wgt[..., None, None]
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """p = |m - k| and r = m + k of every (k, m); mirrored below the diagonal."""
-        k = np.arange(self.grid.size)
-        return np.abs(k - k[:, None]), k + k[:, None]
+    def _causal(self, values, scale: float = 1.0) -> np.ndarray:
+        """The table of values(p, r) at every causal pair, times scale and the weights.
 
-    def sample(self, lattice: np.ndarray) -> np.ndarray:
-        """A lattice field at every causal (xi, eta) pair of the grid.
-
-        Entries below the diagonal are finite and unspecified; wgt zeroes
-        them in every weighted table.
+        values maps the pairs' p and r arrays to a new (pairs, n, n) array of
+        their values.  scale multiplies the weights, not the values, which
+        is the order k2b has always been computed in.
         """
+        N, n = self.grid.size - 1, self.field.dim
+        table = np.zeros((N + 1, n, N + 1, n), dtype=complex).transpose(0, 2, 1, 3)
+        col = np.arange(N + 1)
+        for rows in _blocks(N + 1):
+            k, m = np.nonzero(col >= col[rows, None])
+            k += rows.start
+            out = values(m - k, m + k)
+            # trapezoid weights over [x_k, T]: half at both ends, none on the point [T, T]
+            wgt = np.where((m == k) | (m == N), 0.5 * self.delta, self.delta)
+            wgt[k == N] = 0.0
+            wgt *= scale
+            out *= wgt[:, None, None]
+            table[k, m] = out
+        return table
+
+    def _sampler(self, lattice: np.ndarray):
+        """values(p, r) for _causal: a lattice field at (xi, eta) = (p, r) delta."""
         h, M, N = self.field.step, self.field.M, self.grid.size - 1
         # cell and offset of xi = p delta and eta = r delta, clipped as _interp_triangle does
         steps = np.minimum(np.arange(2 * N + 1) * self.delta, M * h) / h
@@ -366,31 +383,27 @@ class OperatorTables:
         along_xi += upper
         del upper
         along_xi = along_xi.reshape((N + 1) * cols, *lattice.shape[2:])
-        p, r = self._pairs()
-        flat = p * cols
-        flat += cell[r]
-        u = frac[r][..., None, None]
-        del p, r
-        out = np.take(along_xi, flat, axis=0)
-        flat += 1
-        work = np.take(along_xi, flat, axis=0)
-        del flat
-        out *= 1 - u
-        work *= u
-        out += work
-        del work
-        # triangle cells: xi and eta in one cell (j == i), so eta - xi = 2 x_k < h
-        k = np.arange(min(N, int(h / (2.0 * self.delta)) + 1) + 1)[:, None]
-        m = np.arange(N + 1)
-        k, m = np.nonzero((m >= k) & (cell[np.abs(m - k)] >= cell[m + k]))
-        out[k, m] = _interp_triangle(lattice, (m - k) * self.delta, (m + k) * self.delta, h, M)
-        return out
+
+        def values(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+            flat = p * cols
+            flat += cell[r]
+            u = frac[r][:, None, None]
+            out = np.take(along_xi, flat, axis=0)
+            out *= 1 - u
+            flat += 1
+            work = np.take(along_xi, flat, axis=0)
+            work *= u
+            out += work
+            # triangle cells: xi and eta in one cell, so eta - xi = 2 x_k < h
+            tri = np.nonzero(cell[p] >= cell[r])[0]
+            out[tri] = _interp_triangle(lattice, p[tri] * self.delta, r[tri] * self.delta, h, M)
+            return out
+
+        return values
 
     def weighted(self, lattice: np.ndarray) -> np.ndarray:
         """Trapezoid-weighted samples of a lattice field; zero below the diagonal."""
-        out = self.sample(lattice)
-        out *= self.wgt
-        return out
+        return self._causal(self._sampler(lattice))
 
     def trace(self, lattice: np.ndarray) -> np.ndarray:
         """A lattice field on the diagonal x = s, i.e. at (xi, eta) = (0, 2x)."""
@@ -398,11 +411,10 @@ class OperatorTables:
         return _interp_triangle(lattice, np.zeros_like(s), 2.0 * np.minimum(s, self.field.T),
                                 self.field.step, self.field.M)
 
-    def q_halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """The potential at eta/2 and at xi/2 for every pair of the grid."""
-        q = self.field.q_at(np.arange(2 * self.grid.size - 1) * self.delta / 2.0)
-        p, r = self._pairs()
-        return np.take(q, r, axis=0), np.take(q, p, axis=0)
+    @cached_property
+    def q_half(self) -> np.ndarray:
+        """The potential at r delta / 2, r = 0..2N: q(eta/2) at r, q(xi/2) at p."""
+        return self.field.q_at(np.arange(2 * self.grid.size - 1) * self.delta / 2.0)
 
     @cached_property
     def k0(self) -> np.ndarray:
@@ -410,15 +422,17 @@ class OperatorTables:
 
     @cached_property
     def k1(self) -> np.ndarray:
-        out = self.sample(self.field.wx_lat)    # before q_halves: lower peak memory
-        q_plus, q_minus = self.q_halves()
-        q_plus += q_minus
-        del q_minus
-        q_plus *= 0.25
-        out -= q_plus
-        del q_plus
-        out *= self.wgt
-        return out
+        sample, q = self._sampler(self.field.wx_lat), self.q_half
+
+        def values(p, r):
+            out = sample(p, r)
+            q_sum = np.take(q, r, axis=0)
+            q_sum += np.take(q, p, axis=0)
+            q_sum *= 0.25
+            out -= q_sum
+            return out
+
+        return self._causal(values)
 
 
 def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
@@ -429,7 +443,8 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     its second derivative; u_x from its differentiated form with k1 and
     the diagonal trace of the kernel; and u_xx from the interior equation
     u_xx = u_tt + q u, with u_tt evaluated by pushing two time derivatives
-    onto the control.
+    onto the control.  k0 is released before k1 is built, so one table is
+    alive at a time.
     """
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
@@ -438,6 +453,7 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     f0, f1, f2 = f.sample(T - s)
     g = np.stack([f0, f2])
     u, u_tt = g + _apply_table(tab.k0, g)
+    del tab.k0                  # one table at a time: k1 is built after k0 is gone
     u_xx = u_tt + np.einsum("kab,kb->ka", field.q_at(s), u)
     u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) + _apply_table(tab.k1, f0)
     return WaveSnapshot(T=float(T), grid=s, u=u, u_x=u_x, u_xx=u_xx)

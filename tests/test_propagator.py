@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
+from wavekernel.control_op import _SobolevTables
 from wavekernel.errors import ControlError, DomainError
 from wavekernel.goursat import _interp_triangle
-from wavekernel.propagator import OperatorTables, _apply_table, _checked
+from wavekernel.propagator import OperatorTables, _apply_table, _checked, _flat
 
 from conftest import traced_peak
 
@@ -244,9 +245,10 @@ def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
         assert np.abs(tab.k1[k, m] - k1).max() <= 1e-14
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["n1", "n2"])
-def field_h50(request, pot_one, pot_herm2):
-    return wk.solve_goursat(pot_one if request.param == 1 else pot_herm2, 1.0, 1 / 50, 1e-10)
+@pytest.fixture(scope="module", params=[1, 2, "quad"], ids=["n1", "n2", "quad"])
+def field_h50(request, pot_one, pot_herm2, pot_quad):
+    pot = {1: pot_one, 2: pot_herm2, "quad": pot_quad}[request.param]
+    return wk.solve_goursat(pot, 1.0, 1 / 50, 1e-10)
 
 
 # (T, N) on the h = 1/50 field: delta = h, delta = h/8, unaligned grids, and a
@@ -254,22 +256,29 @@ def field_h50(request, pot_one, pot_herm2):
 @pytest.mark.parametrize("T, N", [(1.0, 50), (1.0, 400), (1.0, 1), (1.0, 2), (1.0, 37),
                                   (1.0, 160), (0.7, 35), (0.7, 37), (0.5, 200)])
 def test_separable_sampling_matches_per_pair(field_h50, T, N):
-    # the per-pair computation the separable sampler replaced is the reference
+    # the per-pair computation the separable sampler replaced, times the
+    # trapezoid weights, is the reference; quad's q varies, so it checks that
+    # k1 and k2b read q at eta/2 and at xi/2
     f = field_h50
-    tab = OperatorTables(f, T, N)
+    tab = _SobolevTables(f, T, N)
     X, S = np.meshgrid(tab.grid, tab.grid, indexing="ij")
     causal = S >= X
     xi = np.where(causal, S - X, 0.0)
     eta = np.where(causal, S + X, 0.0)
-    q_plus, q_minus = tab.q_halves()
+    k, m = np.indices(causal.shape)
+    wgt = np.where((m == k) | (m == N), 0.5 * tab.delta, tab.delta)
+    wgt[N, N] = 0.0
+    wgt = wgt[..., None, None]
+    q_plus, q_minus = 0.25 * f.q_at(eta / 2.0), 0.25 * f.q_at(xi / 2.0)
     refs = {
-        "v": (tab.sample(f.v), _interp_triangle(f.v, xi, eta, f.step, f.M)),
-        "wx_lat": (tab.sample(f.wx_lat), _interp_triangle(f.wx_lat, xi, eta, f.step, f.M)),
-        "q_plus": (q_plus, f.q_at(eta / 2.0)),
-        "q_minus": (q_minus, f.q_at(xi / 2.0)),
+        "k0": (tab.k0, wgt * _interp_triangle(f.v, xi, eta, f.step, f.M)),
+        "k1": (tab.k1, wgt * (_interp_triangle(f.wx_lat, xi, eta, f.step, f.M)
+                              - (q_plus + q_minus))),
+        "k2b": (tab.k2b, wgt * (q_plus - q_minus)),
     }
     for name, (got, ref) in refs.items():
-        scale = np.abs(ref[causal]).max()
+        # k2b against the size of its terms: for a constant q it is rounding noise
+        scale = np.abs(wgt * q_plus if name == "k2b" else ref)[causal].max()
         assert np.abs(got - ref)[causal].max() <= 1e-15 * scale, name
     # triangle cells (i == j) fill row 0; below delta = h/2 later rows have them too
     i = np.minimum((xi / f.step).astype(int), f.M - 1)
@@ -278,17 +287,32 @@ def test_separable_sampling_matches_per_pair(field_h50, T, N):
     assert tri[0].all()
     if tab.delta < f.step / 2:
         assert tri[1:].any()
-    for table in (tab.k0, tab.k1):
+    for table in (tab.k0, tab.k1, tab.k2a, tab.k2b):
         assert np.all(table[~causal] == 0.0)
 
 
 def test_table_memory_guard(field_herm2):
     # 2x2, h = 1/100, N = 400; one table is (N+1)^2 n^2 complex values.  The
-    # per-pair sampler peaked at 5.26 (k0) and 5.89 (k1).
+    # per-pair sampler peaked at 5.26 (k0) and 5.89 (k1); the mirrored
+    # full-square sampler at 2.89 and 3.38, and propagate, which held k0 and
+    # k1 together, at 4.39.  The causal tables peak at 1.80 and 1.84, and
+    # propagate, holding one table at a time, at 1.85.
     N = 400
     table = (N + 1) ** 2 * 4 * 16
-    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k0, table) <= 4.0
-    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k1, table) <= 5.0
+    ctrl = wk.bump_control(1.0, 0.1, 0.9, np.array([1.0, 0.5j]))
+    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k0, table) <= 2.0
+    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k1, table) <= 2.0
+    assert traced_peak(lambda: wk.propagate(field_herm2, ctrl, 1.0, N), table) <= 2.0
+
+
+def test_tables_are_stored_in_product_order(field_herm2):
+    # _flat and so _apply_table read a table without copying it
+    N = 200
+    tab = OperatorTables(field_herm2, 1.0, N)
+    g = np.ones((N + 1, 2), dtype=complex)
+    for table in (tab.k0, tab.k1):
+        assert np.shares_memory(_flat(table), table)
+        assert traced_peak(lambda: _apply_table(table, g), table.nbytes) < 0.01
 
 
 def test_apply_table_batch_matches_single_controls(field_herm2):
