@@ -69,23 +69,43 @@ def header(real_names, complex_names) -> str:
     return ",".join([*real_names, *(f"{c}_{p}" for c in complex_names for p in ("re", "im"))])
 
 
+def check_finite(path, *arrays: np.ndarray) -> None:
+    """DomainError, naming the table at path, when a value of the arrays is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError(f"non-finite value in table for {path}; nothing written")
+
+
+def spans(rows: int):
+    """Slices of the blocks of at most _BLOCK rows that a table is written in."""
+    return (slice(start, start + _BLOCK) for start in range(0, rows, _BLOCK))
+
+
 def write_table(path, real_names, complex_names, real: np.ndarray, cplx: np.ndarray) -> None:
     """Write rows of real values (rows, a) and complex values (rows, b) as numeric CSV.
 
     Raises DomainError, and writes nothing, when a value is not finite.
     """
+    check_finite(path, real, cplx)
+    write_blocks(path, real_names, complex_names, ((real[s], cplx[s]) for s in spans(len(real))))
+
+
+def write_blocks(path, real_names, complex_names, blocks) -> None:
+    """Write consecutive blocks of rows as numeric CSV, one block at a time.
+
+    Each block is a pair: real values (r, a) and complex values (r, b) with
+    r >= 1.  Every value must be finite; callers check them with
+    check_finite before, so that a refused table leaves no file.
+    """
     import orjson       # only commands that write a table pay for it
 
-    # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
-    table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
-    if not np.isfinite(table).all():
-        raise DomainError(f"non-finite value in table for {path}; nothing written")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header(real_names, complex_names).encode() + b"\r\n")
-        for start in range(0, len(table), _BLOCK):
+        for real, cplx in blocks:
+            # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
+            table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
             # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n"
-            text = orjson.dumps(table[start:start + _BLOCK], option=orjson.OPT_SERIALIZE_NUMPY)
+            text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
             fh.write(text[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
 
 

@@ -11,34 +11,38 @@ solvers (solve_goursat's method):
   one pass over the anti-diagonals d = i + j = 0..M+1 solves the discrete
   equation exactly (the marching scheme for 2-D Volterra equations; H.
   Brunner, Collocation Methods for Volterra Integral and Related
-  Functional Equations, CUP 2004).  It is certified by its residual, from
-  one application of V_h on the region; the CLI runs it;
+  Functional Equations, CUP 2004).  It is certified by its residual, which
+  the line-integral tables below give on the region; the CLI runs it;
 - Picard sweeps, each O(M^2) via cumulative prefix sums, stopped by the
   sweep-to-sweep change or an analytic factorial tail: the library default
   and the reference the march is tested against.
 
-Alongside the field itself the solver precomputes cumulative line
-integrals of q*v along lattice rows and columns.  Those tables give the
-first derivatives of the kernel and the explicit second time derivative
-of its smooth part in closed vectorized form.
+Alongside the field itself the solver streams cumulative line integrals
+of q*v along lattice rows and columns.  Those give the first derivatives
+of the kernel and the explicit second time derivative of its smooth part
+in closed vectorized form.
 
 Layout: the representation formula reads the kernel only for t <= T,
 that is i + j <= M, and a bilinear cell on that line reads one node beyond
-it.  So v and every table derived from it (e_cum, d_cum, wx_lat, wtt, wxx)
-are stored on the region i <= j, i + j <= M + 1 only, indexed by node
-(i, j), one index pair per matrix, as a half-square (M/2+2, M+1, n, n)
-that is zero off the region; its last row exists for the interpolators'
-i + 1 reads.  The dump holds the same node set, so a field read back from
-it equals the solved field array for array.  The march writes straight
-into the half-square and keeps O(M) state besides.  wtt's assembly holds
-one table, cc1, with rows that start on the diagonal, and shifts it to the
-node layout within its own buffer; only V_h keeps another layout.  V_h runs
-plane-major: a contiguous (n, n, rows, M+1) array holds one plane per
-matrix entry, so its products and cumulative sums run along contiguous
-memory.  The Picard sweeps apply it to the whole square (rows = M+1) and
-solve_goursat crops their result to the region; the march's residual
-applies it to the half-square; apply_V, the operator on full squares,
-converts on entry and on exit.  No other code sees the plane-major layout.
+it.  So v and every table derived from it (wx_lat, wtt, wxx) are stored on
+the region i <= j, i + j <= M + 1 only, indexed by node (i, j), one index
+pair per matrix, as a half-square (M/2+2, M+1, n, n) that is zero off the
+region; its last row exists for the interpolators' i + 1 reads.  The dump
+holds the same node set, so a field read back from it equals the solved
+field array for array.  The march writes straight into the half-square and
+keeps O(M) state besides.  The line integrals of q*v along xi and eta, and
+every other cumulation behind wx and wtt, exist one block of rows at a
+time: the tables are built in one pass over the blocks, carrying the last
+row of each cumulation along xi from block to block, so a field holds v,
+wx_lat and one more half-square (wtt's outer integrand, until wtt takes
+over its buffer).  Within a block, cc1 of the wtt assembly keeps rows that
+start on the diagonal and shifts them to the node layout.  Only V_h keeps
+another layout.  V_h runs plane-major: a contiguous (n, n, rows, M+1) array
+holds one plane per matrix entry, so its products and cumulative sums run
+along contiguous memory.  The Picard sweeps apply it to the whole square
+(rows = M+1) and solve_goursat crops their result to the region; apply_V,
+the operator on full squares, converts on entry and on exit.  No other
+code sees the plane-major layout.
 """
 
 from __future__ import annotations
@@ -79,10 +83,14 @@ class KernelField:
     holds the potential sampled at half-step points m*h/2, the resolution
     every internal quadrature uses.
 
-    The derived tables e_cum, d_cum, wx_lat and wtt_lattice() are
-    half-squares like v and read only the region's nodes.  e_cum[i, j]
-    integrates q(eta_j/2 - s) v(2s, eta_j) over s in [0, xi_i/2]; d_cum[i, j]
-    integrates q(s) v(xi_i, xi_i + 2s) over s in [0, (eta_j - xi_i)/2].
+    The derived tables wx_lat and wtt_lattice() are half-squares like v and
+    read only the region's nodes.  They are built from two line integrals,
+    e_cum[i, j] of q(eta_j/2 - s) v(2s, eta_j) over s in [0, xi_i/2] and
+    d_cum[i, j] of q(s) v(xi_i, xi_i + 2s) over s in [0, (eta_j - xi_i)/2],
+    which exist only one block of rows at a time (_attach_tables).  So a
+    field holds three half-squares: v, wx_lat and, until wtt_lattice()
+    first runs, wtt's outer integrand d_cum - e_cum[i, i] + e_cum, whose
+    buffer then holds wtt.
     """
 
     T: float
@@ -91,10 +99,9 @@ class KernelField:
     iterations: int                 # Picard sweeps, or the march's M + 2 anti-diagonals
     tail_bound: float               # Picard's factorial tail, or the march's residual
     qh: np.ndarray = field(repr=False, default=None)       # (M+1, n, n)
-    e_cum: np.ndarray = field(repr=False, default=None)    # (M/2+2, M+1, n, n), along eta_j
-    d_cum: np.ndarray = field(repr=False, default=None)    # (M/2+2, M+1, n, n), along xi_i
     wx_lat: np.ndarray = field(repr=False, default=None)   # d/dx of the smooth part
-    _wtt_lat: np.ndarray = field(repr=False, default=None)
+    _outer: np.ndarray = field(repr=False, default=None, init=False)   # wtt's outer integrand
+    _wtt_lat: np.ndarray = field(repr=False, default=None, init=False)
 
     @property
     def M(self) -> int:
@@ -121,11 +128,17 @@ class KernelField:
     def wtt_lattice(self) -> np.ndarray:
         """Explicit second time derivative of the smooth kernel part.
 
-        Lazily cached; recomputation is idempotent, so concurrent readers
-        at worst duplicate work.
+        Lazily cached.  The first call assembles wtt into the buffer of the
+        held outer integrand, which the field then lets go of, so it is not
+        re-entrant: do not make the first call from two threads at once.  A
+        field without the integrand (a copy made by dataclasses.replace,
+        which does not carry it) first rebuilds its tables from v.
         """
         if self._wtt_lat is None:
-            self._wtt_lat = _assemble_wtt(self)
+            if self._outer is None:
+                _attach_tables(self)
+            outer, self._outer = self._outer, None
+            self._wtt_lat = _assemble_wtt(self, outer)
         return self._wtt_lat
 
     def wxx_lattice(self) -> np.ndarray:
@@ -330,8 +343,8 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
 
     method="march" solves the same discrete equation exactly, one
     anti-diagonal at a time (_march); max_sweeps does not bound it.  Its
-    certificate is the residual max |v - v0 - V v| over the region, from one
-    application of V: ConvergenceError when it exceeds tol,
+    certificate is the residual max |v - v0 - V v| over the region, from the
+    line-integral tables (_attach_tables): ConvergenceError when it exceeds tol,
     SingularSystemError when a step matrix I + h^2/16 q_k is singular.  The
     field records the M + 2 anti-diagonals as iterations and the residual
     as tail_bound.
@@ -344,20 +357,20 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     M, qh = _lattice_setup(p, T, h)
-    if method == "march":
-        v = _march(qh, h)
-        residual = _residual(qh, v, h)
-        if not residual <= tol:
-            raise ConvergenceError(
-                f"march residual {residual:.3e} exceeds tol {tol:.3e}; "
-                "tol may be below the rounding floor of this lattice"
-            )
-        iterations, tail = M + 2, residual
-    else:
+    if method == "picard":
         v, iterations, tail = _picard(qh, T, h, tol, max_sweeps)
-    f = KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
-                    tail_bound=tail, qh=qh)
-    _attach_tables(f)
+        f = KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
+                        tail_bound=tail, qh=qh)
+        _attach_tables(f)
+        return f
+    f = KernelField(T=float(T), step=float(h), v=_march(qh, h), iterations=M + 2,
+                    tail_bound=math.nan, qh=qh)
+    f.tail_bound = residual = _attach_tables(f, residual=True)
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"march residual {residual:.3e} exceeds tol {tol:.3e}; "
+            "tol may be below the rounding floor of this lattice"
+        )
     return f
 
 
@@ -491,21 +504,6 @@ def _step_inverses(qh: np.ndarray, h: float) -> np.ndarray:
     return adj / det[:, None, None]
 
 
-def _residual(qh: np.ndarray, v: np.ndarray, h: float) -> float:
-    """Largest operator norm of v - v0 - V v over the region, from one V on v's rows.
-
-    V on the half-square is exact on the region: its nodes read only region
-    nodes.
-    """
-    rows = v.shape[0]
-    v_planes = _planes(v)
-    r = _apply_V_core(_toeplitz_planes(qh, rows), v_planes, h)
-    np.subtract(v_planes, r, out=r)
-    del v_planes
-    r -= _v0_planes(qh, h, rows)
-    return float(np.max(_opnorms(_node_view(r))[_region(v.shape[1] - 1)]))
-
-
 def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
     """Largest Frobenius norm of new - old over the nodes of two plane-major fields."""
     sq = np.zeros(new.shape[-2:])
@@ -514,129 +512,148 @@ def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.sqrt(sq)))
 
 
-def _attach_tables(f: KernelField) -> None:
-    """Cumulative line integrals of q*v along both lattice directions, and wx.
+_BLOCK = 32    # rows per block of an operator table
+_ROWS = 8      # rows per block of the derived-table stream and of the kernel constants
+
+
+def _blocks(rows: int, size: int = _BLOCK):
+    """Slices of at most size consecutive rows covering range(rows)."""
+    return (slice(a, min(a + size, rows)) for a in range(0, rows, size))
+
+
+def _diag(a: np.ndarray, start: int = 0) -> np.ndarray:
+    """a[k, start + k] for each row k: the diagonal of a half-square table, or
+    of the block of its rows that begins at row start."""
+    k = np.arange(a.shape[0])
+    return a[k, k + start]
+
+
+def _attach_tables(f: KernelField, residual: bool = False) -> float | None:
+    """wx and the outer integrand of wtt, streamed over blocks of _ROWS rows.
 
     One integrand g[i, j] = q_{j-i} v[i, j], zero off the region, is
-    cumulated (step h/2) along xi from 0 into e_cum and along eta from j = 0
-    into d_cum.  Before the diagonal d_cum adds exact zeros, and v vanishes
-    on it, so d_cum integrates from the diagonal; a field with v[i, i] != 0
-    breaks that Goursat condition, and row i of d_cum moves by
-    (h/4) q_0 v[i, i].
+    cumulated (step h/2) along eta from j = 0 into d_cum and along xi from 0
+    into e_cum.  A block forms g for its rows, d_cum within them, and e_cum
+    from the input and output rows carried over from the block above
+    (_cumtrapz's carry), so neither table exists beyond one block.  Each
+    block writes two half-squares:
+
+    - wx_lat = 1/2 (d_cum - e_cum - e_cum[i, i]), d/dx of the smooth part;
+    - f._outer = d_cum - e_cum[i, i] + e_cum, the outer integrand of wtt
+      without its q factor, which wtt_lattice() consumes.
+
+    Before the diagonal d_cum adds exact zeros, and v vanishes on it, so
+    d_cum integrates from the diagonal; a field with v[i, i] != 0 breaks
+    that Goursat condition, and row i of d_cum moves by (h/4) q_0 v[i, i].
+
+    With residual, the largest operator norm of v - v0 - V_h v over the
+    region is returned, from the same stream.  The cumulative trapezoid of
+    g along eta at step h is exactly 2 d_cum, so with C = d_cum cumulated
+    along xi at step 2h, V_h v = -1/4 (C - C[i, i]) on the region, with the
+    bits of V_h applied to the plane-major half-square.
     """
     M, h = f.M, f.step
     region = _region(M)
-    g = _mul(f.qh[_offset(M)], f.v)
-    g[~region] = 0.0
-    f.e_cum = _cumtrapz(g, h / 2.0, axis=0)
-    f.d_cum = _cumtrapz(g, h / 2.0, axis=1)
-    del g
+    jm = _offset(M)
+    wx, outer = np.empty_like(f.v), np.empty_like(f.v)
+    if residual:
+        q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+        worst = np.zeros(())
+    e_carry, c_carry = [], []
+    for b in _blocks(region.shape[0], _ROWS):
+        off = ~region[b]
+        g = _mul(f.qh[jm[b]], f.v[b])
+        g[off] = 0.0
+        d_cum = _cumtrapz(g, h / 2.0, axis=1)
+        e_cum = _cumtrapz(g, h / 2.0, axis=0, out=g, carry=e_carry)
+        e_diag = _diag(e_cum, b.start)[:, None]
+        np.subtract(d_cum, e_cum, out=wx[b])
+        wx[b] -= e_diag
+        wx[b] *= 0.5
+        np.subtract(d_cum, e_diag, out=outer[b])
+        outer[b] += e_cum
+        wx[b][off] = outer[b][off] = 0.0
+        if residual:
+            del g, e_cum
+            r = _cumtrapz(d_cum, 2.0 * h, axis=0, out=d_cum, carry=c_carry)
+            r -= _diag(r, b.start)[:, None]
+            r *= -0.25                            # V_h v
+            np.subtract(f.v[b], r, out=r)
+            r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(M + 1))
+            worst = np.maximum(worst, np.max(_opnorms(r)[~off], initial=0.0))
+    f.wx_lat, f._outer = wx, outer
+    return float(worst) if residual else None
 
-    # d/dx of the smooth part at node (i, j), from the derivative formulas in
-    # characteristic coordinates:
-    #   wx = (1/2) (d_cum[i, j] - e_cum[i, j] - e_cum[i, i])
-    wx = f.d_cum - f.e_cum
-    wx -= _diag(f.e_cum)[:, None]
-    wx *= 0.5
-    wx[~region] = 0.0
-    f.wx_lat = wx
 
-
-def _diag(a: np.ndarray) -> np.ndarray:
-    """a[i, i] of a half-square table, one entry per row."""
-    idx = np.arange(a.shape[0])
-    return a[idx, idx]
-
-
-_BLOCK = 32    # rows per block: of a half-square product with gathered q, of an operator table
-
-
-def _blocks(rows: int):
-    """Slices of at most _BLOCK consecutive rows covering range(rows)."""
-    return (slice(a, min(a + _BLOCK, rows)) for a in range(0, rows, _BLOCK))
-
-
-def _assemble_wtt(f: KernelField) -> np.ndarray:
-    """Explicit second time derivative of the smooth kernel part.
+def _assemble_wtt(f: KernelField, outer: np.ndarray) -> np.ndarray:
+    """Explicit second time derivative of the smooth kernel part, in outer's buffer.
 
     Assembled from the differentiated fixed-point equation: pointwise
     products of q with edge kernel values, six single q*q integrals, and
-    the double-integral terms: one outer integrand built from e_cum/d_cum,
-    cumulated along each lattice direction.  The work is three half-squares
-    like v and no other array of that size:
-
-    - w_hat, the double integrals: the outer integrand g cumulated along
-      eta.  g's buffer is then cumulated along xi in place, and w_hat
-      absorbs it;
-    - eighth, the q*q terms, in g's spent buffer.  It starts as cc1, whose
-      integrand q_0 q_i does not vanish on the diagonal, so its rows start
-      there: cc1[i, m] belongs to node (i, i+m).  A shift within each row
-      moves it from column m to column i+m, the layout of every other
-      table;
-    - out: qq_fwd (cc1's integrand), then qq_bwd and, in place, its
-      cumulation cc6, then the result.
-
-    A product with q gathered at each node's offset is formed per block of
-    _BLOCK rows straight into its destination, so no gathered half-square
-    exists, and factors that depend on one lattice index are formed on the
-    (M+1) vectors.  Every node gets the same operations in the same order
-    as when each term had an array of its own, so the bits do not depend on
-    the buffer plan.
+    the double-integral terms: the outer integrand q_{j-i} outer[i, j]
+    (outer from _attach_tables), cumulated along each lattice direction.
+    The assembly streams over blocks of _ROWS rows, like _attach_tables:
+    cumulations along eta stay within a block's rows, those along xi (of
+    the outer integrand and cc6) continue from the rows carried over from
+    the block above.  cc1, whose integrand q_0 q_i does not vanish on the
+    diagonal, has rows that start there: cc1[i, m] belongs to node
+    (i, i+m), and a shift within each row moves it to column i+m, the
+    layout of every other table.  A block's rows of outer are read before
+    its rows of the result overwrite them, so the work beyond outer is a
+    few blocks.  Every node gets the same operations in the same order as
+    when each term had a half-square of its own, so the bits do not depend
+    on the blocks.
     """
     M, h = f.M, f.step
     dx, qh = h / 2.0, f.qh
-    off = ~_region(M)
-    rows = off.shape[0]
-    i, m = np.arange(rows)[:, None], np.arange(M + 1)
+    region = _region(M)
     jm = _offset(M)
-
-    # outer integrand at node (i, j), zero on the diagonal:
-    #   q_{j-i} [ d_cum[i, j] - e_cum[i, i] + e_cum[i, j] ]
-    # integrated along eta_j from the diagonal and along xi_i from 0
-    e_diag = _diag(f.e_cum)
-    g = np.empty_like(f.v)
-    for b in _blocks(rows):
-        t = f.d_cum[b] - e_diag[b, None]
-        t += f.e_cum[b]
-        _mul(qh[jm[b]], t, out=g[b])
-    g[off] = 0.0
-    w_hat = _cumtrapz(g, dx, axis=1)
-    cum_xi = _cumtrapz(g, dx, axis=0, out=g)
-    w_hat -= _diag(cum_xi)[:, None]
-    w_hat += cum_xi
-    w_hat *= 0.25
-
-    # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from the
-    # diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
+    m = np.arange(M + 1)
     q_cum = _cumtrapz(qh, dx, axis=0)
-    out = np.empty_like(f.v)
-    for b in _blocks(rows):                   # qq_fwd, zero where node (i, i+m) is off the region
-        _mul(qh, qh[np.minimum(i[b] + m, M)], out=out[b])
-        out[b][2 * i[b] + m > M + 1] = 0.0
-    eighth = _cumtrapz(out, dx, axis=1, out=cum_xi)
-    for r in range(1, rows):                  # eighth[i, j] = cc1[i, max(j - i, 0)]
-        eighth[r, r:] = eighth[r, :M + 1 - r]
-        eighth[r, :r] = eighth[r, r]
-    for b in _blocks(rows):                   # then qq_bwd into out
-        eighth[b] -= _mul(q_cum[jm[b]], qh[b, None])
-        _mul(qh[jm[b]], qh[b, None], out=out[b])
-    out[off] = 0.0
-    cc6 = _cumtrapz(out, dx, axis=0, out=out)
-    eighth += _diag(cc6)[:, None]
-    eighth -= _mul(q_cum[:rows], qh[:rows])[:, None]
-    for b in _blocks(rows):
-        eighth[b] += _mul(q_cum[None, :] - q_cum[jm[b]], qh[None, :])
-    eighth -= cc6
-    eighth *= 0.125
-
-    # pointwise edge terms
     qv_edge = _mul(qh, f.v[0])
-    np.subtract(qv_edge[:rows, None], qv_edge[None, :], out=out)
-    out *= 0.25
-    out += eighth
-    out += w_hat
-    out[off] = 0.0
-    return out
+    xi_carry, cc6_carry = [], []
+    for b in _blocks(region.shape[0], _ROWS):
+        off, i = ~region[b], np.arange(b.start, b.stop)[:, None]
+
+        # double integrals: the outer integrand g, zero off the region,
+        # integrated along eta_j from the diagonal and along xi_i from 0
+        g = _mul(qh[jm[b]], outer[b])
+        g[off] = 0.0
+        w_hat = _cumtrapz(g, dx, axis=1)
+        cum_xi = _cumtrapz(g, dx, axis=0, out=g, carry=xi_carry)
+        w_hat -= _diag(cum_xi, b.start)[:, None]
+        w_hat += cum_xi
+        w_hat *= 0.25
+        del g, cum_xi
+
+        # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from
+        # the diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
+        fwd = _mul(qh, qh[np.minimum(i + m, M)])
+        fwd[2 * i + m > M + 1] = 0.0              # node (i, i+m) off the region
+        eighth = _cumtrapz(fwd, dx, axis=1, out=fwd)
+        for k, row in enumerate(eighth):         # eighth[i, j] = cc1[i, max(j - i, 0)]
+            r = b.start + k
+            row[r:] = row[:M + 1 - r]
+            row[:r] = row[r]
+        eighth -= _mul(q_cum[jm[b]], qh[b, None])
+        cc6 = _mul(qh[jm[b]], qh[b, None])
+        cc6[off] = 0.0
+        _cumtrapz(cc6, dx, axis=0, out=cc6, carry=cc6_carry)
+        eighth += _diag(cc6, b.start)[:, None]
+        eighth -= _mul(q_cum[b], qh[b])[:, None]
+        eighth += _mul(q_cum[None, :] - q_cum[jm[b]], qh[None, :])
+        eighth -= cc6
+        eighth *= 0.125
+        del cc6
+
+        # pointwise edge terms, then the sum into outer's rows
+        wtt = outer[b]
+        np.subtract(qv_edge[b, None], qv_edge[None, :], out=wtt)
+        wtt *= 0.25
+        wtt += eighth
+        wtt += w_hat
+        wtt[off] = 0.0
+    return outer
 
 
 # --- point evaluation -------------------------------------------------------
@@ -716,25 +733,34 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
     """Sup norms and the integrated second-derivative constant of the kernel.
 
     All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
-    nodes with i + j <= M.
+    nodes with i + j <= M.  The nodes are gathered one block of _ROWS rows
+    at a time: each block takes its maxima, and the w_xx norms on the even
+    diagonals j - i go into one real table, from which each diagonal is
+    integrated whole.
     """
     M, h = f.M, f.step
-    i, j = np.nonzero(_region(M))
-    phys = i + j <= M
-    i, j = i[phys], j[phys]
+    wtt = f.wtt_lattice()
+    i, j = np.arange(M // 2 + 1)[:, None], np.arange(M + 1)    # the rows with physical nodes
+    phys = (i <= j) & (i + j <= M)
+    even = phys & ((j - i) % 2 == 0)
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
-    b1 = float(np.max(_opnorms(f.v[i, j] - _v0_at(q_cum, i, j))))
-    b2 = float(np.max(_opnorms(f.wx_lat[i, j])))
-    b4 = float(np.max(_opnorms(f.v[i, j])))
+    sups, wxx_norm = np.zeros(3), np.zeros(phys.shape)
+    for b in _blocks(phys.shape[0], _ROWS):
+        i, j = np.nonzero(phys[b])
+        i += b.start
+        v = f.v[i, j]
+        sups = np.maximum(sups, [np.max(_opnorms(v - _v0_at(q_cum, i, j))),
+                                 np.max(_opnorms(f.wx_lat[i, j])), np.max(_opnorms(v))])
+        e = even[i, j]
+        wxx_norm[i[e], j[e]] = _opnorms(_wxx(f.qh[(j - i)[e]], v[e], wtt[i[e], j[e]]))
+    b1, b2, b4 = map(float, sups)
     # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another
     ds = np.arange(0, M + 1, 2)
     rows = (M - ds) // 2 + 1
     d = np.repeat(ds, rows)
     i = np.arange(d.size) - np.repeat(np.cumsum(rows) - rows, rows)
-    j = i + d
-    wxx_norm = _opnorms(_wxx(f.qh[d], f.v[i, j], f.wtt_lattice()[i, j]))
     inner = [float(np.trapezoid(vals, dx=h)) if vals.size > 1 else 0.0
-             for vals in np.split(wxx_norm, np.cumsum(rows)[:-1])]
+             for vals in np.split(wxx_norm[i, i + d], np.cumsum(rows)[:-1])]
     b3 = float(np.trapezoid(np.asarray(inner) ** 2, x=ds * h / 2.0))
     return KernelConstants(b1=b1, b2=b2, b3=b3, b4=b4)
 
@@ -806,14 +832,16 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
     each value the shortest string that reads back to its bits, so that
     load_kernel restores those nodes bit for bit.  Dumps that earlier
     versions wrote as %.17g load the same.  A non-finite value raises
-    DomainError before the CSV is opened.
+    DomainError before the CSV is opened.  The rows are gathered one
+    block at a time as they are written.
     """
     M, n = f.M, f.dim
     kc = kernel_constants(p, f)
+    fileio.check_finite(csv_path, f.v)      # zero off the region, which the dump leaves out
     i, j = np.nonzero(_region(M))
-    fileio.write_table(csv_path, ("xi", "eta"), _dump_names(n),
-                       np.stack([i * f.step, j * f.step], axis=1),
-                       f.v[i, j].reshape(i.size, n * n))
+    fileio.write_blocks(csv_path, ("xi", "eta"), _dump_names(n), (
+        (np.stack([i[s] * f.step, j[s] * f.step], axis=1), f.v[i[s], j[s]].reshape(-1, n * n))
+        for s in fileio.spans(i.size)))
     fileio.write_json(json_path, {
         "T": f.T, "h": f.step, "n": n,
         "iterations": f.iterations, "tail_bound": f.tail_bound,

@@ -61,15 +61,17 @@ def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:
     dt = T / n_t
     lam2 = (dt / dx) ** 2
 
+    # the boundary value at every step time (m + 1) dt, sampled at once
+    boundary = f.sample(np.arange(1, n_t + 1) * dt)[0]
     u_prev = np.zeros((n_ext + 1, n), dtype=complex)
     u_cur = np.zeros_like(u_prev)
-    u_cur[0] = f.sample(np.asarray([dt]))[0][0]
+    u_cur[0] = boundary[0]
     for m in range(1, n_t):
         lap = u_cur[2:] - 2.0 * u_cur[1:-1] + u_cur[:-2]
         qu = np.einsum("iab,ib->ia", qs[1:-1], u_cur[1:-1])
         u_next = np.empty_like(u_cur)
         u_next[1:-1] = 2.0 * u_cur[1:-1] - u_prev[1:-1] + lam2 * lap - dt**2 * qu
-        u_next[0] = f.sample(np.asarray([(m + 1) * dt]))[0][0]
+        u_next[0] = boundary[m]
         u_next[-1] = 0.0
         u_prev, u_cur = u_cur, u_next
 

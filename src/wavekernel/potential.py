@@ -59,36 +59,37 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
     """Cumulative trapezoid along one axis, starting at zero.
 
     Writes into ``out`` when given: an array of vals' shape that is either
-    vals itself or does not overlap it.  ``out is vals`` runs in place, one
-    slice along the axis at a time: keep the previous input slice, add it
-    to the current one, scale by dx/2, then add the previous output slice.
-    Those are the out-of-place path's operations on the same operands, so
-    both give the same bits; in place the work is two slices of scratch.
-    Either way no temporary of the input's size is made.
+    vals itself or does not overlap it.  In place numpy buffers the shifted
+    read of the pair sums, a temporary of vals' size; both ways give the
+    same bits.
+
+    ``carry`` streams one cumulation through consecutive blocks along the
+    axis.  It is a list: empty for the first block, which starts at zero,
+    and then set by each call to the block's last input and output slices.
+    A later block starts its first step from the carried input slice and
+    adds the carried output slice to that step before the running sum, so
+    the blocks get the bits of one call on the whole array.
     """
     if out is None:
         out = np.empty_like(vals)
-    res = np.moveaxis(out, axis, 0)
-    if out is vals:
-        prev, cur = res[0].copy(), np.empty_like(res[0])
-        res[0] = 0.0
-        half, last = 0.5 * dx, res[0]
-        for row in res[1:]:
-            np.copyto(cur, row)
-            np.add(prev, cur, out=row)
-            row *= half
-            row += last
-            prev, cur, last = cur, prev, row
-        return out
-    pair = np.moveaxis(vals, axis, 0)
-    res[:1] = 0.0
+    res, pair = np.moveaxis(out, axis, 0), np.moveaxis(vals, axis, 0)
+    last_in = pair[-1].copy() if carry is not None else None
     np.add(pair[:-1], pair[1:], out=res[1:])
-    res[1:] *= 0.5 * dx
-    np.cumsum(res[1:], axis=0, out=res[1:])
+    if carry:
+        np.add(carry[0], pair[0], out=res[0])
+        res *= 0.5 * dx
+        res[0] += carry[1]
+        np.cumsum(res, axis=0, out=res)
+    else:
+        res[:1] = 0.0
+        res[1:] *= 0.5 * dx
+        np.cumsum(res[1:], axis=0, out=res[1:])
+    if carry is not None:
+        carry[:] = last_in, res[-1].copy()
     return out
 
 

@@ -12,20 +12,23 @@ physical nodes and must reproduce them exactly.
 
 A second reference keeps the half-square derivative tables as they were
 built on three layouts (node, offset (i, j - i) and eta-major (j, i)),
-with each integrand formed once per layout.  The package's node-only
-tables multiply the same numbers and add the same terms in the same
-order, so they must reproduce it bit for bit.
+with each integrand formed once per layout.  The package streams its
+tables over blocks of rows and keeps only wx_lat and wtt's outer integrand
+d_cum - e_cum[i, i] + e_cum, but it multiplies the same numbers and adds
+the same terms in the same order, so those and wtt must reproduce the
+reference bit for bit.
 """
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    _BLOCK, KernelConstants, KernelField, _apply_V_core, _attach_tables, _lattice_setup,
+    _ROWS, KernelConstants, KernelField, _apply_V_core, _attach_tables, _lattice_setup,
     _node_view, _planes, _region, _tail_bound, _toeplitz_planes,
 )
 from wavekernel.propagator import OperatorTables
@@ -255,10 +258,31 @@ def layered_assemble_wtt(f):
 
 
 def layered_tables(f):
-    """A copy of f with its derivative tables rebuilt by the layered reference."""
-    ref = dataclasses.replace(f, e_cum=None, d_cum=None, wx_lat=None, _wtt_lat=None)
+    """f's lattice with e_cum, d_cum and wx_lat built by the layered reference."""
+    ref = types.SimpleNamespace(M=f.M, step=f.step, qh=f.qh, v=f.v)
     layered_attach_tables(ref)
     return ref
+
+
+def layered_outer(ref):
+    """wtt's outer integrand d_cum[i, j-i] - e_cum[i, i] + e_cum[j, i] of the
+    layered tables, on the node layout and zero off the region."""
+    M = ref.M
+    region = _region(M)
+    i, m = np.arange(region.shape[0])[:, None], np.arange(M + 1)
+    t = ref.d_cum[i, np.clip(m - i, 0, M)]
+    t -= _diag_T(ref.e_cum)[:, None]
+    t += ref.e_cum.swapaxes(0, 1)
+    t[~region] = 0.0
+    return t
+
+
+def held_outer(f):
+    """The outer integrand f holds; rebuilt on a copy once wtt_lattice() has taken it."""
+    if f._outer is None:
+        f = dataclasses.replace(f)
+        _attach_tables(f)
+    return f._outer
 
 
 def ref_kernel_constants(p, f):
@@ -337,6 +361,13 @@ def test_mul_matches_einsum(n):
     assert rel_gap(_mul(vec, lat), np.einsum("mab,imbc->imac", vec, lat)) <= 1e-15
 
 
+def planted_values(rng, shape):
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals.flat[::7] = complex(-0.0, -0.0)        # signed zeros show in the bytes
+    vals.flat[3::11] = complex(5e-324, -0.0)
+    return vals
+
+
 @pytest.mark.parametrize("rows", [1, 2, 37])
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -349,6 +380,25 @@ def test_cumtrapz_in_place_matches_out_of_place(n, axis, rows):
     assert _cumtrapz(work, 0.0125, axis=axis, out=work) is work
     assert np.array_equal(work, ref)
     assert np.array_equal(_cumtrapz(vals, 0.0125, axis=axis, out=np.empty_like(vals)), ref)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cumtrapz_carried_blocks_match_whole(n, axis, block):
+    # the table stream cumulates along xi one block of rows at a time, in
+    # place or not; the blocks must give the bytes of one call on the whole
+    rng = np.random.default_rng(100 * n + 10 * axis + block)
+    vals = planted_values(rng, (37, 41, n, n))
+    ref = _cumtrapz(vals, 0.0125, axis=axis)
+    for in_place in (False, True):
+        got, carry = np.empty_like(vals), []
+        for start in range(0, vals.shape[axis], block):
+            span = (slice(None),) * axis + (slice(start, start + block),)
+            part = vals[span].copy()
+            out = part if in_place else np.empty_like(part)
+            got[span] = _cumtrapz(part, 0.0125, axis=axis, out=out, carry=carry)
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_apply_V_core_matches_reference(case):
@@ -369,9 +419,11 @@ def test_solve_goursat_matches_reference(case):
     i, j = np.nonzero(_region(f.M))
     assert rel_gap(f.v[i, j], ref.v[i, j]) <= REL
     assert rel_gap(f.wtilde_lattice()[i, j], (ref.v - full_v0(p, 1.0, h))[i, j]) <= REL
-    assert f.e_cum.shape == f.d_cum.shape == f.v.shape
-    assert rel_gap(f.e_cum[i, j], ref.e_cum[j, j] - ref.e_cum[j, j - i]) <= REL
-    assert rel_gap(f.d_cum[i, j], ref.d_cum[i, j - i]) <= REL
+    # e_cum[i, j] = ref.e_cum[j, j] - ref.e_cum[j, j - i], d_cum[i, j] = ref.d_cum[i, j - i]
+    e_diag = ref.e_cum[i, i] - ref.e_cum[i, 0]
+    outer = ref.d_cum[i, j - i] - e_diag + (ref.e_cum[j, j] - ref.e_cum[j, j - i])
+    assert held_outer(f).shape == f.v.shape
+    assert rel_gap(held_outer(f)[i, j], outer) <= REL
     assert rel_gap(f.wx_lat[i, j], ref.wx_lat[i, j]) <= REL
 
 
@@ -387,21 +439,18 @@ def test_wtt_lattice_matches_reference(case):
 
 def _assert_tables_match_layered(f):
     ref = layered_tables(f)
-    i, j = np.nonzero(_region(f.M))
-    assert f.e_cum.shape == f.d_cum.shape == f.v.shape
-    assert np.array_equal(f.e_cum[i, j], ref.e_cum[j, i])
-    assert np.array_equal(f.d_cum[i, j], ref.d_cum[i, j - i])
     assert np.array_equal(f.wx_lat, ref.wx_lat)
+    assert np.array_equal(held_outer(f), layered_outer(ref))
     assert np.array_equal(f.wtt_lattice(), layered_assemble_wtt(ref))
 
 
 def test_wtt_matches_layered_reference_across_row_blocks():
-    # M = 400: 202 rows, so the row blocks of the wtt assembly end inside the
-    # half-square six times and the last block is short
+    # M = 400: 202 rows, so the row blocks of the table stream and of the wtt
+    # assembly end inside the half-square many times and the last block is short
     p = POTENTIALS["herm2"]()
     f = wk.solve_goursat(p, 1.0, 1 / 200, 1e-10, method="march")
     rows = f.v.shape[0]
-    assert rows > 6 * _BLOCK and rows % _BLOCK
+    assert rows > 6 * _ROWS and rows % _ROWS
     _assert_tables_match_layered(f)
 
 
@@ -417,20 +466,25 @@ def test_nonzero_diagonal_shifts_d_cum(case):
     # d_cum runs along eta from j = 0 and relies on v[i, i] = 0, the Goursat
     # condition on the diagonal.  A field that breaks it (the planted values
     # of the dump round-trip test are one) has row i of d_cum moved by
-    # (h/4) q_0 v[i, i] from the diagonal on; e_cum and v stay exact.
+    # (h/4) q_0 v[i, i] from the diagonal on, and e_cum and v stay exact.  So
+    # row i of the outer integrand d_cum - e_cum[i, i] + e_cum moves by the
+    # shift and row i of wx_lat by half of it; every other row stays exact.
     p, h, f, _ = case
     v = f.v.copy()
     v[5, 5] = np.eye(f.dim)
     planted = dataclasses.replace(f, v=v)
     _attach_tables(planted)
     ref = layered_tables(planted)
+    outer = layered_outer(ref)
     shift = 0.25 * h * f.qh[0]
-    assert np.allclose(planted.d_cum[5, 5:42] - ref.d_cum[5, :37], shift, rtol=0, atol=1e-14)
+    assert np.allclose(planted._outer[5, 5:42] - outer[5, 5:42], shift, rtol=0, atol=1e-14)
+    assert np.allclose(planted.wx_lat[5, 5:42] - ref.wx_lat[5, 5:42], 0.5 * shift,
+                       rtol=0, atol=1e-14)
     i, j = np.nonzero(_region(f.M))
-    assert np.array_equal(planted.e_cum[i, j], ref.e_cum[j, i])
     others = i != 5
-    assert np.array_equal(planted.d_cum[i[others], j[others]],
-                          ref.d_cum[i[others], (j - i)[others]])
+    i, j = i[others], j[others]
+    assert np.array_equal(planted._outer[i, j], outer[i, j])
+    assert np.array_equal(planted.wx_lat[i, j], ref.wx_lat[i, j])
 
 
 def test_kernel_constants_match_reference(case):
@@ -460,9 +514,11 @@ def test_lattice_memory_guard(pot_herm2):
     # node-major einsum formulation peaked at 8.4 (solve) and 14.7 (wtt); the
     # full-square tables at 6.2 and 5.7; the half-square tables at 5.5 and 2.9;
     # the half-square field at 4.5 (solve).  A solved field held 3.5 lattices
-    # with a full-square v and v0, and holds 2.0 with a half-square v alone.
-    # wtt with one array per term peaked at 2.8; with three work half-squares
-    # (0.51 lattices each) and products formed per row block, at 2.03.
+    # with a full-square v and v0, 2.0 with v, e_cum, d_cum and wx_lat as
+    # half-squares (0.51 lattices each), and holds 1.53 with v, wx_lat and
+    # wtt's outer integrand.  wtt with one array per term peaked at 2.8; with
+    # three work half-squares and products formed per row block, at 2.03;
+    # streamed over blocks of rows into the integrand's buffer, at 0.39.
     lattice = 201 ** 2 * 4 * 16
     holder = {}
     solve_peak = traced_peak(
@@ -472,5 +528,5 @@ def test_lattice_memory_guard(pot_herm2):
     resident = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) / lattice
     wtt_peak = traced_peak(f.wtt_lattice, lattice)
     assert solve_peak <= 5.0
-    assert resident <= 2.2
-    assert wtt_peak <= 2.2
+    assert resident <= 1.6
+    assert wtt_peak <= 0.5

@@ -8,14 +8,17 @@ M, so no potential can make it look faster, and its certificate is the
 residual of the discrete equation over the region it stores.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ConvergenceError, DomainError, SingularSystemError
-from wavekernel.goursat import (_apply_V_core, _lattice_setup, _march, _planes, _region,
-                                _residual, _toeplitz_planes)
-from wavekernel.potential import potential_from_callable
+from wavekernel.goursat import (_ROWS, KernelField, _apply_V_core, _attach_tables,
+                                _lattice_setup, _march, _node_view, _planes, _region,
+                                _toeplitz_planes, _v0_planes)
+from wavekernel.potential import _opnorms, potential_from_callable
 
 from conftest import traced_peak
 
@@ -44,7 +47,9 @@ def test_march_matches_picard(n, M):
     h = 2.0 / M
     march = wk.solve_goursat(p, 1.0, h, 1e-14, method="march")
     picard = wk.solve_goursat(p, 1.0, h, 1e-14, method="picard")
-    for name in ("v", "e_cum", "d_cum", "wx_lat"):
+    # _outer, d_cum - e_cum[i, i] + e_cum, and wx_lat, (d_cum - e_cum - e_cum[i, i]) / 2,
+    # are the line-integral tables a field keeps
+    for name in ("v", "wx_lat", "_outer"):
         got, ref = getattr(march, name), getattr(picard, name)
         assert got.shape == ref.shape == (M // 2 + 2, M + 1, n, n)
         assert np.abs(got - ref).max() <= GAP, name
@@ -91,13 +96,47 @@ def test_march_residual_above_tol_raises(pot_one):
         wk.solve_goursat(pot_one, 1.0, 1 / 50, 1e-300, method="march")
 
 
+def streamed_residual(qh, v, h):
+    """The march's certificate for the field v, from the line-integral tables."""
+    f = KernelField(T=1.0, step=h, v=v, iterations=0, tail_bound=0.0, qh=qh)
+    return _attach_tables(f, residual=True)
+
+
+def plane_major_residual(qh, v, h):
+    """Largest operator norm of v - v0 - V v over the region, from one plane-major
+    application of V to v's rows (exact on the region: its nodes read only region
+    nodes)."""
+    rows = v.shape[0]
+    v_planes = _planes(v)
+    r = _apply_V_core(_toeplitz_planes(qh, rows), v_planes, h)
+    np.subtract(v_planes, r, out=r)
+    r -= _v0_planes(qh, h, rows)
+    return float(np.max(_opnorms(_node_view(r))[_region(v.shape[1] - 1)]))
+
+
 def test_residual_reads_the_halo_anti_diagonal(pot_herm2):
     # the certificate covers every stored node, the line i + j = M + 1 too
     M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 50)
     v = _march(qh, 1 / 50)
-    assert _residual(qh, v, 1 / 50) <= 1e-15
+    assert streamed_residual(qh, v, 1 / 50) <= 1e-15
     v[M // 2, M // 2 + 1] += 1e-6 * np.eye(2)
-    assert _residual(qh, v, 1 / 50) >= 0.99e-6
+    assert streamed_residual(qh, v, 1 / 50) >= 0.99e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_streamed_residual_equals_plane_major_residual(n):
+    # M = 400: the 202 rows of the half-square end inside a row block.  The
+    # cumulation of q v along eta at step h is exactly 2 d_cum, so the two
+    # residuals agree bit for bit, on the march's solution and off it
+    p = seeded_potential(4, n)
+    M, qh = _lattice_setup(p, 1.0, 1 / 200)
+    v = _march(qh, 1 / 200)
+    assert v.shape[0] % _ROWS
+    assert streamed_residual(qh, v, 1 / 200) == plane_major_residual(qh, v, 1 / 200) <= 1e-14
+    rng = np.random.default_rng(n)
+    v += 1e-3 * rng.standard_normal(v.shape) * _region(M)[..., None, None]
+    residual = streamed_residual(qh, v, 1 / 200)
+    assert residual == plane_major_residual(qh, v, 1 / 200) > 1e-3
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -152,10 +191,30 @@ def test_solve_rejects_unknown_method(pot_one):
 def test_march_builds_no_full_square(pot_herm2):
     # 2x2 at M = 200; one lattice is (M+1)^2 n^2 complex values, the size of one
     # full-square work array.  Picard peaks at 4.5 lattices.  The march holds the
-    # half-square v (0.51) and O(M) state; its residual peaks at 2.3 with four
-    # half-squares (v, v plane-major, q, V v) and one plane of product terms.
+    # half-square v (0.51) and O(M) state.  Its residual from one plane-major V
+    # peaked at 2.3, with four half-squares (v, v plane-major, q, V v) and one
+    # plane of product terms; the table stream gives it with v, wx_lat and wtt's
+    # outer integrand (1.53) and a few blocks of rows, at 1.87.
     lattice = 201 ** 2 * 4 * 16
     M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 100)
     assert traced_peak(lambda: _march(qh, 1 / 100), lattice) <= 0.6
     solve = lambda: wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
-    assert traced_peak(solve, lattice) <= 2.5
+    assert traced_peak(solve, lattice) <= 2.1
+
+
+def test_march_field_memory_guard(pot_herm2):
+    # what the CLI runs, 2x2 at M = 200: a marched field holds three
+    # half-squares (v, wx_lat and wtt's outer integrand, 1.53 lattices), and
+    # wtt is assembled into the integrand's buffer with a few blocks of rows
+    # besides (0.39); afterwards the field holds v, wx_lat and wtt
+    lattice = 201 ** 2 * 4 * 16
+    f = wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
+
+    def resident():
+        arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) / lattice
+
+    assert resident() <= 1.6
+    assert traced_peak(f.wtt_lattice, lattice) <= 0.5
+    assert f._outer is None
+    assert resident() <= 1.6
