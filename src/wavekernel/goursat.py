@@ -36,13 +36,11 @@ time: the tables are built in one pass over the blocks, carrying the last
 row of each cumulation along xi from block to block, so a field holds v,
 wx_lat and one more half-square (wtt's outer integrand, until wtt takes
 over its buffer).  Within a block, cc1 of the wtt assembly keeps rows that
-start on the diagonal and shifts them to the node layout.  Only V_h keeps
-another layout.  V_h runs plane-major: a contiguous (n, n, rows, M+1) array
-holds one plane per matrix entry, so its products and cumulative sums run
-along contiguous memory.  The Picard sweeps apply it to the whole square
-(rows = M+1) and solve_goursat crops their result to the region; apply_V,
-the operator on full squares, converts on entry and on exit.  No other
-code sees the plane-major layout.
+start on the diagonal and shifts them to the node layout.  V_h itself is
+one step over a block of rows in the same node layout (_V_rows), streamed
+like the tables: the march's residual applies it to the region, and the
+Picard sweeps and apply_V to the whole square (M+1, M+1, n, n), which
+solve_goursat crops to the region after the last sweep.
 """
 
 from __future__ import annotations
@@ -190,7 +188,8 @@ def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
 # --- construction ----------------------------------------------------------
 
 def _lattice_setup(p: PotentialGrid, T: float, h: float):
-    if not (math.isfinite(T) and math.isfinite(h) and T > 0 and h > 0):
+    if (isinstance(T, bool) or isinstance(h, bool)
+            or not (math.isfinite(T) and math.isfinite(h) and T > 0 and h > 0)):
         raise DomainError(f"T = {T} and h = {h} must be finite and positive")
     M = int(round(2.0 * T / h))
     if abs(M * h - 2.0 * T) > _TOL * max(1.0, T):
@@ -223,16 +222,6 @@ def _v0_lattice(qh: np.ndarray, h: float) -> np.ndarray:
     return v0
 
 
-def _v0_planes(qh: np.ndarray, h: float, rows: int | None = None) -> np.ndarray:
-    """The explicit part v0 on rows i < rows (all M+1 by default) of the
-    triangle, plane-major (n, n, rows, M+1)."""
-    q_cum = np.ascontiguousarray(np.moveaxis(_cumtrapz(qh, h / 2.0, axis=0), 0, -1))
-    v0 = q_cum[..., None, :] - q_cum[..., :rows, None]
-    v0 *= -0.5
-    v0[..., np.tri(*v0.shape[-2:], k=-1, dtype=bool)] = 0.0
-    return v0
-
-
 def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
     """Field holding only the explicit part: the potential integral between
     the two characteristic coordinates."""
@@ -246,71 +235,22 @@ def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
 def apply_V(p: PotentialGrid, values: np.ndarray, h: float) -> np.ndarray:
     """One application of the fixed-point integral operator to a lattice field.
 
-    values (finite) and the result are node-major, (M+1, M+1, n, n) with
-    n = p.dim, and h is finite and positive; DomainError otherwise.
+    values (finite, at least one node) and the result are node-major,
+    (M+1, M+1, n, n) with n = p.dim, and h is finite and positive;
+    DomainError otherwise.
     """
     values, n = np.asarray(values), p.dim
-    if values.shape != values.shape[:1] * 2 + (n, n) or not np.all(np.isfinite(values)):
-        raise DomainError(f"lattice must be finite, of shape (M+1, M+1, {n}, {n}); "
-                          f"got shape {values.shape}")
-    if not (math.isfinite(h) and h > 0):
-        raise DomainError(f"h = {h} must be finite and positive")
+    if (values.shape != values.shape[:1] * 2 + (n, n) or not values.size
+            or not np.all(np.isfinite(values))):
+        raise DomainError(f"lattice must be finite, of shape (M+1, M+1, {n}, {n}) with "
+                          f"M >= 0; got shape {values.shape}")
+    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
+        raise DomainError(f"h = {h!r} must be finite and positive")
     M = values.shape[0] - 1
     qh = p.eval(np.arange(M + 1) * (h / 2.0))
-    out = _apply_V_core(_toeplitz_planes(qh), _planes(values), h)
-    return np.ascontiguousarray(_node_view(out))
-
-
-def _planes(a: np.ndarray) -> np.ndarray:
-    """Plane-major copy (n, n, M+1, M+1) of a node-major lattice array."""
-    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (2, 3)))
-
-
-def _node_view(a: np.ndarray) -> np.ndarray:
-    """Node-major view (M+1, M+1, n, n) of a plane-major array."""
-    return np.moveaxis(a, (2, 3), (0, 1))
-
-
-def _toeplitz_planes(qh: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Plane-major q at each node: plane (a, b) holds qh[j - i, a, b] at (i, j).
-
-    Covers rows i < rows (all M+1 by default).  Below the diagonal it holds
-    qh[0]; _apply_V_core masks those nodes.
-    """
-    j = np.arange(qh.shape[0])
-    i = j[:rows, None]
-    return np.moveaxis(qh, 0, -1)[..., np.maximum(j - i, 0)]
-
-
-def _apply_V_core(q_planes: np.ndarray, v_planes: np.ndarray, h: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The fixed-point operator V in the plane-major work layout.
-
-    q_planes (from _toeplitz_planes) and v_planes are (n, n, rows, M+1): one
-    contiguous plane per matrix entry, where KernelField arrays are
-    node-major.  rows is M+1 for the whole square; fewer rows give V on
-    those rows exactly, since node (i, j) reads only nodes (a, b) with
-    a <= i.  The product g = q v is formed for all entries at once; then
-    each plane in turn is masked to the triangle, integrated by a cumulative
-    trapezoid along eta and then along xi (one reused work plane), shifted
-    by its diagonal and scaled by -1/4.  Nodes on and below the diagonal
-    come out zero.  The result is written into out when given, which must
-    not overlap v_planes.
-    """
-    shape = v_planes.shape[-2:]
-    if out is None:
-        out = np.empty(v_planes.shape, dtype=np.result_type(q_planes, v_planes))
-    _mul(_node_view(q_planes), _node_view(v_planes), out=_node_view(out))
-    below = np.tri(*shape, k=-1, dtype=bool)
-    inner = np.empty(shape, dtype=out.dtype)
-    for g in out.reshape(-1, *shape):
-        np.copyto(g, 0.0, where=below)
-        _cumtrapz(g, h, axis=1, out=inner)      # along eta
-        _cumtrapz(inner, h, axis=0, out=g)      # along xi
-        g -= g.diagonal()[:, None].copy()
-        g *= -0.25
-        np.copyto(g, 0.0, where=below)
-        np.fill_diagonal(g, 0.0)
+    out, carry = np.empty(values.shape, dtype=np.result_type(qh, values)), []
+    for b in _blocks(M + 1, _ROWS):
+        out[b] = _V_rows(_square_d_cum(qh, values[b], b.start, h), h, b.start, carry)
     return out
 
 
@@ -335,11 +275,11 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     """Solve the kernel fixed-point equation v = v0 + V v on the lattice.
 
     method="picard", the default and the reference, runs sweeps on the
-    whole triangle.  They stop when the sup-norm change over all its nodes
-    falls below tol, or when the analytic factorial tail of the remainder
-    does; ConvergenceError at the sweep cap max_sweeps, an integer >= 1
-    (DomainError otherwise).  The field records the sweeps as iterations
-    and the tail as tail_bound.
+    whole triangle (_picard).  They stop when the largest change of a node
+    over the triangle falls below tol, or when the analytic factorial tail
+    of the remainder does; ConvergenceError at the sweep cap max_sweeps, an
+    integer >= 1 (DomainError otherwise).  The field records the sweeps as
+    iterations and the tail as tail_bound.
 
     method="march" solves the same discrete equation exactly, one
     anti-diagonal at a time (_march); max_sweeps does not bound it.  Its
@@ -351,8 +291,8 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
 
     Diagonal nodes are zero, and the field keeps the region i + j <= M + 1.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     check_count(max_sweeps, "max_sweeps", 1, DomainError)
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
@@ -375,12 +315,21 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
 
 
 def _picard(qh: np.ndarray, T: float, h: float, tol: float, max_sweeps: int):
-    """Picard sweeps on the whole triangle: (v on the region, sweeps, tail bound)."""
+    """Picard sweeps on the whole triangle: (v on the region, sweeps, tail bound).
+
+    v0 and v are full squares (M+1, M+1, n, n), zero below the diagonal,
+    and each sweep replaces v by v0 + V_h v one block of _ROWS rows at a
+    time, in place: a block's rows of V_h v read only its own old rows and
+    the cumulation carried over from the old rows above.  The sweep's
+    change is the largest Frobenius norm of new - old over the nodes.  The
+    last v is cropped to the region.
+    """
     M = qh.shape[0] - 1
     S_full = float(0.5 * np.trapezoid(_opnorms(qh), dx=h / 2.0))
-    v0_planes = _v0_planes(qh, h)
-    q_planes = _toeplitz_planes(qh)
-    v, v_new = v0_planes.copy(), np.empty_like(v0_planes)
+    i, j = np.arange(M + 1)[:, None], np.arange(M + 1)
+    v0 = _v0_at(_cumtrapz(qh, h / 2.0, axis=0), i, j)
+    v0[i > j] = 0.0
+    v = v0.copy()
     iterations = 0
     delta = math.inf
     tail = _tail_bound(S_full, 2.0 * T, 0)
@@ -391,17 +340,28 @@ def _picard(qh: np.ndarray, T: float, h: float, tol: float, max_sweeps: int):
                 f"(last change {delta:.3e}, tol {tol:.3e}); "
                 "tol may be below the quadrature floor for this h"
             )
-        _apply_V_core(q_planes, v, h, out=v_new)
-        v_new += v0_planes
-        delta = _max_node_change(v_new, v)
-        v, v_new = v_new, v
+        delta, carry = 0.0, []
+        for b in _blocks(M + 1, _ROWS):
+            new = _V_rows(_square_d_cum(qh, v[b], b.start, h), h, b.start, carry)
+            new += v0[b]
+            delta = max(delta, _max_node_change(new, v[b]))
+            v[b] = new
         iterations += 1
         tail = _tail_bound(S_full, 2.0 * T, iterations)
-    del q_planes, v0_planes, v_new
+    del v0
     region = _region(M)
-    v = np.ascontiguousarray(_node_view(v)[:region.shape[0]])
+    v = v[:region.shape[0]].copy()
     v[~region] = 0.0
     return v, max(iterations, 1), tail
+
+
+def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
+    """Largest Frobenius norm of new - old over the nodes of two node-major arrays."""
+    diff = (new - old).reshape(*new.shape[:-2], -1)
+    sq = np.zeros(diff.shape[:-1])
+    for k in range(diff.shape[-1]):
+        sq += np.abs(diff[..., k]) ** 2
+    return float(np.max(np.sqrt(sq)))
 
 
 def _march(qh: np.ndarray, h: float) -> np.ndarray:
@@ -504,14 +464,6 @@ def _step_inverses(qh: np.ndarray, h: float) -> np.ndarray:
     return adj / det[:, None, None]
 
 
-def _max_node_change(new: np.ndarray, old: np.ndarray) -> float:
-    """Largest Frobenius norm of new - old over the nodes of two plane-major fields."""
-    sq = np.zeros(new.shape[-2:])
-    for a, b in zip(new.reshape(-1, *sq.shape), old.reshape(-1, *sq.shape)):
-        sq += np.abs(a - b) ** 2
-    return float(np.max(np.sqrt(sq)))
-
-
 _BLOCK = 32    # rows per block of an operator table
 _ROWS = 8      # rows per block of the derived-table stream and of the kernel constants
 
@@ -526,6 +478,38 @@ def _diag(a: np.ndarray, start: int = 0) -> np.ndarray:
     of the block of its rows that begins at row start."""
     k = np.arange(a.shape[0])
     return a[k, k + start]
+
+
+def _V_rows(d_cum: np.ndarray, h: float, start: int, carry: list) -> np.ndarray:
+    """V_h v on one block of rows, the step that every application of V_h streams.
+
+    d_cum holds the block's rows start, start + 1, ... of g = q_{j-i} v,
+    zero off the nodes that enter (the region for the march's residual, the
+    triangle i <= j for a full square), cumulated by the trapezoid at step
+    h/2 along eta.  The step cumulates it along xi at step 2h, in place,
+    from the rows that carry (a list, empty for the first block) brings over
+    from the block above, and returns V_h v = -1/4 (C - C[i, i]) in d_cum's
+    buffer, zero on and below the diagonal.  Node (i, j) reads only rows
+    a <= i, so leading rows come out exact.  The two steps' factors 1/2 and
+    2 are powers of two, so away from subnormal values the bits are those of
+    step h along both axes.
+    """
+    C = _cumtrapz(d_cum, 2.0 * h, axis=0, out=d_cum, carry=carry)
+    C -= _diag(C, start)[:, None]
+    C *= -0.25
+    for k, row in enumerate(C):
+        row[:start + k + 1] = 0.0
+    return C
+
+
+def _square_d_cum(qh: np.ndarray, v: np.ndarray, start: int, h: float) -> np.ndarray:
+    """_V_rows's input for rows start, start + 1, ... of a full square:
+    g = q_{j-i} v, zero below the diagonal, cumulated along eta at step h/2."""
+    i, j = np.arange(start, start + len(v))[:, None], np.arange(v.shape[1])
+    g = _mul(qh[np.maximum(j - i, 0)], v)
+    for k, row in enumerate(g):
+        row[:start + k] = 0.0
+    return _cumtrapz(g, h / 2.0, axis=1, out=g)
 
 
 def _attach_tables(f: KernelField, residual: bool = False) -> float | None:
@@ -547,10 +531,8 @@ def _attach_tables(f: KernelField, residual: bool = False) -> float | None:
     that Goursat condition, and row i of d_cum moves by (h/4) q_0 v[i, i].
 
     With residual, the largest operator norm of v - v0 - V_h v over the
-    region is returned, from the same stream.  The cumulative trapezoid of
-    g along eta at step h is exactly 2 d_cum, so with C = d_cum cumulated
-    along xi at step 2h, V_h v = -1/4 (C - C[i, i]) on the region, with the
-    bits of V_h applied to the plane-major half-square.
+    region is returned, from the same stream: each block hands its d_cum,
+    once the tables have read it, to the step _V_rows.
     """
     M, h = f.M, f.step
     region = _region(M)
@@ -575,9 +557,7 @@ def _attach_tables(f: KernelField, residual: bool = False) -> float | None:
         wx[b][off] = outer[b][off] = 0.0
         if residual:
             del g, e_cum
-            r = _cumtrapz(d_cum, 2.0 * h, axis=0, out=d_cum, carry=c_carry)
-            r -= _diag(r, b.start)[:, None]
-            r *= -0.25                            # V_h v
+            r = _V_rows(d_cum, h, b.start, c_carry)
             np.subtract(f.v[b], r, out=r)
             r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(M + 1))
             worst = np.maximum(worst, np.max(_opnorms(r)[~off], initial=0.0))

@@ -99,9 +99,8 @@ def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     Built one output entry at a time, out[..., r, c] = sum over k of
     a[..., r, k] * b[..., k, c] (a plain product when n = 1).  For the
     n <= 3 of a potential these n^3 whole-array products beat einsum's
-    generic sum-of-products loop, and on plane-major views every term is
-    one contiguous array.  ``out`` may be a strided view; it must not
-    overlap a or b.
+    generic sum-of-products loop.  ``out`` may be a strided view; it must
+    not overlap a or b.
     """
     if out is None:
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.goursat import _lattice_setup, _node_view, _region, _v0_planes
+from wavekernel.goursat import _lattice_setup, _region, _v0_at
+from wavekernel.potential import _cumtrapz
 
 
 @pytest.fixture(scope="session")
@@ -75,8 +76,11 @@ def lattice_xt(field):
 
 def full_v0(p, T, h):
     """The explicit part v0 on the whole triangle, node-major (M+1, M+1, n, n)."""
-    _, qh = _lattice_setup(p, T, h)
-    return np.ascontiguousarray(_node_view(_v0_planes(qh, h)))
+    M, qh = _lattice_setup(p, T, h)
+    i, j = np.arange(M + 1)[:, None], np.arange(M + 1)
+    v0 = _v0_at(_cumtrapz(qh, h / 2.0, axis=0), i, j)
+    v0[i > j] = 0.0
+    return v0
 
 
 def region_interior(M):

@@ -10,7 +10,7 @@ from wavekernel.errors import ConvergenceError, DomainError
 from wavekernel.goursat import _interp_triangle, _region
 from wavekernel.potential import potential_from_callable
 
-from conftest import full_v0, lattice_xt, region_interior, shortest
+from conftest import full_v0, lattice_xt, region_interior, shortest, traced_peak
 
 
 def node_norms(arr):
@@ -59,6 +59,7 @@ def test_apply_V_zero_field(pot_one):
     ((21, 21, 1, 1), -1 / 10, "finite and positive"),
     ((21, 21, 1, 1), float("nan"), "finite and positive"),
     ((21, 21, 1, 1), float("inf"), "finite and positive"),
+    ((0, 0, 1, 1), 1 / 10, "shape"),            # no node at all
 ])
 def test_apply_V_rejects_bad_input(pot_one, shape, h, match):
     with pytest.raises(DomainError, match=match):
@@ -71,6 +72,20 @@ def test_apply_V_rejects_non_finite_lattice(pot_one, bad):
     vals[3, 7] = bad
     with pytest.raises(DomainError, match="finite"):
         wk.apply_V(pot_one, vals, 1 / 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: wk.solve_goursat(p, True, 1 / 10, 1e-10),
+    lambda p: wk.solve_goursat(p, 1.0, True, 1e-10),
+    lambda p: wk.solve_goursat(p, 1.0, 1 / 10, True),
+    lambda p: wk.initial_v0(p, True, 1 / 10),
+    lambda p: wk.initial_v0(p, 1.0, True),
+    lambda p: wk.apply_V(p, np.zeros((21, 21, 1, 1)), True),
+], ids=["solve-T", "solve-h", "solve-tol", "v0-T", "v0-h", "apply_V-h"])
+def test_entry_points_reject_bool(pot_one, call):
+    # Python treats True as 1, which is a valid T, h and tol; it is not a number here
+    with pytest.raises(DomainError, match="finite and positive"):
+        call(pot_one)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -365,6 +380,16 @@ def test_picard_tail_dominates(pot_one):
         if sweep >= 4:
             assert delta <= _tail_bound(S, 2.0, sweep - 1) + 1e-14
     assert delta < 1e-10
+
+
+def test_picard_memory_guard(pot_herm2):
+    # 2x2 at M = 200, in full squares of (M+1)^2 n^2 complex values.  The sweeps
+    # hold v0 and v and update v in place, one block of rows at a time (2.27),
+    # with no square of gathered q, V v or the next v; the field then holds
+    # three half-squares (v, wx_lat and wtt's outer integrand)
+    square = 201 ** 2 * 4 * 16
+    solve = lambda: wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="picard")
+    assert traced_peak(solve, square) <= 2.5
 
 
 def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):

@@ -1,10 +1,11 @@
-"""The plane-major kernel lattice against the node-major einsum formulation.
+"""The streamed kernel lattice against the full-square einsum formulation.
 
 The reference functions below are the earlier implementation of the
 fixed-point operator, the Picard loop, the derivative tables and the wtt
 assembly, kept unchanged: full-square node-major (M+1, M+1, n, n) arrays
-and einsum products.  The package must reproduce them to rounding; its
-field and derived tables are half-squares on the region i <= j,
+and einsum products.  The package must reproduce them to rounding: its
+V_h is one step over blocks of rows (apply_V streams it over the square),
+and its field and derived tables are half-squares on the region i <= j,
 i + j <= M + 1, so they are compared on that region's nodes.  The
 full-square kernel constants are kept too, reading the package's
 half-squares padded to the full square; the package reads only the
@@ -28,8 +29,7 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    _ROWS, KernelConstants, KernelField, _apply_V_core, _attach_tables, _lattice_setup,
-    _node_view, _planes, _region, _tail_bound, _toeplitz_planes,
+    _ROWS, KernelConstants, KernelField, _attach_tables, _lattice_setup, _region, _tail_bound,
 )
 from wavekernel.propagator import OperatorTables
 
@@ -407,8 +407,7 @@ def test_apply_V_core_matches_reference(case):
     rng = np.random.default_rng(0)
     shape = (f.M + 1, f.M + 1, f.dim, f.dim)       # apply_V works on full squares
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got = _node_view(_apply_V_core(_toeplitz_planes(qh), _planes(vals), h))
-    assert rel_gap(got, ref_apply_V_core(qh, vals, h)) <= REL
+    assert rel_gap(wk.apply_V(p, vals, h), ref_apply_V_core(qh, vals, h)) <= REL
 
 
 def test_solve_goursat_matches_reference(case):

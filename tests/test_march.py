@@ -1,4 +1,5 @@
-"""The anti-diagonal march against the Picard reference.
+"""The anti-diagonal march against the Picard reference, and V_h against its
+plane-major reference.
 
 solve_goursat(method="march") solves the discrete fixed-point equation
 v = v0 + V_h v exactly, one anti-diagonal at a time; method="picard", the
@@ -6,6 +7,12 @@ library default, iterates V_h to tol.  At tol 1e-14 the two must give the
 same field and derived tables to 1e-12.  The march's step count is fixed by
 M, so no potential can make it look faster, and its certificate is the
 residual of the discrete equation over the region it stores.
+
+The library applies V_h in one node-major step over blocks of rows
+(_V_rows), for the march's residual, the Picard sweeps and apply_V.  The
+plane-major V_h below, one contiguous plane per matrix entry, is the
+implementation it replaced, kept unchanged as the reference: the step must
+reproduce it bit for bit.
 """
 
 import dataclasses
@@ -15,10 +22,9 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ConvergenceError, DomainError, SingularSystemError
-from wavekernel.goursat import (_ROWS, KernelField, _apply_V_core, _attach_tables,
-                                _lattice_setup, _march, _node_view, _planes, _region,
-                                _toeplitz_planes, _v0_planes)
-from wavekernel.potential import _opnorms, potential_from_callable
+from wavekernel.goursat import (_ROWS, KernelField, _attach_tables, _blocks, _lattice_setup,
+                                _march, _region, _square_d_cum, _V_rows)
+from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
 
 from conftest import traced_peak
 
@@ -38,6 +44,84 @@ def seeded_potential(seed, n):
     return potential_from_callable(
         lambda xs: base + np.cos(f1 * xs)[:, None, None] * w1
         + np.sin(f2 * xs)[:, None, None] * w2, n, 2.0, 1 / 1024)
+
+
+# --- reference: plane-major V_h ----------------------------------------------
+
+def _v0_planes(qh: np.ndarray, h: float, rows: int | None = None) -> np.ndarray:
+    """The explicit part v0 on rows i < rows (all M+1 by default) of the
+    triangle, plane-major (n, n, rows, M+1)."""
+    q_cum = np.ascontiguousarray(np.moveaxis(_cumtrapz(qh, h / 2.0, axis=0), 0, -1))
+    v0 = q_cum[..., None, :] - q_cum[..., :rows, None]
+    v0 *= -0.5
+    v0[..., np.tri(*v0.shape[-2:], k=-1, dtype=bool)] = 0.0
+    return v0
+
+
+def _planes(a: np.ndarray) -> np.ndarray:
+    """Plane-major copy (n, n, M+1, M+1) of a node-major lattice array."""
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (2, 3)))
+
+
+def _node_view(a: np.ndarray) -> np.ndarray:
+    """Node-major view (M+1, M+1, n, n) of a plane-major array."""
+    return np.moveaxis(a, (2, 3), (0, 1))
+
+
+def _toeplitz_planes(qh: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Plane-major q at each node: plane (a, b) holds qh[j - i, a, b] at (i, j).
+
+    Covers rows i < rows (all M+1 by default).  Below the diagonal it holds
+    qh[0]; _apply_V_core masks those nodes.
+    """
+    j = np.arange(qh.shape[0])
+    i = j[:rows, None]
+    return np.moveaxis(qh, 0, -1)[..., np.maximum(j - i, 0)]
+
+
+def _apply_V_core(q_planes: np.ndarray, v_planes: np.ndarray, h: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The fixed-point operator V in the plane-major work layout.
+
+    q_planes (from _toeplitz_planes) and v_planes are (n, n, rows, M+1): one
+    contiguous plane per matrix entry, where KernelField arrays are
+    node-major.  rows is M+1 for the whole square; fewer rows give V on
+    those rows exactly, since node (i, j) reads only nodes (a, b) with
+    a <= i.  The product g = q v is formed for all entries at once; then
+    each plane in turn is masked to the triangle, integrated by a cumulative
+    trapezoid along eta and then along xi (one reused work plane), shifted
+    by its diagonal and scaled by -1/4.  Nodes on and below the diagonal
+    come out zero.  The result is written into out when given, which must
+    not overlap v_planes.
+    """
+    shape = v_planes.shape[-2:]
+    if out is None:
+        out = np.empty(v_planes.shape, dtype=np.result_type(q_planes, v_planes))
+    _mul(_node_view(q_planes), _node_view(v_planes), out=_node_view(out))
+    below = np.tri(*shape, k=-1, dtype=bool)
+    inner = np.empty(shape, dtype=out.dtype)
+    for g in out.reshape(-1, *shape):
+        np.copyto(g, 0.0, where=below)
+        _cumtrapz(g, h, axis=1, out=inner)      # along eta
+        _cumtrapz(inner, h, axis=0, out=g)      # along xi
+        g -= g.diagonal()[:, None].copy()
+        g *= -0.25
+        np.copyto(g, 0.0, where=below)
+        np.fill_diagonal(g, 0.0)
+    return out
+
+
+def plane_major_V(qh, v, h):
+    """V_h on the rows of the node-major v, by the plane-major reference."""
+    return _node_view(_apply_V_core(_toeplitz_planes(qh, v.shape[0]), _planes(v), h))
+
+
+def streamed_V(qh, v, h):
+    """V_h on the rows of the node-major v, by the library's row-block step."""
+    out, carry = np.empty(v.shape, dtype=complex), []
+    for b in _blocks(v.shape[0], _ROWS):
+        out[b] = _V_rows(_square_d_cum(qh, v[b], b.start, h), h, b.start, carry)
+    return out
 
 
 @pytest.mark.parametrize("n, M", [(1, 40), (1, 100), (2, 40), (2, 100), (3, 40)])
@@ -126,7 +210,7 @@ def test_residual_reads_the_halo_anti_diagonal(pot_herm2):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_streamed_residual_equals_plane_major_residual(n):
     # M = 400: the 202 rows of the half-square end inside a row block.  The
-    # cumulation of q v along eta at step h is exactly 2 d_cum, so the two
+    # table stream hands its d_cum to the row-block step _V_rows, and the two
     # residuals agree bit for bit, on the march's solution and off it
     p = seeded_potential(4, n)
     M, qh = _lattice_setup(p, 1.0, 1 / 200)
@@ -139,6 +223,20 @@ def test_streamed_residual_equals_plane_major_residual(n):
     assert residual == plane_major_residual(qh, v, 1 / 200) > 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_V_equals_plane_major_reference(n):
+    # M = 40: the 41 rows of the square end inside a row block
+    p = seeded_potential(2, n)
+    M, qh = _lattice_setup(p, 1.0, 1 / 20)
+    assert (M + 1) % _ROWS
+    rng = np.random.default_rng(n)
+    shape = (M + 1, M + 1, n, n)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, ref = wk.apply_V(p, vals, 1 / 20), plane_major_V(qh, vals, 1 / 20)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_apply_V_core_on_leading_rows_equals_the_square(n):
     # node (i, j) of V v reads only rows a <= i, so V on the leading rows is exact
@@ -147,10 +245,9 @@ def test_apply_V_core_on_leading_rows_equals_the_square(n):
     rng = np.random.default_rng(n)
     shape = (M + 1, M + 1, n, n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    full = _apply_V_core(_toeplitz_planes(qh), _planes(vals), 1 / 20)
+    full = streamed_V(qh, vals, 1 / 20)
     rows = M // 2 + 2
-    part = _apply_V_core(_toeplitz_planes(qh, rows), _planes(vals[:rows]), 1 / 20)
-    assert np.array_equal(part, full[..., :rows, :])
+    assert np.array_equal(streamed_V(qh, vals[:rows], 1 / 20), full[:rows])
 
 
 def test_singular_step_matrix_is_a_typed_error():
@@ -190,11 +287,11 @@ def test_solve_rejects_unknown_method(pot_one):
 
 def test_march_builds_no_full_square(pot_herm2):
     # 2x2 at M = 200; one lattice is (M+1)^2 n^2 complex values, the size of one
-    # full-square work array.  Picard peaks at 4.5 lattices.  The march holds the
-    # half-square v (0.51) and O(M) state.  Its residual from one plane-major V
-    # peaked at 2.3, with four half-squares (v, v plane-major, q, V v) and one
-    # plane of product terms; the table stream gives it with v, wx_lat and wtt's
-    # outer integrand (1.53) and a few blocks of rows, at 1.87.
+    # full-square work array.  Picard holds two (test_picard_memory_guard).  The
+    # march holds the half-square v (0.51) and O(M) state.  Its residual from one
+    # plane-major V peaked at 2.3, with four half-squares (v, v plane-major, q,
+    # V v) and one plane of product terms; the table stream gives it with v,
+    # wx_lat and wtt's outer integrand (1.53) and a few blocks of rows, at 1.87.
     lattice = 201 ** 2 * 4 * 16
     M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 100)
     assert traced_peak(lambda: _march(qh, 1 / 100), lattice) <= 0.6
