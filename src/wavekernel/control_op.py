@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CertificationError, DomainError, SingularSystemError, check_count
 from .goursat import KernelField, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import (Control, OperatorTables, _apply_table, _flat, _l2, propagate,
-                         random_smooth_control)
+from .propagator import Control, OperatorTables, _l2, propagate, random_smooth_control
 
 _DENSE_SVD_CAP = 1024
 
@@ -38,44 +36,45 @@ def apply_W(field: KernelField, f: Control, T: float, N: int) -> np.ndarray:
 class VolterraSystem:
     """Discretized identity-plus-causal-integral operator.
 
-    blocks[k, m] holds the trapezoid-weighted kernel sample w(x_k, s_m) for
-    s_m >= x_k and exactly zero below the causal diagonal; the represented
-    operator is I + A with (A g)(x_k) = sum_m blocks[k, m] g(s_m).  blocks
-    from build_volterra is the k0 table, stored in product order (k, a, m, b)
-    so that _flat is a view; any (N+1, N+1, n, n) array works, at the cost
-    of a copy per product.
+    The represented operator is I + A with (A g)(x_k) = sum_m K[k, m] g(s_m),
+    where K is the k0 table of tables: the trapezoid-weighted kernel sample
+    w(x_k, s_m) for s_m >= x_k and exactly zero below the causal diagonal.
+    apply and invert_W stream K by row blocks; dense and
+    neumann_partial_sums, which use it more than once, gather it whole.
     """
 
     T: float
     N: int
     grid: np.ndarray
-    blocks: np.ndarray          # (N+1, N+1, n, n)
+    tables: OperatorTables
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[-1]
+        return self.tables.field.dim
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """(I + A) g on sample vectors."""
-        g = np.asarray(g, dtype=complex)
-        return g + _apply_table(self.blocks, g)
+        """(I + A) g on sample vectors of shape (N+1, n); DomainError otherwise."""
+        g = _checked_snapshot(self, g)
+        return g + OperatorTables.apply(self.tables.k0(), g)
 
     def dense(self) -> np.ndarray:
-        """Full ((N+1)n) x ((N+1)n) matrix of I + A: the identity plus the flattened blocks."""
-        flat = _flat(self.blocks)
-        return np.eye(len(flat), dtype=complex) + flat
+        """Full ((N+1)n) x ((N+1)n) matrix of I + A: the whole k0 table plus the identity."""
+        size = (self.N + 1) * self.dim
+        flat = OperatorTables.full(self.tables.k0()).reshape(size, size)
+        flat += np.eye(size)
+        return flat
 
 
 def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
     """Discretize the reflected control-to-state map on N+1 uniform nodes.
 
-    The blocks are the k0 table of the one table layer, OperatorTables,
+    The system holds the one table layer, OperatorTables, and reads its k0,
     the same weighted kernel samples the propagator reads, so applying the
     system to reflected control samples reproduces the propagated wave to
-    rounding.
+    rounding.  Nothing is sampled until the system is used.
     """
     tab = OperatorTables(field, T, N)
-    return VolterraSystem(T=float(T), N=N, grid=tab.grid, blocks=tab.k0)
+    return VolterraSystem(T=float(T), N=N, grid=tab.grid, tables=tab)
 
 
 def _checked_snapshot(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
@@ -91,23 +90,26 @@ def _checked_snapshot(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
 def invert_W(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
     """Solve (I + A) g = u for the reflected control samples.
 
-    Exact blockwise solve marching against causality; neumann_partial_sums
+    Exact blockwise solve marching against causality, over the k0 row
+    blocks as they are sampled, last block first; neumann_partial_sums
     gives the alternating operator power series instead.
     """
     u = _checked_snapshot(sys, u)
     g = np.zeros_like(u)
-    flat, g_flat, n = _flat(sys.blocks), g.reshape(-1), sys.dim
+    g_flat, n = g.reshape(-1), sys.dim
     eye = np.eye(n)
-    for k in range(sys.N, -1, -1):
-        row = flat[k * n:(k + 1) * n]
-        rhs = u[k] - row[:, (k + 1) * n:] @ g_flat[(k + 1) * n:]
-        diag = eye + row[:, k * n:(k + 1) * n]
-        try:
-            g[k] = np.linalg.solve(diag, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"diagonal block at node {k} is singular; refine N"
-            ) from exc
+    for rows, block in sys.tables.k0():
+        flat = block.reshape(-1, g_flat.size)
+        for k in range(rows.stop - 1, rows.start - 1, -1):
+            row = flat[(k - rows.start) * n:(k - rows.start + 1) * n]
+            rhs = u[k] - row[:, (k + 1) * n:] @ g_flat[(k + 1) * n:]
+            diag = eye + row[:, k * n:(k + 1) * n]
+            try:
+                g[k] = np.linalg.solve(diag, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(
+                    f"diagonal block at node {k} is singular; refine N"
+                ) from exc
     return g
 
 
@@ -115,13 +117,16 @@ def neumann_partial_sums(sys: VolterraSystem, u: np.ndarray, terms: int) -> list
     """Partial sums of the alternating operator power series for the inverse.
 
     terms, the number of terms after the first, is an integer >= 0
-    (DomainError otherwise).
+    (DomainError otherwise).  The k0 table is gathered whole once and
+    applied terms times.
     """
     check_count(terms, "terms", 0, DomainError)
     u = _checked_snapshot(sys, u)
     sums = [u.copy()]
-    for _ in range(terms):
-        sums.append(u - _apply_table(sys.blocks, sums[-1]))
+    if terms:
+        whole = [(slice(0, sys.N + 1), OperatorTables.full(sys.tables.k0()))]
+        for _ in range(terms):
+            sums.append(u - OperatorTables.apply(whole, sums[-1]))
     return sums
 
 
@@ -183,7 +188,8 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
 class _SobolevTables(OperatorTables):
     """The shared k0/k1 plus the second-derivative terms of (A f)''.
 
-    k2a and k2b are causal tables filled by the same _causal, built on first use.
+    k2a and k2b are causal tables streamed by the same _causal, sampled
+    afresh on each call.
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
@@ -195,12 +201,10 @@ class _SobolevTables(OperatorTables):
         self.wx_diag = self.trace(field.wx_lat)
         self.q_mix_T = 0.25 * (field.q_at((T - s) / 2.0) - field.q_at((T + s) / 2.0))
 
-    @cached_property
-    def k2a(self) -> np.ndarray:
+    def k2a(self):
         return self.weighted(self.field.wxx_lattice())
 
-    @cached_property
-    def k2b(self) -> np.ndarray:
+    def k2b(self):
         """(q(eta/2) - q(xi/2))/4, weighted; acts on f'."""
         q = self.q_half
 
@@ -213,14 +217,17 @@ class _SobolevTables(OperatorTables):
 
 
 def _apply_A_with_derivatives(tab: _SobolevTables, f0, f1):
-    """A f and the explicit (A f)', (A f)'' for samples (..., N+1, n); leading axes batch."""
-    Af = _apply_table(tab.k0, f0)
-    Af1 = np.einsum("kab,...kb->...ka", tab.q_half_cum, f0) + _apply_table(tab.k1, f0)
+    """A f and the explicit (A f)', (A f)'' for samples (..., N+1, n); leading axes batch.
+
+    Each of k0, k1, k2a and k2b is streamed through one product.
+    """
+    Af = tab.apply(tab.k0(), f0)
+    Af1 = np.einsum("kab,...kb->...ka", tab.q_half_cum, f0) + tab.apply(tab.k1(), f0)
     Af2 = np.einsum("kab,...kb->...ka", tab.q_x - tab.wx_diag, f0) \
         + np.einsum("kab,...kb->...ka", tab.q_half_cum, f1) \
         + np.einsum("kab,...b->...ka", tab.q_mix_T, f0[..., -1, :]) \
-        + _apply_table(tab.k2a, f0) \
-        + _apply_table(tab.k2b, f1)
+        + tab.apply(tab.k2a(), f0) \
+        + tab.apply(tab.k2b(), f1)
     return Af, Af1, Af2
 
 
@@ -265,14 +272,15 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     behind the three chained estimates (L2 -> sup, sup -> C1, C1 -> H2) and
     the full Sobolev ratio, next to their analytic bounds assembled from
     the norm constants of the potential and the kernel.  A f and its two
-    derivatives read k0 and k1 of the one table layer, OperatorTables; only
-    the second-derivative terms of (A f)'' are built here.  The trials, an
-    integer >= 1, are drawn from one seeded generator and applied as one
-    stack; each ratio is the worst over the trials with a nonzero
-    denominator.  Returns the report whether or not the ratios stay within
-    their bounds.
+    derivatives stream k0 and k1 of the one table layer, OperatorTables;
+    only the second-derivative terms of (A f)'' are added here.  The
+    trials, an integer >= 1, are drawn from one generator seeded by seed,
+    an integer >= 0, and applied as one stack; each ratio is the worst over
+    the trials with a nonzero denominator.  Returns the report whether or
+    not the ratios stay within their bounds.
     """
     check_count(trials, "trials", 1, DomainError)
+    check_count(seed, "seed", 0, DomainError)
     tab = _SobolevTables(field, T, N)
     grid = tab.grid
     a1, a2 = norm_constants(p, T)
@@ -306,7 +314,7 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
         bound_i=bound_i, bound_ii=bound_ii, bound_iii=bound_iii,
         ratio_i=r_i, ratio_ii=r_ii, ratio_iii=r_iii,
         composite_bound=composite, empirical_ratio=r_h2, inverse_ratio=r_inv,
-        trials=trials, seed=seed,
+        trials=trials, seed=int(seed),
     )
 
 

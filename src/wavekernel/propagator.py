@@ -10,11 +10,11 @@ twice, which is the only route the kernel's regularity supports.
 
 OperatorTables is the one layer that samples the kernel onto a grid; propagate
 and difference_quotient_test read its k0.  It evaluates only the causal pairs
-s >= x, the block upper triangle of the operator, and stores each table in the
-order of its matrix product, so applying a table copies nothing.  By time
-invariance a wave at any time t' <= H is a wave at the horizon H (f(t' - s)
-vanishes for s > t'), so one table on [0, H] serves all the difference-quotient
-test's times.
+s >= x, the block upper triangle of the operator, and streams each table by
+blocks of rows, each multiplied into its rows of the product as it is made,
+so a product never holds the whole table.  By time invariance a wave at any
+time t' <= H is a wave at the horizon H (f(t' - s) vanishes for s > t'), so
+one table on [0, H] serves all the difference-quotient test's times.
 """
 
 from __future__ import annotations
@@ -287,30 +287,8 @@ def _l2(grid: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.trapezoid(np.sum(np.abs(g) ** 2, axis=-1), x=grid, axis=-1))
 
 
-def _apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Apply an (N+1, N+1, n, n) table to samples of shape (..., N+1, n).
-
-    Row k of the result is sum_m table[k, m] @ g[m], computed as one
-    matrix product with the _flat table; leading axes of g are a batch.
-    An OperatorTables table is stored in product order, so no table-sized
-    copy is made.
-    """
-    flat = _flat(table)
-    return (g.reshape(g.shape[:-2] + flat.shape[1:]) @ flat.T).reshape(g.shape)
-
-
-def _flat(table: np.ndarray) -> np.ndarray:
-    """An (N+1, N+1, n, n) table as the ((N+1)n) x ((N+1)n) matrix it represents.
-
-    A view of an OperatorTables table, which is stored in this order; a copy
-    of a table stored in (k, m, a, b) order.
-    """
-    rows, cols, n, _ = table.shape
-    return table.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
-
-
 class OperatorTables:
-    """The kernel sampled once on the uniform N-grid over [0, T].
+    """The kernel sampled on the uniform N-grid over [0, T], streamed by row blocks.
 
     Row k, column m is the pair (x_k, s_m), i.e. the characteristic point
     (xi, eta) = (s_m - x_k, s_m + x_k) = (p, r) delta with p = m - k and
@@ -319,13 +297,13 @@ class OperatorTables:
     trapezoid rule over [x_k, T].  k0 is the weighted kernel, the operator
     of the representation formula and of the control-to-state map; k1 is
     the weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel
-    inside the integral.  Both are built on first use.  A table is one
-    zeroed (N+1, n, N+1, n) array, the order of its matrix product, exposed
-    as its (k, m, a, b) view; it is applied only through _apply_table, to
-    one control's samples or to a stack of them.
+    inside the integral.  Each call of k0() or k1() samples its table
+    afresh, as a stream of (rows, block) pairs from _causal: block is a
+    zeroed (rows, n, N+1, n) array, the table's rows in the order of its
+    matrix product.  apply multiplies a stream into a stack of samples one
+    block at a time; full gathers a whole (N+1, n, N+1, n) table, for an
+    operator applied more than once.
 
-    _causal fills the causal pairs one block of rows (goursat's _blocks) at
-    a time straight into the table, so no full-square temporary exists.
     Sampling is separable.  A pair's bilinear weights along xi depend only
     on p and those along eta only on r, so _sampler lerps the lattice along
     xi once, for p = 0..N, into an (N+1, M+1, n, n) array, and lerps that
@@ -345,26 +323,54 @@ class OperatorTables:
         self.delta = T / N
         self.grid = np.arange(N + 1) * self.delta
 
-    def _causal(self, values, scale: float = 1.0) -> np.ndarray:
-        """The table of values(p, r) at every causal pair, times scale and the weights.
+    def _causal(self, values, scale: float = 1.0):
+        """Yield (rows, block) for the blocks of rows (goursat's _blocks), last block first.
 
-        values maps the pairs' p and r arrays to a new (pairs, n, n) array of
-        their values.  scale multiplies the weights, not the values, which
-        is the order k2b has always been computed in.
+        block holds the rows' values(p, r) at every causal pair, times scale
+        and the weights; values maps the pairs' p and r arrays to a new
+        (pairs, n, n) array of their values.  scale multiplies the weights,
+        not the values, which is the order k2b has always been computed in.
+        The rows come in the order back-substitution needs; a product takes
+        them in any order.
         """
         N, n = self.grid.size - 1, self.field.dim
-        table = np.zeros((N + 1, n, N + 1, n), dtype=complex).transpose(0, 2, 1, 3)
         col = np.arange(N + 1)
-        for rows in _blocks(N + 1):
-            k, m = np.nonzero(col >= col[rows, None])
-            k += rows.start
+        for rows in reversed(list(_blocks(N + 1))):
+            local, m = np.nonzero(col >= col[rows, None])
+            k = local + rows.start
             out = values(m - k, m + k)
             # trapezoid weights over [x_k, T]: half at both ends, none on the point [T, T]
             wgt = np.where((m == k) | (m == N), 0.5 * self.delta, self.delta)
             wgt[k == N] = 0.0
             wgt *= scale
             out *= wgt[:, None, None]
-            table[k, m] = out
+            block = np.zeros((rows.stop - rows.start, n, N + 1, n), dtype=complex)
+            block.transpose(0, 2, 1, 3)[local, m] = out
+            yield rows, block
+
+    @staticmethod
+    def apply(blocks, g: np.ndarray) -> np.ndarray:
+        """Apply a table, given as (rows, block) pairs, to samples of shape (..., N+1, n).
+
+        Row k of the result is sum_m table[k, m] @ g[m].  Each block fills
+        its rows with one matrix product over all (N+1) n columns as it
+        arrives; leading axes of g are a batch.
+        """
+        flat = g.reshape(*g.shape[:-2], -1)
+        out = np.empty(flat.shape, dtype=complex)
+        for rows, block in blocks:
+            n = block.shape[1]
+            out[..., rows.start * n:rows.stop * n] = flat @ block.reshape(-1, flat.shape[-1]).T
+        return out.reshape(g.shape)
+
+    @staticmethod
+    def full(blocks) -> np.ndarray:
+        """The whole (N+1, n, N+1, n) table of a stream of (rows, block) pairs."""
+        table = None
+        for rows, block in blocks:
+            if table is None:
+                table = np.empty((block.shape[2], *block.shape[1:]), dtype=complex)
+            table[rows] = block
         return table
 
     def _sampler(self, lattice: np.ndarray):
@@ -401,8 +407,8 @@ class OperatorTables:
 
         return values
 
-    def weighted(self, lattice: np.ndarray) -> np.ndarray:
-        """Trapezoid-weighted samples of a lattice field; zero below the diagonal."""
+    def weighted(self, lattice: np.ndarray):
+        """Trapezoid-weighted samples of a lattice field, streamed by _causal."""
         return self._causal(self._sampler(lattice))
 
     def trace(self, lattice: np.ndarray) -> np.ndarray:
@@ -416,12 +422,10 @@ class OperatorTables:
         """The potential at r delta / 2, r = 0..2N: q(eta/2) at r, q(xi/2) at p."""
         return self.field.q_at(np.arange(2 * self.grid.size - 1) * self.delta / 2.0)
 
-    @cached_property
-    def k0(self) -> np.ndarray:
+    def k0(self):
         return self.weighted(self.field.v)
 
-    @cached_property
-    def k1(self) -> np.ndarray:
+    def k1(self):
         sample, q = self._sampler(self.field.wx_lat), self.q_half
 
         def values(p, r):
@@ -443,8 +447,8 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     its second derivative; u_x from its differentiated form with k1 and
     the diagonal trace of the kernel; and u_xx from the interior equation
     u_xx = u_tt + q u, with u_tt evaluated by pushing two time derivatives
-    onto the control.  k0 is released before k1 is built, so one table is
-    alive at a time.
+    onto the control.  Both products are streamed, so no whole table is
+    ever held.
     """
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
@@ -452,10 +456,9 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     s = tab.grid
     f0, f1, f2 = f.sample(T - s)
     g = np.stack([f0, f2])
-    u, u_tt = g + _apply_table(tab.k0, g)
-    del tab.k0                  # one table at a time: k1 is built after k0 is gone
+    u, u_tt = g + tab.apply(tab.k0(), g)
     u_xx = u_tt + np.einsum("kab,kb->ka", field.q_at(s), u)
-    u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) + _apply_table(tab.k1, f0)
+    u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) + tab.apply(tab.k1(), f0)
     return WaveSnapshot(T=float(T), grid=s, u=u, u_x=u_x, u_xx=u_xx)
 
 
@@ -506,7 +509,7 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     s = tab.grid
     f0, f1, _ = f.sample(t - s)
     g = np.stack([f0, *(f.sample(t + h - s)[0] for h in h_arr), f1])
-    u = g + _apply_table(tab.k0, g)
+    u = g + tab.apply(tab.k0(), g)
     errs = _l2(s, (u[1:-1] - u[0]) / h_arr[:, None, None] - u[-1])
     if np.all(errs < 1e-15):
         slope = math.inf

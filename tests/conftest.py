@@ -6,6 +6,7 @@ import pytest
 import wavekernel as wk
 from wavekernel.goursat import _lattice_setup, _region, _v0_at
 from wavekernel.potential import _cumtrapz
+from wavekernel.propagator import OperatorTables
 
 
 @pytest.fixture(scope="session")
@@ -90,6 +91,11 @@ def region_interior(M):
     i, j = np.nonzero(_region(M))
     keep = (i >= 1) & (j <= M - 1)
     return i[keep], j[keep]
+
+
+def full_table(blocks):
+    """A whole table from an OperatorTables stream, as its (k, m, a, b) view."""
+    return OperatorTables.full(blocks).transpose(0, 2, 1, 3)
 
 
 def traced_peak(fn, unit_bytes):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import wavekernel as wk
 from wavekernel import control_op
 from wavekernel.control_op import VolterraSystem, _apply_A_with_derivatives, _SobolevTables, _sup
 from wavekernel.errors import CertificationError, DomainError, SingularSystemError
-from wavekernel.propagator import _l2
+from wavekernel.propagator import OperatorTables, _l2
+
+from conftest import full_table
 
 
 def test_reflect_basics():
@@ -43,7 +46,7 @@ def test_apply_W_within_singular_envelope(field_one, bump1):
 
 def test_build_volterra_identity_for_zero(field_zero):
     sysv = wk.build_volterra(field_zero, 1.0, 50)
-    assert np.abs(sysv.blocks).max() == 0.0
+    assert np.abs(full_table(sysv.tables.k0())).max() == 0.0
     g = np.random.default_rng(0).normal(size=(51, 1))
     assert np.abs(sysv.apply(g) - g).max() == 0.0
 
@@ -51,7 +54,7 @@ def test_build_volterra_identity_for_zero(field_zero):
 def test_build_volterra_causal_structure(field_one):
     sysv = wk.build_volterra(field_one, 1.0, 40)
     ii, jj = np.meshgrid(np.arange(41), np.arange(41), indexing="ij")
-    below = np.abs(sysv.blocks)[jj < ii]
+    below = np.abs(full_table(sysv.tables.k0()))[jj < ii]
     assert below.max() == 0.0
 
 
@@ -120,6 +123,16 @@ def test_invert_rejects_non_finite_snapshot(field_one, bad):
         wk.invert_W(sysv, u)
 
 
+def test_volterra_apply_rejects_bad_samples(field_herm2):
+    sysv = wk.build_volterra(field_herm2, 1.0, 10)
+    with pytest.raises(DomainError, match="shape"):
+        sysv.apply(np.ones((5, 2)))
+    g = np.ones((11, 2), dtype=complex)
+    g[4, 1] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        sysv.apply(g)
+
+
 def test_neumann_rejects_bad_snapshot(field_one):
     sysv = wk.build_volterra(field_one, 1.0, 50)
     with pytest.raises(DomainError, match="shape"):
@@ -144,11 +157,23 @@ def test_neumann_zero_terms_is_the_snapshot(field_one):
     assert len(sums) == 1 and np.array_equal(sums[0], u)
 
 
+class _StoredK0:
+    """Stands in for OperatorTables: streams one stored (N+1, n, N+1, n) k0
+    table as a single block of rows."""
+
+    def __init__(self, table):
+        self.table = table
+        self.field = types.SimpleNamespace(dim=table.shape[1])
+
+    def k0(self):
+        yield slice(0, len(self.table)), self.table
+
+
 def test_invert_singular_block():
     grid = np.linspace(0, 1, 4)
-    blocks = np.zeros((4, 4, 1, 1), dtype=complex)
-    blocks[1, 1, 0, 0] = -1.0          # diagonal block becomes exactly zero
-    sysv = VolterraSystem(T=1.0, N=3, grid=grid, blocks=blocks)
+    table = np.zeros((4, 1, 4, 1), dtype=complex)
+    table[1, 0, 1, 0] = -1.0          # diagonal block becomes exactly zero
+    sysv = VolterraSystem(T=1.0, N=3, grid=grid, tables=_StoredK0(table))
     with pytest.raises(SingularSystemError):
         wk.invert_W(sysv, np.ones((4, 1), dtype=complex))
 
@@ -303,6 +328,20 @@ def test_degenerate_trials_rejected(pot_one, field_one, entry, trials):
         entry(field_one, pot_one, 1.0, trials=trials, N=16)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+@pytest.mark.parametrize("entry", [wk.measure_h2_bound, wk.certify_h2_bound],
+                         ids=["measure_h2_bound", "certify_h2_bound"])
+def test_bad_seed_rejected(pot_one, field_one, entry, seed):
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        entry(field_one, pot_one, 1.0, trials=2, N=16, seed=seed)
+
+
+def test_seed_recorded_as_int(pot_one, field_one):
+    rep = wk.measure_h2_bound(field_one, pot_one, 1.0, trials=2, N=16, seed=np.int64(5))
+    assert type(rep.seed) is int and rep.seed == 5
+    assert rep == wk.measure_h2_bound(field_one, pot_one, 1.0, trials=2, N=16, seed=5)
+
+
 def test_certify_raises_where_measure_reports(monkeypatch, pot_one, field_one):
     monkeypatch.setattr(control_op, "norm_constants", lambda p, T: (0.0, 0.0))
     monkeypatch.setattr(control_op, "kernel_constants",
@@ -358,6 +397,6 @@ def test_condition_unitary_invariant():
 
 def test_condition_cap(field_one):
     big = VolterraSystem(T=1.0, N=2000, grid=np.linspace(0, 1, 2001),
-                         blocks=np.zeros((3, 3, 1, 1)))
+                         tables=OperatorTables(field_one, 1.0, 2000))
     with pytest.raises(DomainError):
         wk.condition_estimate(big)

@@ -6,9 +6,9 @@ import wavekernel as wk
 from wavekernel.control_op import _SobolevTables
 from wavekernel.errors import ControlError, DomainError
 from wavekernel.goursat import _interp_triangle
-from wavekernel.propagator import OperatorTables, _apply_table, _checked, _flat
+from wavekernel.propagator import OperatorTables, _checked
 
-from conftest import traced_peak
+from conftest import full_table, traced_peak
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -220,13 +220,14 @@ def test_degenerate_grid_rejected(pot_one, field_one, entry, N):
 
 def test_operator_tables_numpy_integer_grid(field_one):
     tab = OperatorTables(field_one, 1.0, np.int64(16))
-    assert tab.k0.shape == (17, 17, 1, 1)
+    assert full_table(tab.k0()).shape == (17, 17, 1, 1)
 
 
 def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
     # k0 and k1 are the trapezoid-weighted kernel and x-derivative samples
     N = 40
     tab = OperatorTables(field_herm2, 1.0, N)
+    tab_k0, tab_k1 = full_table(tab.k0()), full_table(tab.k1())
     delta = 1.0 / N
     for k, m in [(0, 0), (0, 17), (3, 3), (5, 29), (12, N), (N - 1, N), (N, N), (7, 2)]:
         x, s = tab.grid[k], tab.grid[m]
@@ -235,14 +236,14 @@ def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
         else:
             weight = (0.5 if m in (k, N) else 1.0) * delta
         if weight == 0.0:
-            assert np.abs(tab.k0[k, m]).max() == 0.0 and np.abs(tab.k1[k, m]).max() == 0.0
+            assert np.abs(tab_k0[k, m]).max() == 0.0 and np.abs(tab_k1[k, m]).max() == 0.0
             continue
         k0 = weight * wk.kernel_w(field_herm2, x, s)
         k1 = weight * (wk.wtilde_x(pot_herm2, field_herm2, x, s)
                        - 0.25 * (field_herm2.q_at((s + x) / 2.0)
                                  + field_herm2.q_at((s - x) / 2.0)))
-        assert np.abs(tab.k0[k, m] - k0).max() <= 1e-14
-        assert np.abs(tab.k1[k, m] - k1).max() <= 1e-14
+        assert np.abs(tab_k0[k, m] - k0).max() <= 1e-14
+        assert np.abs(tab_k1[k, m] - k1).max() <= 1e-14
 
 
 @pytest.fixture(scope="module", params=[1, 2, "quad"], ids=["n1", "n2", "quad"])
@@ -261,6 +262,7 @@ def test_separable_sampling_matches_per_pair(field_h50, T, N):
     # k1 and k2b read q at eta/2 and at xi/2
     f = field_h50
     tab = _SobolevTables(f, T, N)
+    tables = {name: full_table(getattr(tab, name)()) for name in ("k0", "k1", "k2a", "k2b")}
     X, S = np.meshgrid(tab.grid, tab.grid, indexing="ij")
     causal = S >= X
     xi = np.where(causal, S - X, 0.0)
@@ -271,10 +273,10 @@ def test_separable_sampling_matches_per_pair(field_h50, T, N):
     wgt = wgt[..., None, None]
     q_plus, q_minus = 0.25 * f.q_at(eta / 2.0), 0.25 * f.q_at(xi / 2.0)
     refs = {
-        "k0": (tab.k0, wgt * _interp_triangle(f.v, xi, eta, f.step, f.M)),
-        "k1": (tab.k1, wgt * (_interp_triangle(f.wx_lat, xi, eta, f.step, f.M)
+        "k0": (tables["k0"], wgt * _interp_triangle(f.v, xi, eta, f.step, f.M)),
+        "k1": (tables["k1"], wgt * (_interp_triangle(f.wx_lat, xi, eta, f.step, f.M)
                               - (q_plus + q_minus))),
-        "k2b": (tab.k2b, wgt * (q_plus - q_minus)),
+        "k2b": (tables["k2b"], wgt * (q_plus - q_minus)),
     }
     for name, (got, ref) in refs.items():
         # k2b against the size of its terms: for a constant q it is rounding noise
@@ -287,32 +289,49 @@ def test_separable_sampling_matches_per_pair(field_h50, T, N):
     assert tri[0].all()
     if tab.delta < f.step / 2:
         assert tri[1:].any()
-    for table in (tab.k0, tab.k1, tab.k2a, tab.k2b):
+    for table in tables.values():
         assert np.all(table[~causal] == 0.0)
 
 
-def test_table_memory_guard(field_herm2):
-    # 2x2, h = 1/100, N = 400; one table is (N+1)^2 n^2 complex values.  The
-    # per-pair sampler peaked at 5.26 (k0) and 5.89 (k1); the mirrored
+def test_table_memory_guard(pot_herm2, field_herm2):
+    # 2x2, h = 1/100; one table is (N+1)^2 n^2 complex values.  At N = 400
+    # the per-pair sampler peaked at 5.26 (k0) and 5.89 (k1); the mirrored
     # full-square sampler at 2.89 and 3.38, and propagate, which held k0 and
-    # k1 together, at 4.39.  The causal tables peak at 1.80 and 1.84, and
-    # propagate, holding one table at a time, at 1.85.
+    # k1 together, at 4.39.  The causal tables, gathered whole, peak at 1.80
+    # and 1.84.  propagate, holding one whole table at a time, peaked at
+    # 1.85 and build_volterra + invert_W at 1.80; streamed by row blocks
+    # they peak at 1.03 and 1.02, mostly the sampler's lerp along xi.
+    # measure_h2_bound at N = 256 with 100 trials, which held k0 and k1 and
+    # built k2a and k2b whole, peaked at 6.71 tables; streamed, at 3.87.
     N = 400
     table = (N + 1) ** 2 * 4 * 16
     ctrl = wk.bump_control(1.0, 0.1, 0.9, np.array([1.0, 0.5j]))
-    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k0, table) <= 2.0
-    assert traced_peak(lambda: OperatorTables(field_herm2, 1.0, N).k1, table) <= 2.0
-    assert traced_peak(lambda: wk.propagate(field_herm2, ctrl, 1.0, N), table) <= 2.0
+    tab = OperatorTables(field_herm2, 1.0, N)
+    assert traced_peak(lambda: OperatorTables.full(tab.k0()), table) <= 2.0
+    assert traced_peak(lambda: OperatorTables.full(tab.k1()), table) <= 2.0
+    assert traced_peak(lambda: wk.propagate(field_herm2, ctrl, 1.0, N), table) <= 1.25
+    u = np.ones((N + 1, 2), dtype=complex)
+    assert traced_peak(lambda: wk.invert_W(wk.build_volterra(field_herm2, 1.0, N), u),
+                       table) <= 1.25
+    N = 256
+    table = (N + 1) ** 2 * 4 * 16
+    assert traced_peak(lambda: wk.measure_h2_bound(field_herm2, pot_herm2, 1.0, trials=100, N=N),
+                       table) <= 4.5
 
 
 def test_tables_are_stored_in_product_order(field_herm2):
-    # _flat and so _apply_table read a table without copying it
+    # every row block is stored in product order, and a product over a
+    # gathered table reads it without copying it
     N = 200
     tab = OperatorTables(field_herm2, 1.0, N)
     g = np.ones((N + 1, 2), dtype=complex)
-    for table in (tab.k0, tab.k1):
-        assert np.shares_memory(_flat(table), table)
-        assert traced_peak(lambda: _apply_table(table, g), table.nbytes) < 0.01
+    for stream in (tab.k0(), tab.k1()):
+        table = OperatorTables.full(stream)
+        whole = [(slice(0, N + 1), table)]
+        assert np.shares_memory(table.reshape(2 * (N + 1), -1), table)
+        assert traced_peak(lambda: tab.apply(whole, g), table.nbytes) < 0.01
+    for rows, block in tab.k0():
+        assert block.flags.c_contiguous and block.shape == (rows.stop - rows.start, 2, N + 1, 2)
 
 
 def test_apply_table_batch_matches_single_controls(field_herm2):
@@ -320,11 +339,12 @@ def test_apply_table_batch_matches_single_controls(field_herm2):
     tab = OperatorTables(field_herm2, 1.0, 48)
     rng = np.random.default_rng(6)
     g = np.stack([wk.random_smooth_control(1.0, 2, rng).sample(tab.grid)[0] for _ in range(5)])
-    for table in (tab.k0, tab.k1):
-        batch = _apply_table(table, g)
+    for name in ("k0", "k1"):
+        table = full_table(getattr(tab, name)())
+        batch = tab.apply(getattr(tab, name)(), g)
         assert batch.shape == g.shape
         for got, one in zip(batch, g):
-            single = _apply_table(table, one)
+            single = tab.apply(getattr(tab, name)(), one)
             scale = np.abs(single).max()
             assert scale > 0.0
             assert np.abs(got - single).max() <= 1e-14 * scale

@@ -1,22 +1,37 @@
-"""The causal operator tables against the mirrored full-square sampler.
+"""The causal operator tables and their products against earlier implementations.
 
-The reference functions below are the earlier implementation of the table
-layer, kept unchanged: every (N+1)^2 pair of the grid is sampled, pairs
-below the diagonal mirrored to |m - k|, q is gathered into two full
-squares, and a full square of trapezoid weights zeroes the pairs below the
-diagonal.  The package evaluates only the causal pairs m >= k, row block by
-row block, with the same operations in the same order, so every causal
-entry must reproduce the reference bit for bit and every entry below the
-diagonal must be exactly 0.
+The reference functions below are earlier implementations of the table
+layer, kept unchanged.  The sampler: every (N+1)^2 pair of the grid is
+sampled, pairs below the diagonal mirrored to |m - k|, q is gathered into
+two full squares, and a full square of trapezoid weights zeroes the pairs
+below the diagonal.  The package evaluates only the causal pairs m >= k, row
+block by row block, with the same operations in the same order, so every
+causal entry must reproduce the reference bit for bit and every entry below
+the diagonal must be exactly 0.
+
+The products: one matrix product with the whole table, and back-substitution
+over the whole table.  The package streams the table by row blocks, each
+block multiplied into its rows of the result, and substitutes block by
+block, last block first; every output must reproduce the reference bit for
+bit.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.control_op import _SobolevTables
+from wavekernel.control_op import _SobolevTables, _checked_snapshot
+from wavekernel.errors import SingularSystemError
 from wavekernel.goursat import _BLOCK, _interp_triangle
 from wavekernel.potential import potential_from_callable
+from wavekernel.propagator import OperatorTables
+
+from conftest import full_table
 
 
 # --- reference: mirrored full-square sampler ---------------------------------
@@ -89,6 +104,53 @@ def ref_tables(field, T, N):
     return {"k0": k0, "k1": k1, "k2a": k2a, "k2b": q_plus}
 
 
+# --- reference: products over the whole table --------------------------------
+
+def ref_flat(table: np.ndarray) -> np.ndarray:
+    """An (N+1, N+1, n, n) table as the ((N+1)n) x ((N+1)n) matrix it represents.
+
+    A view of an OperatorTables table, which is stored in this order; a copy
+    of a table stored in (k, m, a, b) order.
+    """
+    rows, cols, n, _ = table.shape
+    return table.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
+
+
+def ref_apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Apply an (N+1, N+1, n, n) table to samples of shape (..., N+1, n).
+
+    Row k of the result is sum_m table[k, m] @ g[m], computed as one
+    matrix product with the ref_flat table; leading axes of g are a batch.
+    An OperatorTables table is stored in product order, so no table-sized
+    copy is made.
+    """
+    flat = ref_flat(table)
+    return (g.reshape(g.shape[:-2] + flat.shape[1:]) @ flat.T).reshape(g.shape)
+
+
+def ref_invert_W(sys, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Solve (I + A) g = u for the reflected control samples.
+
+    Exact blockwise solve marching against causality; blocks is the whole
+    (N+1, N+1, n, n) k0 table.
+    """
+    u = _checked_snapshot(sys, u)
+    g = np.zeros_like(u)
+    flat, g_flat, n = ref_flat(blocks), g.reshape(-1), sys.dim
+    eye = np.eye(n)
+    for k in range(sys.N, -1, -1):
+        row = flat[k * n:(k + 1) * n]
+        rhs = u[k] - row[:, (k + 1) * n:] @ g_flat[(k + 1) * n:]
+        diag = eye + row[:, k * n:(k + 1) * n]
+        try:
+            g[k] = np.linalg.solve(diag, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"diagonal block at node {k} is singular; refine N"
+            ) from exc
+    return g
+
+
 # --- package against reference -----------------------------------------------
 
 def _pot3():
@@ -116,8 +178,59 @@ def test_tables_match_full_square_reference(field_h50, T, N):
     ref = ref_tables(field_h50, T, N)
     below = np.tril(np.ones((N + 1, N + 1), dtype=bool), -1)
     for name, want in ref.items():
-        got = getattr(tab, name)
+        got = full_table(getattr(tab, name)())
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
         assert np.all(got[below] == 0.0), name
 
+
+def product_mismatches(fields) -> list:
+    """(n, N, table, batch shape) of every streamed product whose bytes differ
+    from the whole-table product; N = 37 and N = 100 both end inside a row
+    block, and each table is applied to a batch of 5 and to one control."""
+    bad = []
+    for field in fields:
+        n = field.dim
+        for N in (37, 100):
+            tab = _SobolevTables(field, 1.0, N)
+            rng = np.random.default_rng(N)
+            batch = rng.normal(size=(5, N + 1, n)) + 1j * rng.normal(size=(5, N + 1, n))
+            for name in ("k0", "k1", "k2a", "k2b"):
+                table = full_table(getattr(tab, name)())
+                for g in (batch, batch[2]):
+                    got = OperatorTables.apply(getattr(tab, name)(), g)
+                    if got.tobytes() != ref_apply_table(table, g).tobytes():
+                        bad.append((n, N, name, g.shape))
+    return bad
+
+
+def test_streamed_products_match_whole_table():
+    # With more than one BLAS thread, OpenBLAS splits the whole-table product
+    # among threads and leaves a block's smaller product on one, and the two
+    # can round differently in the last bit (seen at n = 2, N = 100, batch of
+    # 5, on two threads).  The bench and these bits run with one BLAS thread.
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import wavekernel as wk, test_table_reference as ref\n"
+              "pots = [wk.preset_potential(name, x_max=4.0, step=1 / 2048)\n"
+              "        for name in ('one', 'herm2')] + [ref._pot3()]\n"
+              "fields = [wk.solve_goursat(p, 1.0, 1 / 50, 1e-10) for p in pots]\n"
+              "bad = ref.product_mismatches(fields)\n"
+              "sys.exit(f'streamed products differ: {bad}' if bad else 0)\n")
+    src = str(Path(wk.__file__).parents[1])
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# N = 37 and N = 100 both end inside a row block
+@pytest.mark.parametrize("N", [37, 100])
+def test_streamed_invert_matches_whole_table(field_h50, N):
+    sysv = wk.build_volterra(field_h50, 1.0, N)
+    f = wk.bump_control(1.0, 0.1, 0.9, np.linspace(1.0, 0.5j, field_h50.dim))
+    u = wk.apply_W(field_h50, f, 1.0, N)
+    want = ref_invert_W(sysv, full_table(sysv.tables.k0()), u)
+    assert wk.invert_W(sysv, u).tobytes() == want.tobytes()
