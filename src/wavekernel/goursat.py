@@ -32,15 +32,18 @@ holds the same node set, so a field read back from it equals the solved
 field array for array.  The march writes straight into the half-square and
 keeps O(M) state besides.  The line integrals of q*v along xi and eta, and
 every other cumulation behind wx and wtt, exist one block of rows at a
-time: the tables are built in one pass over the blocks, carrying the last
-row of each cumulation along xi from block to block, so a field holds v,
-wx_lat and one more half-square (wtt's outer integrand, until wtt takes
-over its buffer).  Within a block, cc1 of the wtt assembly keeps rows that
-start on the diagonal and shifts them to the node layout.  V_h itself is
-one step over a block of rows in the same node layout (_V_rows), streamed
-like the tables: the march's residual applies it to the region, and the
-Picard sweeps and apply_V to the whole square (M+1, M+1, n, n), which
-solve_goursat crops to the region after the last sweep.
+time: one generator (_table_rows) yields wx and wtt block by block,
+carrying the last row of each cumulation along xi from block to block.  A
+field holds only v until a caller asks for wx_lat or wtt_lattice(), which
+keep both tables from one pass of the stream; kernel_constants reads the
+stream without keeping it when the field holds no tables.  Within a block,
+cc1 of the wtt assembly keeps rows that start on the diagonal and shifts
+them to the node layout.  V_h itself is one step over a block of rows in
+the same node layout (_V_rows), streamed like the tables: the march's
+residual applies it to the region, and the Picard sweeps and apply_V to
+the whole square (M+1, M+1, n, n), which solve_goursat crops to the
+region after the last sweep.  The streams and the half-square products
+read q_{j-i} at their nodes through a strided view of qh (_toeplitz).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fileio
 from .errors import ConvergenceError, DomainError, SingularSystemError, check_count
@@ -64,10 +68,14 @@ def _region(M: int) -> np.ndarray:
     return (i <= j) & (i + j <= M + 1)
 
 
-def _offset(M: int) -> np.ndarray:
-    """j - i at each node of the half-square, 0 below the diagonal: qh[_offset(M)] is q_{j-i}."""
-    i, j = np.arange(M // 2 + 2)[:, None], np.arange(M + 1)
-    return np.maximum(j - i, 0)
+def _toeplitz(a: np.ndarray, rows: int) -> np.ndarray:
+    """a[j - i] at each node (i, j) of the rows i < rows, a[0] below the diagonal.
+
+    A read-only (rows, len(a), ...) view of a padded with rows - 1 copies of
+    a[0]: _toeplitz(qh, rows) is q_{j-i} at the nodes without a gather.
+    """
+    pad = np.concatenate([np.broadcast_to(a[:1], (rows - 1,) + a.shape[1:]), a])
+    return np.moveaxis(sliding_window_view(pad, a.shape[0], axis=0), -1, 1)[::-1]
 
 
 @dataclass
@@ -85,10 +93,11 @@ class KernelField:
     read only the region's nodes.  They are built from two line integrals,
     e_cum[i, j] of q(eta_j/2 - s) v(2s, eta_j) over s in [0, xi_i/2] and
     d_cum[i, j] of q(s) v(xi_i, xi_i + 2s) over s in [0, (eta_j - xi_i)/2],
-    which exist only one block of rows at a time (_attach_tables).  So a
-    field holds three half-squares: v, wx_lat and, until wtt_lattice()
-    first runs, wtt's outer integrand d_cum - e_cum[i, i] + e_cum, whose
-    buffer then holds wtt.
+    which exist only one block of rows at a time (_table_rows).  A field
+    builds both tables in one pass of that stream the first time a caller
+    asks for either, and keeps them; until then it holds v alone.  A copy
+    made by dataclasses.replace starts without tables and builds its own
+    from its own v.
     """
 
     T: float
@@ -97,8 +106,7 @@ class KernelField:
     iterations: int                 # Picard sweeps, or the march's M + 2 anti-diagonals
     tail_bound: float               # Picard's factorial tail, or the march's residual
     qh: np.ndarray = field(repr=False, default=None)       # (M+1, n, n)
-    wx_lat: np.ndarray = field(repr=False, default=None)   # d/dx of the smooth part
-    _outer: np.ndarray = field(repr=False, default=None, init=False)   # wtt's outer integrand
+    _wx_lat: np.ndarray = field(repr=False, default=None, init=False)
     _wtt_lat: np.ndarray = field(repr=False, default=None, init=False)
 
     @property
@@ -123,28 +131,40 @@ class KernelField:
         """The smooth part v - v0 on the region, v0 the explicit potential integral."""
         return self.v - _v0_lattice(self.qh, self.step)
 
+    @property
+    def wx_lat(self) -> np.ndarray:
+        """d/dx of the smooth part, a half-square like v; built with wtt on first use."""
+        if self._wx_lat is None:
+            self._build_tables()
+        return self._wx_lat
+
     def wtt_lattice(self) -> np.ndarray:
         """Explicit second time derivative of the smooth kernel part.
 
-        Lazily cached.  The first call assembles wtt into the buffer of the
-        held outer integrand, which the field then lets go of, so it is not
-        re-entrant: do not make the first call from two threads at once.  A
-        field without the integrand (a copy made by dataclasses.replace,
-        which does not carry it) first rebuilds its tables from v.
+        A half-square like v, built with wx_lat on first use and kept.
         """
         if self._wtt_lat is None:
-            if self._outer is None:
-                _attach_tables(self)
-            outer, self._outer = self._outer, None
-            self._wtt_lat = _assemble_wtt(self, outer)
+            self._build_tables()
         return self._wtt_lat
+
+    def _build_tables(self) -> None:
+        """Keep wx_lat and wtt from one pass of _table_rows.
+
+        Both are filled in locals and kept only once complete, so a caller
+        never sees a half-built table; two first calls at once only repeat
+        the work.
+        """
+        wx, wtt = np.empty_like(self.v), np.empty_like(self.v)
+        for b, wx_rows, wtt_rows in _table_rows(self):
+            wx[b], wtt[b] = wx_rows, wtt_rows
+        self._wx_lat, self._wtt_lat = wx, wtt
 
     def wxx_lattice(self) -> np.ndarray:
         """Second space derivative of the smooth part via the interior identity.
 
         A half-square like wtt_lattice(), zero off the region like v and wtt.
         """
-        return _wxx(self.qh[_offset(self.M)], self.v, self.wtt_lattice())
+        return _wxx(_toeplitz(self.qh, self.v.shape[0]), self.v, self.wtt_lattice())
 
 
 def _wxx(q: np.ndarray, v: np.ndarray, wtt: np.ndarray) -> np.ndarray:
@@ -224,11 +244,11 @@ def _v0_lattice(qh: np.ndarray, h: float) -> np.ndarray:
 
 def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
     """Field holding only the explicit part: the potential integral between
-    the two characteristic coordinates."""
+    the two characteristic coordinates.  Its derived tables are built at once."""
     _, qh = _lattice_setup(p, T, h)
     f = KernelField(T=float(T), step=float(h), v=_v0_lattice(qh, h), iterations=0,
                     tail_bound=float("inf"), qh=qh)
-    _attach_tables(f)
+    f._build_tables()
     return f
 
 
@@ -283,13 +303,15 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
 
     method="march" solves the same discrete equation exactly, one
     anti-diagonal at a time (_march); max_sweeps does not bound it.  Its
-    certificate is the residual max |v - v0 - V v| over the region, from the
-    line-integral tables (_attach_tables): ConvergenceError when it exceeds tol,
+    certificate is the residual max |v - v0 - V v| over the region, streamed
+    by blocks of rows (_residual): ConvergenceError when it exceeds tol,
     SingularSystemError when a step matrix I + h^2/16 q_k is singular.  The
     field records the M + 2 anti-diagonals as iterations and the residual
     as tail_bound.
 
     Diagonal nodes are zero, and the field keeps the region i + j <= M + 1.
+    Either way the field holds v alone; its derived tables are built on
+    first use.
     """
     if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
@@ -299,13 +321,11 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     M, qh = _lattice_setup(p, T, h)
     if method == "picard":
         v, iterations, tail = _picard(qh, T, h, tol, max_sweeps)
-        f = KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
-                        tail_bound=tail, qh=qh)
-        _attach_tables(f)
-        return f
+        return KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
+                           tail_bound=tail, qh=qh)
     f = KernelField(T=float(T), step=float(h), v=_march(qh, h), iterations=M + 2,
                     tail_bound=math.nan, qh=qh)
-    f.tail_bound = residual = _attach_tables(f, residual=True)
+    f.tail_bound = residual = _residual(f)
     if not residual <= tol:
         raise ConvergenceError(
             f"march residual {residual:.3e} exceeds tol {tol:.3e}; "
@@ -505,99 +525,94 @@ def _V_rows(d_cum: np.ndarray, h: float, start: int, carry: list) -> np.ndarray:
 def _square_d_cum(qh: np.ndarray, v: np.ndarray, start: int, h: float) -> np.ndarray:
     """_V_rows's input for rows start, start + 1, ... of a full square:
     g = q_{j-i} v, zero below the diagonal, cumulated along eta at step h/2."""
-    i, j = np.arange(start, start + len(v))[:, None], np.arange(v.shape[1])
-    g = _mul(qh[np.maximum(j - i, 0)], v)
+    g = _mul(_toeplitz(qh, start + len(v))[start:], v)
     for k, row in enumerate(g):
         row[:start + k] = 0.0
     return _cumtrapz(g, h / 2.0, axis=1, out=g)
 
 
-def _attach_tables(f: KernelField, residual: bool = False) -> float | None:
-    """wx and the outer integrand of wtt, streamed over blocks of _ROWS rows.
+def _residual(f: KernelField) -> float:
+    """The march's certificate: the largest operator norm of v - v0 - V_h v
+    over the region, one block of _ROWS rows at a time.
+
+    Each block forms g = q_{j-i} v and its cumulation d_cum along eta
+    (_square_d_cum; v is zero off the region, so g is too), and the step
+    _V_rows cumulates it along xi from the rows carried over from the block
+    above.
+    """
+    M, h = f.M, f.step
+    region = _region(M)
+    q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+    worst, carry = np.zeros(()), []
+    for b in _blocks(region.shape[0], _ROWS):
+        r = _V_rows(_square_d_cum(f.qh, f.v[b], b.start, h), h, b.start, carry)
+        np.subtract(f.v[b], r, out=r)
+        r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(M + 1))
+        worst = np.maximum(worst, np.max(_opnorms(r)[region[b]], initial=0.0))
+    return float(worst)
+
+
+def _table_rows(f: KernelField):
+    """wx and wtt, yielded as (rows, wx[rows], wtt[rows]) per block of _ROWS rows.
 
     One integrand g[i, j] = q_{j-i} v[i, j], zero off the region, is
     cumulated (step h/2) along eta from j = 0 into d_cum and along xi from 0
     into e_cum.  A block forms g for its rows, d_cum within them, and e_cum
     from the input and output rows carried over from the block above
-    (_cumtrapz's carry), so neither table exists beyond one block.  Each
-    block writes two half-squares:
+    (_cumtrapz's carry), so neither table exists beyond one block.  From
+    them the block takes
 
-    - wx_lat = 1/2 (d_cum - e_cum - e_cum[i, i]), d/dx of the smooth part;
-    - f._outer = d_cum - e_cum[i, i] + e_cum, the outer integrand of wtt
-      without its q factor, which wtt_lattice() consumes.
+    - wx = 1/2 (d_cum - e_cum - e_cum[i, i]), d/dx of the smooth part;
+    - outer = d_cum - e_cum[i, i] + e_cum, the outer integrand of wtt
+      without its q factor, which the same block's wtt reads at once.
 
     Before the diagonal d_cum adds exact zeros, and v vanishes on it, so
     d_cum integrates from the diagonal; a field with v[i, i] != 0 breaks
     that Goursat condition, and row i of d_cum moves by (h/4) q_0 v[i, i].
 
-    With residual, the largest operator norm of v - v0 - V_h v over the
-    region is returned, from the same stream: each block hands its d_cum,
-    once the tables have read it, to the step _V_rows.
-    """
-    M, h = f.M, f.step
-    region = _region(M)
-    jm = _offset(M)
-    wx, outer = np.empty_like(f.v), np.empty_like(f.v)
-    if residual:
-        q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
-        worst = np.zeros(())
-    e_carry, c_carry = [], []
-    for b in _blocks(region.shape[0], _ROWS):
-        off = ~region[b]
-        g = _mul(f.qh[jm[b]], f.v[b])
-        g[off] = 0.0
-        d_cum = _cumtrapz(g, h / 2.0, axis=1)
-        e_cum = _cumtrapz(g, h / 2.0, axis=0, out=g, carry=e_carry)
-        e_diag = _diag(e_cum, b.start)[:, None]
-        np.subtract(d_cum, e_cum, out=wx[b])
-        wx[b] -= e_diag
-        wx[b] *= 0.5
-        np.subtract(d_cum, e_diag, out=outer[b])
-        outer[b] += e_cum
-        wx[b][off] = outer[b][off] = 0.0
-        if residual:
-            del g, e_cum
-            r = _V_rows(d_cum, h, b.start, c_carry)
-            np.subtract(f.v[b], r, out=r)
-            r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(M + 1))
-            worst = np.maximum(worst, np.max(_opnorms(r)[~off], initial=0.0))
-    f.wx_lat, f._outer = wx, outer
-    return float(worst) if residual else None
-
-
-def _assemble_wtt(f: KernelField, outer: np.ndarray) -> np.ndarray:
-    """Explicit second time derivative of the smooth kernel part, in outer's buffer.
-
-    Assembled from the differentiated fixed-point equation: pointwise
-    products of q with edge kernel values, six single q*q integrals, and
-    the double-integral terms: the outer integrand q_{j-i} outer[i, j]
-    (outer from _attach_tables), cumulated along each lattice direction.
-    The assembly streams over blocks of _ROWS rows, like _attach_tables:
-    cumulations along eta stay within a block's rows, those along xi (of
+    wtt is assembled from the differentiated fixed-point equation:
+    pointwise products of q with edge kernel values, six single q*q
+    integrals, and the double-integral terms: the outer integrand
+    q_{j-i} outer[i, j], cumulated along each lattice direction.
+    Cumulations along eta stay within a block's rows, those along xi (of
     the outer integrand and cc6) continue from the rows carried over from
     the block above.  cc1, whose integrand q_0 q_i does not vanish on the
     diagonal, has rows that start there: cc1[i, m] belongs to node
     (i, i+m), and a shift within each row moves it to column i+m, the
-    layout of every other table.  A block's rows of outer are read before
-    its rows of the result overwrite them, so the work beyond outer is a
-    few blocks.  Every node gets the same operations in the same order as
-    when each term had a half-square of its own, so the bits do not depend
-    on the blocks.
+    layout of every other table.  Every node gets the same operations in
+    the same order as when each term had a half-square of its own, so the
+    bits do not depend on the blocks.  The yielded rows are fresh arrays,
+    zero off the region.
     """
     M, h = f.M, f.step
     dx, qh = h / 2.0, f.qh
     region = _region(M)
-    jm = _offset(M)
-    m = np.arange(M + 1)
+    q = _toeplitz(qh, region.shape[0])
     q_cum = _cumtrapz(qh, dx, axis=0)
+    q_cum_jm = _toeplitz(q_cum, region.shape[0])
+    m = np.arange(M + 1)
     qv_edge = _mul(qh, f.v[0])
-    xi_carry, cc6_carry = [], []
+    e_carry, xi_carry, cc6_carry = [], [], []
     for b in _blocks(region.shape[0], _ROWS):
         off, i = ~region[b], np.arange(b.start, b.stop)[:, None]
 
-        # double integrals: the outer integrand g, zero off the region,
-        # integrated along eta_j from the diagonal and along xi_i from 0
-        g = _mul(qh[jm[b]], outer[b])
+        # the line integrals: wx and the outer integrand
+        g = _mul(q[b], f.v[b])
+        g[off] = 0.0
+        outer = _cumtrapz(g, dx, axis=1)
+        e_cum = _cumtrapz(g, dx, axis=0, out=g, carry=e_carry)
+        e_diag = _diag(e_cum, b.start)[:, None]
+        wx = outer - e_cum
+        wx -= e_diag
+        wx *= 0.5
+        outer -= e_diag
+        outer += e_cum
+        wx[off] = outer[off] = 0.0
+        del g, e_cum, e_diag
+
+        # double integrals: the outer integrand q_{j-i} outer, zero off the
+        # region, integrated along eta_j from the diagonal and along xi_i from 0
+        g = _mul(q[b], outer)
         g[off] = 0.0
         w_hat = _cumtrapz(g, dx, axis=1)
         cum_xi = _cumtrapz(g, dx, axis=0, out=g, carry=xi_carry)
@@ -615,25 +630,25 @@ def _assemble_wtt(f: KernelField, outer: np.ndarray) -> np.ndarray:
             r = b.start + k
             row[r:] = row[:M + 1 - r]
             row[:r] = row[r]
-        eighth -= _mul(q_cum[jm[b]], qh[b, None])
-        cc6 = _mul(qh[jm[b]], qh[b, None])
+        eighth -= _mul(q_cum_jm[b], qh[b, None])
+        cc6 = _mul(q[b], qh[b, None])
         cc6[off] = 0.0
         _cumtrapz(cc6, dx, axis=0, out=cc6, carry=cc6_carry)
         eighth += _diag(cc6, b.start)[:, None]
         eighth -= _mul(q_cum[b], qh[b])[:, None]
-        eighth += _mul(q_cum[None, :] - q_cum[jm[b]], qh[None, :])
+        eighth += _mul(q_cum[None, :] - q_cum_jm[b], qh[None, :])
         eighth -= cc6
         eighth *= 0.125
         del cc6
 
-        # pointwise edge terms, then the sum into outer's rows
-        wtt = outer[b]
+        # pointwise edge terms, then the sum into outer's buffer
+        wtt = outer
         np.subtract(qv_edge[b, None], qv_edge[None, :], out=wtt)
         wtt *= 0.25
         wtt += eighth
         wtt += w_hat
         wtt[off] = 0.0
-    return outer
+        yield b, wx, wtt
 
 
 # --- point evaluation -------------------------------------------------------
@@ -714,25 +729,33 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
 
     All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
     nodes with i + j <= M.  The nodes are gathered one block of _ROWS rows
-    at a time: each block takes its maxima, and the w_xx norms on the even
-    diagonals j - i go into one real table, from which each diagonal is
-    integrated whole.
+    at a time, with the block's rows of wx and wtt: the tables the field
+    holds, or else the stream _table_rows, which is read and not kept.
+    Each block takes its maxima, and the w_xx norms on the even diagonals
+    j - i go into one real table, from which each diagonal is integrated
+    whole.
     """
     M, h = f.M, f.step
-    wtt = f.wtt_lattice()
-    i, j = np.arange(M // 2 + 1)[:, None], np.arange(M + 1)    # the rows with physical nodes
+    wx_lat, wtt_lat = f._wx_lat, f._wtt_lat
+    if wx_lat is None or wtt_lat is None:
+        rows = _table_rows(f)
+    else:
+        rows = ((b, wx_lat[b], wtt_lat[b]) for b in _blocks(f.v.shape[0], _ROWS))
+    i, j = np.arange(f.v.shape[0])[:, None], np.arange(M + 1)
     phys = (i <= j) & (i + j <= M)
     even = phys & ((j - i) % 2 == 0)
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
     sups, wxx_norm = np.zeros(3), np.zeros(phys.shape)
-    for b in _blocks(phys.shape[0], _ROWS):
-        i, j = np.nonzero(phys[b])
-        i += b.start
+    for b, wx, wtt in rows:
+        k, j = np.nonzero(phys[b])
+        if not k.size:                  # the last row i = M/2 + 1 holds only the halo
+            continue
+        i = k + b.start
         v = f.v[i, j]
         sups = np.maximum(sups, [np.max(_opnorms(v - _v0_at(q_cum, i, j))),
-                                 np.max(_opnorms(f.wx_lat[i, j])), np.max(_opnorms(v))])
+                                 np.max(_opnorms(wx[k, j])), np.max(_opnorms(v))])
         e = even[i, j]
-        wxx_norm[i[e], j[e]] = _opnorms(_wxx(f.qh[(j - i)[e]], v[e], wtt[i[e], j[e]]))
+        wxx_norm[i[e], j[e]] = _opnorms(_wxx(f.qh[(j - i)[e]], v[e], wtt[k[e], j[e]]))
     b1, b2, b4 = map(float, sups)
     # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another
     ds = np.arange(0, M + 1, 2)
@@ -768,7 +791,7 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     edge = float(np.max(_opnorms(v[0] + 0.5 * integral_Q(p, 0.0, idx * h / 2.0))))
     a, b = np.arange(v.shape[0] - 1)[:, None], idx[:-1]     # lower corner of each cell
     mixed = (v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]) / h**2
-    resid = mixed + 0.25 * _mul(f.qh[_offset(M)[:-1, :-1]], v[:-1, :-1])
+    resid = mixed + 0.25 * _mul(_toeplitz(f.qh, v.shape[0] - 1)[:, :-1], v[:-1, :-1])
     interior_mask = (a + 1 <= b) & (a + b <= M - 1)
     interior = float(np.max(_opnorms(resid)[interior_mask])) if interior_mask.any() else 0.0
     count, excess = bound_violations(f)
@@ -830,7 +853,7 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
 
 
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
-    """Reconstruct a field from a dump; derivative tables are recomputed.
+    """Reconstruct a field from a dump; derivative tables are built on first use.
 
     The dump holds the whole region i + j <= M + 1 that a field stores, so
     the loaded field equals the solved field it was dumped from, array for
@@ -875,6 +898,4 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
                           f"rows, got {len(vals)}")
     v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)
     v[i, j] = vals.reshape(rows, n, n)
-    f = KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)
-    _attach_tables(f)
-    return f
+    return KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)

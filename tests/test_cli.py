@@ -264,6 +264,22 @@ def test_apply_and_invert_round_trip(tmp_path):
     assert np.abs(rec[:, 1] + 1j * rec[:, 2] - ref).max() < 1e-10
 
 
+@pytest.mark.parametrize("source", ["solve_goursat", "load_kernel"])
+def test_invert_builds_no_derived_table(tmp_path, monkeypatch, source):
+    # invert samples only v: its field, solved or read from a dump, never
+    # builds wx_lat or wtt
+    one_pot(tmp_path)
+    dump = "kernel_dump = out/kernel.csv\n" if source == "load_kernel" else ""
+    assert main(["kernel", "--config", str(write_cfg(tmp_path))]) == 0
+    assert main(["propagate", "--config", str(write_cfg(tmp_path))]) == 0
+    fields, make = [], getattr(cli, source)
+    monkeypatch.setattr(cli, source, lambda *a, **kw: fields.append(make(*a, **kw)) or fields[-1])
+    cfg = write_cfg(tmp_path, extra=dump + "snapshot = out/snapshot.csv\n")
+    assert main(["invert", "--config", str(cfg), "--out", str(tmp_path / "inv")]) == 0
+    assert len(fields) == 1
+    assert fields[0]._wx_lat is None and fields[0]._wtt_lat is None
+
+
 def test_invert_reads_snapshot_with_or_without_header(tmp_path):
     one_pot(tmp_path)
     assert main(["propagate", "--config", str(write_cfg(tmp_path))]) == 0

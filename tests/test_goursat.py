@@ -386,7 +386,7 @@ def test_picard_memory_guard(pot_herm2):
     # 2x2 at M = 200, in full squares of (M+1)^2 n^2 complex values.  The sweeps
     # hold v0 and v and update v in place, one block of rows at a time (2.27),
     # with no square of gathered q, V v or the next v; the field then holds
-    # three half-squares (v, wx_lat and wtt's outer integrand)
+    # the half-square v alone
     square = 201 ** 2 * 4 * 16
     solve = lambda: wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="picard")
     assert traced_peak(solve, square) <= 2.5
@@ -403,6 +403,17 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     assert np.array_equal(back.v, field_herm2.v)
     M = back.M
     assert len(csv_path.read_bytes().splitlines()) == 1 + (M // 2 + 1) * (M // 2 + 2) - 1
+
+
+def test_solve_and_load_build_no_tables(tmp_path, pot_herm2):
+    # the derived tables are built on first use, so a solved or loaded field
+    # holds v alone, and the dump's constants read the tables without keeping them
+    fields = [wk.solve_goursat(pot_herm2, 1.0, 1 / 50, 1e-10, method=method)
+              for method in ("picard", "march")]
+    wk.dump_kernel(fields[1], pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    fields.append(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2))
+    for f in fields:
+        assert f._wx_lat is None and f._wtt_lat is None
 
 
 def test_every_field_has_the_half_square_layout(tmp_path, pot_herm2, field_herm2):

@@ -13,11 +13,15 @@ physical nodes and must reproduce them exactly.
 
 A second reference keeps the half-square derivative tables as they were
 built on three layouts (node, offset (i, j - i) and eta-major (j, i)),
-with each integrand formed once per layout.  The package streams its
-tables over blocks of rows and keeps only wx_lat and wtt's outer integrand
-d_cum - e_cum[i, i] + e_cum, but it multiplies the same numbers and adds
-the same terms in the same order, so those and wtt must reproduce the
-reference bit for bit.
+with each integrand formed once per layout.  A third keeps them as they
+were built in two streamed passes, the first holding wx_lat and wtt's
+outer integrand d_cum - e_cum[i, i] + e_cum whole, the second assembling
+wtt into the integrand's buffer, and the kernel constants that read the
+held tables.  The package streams both tables in one pass, forms no whole
+outer integrand and reads q_{j-i} through a strided view, but it
+multiplies the same numbers and adds the same terms in the same order, so
+wx_lat, wtt, the march's residual and the constants must reproduce these
+references bit for bit.
 """
 
 import dataclasses
@@ -29,7 +33,8 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    _ROWS, KernelConstants, KernelField, _attach_tables, _lattice_setup, _region, _tail_bound,
+    _ROWS, KernelConstants, _blocks, _diag, _lattice_setup, _region, _tail_bound, _v0_at,
+    _V_rows, _wxx,
 )
 from wavekernel.propagator import OperatorTables
 
@@ -77,8 +82,8 @@ def ref_solve_goursat(p, T, h, tol, max_sweeps=100):
         v = v_new
         iterations += 1
         tail = _tail_bound(S_full, 2.0 * T, iterations)
-    f = KernelField(T=float(T), step=float(h), v=v, iterations=max(iterations, 1),
-                    tail_bound=tail, qh=qh)
+    f = types.SimpleNamespace(M=M, step=float(h), qh=qh, v=v, iterations=max(iterations, 1),
+                              tail_bound=tail)
     ref_attach_tables(f)
     return f
 
@@ -277,14 +282,6 @@ def layered_outer(ref):
     return t
 
 
-def held_outer(f):
-    """The outer integrand f holds; rebuilt on a copy once wtt_lattice() has taken it."""
-    if f._outer is None:
-        f = dataclasses.replace(f)
-        _attach_tables(f)
-    return f._outer
-
-
 def ref_kernel_constants(p, f):
     M, h = f.M, f.step
     _, A, B = _grids(M)
@@ -316,6 +313,184 @@ def full_square(half):
     out = np.zeros((half.shape[1],) + half.shape[1:], dtype=half.dtype)
     out[:half.shape[0]] = half
     return out
+
+
+# --- reference: the two streamed passes, with held tables -------------------
+
+def _offset(M: int) -> np.ndarray:
+    """j - i at each node of the half-square, 0 below the diagonal: qh[_offset(M)] is q_{j-i}."""
+    i, j = np.arange(M // 2 + 2)[:, None], np.arange(M + 1)
+    return np.maximum(j - i, 0)
+
+
+def two_pass_attach_tables(f, residual: bool = False) -> float | None:
+    """wx and the outer integrand of wtt, streamed over blocks of _ROWS rows.
+
+    One integrand g[i, j] = q_{j-i} v[i, j], zero off the region, is
+    cumulated (step h/2) along eta from j = 0 into d_cum and along xi from 0
+    into e_cum.  A block forms g for its rows, d_cum within them, and e_cum
+    from the input and output rows carried over from the block above
+    (_cumtrapz's carry), so neither table exists beyond one block.  Each
+    block writes two half-squares:
+
+    - wx_lat = 1/2 (d_cum - e_cum - e_cum[i, i]), d/dx of the smooth part;
+    - f._outer = d_cum - e_cum[i, i] + e_cum, the outer integrand of wtt
+      without its q factor, which wtt_lattice() consumes.
+
+    Before the diagonal d_cum adds exact zeros, and v vanishes on it, so
+    d_cum integrates from the diagonal; a field with v[i, i] != 0 breaks
+    that Goursat condition, and row i of d_cum moves by (h/4) q_0 v[i, i].
+
+    With residual, the largest operator norm of v - v0 - V_h v over the
+    region is returned, from the same stream: each block hands its d_cum,
+    once the tables have read it, to the step _V_rows.
+    """
+    M, h = f.M, f.step
+    region = _region(M)
+    jm = _offset(M)
+    wx, outer = np.empty_like(f.v), np.empty_like(f.v)
+    if residual:
+        q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+        worst = np.zeros(())
+    e_carry, c_carry = [], []
+    for b in _blocks(region.shape[0], _ROWS):
+        off = ~region[b]
+        g = _mul(f.qh[jm[b]], f.v[b])
+        g[off] = 0.0
+        d_cum = _cumtrapz(g, h / 2.0, axis=1)
+        e_cum = _cumtrapz(g, h / 2.0, axis=0, out=g, carry=e_carry)
+        e_diag = _diag(e_cum, b.start)[:, None]
+        np.subtract(d_cum, e_cum, out=wx[b])
+        wx[b] -= e_diag
+        wx[b] *= 0.5
+        np.subtract(d_cum, e_diag, out=outer[b])
+        outer[b] += e_cum
+        wx[b][off] = outer[b][off] = 0.0
+        if residual:
+            del g, e_cum
+            r = _V_rows(d_cum, h, b.start, c_carry)
+            np.subtract(f.v[b], r, out=r)
+            r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(M + 1))
+            worst = np.maximum(worst, np.max(_opnorms(r)[~off], initial=0.0))
+    f.wx_lat, f._outer = wx, outer
+    return float(worst) if residual else None
+
+
+def two_pass_assemble_wtt(f, outer: np.ndarray) -> np.ndarray:
+    """Explicit second time derivative of the smooth kernel part, in outer's buffer.
+
+    Assembled from the differentiated fixed-point equation: pointwise
+    products of q with edge kernel values, six single q*q integrals, and
+    the double-integral terms: the outer integrand q_{j-i} outer[i, j]
+    (outer from two_pass_attach_tables), cumulated along each lattice direction.
+    The assembly streams over blocks of _ROWS rows, like two_pass_attach_tables:
+    cumulations along eta stay within a block's rows, those along xi (of
+    the outer integrand and cc6) continue from the rows carried over from
+    the block above.  cc1, whose integrand q_0 q_i does not vanish on the
+    diagonal, has rows that start there: cc1[i, m] belongs to node
+    (i, i+m), and a shift within each row moves it to column i+m, the
+    layout of every other table.  A block's rows of outer are read before
+    its rows of the result overwrite them, so the work beyond outer is a
+    few blocks.  Every node gets the same operations in the same order as
+    when each term had a half-square of its own, so the bits do not depend
+    on the blocks.
+    """
+    M, h = f.M, f.step
+    dx, qh = h / 2.0, f.qh
+    region = _region(M)
+    jm = _offset(M)
+    m = np.arange(M + 1)
+    q_cum = _cumtrapz(qh, dx, axis=0)
+    qv_edge = _mul(qh, f.v[0])
+    xi_carry, cc6_carry = [], []
+    for b in _blocks(region.shape[0], _ROWS):
+        off, i = ~region[b], np.arange(b.start, b.stop)[:, None]
+
+        # double integrals: the outer integrand g, zero off the region,
+        # integrated along eta_j from the diagonal and along xi_i from 0
+        g = _mul(qh[jm[b]], outer[b])
+        g[off] = 0.0
+        w_hat = _cumtrapz(g, dx, axis=1)
+        cum_xi = _cumtrapz(g, dx, axis=0, out=g, carry=xi_carry)
+        w_hat -= _diag(cum_xi, b.start)[:, None]
+        w_hat += cum_xi
+        w_hat *= 0.25
+        del g, cum_xi
+
+        # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from
+        # the diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
+        fwd = _mul(qh, qh[np.minimum(i + m, M)])
+        fwd[2 * i + m > M + 1] = 0.0              # node (i, i+m) off the region
+        eighth = _cumtrapz(fwd, dx, axis=1, out=fwd)
+        for k, row in enumerate(eighth):         # eighth[i, j] = cc1[i, max(j - i, 0)]
+            r = b.start + k
+            row[r:] = row[:M + 1 - r]
+            row[:r] = row[r]
+        eighth -= _mul(q_cum[jm[b]], qh[b, None])
+        cc6 = _mul(qh[jm[b]], qh[b, None])
+        cc6[off] = 0.0
+        _cumtrapz(cc6, dx, axis=0, out=cc6, carry=cc6_carry)
+        eighth += _diag(cc6, b.start)[:, None]
+        eighth -= _mul(q_cum[b], qh[b])[:, None]
+        eighth += _mul(q_cum[None, :] - q_cum[jm[b]], qh[None, :])
+        eighth -= cc6
+        eighth *= 0.125
+        del cc6
+
+        # pointwise edge terms, then the sum into outer's rows
+        wtt = outer[b]
+        np.subtract(qv_edge[b, None], qv_edge[None, :], out=wtt)
+        wtt *= 0.25
+        wtt += eighth
+        wtt += w_hat
+        wtt[off] = 0.0
+    return outer
+
+
+def two_pass_kernel_constants(p, f) -> KernelConstants:
+    """Sup norms and the integrated second-derivative constant of the kernel.
+
+    All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
+    nodes with i + j <= M.  The nodes are gathered one block of _ROWS rows
+    at a time: each block takes its maxima, and the w_xx norms on the even
+    diagonals j - i go into one real table, from which each diagonal is
+    integrated whole.
+    """
+    M, h = f.M, f.step
+    wtt = f.wtt_lattice()
+    i, j = np.arange(M // 2 + 1)[:, None], np.arange(M + 1)    # the rows with physical nodes
+    phys = (i <= j) & (i + j <= M)
+    even = phys & ((j - i) % 2 == 0)
+    q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+    sups, wxx_norm = np.zeros(3), np.zeros(phys.shape)
+    for b in _blocks(phys.shape[0], _ROWS):
+        i, j = np.nonzero(phys[b])
+        i += b.start
+        v = f.v[i, j]
+        sups = np.maximum(sups, [np.max(_opnorms(v - _v0_at(q_cum, i, j))),
+                                 np.max(_opnorms(f.wx_lat[i, j])), np.max(_opnorms(v))])
+        e = even[i, j]
+        wxx_norm[i[e], j[e]] = _opnorms(_wxx(f.qh[(j - i)[e]], v[e], wtt[i[e], j[e]]))
+    b1, b2, b4 = map(float, sups)
+    # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another
+    ds = np.arange(0, M + 1, 2)
+    rows = (M - ds) // 2 + 1
+    d = np.repeat(ds, rows)
+    i = np.arange(d.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    inner = [float(np.trapezoid(vals, dx=h)) if vals.size > 1 else 0.0
+             for vals in np.split(wxx_norm[i, i + d], np.cumsum(rows)[:-1])]
+    b3 = float(np.trapezoid(np.asarray(inner) ** 2, x=ds * h / 2.0))
+    return KernelConstants(b1=b1, b2=b2, b3=b3, b4=b4)
+
+
+def two_pass_tables(f):
+    """f's lattice with wx_lat, the outer integrand _outer, wtt_lattice() and
+    the march's residual from the two-pass reference."""
+    ref = types.SimpleNamespace(M=f.M, step=f.step, qh=f.qh, v=f.v)
+    ref.residual = two_pass_attach_tables(ref, residual=True)
+    wtt = two_pass_assemble_wtt(ref, ref._outer.copy())
+    ref.wtt_lattice = lambda: wtt
+    return ref
 
 
 # --- comparisons -------------------------------------------------------------
@@ -421,8 +596,9 @@ def test_solve_goursat_matches_reference(case):
     # e_cum[i, j] = ref.e_cum[j, j] - ref.e_cum[j, j - i], d_cum[i, j] = ref.d_cum[i, j - i]
     e_diag = ref.e_cum[i, i] - ref.e_cum[i, 0]
     outer = ref.d_cum[i, j - i] - e_diag + (ref.e_cum[j, j] - ref.e_cum[j, j - i])
-    assert held_outer(f).shape == f.v.shape
-    assert rel_gap(held_outer(f)[i, j], outer) <= REL
+    held_outer = two_pass_tables(f)._outer
+    assert held_outer.shape == f.v.shape
+    assert rel_gap(held_outer[i, j], outer) <= REL
     assert rel_gap(f.wx_lat[i, j], ref.wx_lat[i, j]) <= REL
 
 
@@ -439,7 +615,7 @@ def test_wtt_lattice_matches_reference(case):
 def _assert_tables_match_layered(f):
     ref = layered_tables(f)
     assert np.array_equal(f.wx_lat, ref.wx_lat)
-    assert np.array_equal(held_outer(f), layered_outer(ref))
+    assert np.array_equal(two_pass_tables(f)._outer, layered_outer(ref))
     assert np.array_equal(f.wtt_lattice(), layered_assemble_wtt(ref))
 
 
@@ -468,27 +644,66 @@ def test_nonzero_diagonal_shifts_d_cum(case):
     # (h/4) q_0 v[i, i] from the diagonal on, and e_cum and v stay exact.  So
     # row i of the outer integrand d_cum - e_cum[i, i] + e_cum moves by the
     # shift and row i of wx_lat by half of it; every other row stays exact.
+    # The one-pass stream carries that integrand into wtt as the two passes did.
     p, h, f, _ = case
     v = f.v.copy()
     v[5, 5] = np.eye(f.dim)
     planted = dataclasses.replace(f, v=v)
-    _attach_tables(planted)
     ref = layered_tables(planted)
     outer = layered_outer(ref)
+    two_pass = two_pass_tables(planted)
     shift = 0.25 * h * f.qh[0]
-    assert np.allclose(planted._outer[5, 5:42] - outer[5, 5:42], shift, rtol=0, atol=1e-14)
+    assert np.allclose(two_pass._outer[5, 5:42] - outer[5, 5:42], shift, rtol=0, atol=1e-14)
     assert np.allclose(planted.wx_lat[5, 5:42] - ref.wx_lat[5, 5:42], 0.5 * shift,
                        rtol=0, atol=1e-14)
     i, j = np.nonzero(_region(f.M))
     others = i != 5
     i, j = i[others], j[others]
-    assert np.array_equal(planted._outer[i, j], outer[i, j])
+    assert np.array_equal(two_pass._outer[i, j], outer[i, j])
     assert np.array_equal(planted.wx_lat[i, j], ref.wx_lat[i, j])
+    assert np.array_equal(planted.wtt_lattice(), two_pass.wtt_lattice())
+
+
+def test_replaced_field_builds_its_own_tables(case):
+    # dataclasses.replace copies only the init fields, so a copy with a new v
+    # builds its tables from that v, before and after wtt_lattice(), whatever
+    # tables the original holds
+    _, _, f, _ = case
+    f.wtt_lattice()
+    g = dataclasses.replace(f, v=2.0 * f.v)
+    ref = layered_tables(g)
+    assert np.array_equal(g.wx_lat, ref.wx_lat)
+    assert not np.array_equal(g.wx_lat, f.wx_lat)
+    assert np.array_equal(g.wtt_lattice(), layered_assemble_wtt(ref))
+    assert np.array_equal(g.wx_lat, ref.wx_lat)
 
 
 def test_kernel_constants_match_reference(case):
+    # read from the stream by a field without tables, and from the held tables
     p, _, f, _ = case
+    fresh = dataclasses.replace(f)
+    assert wk.kernel_constants(p, fresh) == ref_kernel_constants(p, f)
+    assert fresh._wx_lat is None and fresh._wtt_lat is None
+    f.wtt_lattice()
     assert wk.kernel_constants(p, f) == ref_kernel_constants(p, f)
+
+
+@pytest.mark.parametrize("M", [40, 100])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_stream_matches_two_pass_reference(n, M):
+    # M = 40 and 100: 22 and 52 rows, so the last row block is partial.  The
+    # march's residual, wx_lat, wtt and the constants, streamed and held, are
+    # the two-pass reference's bit for bit
+    p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
+    f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
+    assert f.v.shape[0] % _ROWS
+    ref = two_pass_tables(f)
+    assert f.tail_bound == ref.residual
+    streamed = wk.kernel_constants(p, f)
+    assert f._wx_lat is None and f._wtt_lat is None
+    assert np.array_equal(f.wx_lat, ref.wx_lat)
+    assert np.array_equal(f.wtt_lattice(), ref.wtt_lattice())
+    assert streamed == wk.kernel_constants(p, f) == two_pass_kernel_constants(p, ref)
 
 
 def test_loaded_field_equals_solved_field(case, tmp_path):
@@ -514,18 +729,25 @@ def test_lattice_memory_guard(pot_herm2):
     # full-square tables at 6.2 and 5.7; the half-square tables at 5.5 and 2.9;
     # the half-square field at 4.5 (solve).  A solved field held 3.5 lattices
     # with a full-square v and v0, 2.0 with v, e_cum, d_cum and wx_lat as
-    # half-squares (0.51 lattices each), and holds 1.53 with v, wx_lat and
-    # wtt's outer integrand.  wtt with one array per term peaked at 2.8; with
-    # three work half-squares and products formed per row block, at 2.03;
-    # streamed over blocks of rows into the integrand's buffer, at 0.39.
+    # half-squares (0.51 lattices each), 1.53 with v, wx_lat and wtt's outer
+    # integrand, and now holds v alone (0.51).  wtt with one array per term
+    # peaked at 2.8; with three work half-squares and products formed per row
+    # block, at 2.03; streamed over blocks of rows into the integrand's
+    # buffer, at 0.39 over the 1.53 held, 1.92 in all.  wx_lat and wtt from
+    # one pass peak at 1.52 over v, 2.03 in all, and leave 1.53 held.
     lattice = 201 ** 2 * 4 * 16
     holder = {}
     solve_peak = traced_peak(
         lambda: holder.setdefault("f", wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10)), lattice)
     f = holder["f"]
-    arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
-    resident = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) / lattice
-    wtt_peak = traced_peak(f.wtt_lattice, lattice)
+
+    def resident():
+        arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) / lattice
+
+    held = resident()
+    tables_peak = traced_peak(f.wtt_lattice, lattice)
     assert solve_peak <= 5.0
-    assert resident <= 1.6
-    assert wtt_peak <= 0.5
+    assert held <= 0.6
+    assert held + tables_peak <= 2.1
+    assert resident() <= 1.6

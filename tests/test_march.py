@@ -22,11 +22,12 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ConvergenceError, DomainError, SingularSystemError
-from wavekernel.goursat import (_ROWS, KernelField, _attach_tables, _blocks, _lattice_setup,
-                                _march, _region, _square_d_cum, _V_rows)
+from wavekernel.goursat import (_ROWS, KernelField, _blocks, _lattice_setup, _march, _region,
+                                _residual, _square_d_cum, _V_rows)
 from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
 
 from conftest import traced_peak
+from test_lattice_reference import two_pass_tables
 
 GAP = 1e-12
 
@@ -131,10 +132,11 @@ def test_march_matches_picard(n, M):
     h = 2.0 / M
     march = wk.solve_goursat(p, 1.0, h, 1e-14, method="march")
     picard = wk.solve_goursat(p, 1.0, h, 1e-14, method="picard")
-    # _outer, d_cum - e_cum[i, i] + e_cum, and wx_lat, (d_cum - e_cum - e_cum[i, i]) / 2,
-    # are the line-integral tables a field keeps
-    for name in ("v", "wx_lat", "_outer"):
-        got, ref = getattr(march, name), getattr(picard, name)
+    # wtt's outer integrand, d_cum - e_cum[i, i] + e_cum, and wx_lat,
+    # (d_cum - e_cum - e_cum[i, i]) / 2, are the line-integral tables behind wtt
+    tables = {"v": (march.v, picard.v), "wx_lat": (march.wx_lat, picard.wx_lat),
+              "outer": (two_pass_tables(march)._outer, two_pass_tables(picard)._outer)}
+    for name, (got, ref) in tables.items():
         assert got.shape == ref.shape == (M // 2 + 2, M + 1, n, n)
         assert np.abs(got - ref).max() <= GAP, name
     assert np.abs(march.wtt_lattice() - picard.wtt_lattice()).max() <= GAP
@@ -181,9 +183,8 @@ def test_march_residual_above_tol_raises(pot_one):
 
 
 def streamed_residual(qh, v, h):
-    """The march's certificate for the field v, from the line-integral tables."""
-    f = KernelField(T=1.0, step=h, v=v, iterations=0, tail_bound=0.0, qh=qh)
-    return _attach_tables(f, residual=True)
+    """The march's certificate for the field v, streamed by blocks of rows."""
+    return _residual(KernelField(T=1.0, step=h, v=v, iterations=0, tail_bound=0.0, qh=qh))
 
 
 def plane_major_residual(qh, v, h):
@@ -210,8 +211,8 @@ def test_residual_reads_the_halo_anti_diagonal(pot_herm2):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_streamed_residual_equals_plane_major_residual(n):
     # M = 400: the 202 rows of the half-square end inside a row block.  The
-    # table stream hands its d_cum to the row-block step _V_rows, and the two
-    # residuals agree bit for bit, on the march's solution and off it
+    # residual stream hands each block's d_cum to the row-block step _V_rows,
+    # and the two residuals agree bit for bit, on the march's solution and off it
     p = seeded_potential(4, n)
     M, qh = _lattice_setup(p, 1.0, 1 / 200)
     v = _march(qh, 1 / 200)
@@ -290,28 +291,38 @@ def test_march_builds_no_full_square(pot_herm2):
     # full-square work array.  Picard holds two (test_picard_memory_guard).  The
     # march holds the half-square v (0.51) and O(M) state.  Its residual from one
     # plane-major V peaked at 2.3, with four half-squares (v, v plane-major, q,
-    # V v) and one plane of product terms; the table stream gives it with v,
-    # wx_lat and wtt's outer integrand (1.53) and a few blocks of rows, at 1.87.
+    # V v) and one plane of product terms; from the table stream, which also
+    # kept wx_lat and wtt's outer integrand, at 1.87; from a stream of its own
+    # that keeps nothing, at 0.74.
     lattice = 201 ** 2 * 4 * 16
     M, qh = _lattice_setup(pot_herm2, 1.0, 1 / 100)
     assert traced_peak(lambda: _march(qh, 1 / 100), lattice) <= 0.6
     solve = lambda: wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
-    assert traced_peak(solve, lattice) <= 2.1
+    assert traced_peak(solve, lattice) <= 0.8
 
 
 def test_march_field_memory_guard(pot_herm2):
-    # what the CLI runs, 2x2 at M = 200: a marched field holds three
-    # half-squares (v, wx_lat and wtt's outer integrand, 1.53 lattices), and
-    # wtt is assembled into the integrand's buffer with a few blocks of rows
-    # besides (0.39); afterwards the field holds v, wx_lat and wtt
+    # what the CLI's kernel command runs, 2x2 at M = 200: the march and the
+    # constants read from the table stream hold v (0.51 lattices) and blocks
+    # of rows, at 1.16 (1.92 when the field kept wx_lat and wtt's outer
+    # integrand); the field still holds v alone afterwards.  Asked for wtt, it
+    # builds wx_lat and wtt in one pass (a peak of 1.52 over v, 2.03 in all,
+    # where the two passes reached 1.92) and keeps them, 1.53 held.
     lattice = 201 ** 2 * 4 * 16
-    f = wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
+    holder = {}
+
+    def kernel():
+        f = holder["f"] = wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
+        wk.kernel_constants(pot_herm2, f)
 
     def resident():
         arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) / lattice
 
-    assert resident() <= 1.6
-    assert traced_peak(f.wtt_lattice, lattice) <= 0.5
-    assert f._outer is None
+    assert traced_peak(kernel, lattice) <= 1.25
+    f = holder["f"]
+    assert f._wx_lat is None and f._wtt_lat is None
+    held = resident()
+    assert held <= 0.6
+    assert held + traced_peak(f.wtt_lattice, lattice) <= 2.1
     assert resident() <= 1.6
