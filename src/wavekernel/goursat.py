@@ -44,6 +44,16 @@ residual applies it to the region, and the Picard sweeps and apply_V to
 the whole square (M+1, M+1, n, n), which solve_goursat crops to the
 region after the last sweep.  The streams and the half-square products
 read q_{j-i} at their nodes through a strided view of qh (_toeplitz).
+
+Arithmetic: a potential whose samples qh have no nonzero imaginary part
+(every scalar potential, and real-symmetric matrices) is set up as a
+float64 qh (_lattice_setup), and v and every table derived from it follow
+qh's dtype; a complex Hermitian qh keeps complex128.  Elementwise
+arithmetic on numbers with zero imaginary part gives the real part's bits,
+and the two divisions (the 2x2 step inverse and the mixed difference of
+check_goursat) multiply by a reciprocal, which is what complex division by
+a number with zero imaginary part computes.  So a real field holds the bits
+its complex twin would.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ _BOUND_SLACK = 1e-10      # relative slack of bound_violations, for rounding
 def _region(M: int) -> np.ndarray:
     """Half-square mask (M/2+2, M+1) of the nodes i <= j, i + j <= M + 1."""
     i, j = np.arange(M // 2 + 2)[:, None], np.arange(M + 1)
-    return (i <= j) & (i + j <= M + 1)
+    return (i <= j) & (j <= M + 1 - i)
 
 
 def _toeplitz(a: np.ndarray, rows: int) -> np.ndarray:
@@ -87,7 +97,10 @@ class KernelField:
     half-square (M/2+2, M+1, n, n) that is zero off the region.  A solved
     field and a field read back from its dump hold the same arrays.  qh
     holds the potential sampled at half-step points m*h/2, the resolution
-    every internal quadrature uses.
+    every internal quadrature uses: float64 when the potential is real,
+    complex128 otherwise.  v and the derived tables have qh's dtype (a
+    field loaded from a dump with a nonzero imaginary part keeps
+    complex128).
 
     The derived tables wx_lat and wtt_lattice() are half-squares like v and
     read only the region's nodes.  They are built from two line integrals,
@@ -221,6 +234,8 @@ def _lattice_setup(p: PotentialGrid, T: float, h: float):
     if p.x_max < T - _TOL * max(1.0, T):
         raise DomainError(f"potential domain [0, {p.x_max}] does not cover [0, {T}]")
     qh = p.eval(np.minimum(np.arange(M + 1) * (h / 2.0), p.x_max))
+    if not np.any(qh.imag):         # a real potential runs in real arithmetic
+        qh = np.ascontiguousarray(qh.real)
     return M, qh
 
 
@@ -410,10 +425,10 @@ def _march(qh: np.ndarray, h: float) -> np.ndarray:
     step_inv = _step_inverses(qh, h)
     q_cum = _cumtrapz(qh, h / 2.0, axis=0)
     half = 0.5 * h
-    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)
+    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=qh.dtype)
     nodes = v.reshape(-1, n, n)             # node (i, d - i) sits at d + i M
     inner, C, g, inner_new, C_new, g_new, c_diag = np.zeros((7, M // 2 + 2, n, n),
-                                                            dtype=complex)
+                                                            dtype=qh.dtype)
     for d in range(1, M + 2):
         if d <= M:                          # row 0: v = v0, C = 0
             nodes[d] = _v0_at(q_cum, 0, d)
@@ -458,7 +473,8 @@ def _step_inverses(qh: np.ndarray, h: float) -> np.ndarray:
     inverse have closed forms (|det| is the product of the singular
     values), so the kernel path needs no LAPACK, whose first call maps
     work buffers that show in the peak memory of a command that never
-    needs them otherwise.
+    needs them otherwise.  The 2x2 inverse multiplies by 1/det, which keeps
+    a real qh's bits equal to its complex twin's (the module docstring).
     """
     n = qh.shape[-1]
     step = np.eye(n) + (h * h / 16.0) * qh
@@ -481,7 +497,7 @@ def _step_inverses(qh: np.ndarray, h: float) -> np.ndarray:
     if n == 1:
         return 1.0 / step
     adj = np.stack([d, -step[:, 0, 1], -step[:, 1, 0], a], axis=-1).reshape(-1, 2, 2)
-    return adj / det[:, None, None]
+    return adj * (1.0 / det)[:, None, None]
 
 
 _BLOCK = 32    # rows per block of an operator table
@@ -732,8 +748,8 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
     at a time, with the block's rows of wx and wtt: the tables the field
     holds, or else the stream _table_rows, which is read and not kept.
     Each block takes its maxima, and the w_xx norms on the even diagonals
-    j - i go into one real table, from which each diagonal is integrated
-    whole.
+    j - i go into one real array, diagonal after diagonal, from which each
+    diagonal is integrated whole.
     """
     M, h = f.M, f.step
     wx_lat, wtt_lat = f._wx_lat, f._wtt_lat
@@ -741,29 +757,29 @@ def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
         rows = _table_rows(f)
     else:
         rows = ((b, wx_lat[b], wtt_lat[b]) for b in _blocks(f.v.shape[0], _ROWS))
-    i, j = np.arange(f.v.shape[0])[:, None], np.arange(M + 1)
-    phys = (i <= j) & (i + j <= M)
-    even = phys & ((j - i) % 2 == 0)
+    m = np.arange(M + 1)
+    # w_xx norms on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal
+    # after another: node (i, i + d) at first[d/2] + i
+    ds = np.arange(0, M + 1, 2)
+    ends = np.cumsum((M - ds) // 2 + 1)
+    first = np.concatenate([[0], ends[:-1]])
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
-    sups, wxx_norm = np.zeros(3), np.zeros(phys.shape)
+    sups, wxx_norm = np.zeros(3), np.zeros(ends[-1])
     for b, wx, wtt in rows:
-        k, j = np.nonzero(phys[b])
+        r = np.arange(b.start, b.stop)[:, None]
+        k, j = np.nonzero((r <= m) & (m <= M - r))          # the block's physical nodes
         if not k.size:                  # the last row i = M/2 + 1 holds only the halo
             continue
         i = k + b.start
         v = f.v[i, j]
         sups = np.maximum(sups, [np.max(_opnorms(v - _v0_at(q_cum, i, j))),
                                  np.max(_opnorms(wx[k, j])), np.max(_opnorms(v))])
-        e = even[i, j]
-        wxx_norm[i[e], j[e]] = _opnorms(_wxx(f.qh[(j - i)[e]], v[e], wtt[k[e], j[e]]))
+        d = j - i
+        e = d % 2 == 0
+        wxx_norm[first[d[e] // 2] + i[e]] = _opnorms(_wxx(f.qh[d[e]], v[e], wtt[k[e], j[e]]))
     b1, b2, b4 = map(float, sups)
-    # w_xx on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal after another
-    ds = np.arange(0, M + 1, 2)
-    rows = (M - ds) // 2 + 1
-    d = np.repeat(ds, rows)
-    i = np.arange(d.size) - np.repeat(np.cumsum(rows) - rows, rows)
     inner = [float(np.trapezoid(vals, dx=h)) if vals.size > 1 else 0.0
-             for vals in np.split(wxx_norm[i, i + d], np.cumsum(rows)[:-1])]
+             for vals in np.split(wxx_norm, ends[:-1])]
     b3 = float(np.trapezoid(np.asarray(inner) ** 2, x=ds * h / 2.0))
     return KernelConstants(b1=b1, b2=b2, b3=b3, b4=b4)
 
@@ -783,20 +799,25 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     The edge condition is checked against the potential's own (finer)
     quadrature, the interior equation as a mixed second difference against
     the pointwise product q*v at the lower cell corner, on the cells whose
-    corners lie in the region i + j <= M + 1 that a field stores.
+    corners lie in the region i + j <= M + 1 that a field stores.  The
+    cells are taken one block of _ROWS rows of lower corners at a time.
     """
     M, h, v = f.M, f.step, f.v
     idx = np.arange(M + 1)
     diag = float(np.max(_opnorms(_diag(v))))
     edge = float(np.max(_opnorms(v[0] + 0.5 * integral_Q(p, 0.0, idx * h / 2.0))))
-    a, b = np.arange(v.shape[0] - 1)[:, None], idx[:-1]     # lower corner of each cell
-    mixed = (v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]) / h**2
-    resid = mixed + 0.25 * _mul(_toeplitz(f.qh, v.shape[0] - 1)[:, :-1], v[:-1, :-1])
-    interior_mask = (a + 1 <= b) & (a + b <= M - 1)
-    interior = float(np.max(_opnorms(resid)[interior_mask])) if interior_mask.any() else 0.0
+    cells = v.shape[0] - 1                                  # rows of lower cell corners
+    q, interior = _toeplitz(f.qh, cells), np.zeros(())
+    for r in _blocks(cells, _ROWS):
+        lo, hi = v[r], v[r.start + 1:r.stop + 1]
+        resid = (hi[:, 1:] - lo[:, 1:] - hi[:, :-1] + lo[:, :-1]) * (1.0 / h**2)
+        resid += 0.25 * _mul(q[r, :-1], lo[:, :-1])
+        a, b = np.arange(r.start, r.stop)[:, None], idx[:-1]   # lower corner of each cell
+        inside = (a + 1 <= b) & (a + b <= M - 1)
+        interior = np.maximum(interior, np.max(_opnorms(resid)[inside], initial=0.0))
     count, excess = bound_violations(f)
     return GoursatReport(diag_residual=diag, edge_residual=edge,
-                         interior_residual=interior,
+                         interior_residual=float(interior),
                          bound_violations=count, bound_excess=excess)
 
 
@@ -806,18 +827,22 @@ def bound_violations(f: KernelField) -> tuple[int, float]:
     The majorant is evaluated with the same lattice quadrature the solver
     uses, so the edge-equality case is reproduced exactly; a node counts only
     when it exceeds the bound by more than _BOUND_SLACK * (1 + bound).  Only
-    the nodes of the region i + j <= M + 1, which a field stores, are checked.
+    the nodes of the region i + j <= M + 1, which a field stores, are checked,
+    one block of _ROWS rows at a time.
     """
     M, h = f.M, f.step
     region = _region(M)
     norms_qh = _opnorms(f.qh)
     s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
     xi = np.arange(region.shape[0]) * h
-    bound = s_lat[None, :] * np.exp(xi[:, None] * s_lat[None, :]) + f.tail_bound
-    excess = _opnorms(f.v) - (bound + _BOUND_SLACK * (1.0 + bound))
-    bad = (excess > 0) & region
-    worst = float(np.max(excess[bad])) if bad.any() else 0.0
-    return int(np.count_nonzero(bad)), worst
+    count, worst = 0, np.zeros(())
+    for b in _blocks(region.shape[0], _ROWS):
+        bound = s_lat[None, :] * np.exp(xi[b, None] * s_lat[None, :]) + f.tail_bound
+        excess = _opnorms(f.v[b]) - (bound + _BOUND_SLACK * (1.0 + bound))
+        bad = (excess > 0) & region[b]
+        count += int(np.count_nonzero(bad))
+        worst = np.maximum(worst, np.max(excess[bad], initial=0.0))
+    return count, float(worst)
 
 
 # --- persistence ------------------------------------------------------------
@@ -896,6 +921,8 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     if len(vals) != rows or np.count_nonzero(seen) != rows:
         raise DomainError(f"{csv_path}: lattice nodes repeated or missing; expected {rows} "
                           f"rows, got {len(vals)}")
-    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=complex)
+    if not (np.iscomplexobj(qh) or np.any(vals.imag)):
+        vals = vals.real                # a real potential's kernel is real
+    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=vals.dtype)
     v[i, j] = vals.reshape(rows, n, n)
     return KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)

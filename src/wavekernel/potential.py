@@ -76,20 +76,22 @@ def _cumtrapz(vals: np.ndarray, dx: float, axis: int = 0,
     """
     if out is None:
         out = np.empty_like(vals)
-    res, pair = np.moveaxis(out, axis, 0), np.moveaxis(vals, axis, 0)
-    last_in = pair[-1].copy() if carry is not None else None
-    np.add(pair[:-1], pair[1:], out=res[1:])
+    lead = (slice(None),) * (axis % vals.ndim)      # index along axis: a[lead + (k,)]
+    first, last = lead + (0,), lead + (-1,)
+    head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+    last_in = vals[last].copy() if carry is not None else None
+    np.add(vals[head], vals[tail], out=out[tail])
     if carry:
-        np.add(carry[0], pair[0], out=res[0])
-        res *= 0.5 * dx
-        res[0] += carry[1]
-        np.cumsum(res, axis=0, out=res)
+        np.add(carry[0], vals[first], out=out[first])
+        out *= 0.5 * dx
+        out[first] += carry[1]
+        np.cumsum(out, axis=axis, out=out)
     else:
-        res[:1] = 0.0
-        res[1:] *= 0.5 * dx
-        np.cumsum(res[1:], axis=0, out=res[1:])
+        out[lead + (slice(None, 1),)] = 0.0
+        out[tail] *= 0.5 * dx
+        np.cumsum(out[tail], axis=axis, out=out[tail])
     if carry is not None:
-        carry[:] = last_in, res[-1].copy()
+        carry[:] = last_in, out[last].copy()
     return out
 
 

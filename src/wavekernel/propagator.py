@@ -302,7 +302,9 @@ class OperatorTables:
     zeroed (rows, n, N+1, n) array, the table's rows in the order of its
     matrix product.  apply multiplies a stream into a stack of samples one
     block at a time; full gathers a whole (N+1, n, N+1, n) table, for an
-    operator applied more than once.
+    operator applied more than once.  A block has the dtype of its values:
+    float64 for a real field (a real potential), complex128 otherwise.  A
+    product with samples is complex128 either way, since controls are.
 
     Sampling is separable.  A pair's bilinear weights along xi depend only
     on p and those along eta only on r, so _sampler lerps the lattice along
@@ -344,7 +346,7 @@ class OperatorTables:
             wgt[k == N] = 0.0
             wgt *= scale
             out *= wgt[:, None, None]
-            block = np.zeros((rows.stop - rows.start, n, N + 1, n), dtype=complex)
+            block = np.zeros((rows.stop - rows.start, n, N + 1, n), dtype=out.dtype)
             block.transpose(0, 2, 1, 3)[local, m] = out
             yield rows, block
 
@@ -369,7 +371,7 @@ class OperatorTables:
         table = None
         for rows, block in blocks:
             if table is None:
-                table = np.empty((block.shape[2], *block.shape[1:]), dtype=complex)
+                table = np.empty((block.shape[2], *block.shape[1:]), dtype=block.dtype)
             table[rows] = block
         return table
 

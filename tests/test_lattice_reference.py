@@ -21,7 +21,9 @@ held tables.  The package streams both tables in one pass, forms no whole
 outer integrand and reads q_{j-i} through a strided view, but it
 multiplies the same numbers and adds the same terms in the same order, so
 wx_lat, wtt, the march's residual and the constants must reproduce these
-references bit for bit.
+references bit for bit.  A fourth keeps the Goursat check and its bound
+violations on whole half-squares; the package takes them by blocks of rows
+and must reproduce the report exactly.
 """
 
 import dataclasses
@@ -33,13 +35,13 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.goursat import (
-    _ROWS, KernelConstants, _blocks, _diag, _lattice_setup, _region, _tail_bound, _v0_at,
-    _V_rows, _wxx,
+    _BOUND_SLACK, _ROWS, GoursatReport, KernelConstants, _blocks, _diag, _lattice_setup,
+    _region, _tail_bound, _toeplitz, _v0_at, _V_rows, _wxx,
 )
 from wavekernel.propagator import OperatorTables
 
 from conftest import full_v0, traced_peak
-from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
+from wavekernel.potential import _cumtrapz, _mul, _opnorms, integral_Q, potential_from_callable
 
 REL = 1e-14
 
@@ -493,6 +495,37 @@ def two_pass_tables(f):
     return ref
 
 
+# --- reference: the Goursat check on whole half-squares ---------------------
+
+def whole_check_goursat(p, f) -> GoursatReport:
+    M, h, v = f.M, f.step, f.v
+    idx = np.arange(M + 1)
+    diag = float(np.max(_opnorms(_diag(v))))
+    edge = float(np.max(_opnorms(v[0] + 0.5 * integral_Q(p, 0.0, idx * h / 2.0))))
+    a, b = np.arange(v.shape[0] - 1)[:, None], idx[:-1]     # lower corner of each cell
+    mixed = (v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]) / h**2
+    resid = mixed + 0.25 * _mul(_toeplitz(f.qh, v.shape[0] - 1)[:, :-1], v[:-1, :-1])
+    interior_mask = (a + 1 <= b) & (a + b <= M - 1)
+    interior = float(np.max(_opnorms(resid)[interior_mask])) if interior_mask.any() else 0.0
+    count, excess = whole_bound_violations(f)
+    return GoursatReport(diag_residual=diag, edge_residual=edge,
+                         interior_residual=interior,
+                         bound_violations=count, bound_excess=excess)
+
+
+def whole_bound_violations(f) -> tuple[int, float]:
+    M, h = f.M, f.step
+    region = _region(M)
+    norms_qh = _opnorms(f.qh)
+    s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
+    xi = np.arange(region.shape[0]) * h
+    bound = s_lat[None, :] * np.exp(xi[:, None] * s_lat[None, :]) + f.tail_bound
+    excess = _opnorms(f.v) - (bound + _BOUND_SLACK * (1.0 + bound))
+    bad = (excess > 0) & region
+    worst = float(np.max(excess[bad])) if bad.any() else 0.0
+    return int(np.count_nonzero(bad)), worst
+
+
 # --- comparisons -------------------------------------------------------------
 
 def rel_gap(got, ref):
@@ -704,6 +737,26 @@ def test_one_pass_stream_matches_two_pass_reference(n, M):
     assert np.array_equal(f.wx_lat, ref.wx_lat)
     assert np.array_equal(f.wtt_lattice(), ref.wtt_lattice())
     assert streamed == wk.kernel_constants(p, f) == two_pass_kernel_constants(p, ref)
+
+
+@pytest.mark.parametrize("M", [40, 100])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_block_check_matches_whole_half_square_reference(n, M):
+    # 21 and 51 rows of cells and 22 and 52 rows of nodes: the last row block
+    # of each loop is partial.  A field scaled past its a priori bound has
+    # violations to count, and a node planted in the last row block puts the
+    # worst interior residual there.  The reference runs in complex128, as it
+    # always did; a real field (n = 1) must report the bits of its complex twin
+    p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
+    f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
+    big = dataclasses.replace(f, v=4.0 * f.v)
+    planted = dataclasses.replace(f, v=f.v.copy())
+    planted.v[M // 2 - 2, M // 2 + 1] += 1.0
+    for g in (f, big, planted):
+        twin = dataclasses.replace(g, v=g.v.astype(complex), qh=g.qh.astype(complex))
+        assert wk.check_goursat(p, g) == wk.check_goursat(p, twin) == whole_check_goursat(p, twin)
+    assert wk.check_goursat(p, big).bound_violations > 0
+    assert wk.check_goursat(p, planted).interior_residual > 1.0
 
 
 def test_loaded_field_equals_solved_field(case, tmp_path):
