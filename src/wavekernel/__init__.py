@@ -9,7 +9,7 @@ from .control_op import (SobolevReport, VolterraSystem, apply_W,
                          build_volterra, certify_h2_bound, condition_estimate,
                          h2_norm, invert_W, measure_h2_bound,
                          neumann_partial_sums, reflect)
-from .goursat import (GoursatReport, KernelConstants, KernelField, apply_V,
+from .goursat import (GoursatReport, KernelConstants, KernelField,
                       bound_violations, check_goursat, derivatives_v,
                       dump_kernel, initial_v0, kernel_constants, kernel_w,
                       load_kernel, solve_goursat, split_w, wtilde_x,
@@ -30,7 +30,7 @@ __all__ = [
     "PotentialGrid", "build_potential", "zero_potential", "constant_potential",
     "sampled_potential", "preset_potential", "parse_potential_file",
     "integral_Q", "majorant_S", "norm_constants", "convolution_p",
-    "KernelField", "KernelConstants", "GoursatReport", "initial_v0", "apply_V",
+    "KernelField", "KernelConstants", "GoursatReport", "initial_v0",
     "solve_goursat", "kernel_w", "split_w", "derivatives_v", "wtilde_x",
     "wtt_explicit", "kernel_constants", "check_goursat", "bound_violations",
     "dump_kernel", "load_kernel",

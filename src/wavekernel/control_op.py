@@ -211,9 +211,10 @@ class _SobolevTables(OperatorTables):
         def values(p, r):
             out = np.take(q, r, axis=0)
             out -= np.take(q, p, axis=0)
+            out *= 0.25
             return out
 
-        return self._causal(values, 0.25)
+        return self._causal(values)
 
 
 def _apply_A_with_derivatives(tab: _SobolevTables, f0, f1):

@@ -40,10 +40,10 @@ stream without keeping it when the field holds no tables.  Within a block,
 cc1 of the wtt assembly keeps rows that start on the diagonal and shifts
 them to the node layout.  V_h itself is one step over a block of rows in
 the same node layout (_V_rows), streamed like the tables: the march's
-residual applies it to the region, and the Picard sweeps and apply_V to
-the whole square (M+1, M+1, n, n), which solve_goursat crops to the
-region after the last sweep.  The streams and the half-square products
-read q_{j-i} at their nodes through a strided view of qh (_toeplitz).
+residual applies it to the region, and the Picard sweeps to the whole
+square (M+1, M+1, n, n), which solve_goursat crops to the region after
+the last sweep.  The streams and the half-square products read q_{j-i} at
+their nodes through a strided view of qh (_toeplitz).
 
 Arithmetic: a potential whose samples qh have no nonzero imaginary part
 (every scalar potential, and real-symmetric matrices) is set up as a
@@ -65,7 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fileio
-from .errors import ConvergenceError, DomainError, SingularSystemError, check_count
+from .errors import ConvergenceError, DomainError, SingularSystemError
 from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
@@ -267,28 +267,6 @@ def initial_v0(p: PotentialGrid, T: float, h: float) -> KernelField:
     return f
 
 
-def apply_V(p: PotentialGrid, values: np.ndarray, h: float) -> np.ndarray:
-    """One application of the fixed-point integral operator to a lattice field.
-
-    values (finite, at least one node) and the result are node-major,
-    (M+1, M+1, n, n) with n = p.dim, and h is finite and positive;
-    DomainError otherwise.
-    """
-    values, n = np.asarray(values), p.dim
-    if (values.shape != values.shape[:1] * 2 + (n, n) or not values.size
-            or not np.all(np.isfinite(values))):
-        raise DomainError(f"lattice must be finite, of shape (M+1, M+1, {n}, {n}) with "
-                          f"M >= 0; got shape {values.shape}")
-    if isinstance(h, bool) or not (math.isfinite(h) and h > 0):
-        raise DomainError(f"h = {h!r} must be finite and positive")
-    M = values.shape[0] - 1
-    qh = p.eval(np.arange(M + 1) * (h / 2.0))
-    out, carry = np.empty(values.shape, dtype=np.result_type(qh, values)), []
-    for b in _blocks(M + 1, _ROWS):
-        out[b] = _V_rows(_square_d_cum(qh, values[b], b.start, h), h, b.start, carry)
-    return out
-
-
 def _tail_bound(S: float, width: float, n_done: int) -> float:
     """Factorial tail of the iteration remainder after n_done sweeps."""
     if S <= 0.0 or width <= 0.0:
@@ -303,21 +281,21 @@ def _tail_bound(S: float, width: float, n_done: int) -> float:
 
 
 _METHODS = ("picard", "march")
+_MAX_SWEEPS = 100     # Picard's sweep cap; the march solves what needs more
 
 
 def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
-                  max_sweeps: int = 100, method: str = "picard") -> KernelField:
+                  method: str = "picard") -> KernelField:
     """Solve the kernel fixed-point equation v = v0 + V v on the lattice.
 
     method="picard", the default and the reference, runs sweeps on the
     whole triangle (_picard).  They stop when the largest change of a node
     over the triangle falls below tol, or when the analytic factorial tail
-    of the remainder does; ConvergenceError at the sweep cap max_sweeps, an
-    integer >= 1 (DomainError otherwise).  The field records the sweeps as
-    iterations and the tail as tail_bound.
+    of the remainder does; ConvergenceError after _MAX_SWEEPS (100) sweeps.
+    The field records the sweeps as iterations and the tail as tail_bound.
 
     method="march" solves the same discrete equation exactly, one
-    anti-diagonal at a time (_march); max_sweeps does not bound it.  Its
+    anti-diagonal at a time (_march), with no sweeps to bound.  Its
     certificate is the residual max |v - v0 - V v| over the region, streamed
     by blocks of rows (_residual): ConvergenceError when it exceeds tol,
     SingularSystemError when a step matrix I + h^2/16 q_k is singular.  The
@@ -330,12 +308,11 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     """
     if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    check_count(max_sweeps, "max_sweeps", 1, DomainError)
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     M, qh = _lattice_setup(p, T, h)
     if method == "picard":
-        v, iterations, tail = _picard(qh, T, h, tol, max_sweeps)
+        v, iterations, tail = _picard(qh, T, h, tol)
         return KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
                            tail_bound=tail, qh=qh)
     f = KernelField(T=float(T), step=float(h), v=_march(qh, h), iterations=M + 2,
@@ -349,7 +326,7 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     return f
 
 
-def _picard(qh: np.ndarray, T: float, h: float, tol: float, max_sweeps: int):
+def _picard(qh: np.ndarray, T: float, h: float, tol: float):
     """Picard sweeps on the whole triangle: (v on the region, sweeps, tail bound).
 
     v0 and v are full squares (M+1, M+1, n, n), zero below the diagonal,
@@ -369,9 +346,9 @@ def _picard(qh: np.ndarray, T: float, h: float, tol: float, max_sweeps: int):
     delta = math.inf
     tail = _tail_bound(S_full, 2.0 * T, 0)
     while not (tail < tol or delta < tol):
-        if iterations >= max_sweeps:
+        if iterations >= _MAX_SWEEPS:
             raise ConvergenceError(
-                f"no convergence after {max_sweeps} sweeps "
+                f"no convergence after {_MAX_SWEEPS} sweeps "
                 f"(last change {delta:.3e}, tol {tol:.3e}); "
                 "tol may be below the quadrature floor for this h"
             )
@@ -521,14 +498,14 @@ def _V_rows(d_cum: np.ndarray, h: float, start: int, carry: list) -> np.ndarray:
 
     d_cum holds the block's rows start, start + 1, ... of g = q_{j-i} v,
     zero off the nodes that enter (the region for the march's residual, the
-    triangle i <= j for a full square), cumulated by the trapezoid at step
-    h/2 along eta.  The step cumulates it along xi at step 2h, in place,
-    from the rows that carry (a list, empty for the first block) brings over
-    from the block above, and returns V_h v = -1/4 (C - C[i, i]) in d_cum's
-    buffer, zero on and below the diagonal.  Node (i, j) reads only rows
-    a <= i, so leading rows come out exact.  The two steps' factors 1/2 and
-    2 are powers of two, so away from subnormal values the bits are those of
-    step h along both axes.
+    triangle i <= j for Picard's full square), cumulated by the trapezoid at
+    step h/2 along eta.  The step cumulates it along xi at step 2h, in
+    place, from the rows that carry (a list, empty for the first block)
+    brings over from the block above, and returns V_h v = -1/4 (C - C[i, i])
+    in d_cum's buffer, zero on and below the diagonal.  Node (i, j) reads
+    only rows a <= i, so leading rows come out exact.  The two steps'
+    factors 1/2 and 2 are powers of two, so away from subnormal values the
+    bits are those of step h along both axes.
     """
     C = _cumtrapz(d_cum, 2.0 * h, axis=0, out=d_cum, carry=carry)
     C -= _diag(C, start)[:, None]
@@ -539,8 +516,9 @@ def _V_rows(d_cum: np.ndarray, h: float, start: int, carry: list) -> np.ndarray:
 
 
 def _square_d_cum(qh: np.ndarray, v: np.ndarray, start: int, h: float) -> np.ndarray:
-    """_V_rows's input for rows start, start + 1, ... of a full square:
-    g = q_{j-i} v, zero below the diagonal, cumulated along eta at step h/2."""
+    """_V_rows's input for rows start, start + 1, ... of v, a half-square or
+    a full square: g = q_{j-i} v, zero below the diagonal whatever v holds
+    there, cumulated along eta at step h/2."""
     g = _mul(_toeplitz(qh, start + len(v))[start:], v)
     for k, row in enumerate(g):
         row[:start + k] = 0.0

@@ -325,15 +325,13 @@ class OperatorTables:
         self.delta = T / N
         self.grid = np.arange(N + 1) * self.delta
 
-    def _causal(self, values, scale: float = 1.0):
+    def _causal(self, values):
         """Yield (rows, block) for the blocks of rows (goursat's _blocks), last block first.
 
-        block holds the rows' values(p, r) at every causal pair, times scale
-        and the weights; values maps the pairs' p and r arrays to a new
-        (pairs, n, n) array of their values.  scale multiplies the weights,
-        not the values, which is the order k2b has always been computed in.
-        The rows come in the order back-substitution needs; a product takes
-        them in any order.
+        block holds the rows' values(p, r) at every causal pair, times the
+        weights; values maps the pairs' p and r arrays to a new (pairs, n, n)
+        array of their values.  The rows come in the order back-substitution
+        needs; a product takes them in any order.
         """
         N, n = self.grid.size - 1, self.field.dim
         col = np.arange(N + 1)
@@ -344,7 +342,6 @@ class OperatorTables:
             # trapezoid weights over [x_k, T]: half at both ends, none on the point [T, T]
             wgt = np.where((m == k) | (m == N), 0.5 * self.delta, self.delta)
             wgt[k == N] = 0.0
-            wgt *= scale
             out *= wgt[:, None, None]
             block = np.zeros((rows.stop - rows.start, n, N + 1, n), dtype=out.dtype)
             block.transpose(0, 2, 1, 3)[local, m] = out

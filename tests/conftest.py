@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.goursat import _lattice_setup, _region, _v0_at
+from wavekernel.goursat import (_ROWS, _V_rows, _blocks, _lattice_setup, _region,
+                                _square_d_cum, _v0_at)
 from wavekernel.potential import _cumtrapz
 from wavekernel.propagator import OperatorTables
 
@@ -82,6 +83,15 @@ def full_v0(p, T, h):
     v0 = _v0_at(_cumtrapz(qh, h / 2.0, axis=0), i, j)
     v0[i > j] = 0.0
     return v0
+
+
+def streamed_V(qh, v, h):
+    """V_h on the rows of the node-major v (a full square, or its leading
+    rows), by the library's row-block step; the dtype of qh and v."""
+    out, carry = np.empty(v.shape, dtype=np.result_type(qh, v)), []
+    for b in _blocks(v.shape[0], _ROWS):
+        out[b] = _V_rows(_square_d_cum(qh, v[b], b.start, h), h, b.start, carry)
+    return out
 
 
 def region_interior(M):

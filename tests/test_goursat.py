@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
-from wavekernel.errors import ConvergenceError, DomainError
-from wavekernel.goursat import _interp_triangle, _region
+from wavekernel.errors import DomainError
+from wavekernel.goursat import _interp_triangle, _lattice_setup, _region
 from wavekernel.potential import potential_from_callable
 
-from conftest import full_v0, lattice_xt, region_interior, shortest, traced_peak
+from conftest import full_v0, lattice_xt, region_interior, shortest, streamed_V, traced_peak
 
 
 def node_norms(arr):
@@ -46,32 +46,11 @@ def test_initial_v0_diag():
 
 
 def test_apply_V_zero_field(pot_one):
+    # V_h through the library's row-block step, on a whole square
+    _, qh = _lattice_setup(pot_one, 1.0, 1 / 10)
     for dtype in (complex, float):
         z = np.zeros((21, 21, 1, 1), dtype=dtype)
-        assert np.abs(wk.apply_V(pot_one, z, 1 / 10)).max() == 0.0
-
-
-@pytest.mark.parametrize("shape, h, match", [
-    ((21, 21, 2, 2), 1 / 10, "shape"),          # a 2x2 lattice for a scalar potential
-    ((21, 20, 1, 1), 1 / 10, "shape"),
-    ((21, 21, 1), 1 / 10, "shape"),
-    ((21, 21, 1, 1), 0.0, "finite and positive"),
-    ((21, 21, 1, 1), -1 / 10, "finite and positive"),
-    ((21, 21, 1, 1), float("nan"), "finite and positive"),
-    ((21, 21, 1, 1), float("inf"), "finite and positive"),
-    ((0, 0, 1, 1), 1 / 10, "shape"),            # no node at all
-])
-def test_apply_V_rejects_bad_input(pot_one, shape, h, match):
-    with pytest.raises(DomainError, match=match):
-        wk.apply_V(pot_one, np.zeros(shape), h)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_apply_V_rejects_non_finite_lattice(pot_one, bad):
-    vals = np.zeros((21, 21, 1, 1))
-    vals[3, 7] = bad
-    with pytest.raises(DomainError, match="finite"):
-        wk.apply_V(pot_one, vals, 1 / 10)
+        assert np.abs(streamed_V(qh, z, 1 / 10)).max() == 0.0
 
 
 @pytest.mark.parametrize("call", [
@@ -80,8 +59,7 @@ def test_apply_V_rejects_non_finite_lattice(pot_one, bad):
     lambda p: wk.solve_goursat(p, 1.0, 1 / 10, True),
     lambda p: wk.initial_v0(p, True, 1 / 10),
     lambda p: wk.initial_v0(p, 1.0, True),
-    lambda p: wk.apply_V(p, np.zeros((21, 21, 1, 1)), True),
-], ids=["solve-T", "solve-h", "solve-tol", "v0-T", "v0-h", "apply_V-h"])
+], ids=["solve-T", "solve-h", "solve-tol", "v0-T", "v0-h"])
 def test_entry_points_reject_bool(pot_one, call):
     # Python treats True as 1, which is a valid T, h and tol; it is not a number here
     with pytest.raises(DomainError, match="finite and positive"):
@@ -100,7 +78,8 @@ def test_apply_V_constant_closed_form():
     c = 1.0
     p = wk.constant_potential(c, x_max=1.0, step=1 / 256)
     h = 1 / 50
-    out = wk.apply_V(p, full_v0(p, 1.0, h), h)
+    _, qh = _lattice_setup(p, 1.0, h)
+    out = streamed_V(qh, full_v0(p, 1.0, h), h)
     M = out.shape[0] - 1
     ii, jj = np.meshgrid(np.arange(M + 1), np.arange(M + 1), indexing="ij")
     xi = ii * h
@@ -135,19 +114,6 @@ def test_solve_matches_bessel(field_one_2T):
     ref = wk.bessel_kernel_constant(1.0, xs[mask], ts[mask])
     got = field_one_2T.v[..., 0, 0][mask]
     assert np.abs(got - ref).max() < 10 * field_one_2T.step**2
-
-
-def test_solve_nonconvergence():
-    p = wk.preset_potential("one", x_max=1.0, step=1 / 256)
-    with pytest.raises(ConvergenceError):
-        wk.solve_goursat(p, 1.0, 1 / 50, 1e-12, max_sweeps=2)
-
-
-@pytest.mark.parametrize("max_sweeps", [0, -4, True, 2.5])
-def test_solve_rejects_bad_max_sweeps(pot_one, max_sweeps):
-    # each used to end in ConvergenceError ("no convergence after 0 sweeps")
-    with pytest.raises(DomainError, match="max_sweeps must be an integer >= 1"):
-        wk.solve_goursat(pot_one, 1.0, 1 / 50, 1e-10, max_sweeps=max_sweeps)
 
 
 def test_solve_rejects_bad_grid(pot_one):
@@ -367,14 +333,14 @@ def test_diagonal_decoupling():
 
 def test_picard_tail_dominates(pot_one):
     # measured sweep-to-sweep change is eventually below the factorial tail
-    from wavekernel.goursat import _tail_bound, _lattice_setup
+    from wavekernel.goursat import _tail_bound
     from wavekernel.potential import _opnorms
     M, qh = _lattice_setup(pot_one, 1.0, 1 / 50)
     v0 = full_v0(pot_one, 1.0, 1 / 50)
     S = float(0.5 * np.trapezoid(_opnorms(qh), dx=1 / 100))
     v = v0.copy()
     for sweep in range(1, 12):
-        v_new = v0 + wk.apply_V(pot_one, v, 1 / 50)
+        v_new = v0 + streamed_V(qh, v, 1 / 50)
         delta = node_norms(v_new - v).max()
         v = v_new
         if sweep >= 4:

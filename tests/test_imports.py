@@ -57,3 +57,31 @@ def test_bench_tracer_names_resolve():
         assert callable(getattr(owner, attr, None)), f"wavekernel.{mod}.{attr}"
     from wavekernel.goursat import KernelField
     assert inspect.isfunction(KernelField.__dict__.get("wtt_lattice"))
+
+
+def test_bench_library_names_resolve():
+    # bench/worker.py, bench/check.py and bench/test_bench.py call these names with
+    # these arguments; a refactor that drops or reshapes one breaks the benchmark
+    import wavekernel as wk
+    from wavekernel import cli, potential
+    calls = [
+        (wk.initial_v0, ("p", 1.0, 0.01), {}),
+        (cli.solve_goursat, ("p", 1.0, 0.01, 1e-10), {}),
+        (wk.solve_goursat, ("p", 1.0, 0.01, 1e-10), {}),
+        (cli.main, (["kernel"],), {}),
+        (wk.load_kernel, ("k.csv", "k.json", "p"), {}),
+        (wk.propagate, ("field", "control", 1.0, 100), {}),
+        (wk.fd_solve, ("p", "control", "cfg"), {}),
+        (wk.compare, ("snap", "fd"), {}),
+        (wk.WaveSnapshot, (), {"T": 1.0, "grid": 0, "u": 0, "u_x": 0, "u_xx": 0}),
+        (wk.bump_control, (1.0, 0.1, 0.9, 1.0), {}),
+        (wk.sampled_potential, ("xs", "vals"), {}),
+        (wk.build_potential, ("spec",), {}),
+        (wk.parse_potential_file, ("pot.txt",), {}),
+        (potential.parse_complex, ("1+2j",), {}),
+        (wk.FDConfig, (), {"N_x": 16, "T": 1.0}),
+    ]
+    for fn, args, kwargs in calls:
+        assert callable(fn), fn
+        inspect.signature(fn).bind(*args, **kwargs)
+    assert wk.FDConfig(N_x=16, T=1.0).cfl > 0      # tracer._fd_counts reads cfl

@@ -4,9 +4,10 @@ The reference functions below are the earlier implementation of the
 fixed-point operator, the Picard loop, the derivative tables and the wtt
 assembly, kept unchanged: full-square node-major (M+1, M+1, n, n) arrays
 and einsum products.  The package must reproduce them to rounding: its
-V_h is one step over blocks of rows (apply_V streams it over the square),
-and its field and derived tables are half-squares on the region i <= j,
-i + j <= M + 1, so they are compared on that region's nodes.  The
+V_h is one step over blocks of rows (conftest's streamed_V drives it over
+the square), and its field and derived tables are half-squares on the
+region i <= j, i + j <= M + 1, so they are compared on that region's
+nodes.  The
 full-square kernel constants are kept too, reading the package's
 half-squares padded to the full square; the package reads only the
 physical nodes and must reproduce them exactly.
@@ -40,7 +41,7 @@ from wavekernel.goursat import (
 )
 from wavekernel.propagator import OperatorTables
 
-from conftest import full_v0, traced_peak
+from conftest import full_v0, streamed_V, traced_peak
 from wavekernel.potential import _cumtrapz, _mul, _opnorms, integral_Q, potential_from_callable
 
 REL = 1e-14
@@ -613,9 +614,9 @@ def test_apply_V_core_matches_reference(case):
     p, h, f, _ = case
     M, qh = _lattice_setup(p, 1.0, h)
     rng = np.random.default_rng(0)
-    shape = (f.M + 1, f.M + 1, f.dim, f.dim)       # apply_V works on full squares
+    shape = (f.M + 1, f.M + 1, f.dim, f.dim)       # the step over the full square
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert rel_gap(wk.apply_V(p, vals, h), ref_apply_V_core(qh, vals, h)) <= REL
+    assert rel_gap(streamed_V(qh, vals, h), ref_apply_V_core(qh, vals, h)) <= REL
 
 
 def test_solve_goursat_matches_reference(case):

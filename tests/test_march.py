@@ -9,10 +9,11 @@ M, so no potential can make it look faster, and its certificate is the
 residual of the discrete equation over the region it stores.
 
 The library applies V_h in one node-major step over blocks of rows
-(_V_rows), for the march's residual, the Picard sweeps and apply_V.  The
-plane-major V_h below, one contiguous plane per matrix entry, is the
-implementation it replaced, kept unchanged as the reference: the step must
-reproduce it bit for bit.
+(_V_rows), for the march's residual and the Picard sweeps; the tests drive
+it over whole squares through conftest's streamed_V.  The plane-major V_h
+below, one contiguous plane per matrix entry, is the implementation it
+replaced, kept unchanged as the reference: the step must reproduce it bit
+for bit.
 """
 
 import dataclasses
@@ -22,11 +23,10 @@ import pytest
 
 import wavekernel as wk
 from wavekernel.errors import ConvergenceError, DomainError, SingularSystemError
-from wavekernel.goursat import (_ROWS, KernelField, _blocks, _lattice_setup, _march, _region,
-                                _residual, _square_d_cum, _V_rows)
+from wavekernel.goursat import _ROWS, KernelField, _lattice_setup, _march, _region, _residual
 from wavekernel.potential import _cumtrapz, _mul, _opnorms, potential_from_callable
 
-from conftest import traced_peak
+from conftest import streamed_V, traced_peak
 from test_lattice_reference import two_pass_tables
 
 GAP = 1e-12
@@ -115,14 +115,6 @@ def _apply_V_core(q_planes: np.ndarray, v_planes: np.ndarray, h: float,
 def plane_major_V(qh, v, h):
     """V_h on the rows of the node-major v, by the plane-major reference."""
     return _node_view(_apply_V_core(_toeplitz_planes(qh, v.shape[0]), _planes(v), h))
-
-
-def streamed_V(qh, v, h):
-    """V_h on the rows of the node-major v, by the library's row-block step."""
-    out, carry = np.empty(v.shape, dtype=complex), []
-    for b in _blocks(v.shape[0], _ROWS):
-        out[b] = _V_rows(_square_d_cum(qh, v[b], b.start, h), h, b.start, carry)
-    return out
 
 
 @pytest.mark.parametrize("n, M", [(1, 40), (1, 100), (2, 40), (2, 100), (3, 40)])
@@ -233,7 +225,7 @@ def test_apply_V_equals_plane_major_reference(n):
     rng = np.random.default_rng(n)
     shape = (M + 1, M + 1, n, n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got, ref = wk.apply_V(p, vals, 1 / 20), plane_major_V(qh, vals, 1 / 20)
+    got, ref = streamed_V(qh, vals, 1 / 20), plane_major_V(qh, vals, 1 / 20)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
 
