@@ -285,7 +285,7 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     tab = _SobolevTables(field, T, N)
     grid = tab.grid
     a1, a2 = norm_constants(p, T)
-    kc = kernel_constants(p, field)
+    kc = kernel_constants(field)
     rootT = math.sqrt(T)
     bound_i = (a1 + kc.b1) * rootT
     bound_ii = 3.0 * a1 + kc.b2 * T

@@ -477,11 +477,10 @@ def _step_inverses(qh: np.ndarray, h: float) -> np.ndarray:
     return adj * (1.0 / det)[:, None, None]
 
 
-_BLOCK = 32    # rows per block of an operator table
 _ROWS = 8      # rows per block of the derived-table stream and of the kernel constants
 
 
-def _blocks(rows: int, size: int = _BLOCK):
+def _blocks(rows: int, size: int):
     """Slices of at most size consecutive rows covering range(rows)."""
     return (slice(a, min(a + size, rows)) for a in range(0, rows, size))
 
@@ -696,13 +695,13 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
     return v_xi, v_eta
 
 
-def wtilde_x(p: PotentialGrid, f: KernelField, x: float, t: float) -> np.ndarray:
+def wtilde_x(f: KernelField, x: float, t: float) -> np.ndarray:
     """Space derivative of the smooth kernel part at (x, t)."""
     _check_xt(f, x, t)
     return _interp_triangle(f.wx_lat, t - x, t + x, f.step, f.M)
 
 
-def wtt_explicit(p: PotentialGrid, f: KernelField, x: float, t: float) -> np.ndarray:
+def wtt_explicit(f: KernelField, x: float, t: float) -> np.ndarray:
     """Second time derivative of the smooth kernel part at (x, t)."""
     _check_xt(f, x, t)
     return _interp_triangle(f.wtt_lattice(), t - x, t + x, f.step, f.M)
@@ -718,7 +717,7 @@ class KernelConstants:
     b4: float   # sup norm of the full kernel
 
 
-def kernel_constants(p: PotentialGrid, f: KernelField) -> KernelConstants:
+def kernel_constants(f: KernelField) -> KernelConstants:
     """Sup norms and the integrated second-derivative constant of the kernel.
 
     All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
@@ -829,7 +828,7 @@ def _dump_names(n: int) -> list[str]:
     return [f"v{a}{b}" for a in range(n) for b in range(n)]
 
 
-def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
+def dump_kernel(f: KernelField, csv_path, json_path) -> None:
     """Write the lattice field as numeric CSV plus a JSON summary.
 
     One row per node of the region i <= j, i + j <= M + 1 (t <= T plus one
@@ -842,7 +841,7 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
     block at a time as they are written.
     """
     M, n = f.M, f.dim
-    kc = kernel_constants(p, f)
+    kc = kernel_constants(f)
     fileio.check_finite(csv_path, f.v)      # zero off the region, which the dump leaves out
     i, j = np.nonzero(_region(M))
     fileio.write_blocks(csv_path, ("xi", "eta"), _dump_names(n), (
@@ -858,15 +857,15 @@ def dump_kernel(f: KernelField, p: PotentialGrid, csv_path, json_path) -> None:
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     """Reconstruct a field from a dump; derivative tables are built on first use.
 
-    The dump holds the whole region i + j <= M + 1 that a field stores, so
-    the loaded field equals the solved field it was dumped from, array for
-    array.  The CSV header may be left out.  Raises DomainError when a file
-    cannot be read, when the summary's dimension n is not the potential's,
-    and when the dump is malformed: a header that does not match the
-    dimension, a non-finite or unparsable value, a short row, a node off
-    the lattice, below the diagonal or beyond the region (a dump of the
-    whole triangle, as older versions wrote, is one), or a region whose
-    nodes do not each appear exactly once.
+    The dump's rows are the nodes dump_kernel writes, in its order: the
+    region i <= j, i + j <= M + 1 that a field stores, i-major.  So the
+    loaded field equals the solved field it was dumped from, array for
+    array.  The CSV header may be left out.  Raises DomainError when a
+    file cannot be read, when the summary's dimension n is not the
+    potential's, and when the dump is malformed: a header that does not
+    match the dimension, a non-finite or unparsable value, a short row,
+    another number of rows, or a row whose (xi, eta) is not its node's
+    (a dump of the whole triangle, as older versions wrote, is one).
     """
     meta = fileio.read_json(json_path, "kernel summary", DomainError)
     try:
@@ -880,27 +879,20 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     head, xy, vals = fileio.read_table(csv_path, "kernel dump", DomainError, 2)
     if head is not None and head != fileio.header(("xi", "eta"), _dump_names(n)):
         raise DomainError(f"{csv_path}: header does not match dimension {n}")
-    rows = int(np.count_nonzero(_region(M)))
-    if vals.shape[1] != n * n or not len(vals):
-        raise DomainError(f"{csv_path}: expected {rows} rows of {2 + 2 * n * n} values, "
-                          f"got {len(vals)} rows of {2 + 2 * vals.shape[1]}")
-    pos = xy / h
-    node = np.rint(pos)
-    if np.max(np.abs(pos - node)) > 1e-6 or node.min() < 0 or node.max() > M:
-        raise DomainError(f"{csv_path}: node off the lattice of step {h} and size {M}")
-    i, j = node.astype(int).T
-    if np.any(i > j):
-        raise DomainError(f"{csv_path}: node below the diagonal xi <= eta")
-    if np.any(i + j > M + 1):
-        raise DomainError(f"{csv_path}: node beyond xi + eta = 2T + h; a dump holds only "
-                          "t <= T plus one halo line (regenerate it with `wavekernel kernel`)")
-    seen = np.zeros((M // 2 + 2, M + 1), dtype=bool)
-    seen[i, j] = True           # not np.unique, which imports numpy.ma (~20 ms)
-    if len(vals) != rows or np.count_nonzero(seen) != rows:
-        raise DomainError(f"{csv_path}: lattice nodes repeated or missing; expected {rows} "
-                          f"rows, got {len(vals)}")
+    node = np.argwhere(_region(M))          # (i, j) of the rows dump_kernel writes, in order
+    regenerate = "regenerate it with `wavekernel kernel`"
+    if vals.shape != (len(node), n * n):
+        raise DomainError(f"{csv_path}: expected {len(node)} rows of {2 + 2 * n * n} values, one "
+                          f"per node i <= j, i + j <= {M + 1}, got {len(vals)} rows of "
+                          f"{2 + 2 * vals.shape[1]}; {regenerate}")
+    bad = np.flatnonzero(np.max(np.abs(xy / h - node), axis=1) > 1e-6)
+    if bad.size:
+        r = bad[0]
+        raise DomainError(f"{csv_path}: row {r + 1} at (xi, eta) = ({xy[r, 0]}, {xy[r, 1]}) is "
+                          f"not node (i, j) = ({node[r, 0]}, {node[r, 1]}) of step {h}, which the "
+                          f"dump's i-major order puts there; {regenerate}")
     if not (np.iscomplexobj(qh) or np.any(vals.imag)):
         vals = vals.real                # a real potential's kernel is real
     v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=vals.dtype)
-    v[i, j] = vals.reshape(rows, n, n)
+    v[tuple(node.T)] = vals.reshape(-1, n, n)
     return KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)

@@ -32,9 +32,9 @@ class FDConfig:
 
     def __post_init__(self):
         check_count(self.N_x, "N_x (space cells)", 16, DomainError)
-        if not (math.isfinite(self.T) and self.T > 0):
+        if isinstance(self.T, bool) or not (math.isfinite(self.T) and self.T > 0):
             raise DomainError(f"horizon T = {self.T} must be finite and positive")
-        if not 0.0 < self.cfl <= 1.0:
+        if isinstance(self.cfl, bool) or not 0.0 < self.cfl <= 1.0:
             raise DomainError(f"cfl = {self.cfl} must lie in (0, 1]; above 1 is unstable")
 
 

@@ -29,6 +29,7 @@ from .errors import ControlError, DomainError, check_count
 from .goursat import KernelField, _blocks, _interp_triangle
 
 _SUPPORT_TOL = 1e-12
+_BLOCK = 32               # rows per block of an operator table
 _RANDOM_BUMPS = 3         # bumps per random_smooth_control
 _DQ_N = 400               # grid intervals of difference_quotient_test
 
@@ -102,7 +103,7 @@ class Control:
     label: str = "control"
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
+        if isinstance(self.T, bool) or not (math.isfinite(self.T) and self.T > 0.0):
             raise ControlError(f"control horizon T must be finite and positive, got {self.T}")
         if self.dim < 1:
             raise ControlError(f"control dimension must be at least 1, got {self.dim}")
@@ -318,7 +319,7 @@ class OperatorTables:
 
     def __init__(self, field: KernelField, T: float, N: int):
         check_count(N, "grid size N", 1, DomainError)
-        if not 0.0 < T <= field.T * (1 + 1e-12) + 1e-12:
+        if isinstance(T, bool) or not 0.0 < T <= field.T * (1 + 1e-12) + 1e-12:
             raise DomainError(f"horizon T = {T} must lie in (0, {field.T}], "
                               f"the kernel horizon")
         self.field = field
@@ -326,7 +327,7 @@ class OperatorTables:
         self.grid = np.arange(N + 1) * self.delta
 
     def _causal(self, values):
-        """Yield (rows, block) for the blocks of rows (goursat's _blocks), last block first.
+        """Yield (rows, block) for the blocks of _BLOCK rows, last block first.
 
         block holds the rows' values(p, r) at every causal pair, times the
         weights; values maps the pairs' p and r arrays to a new (pairs, n, n)
@@ -335,7 +336,7 @@ class OperatorTables:
         """
         N, n = self.grid.size - 1, self.field.dim
         col = np.arange(N + 1)
-        for rows in reversed(list(_blocks(N + 1))):
+        for rows in reversed(list(_blocks(N + 1, _BLOCK))):
             local, m = np.nonzero(col >= col[rows, None])
             k = local + rows.start
             out = values(m - k, m + k)
@@ -500,7 +501,7 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     if h_arr.size < 2 or h_arr[0] == h_arr[-1] or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
         raise DomainError(f"steps must be at least two distinct finite positive numbers "
                           f"(a slope needs two), got {list(h_list)}")
-    if not (math.isfinite(t) and t >= 0):
+    if isinstance(t, bool) or not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time t = {t} must be finite and non-negative")
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")

@@ -171,6 +171,12 @@ def _drop_row(lines):
     del lines[5]
 
 
+def _swap_rows(lines):
+    # every node once, but row 3 holds node (0, 3), where the dump's i-major
+    # order puts node (0, 2)
+    lines[3], lines[4] = lines[4], lines[3]
+
+
 def _header_only(lines):
     del lines[1:-1]
 
@@ -196,17 +202,18 @@ def _whole_triangle(lines):
     (_set_field(4, 3, "-inf"), "non-finite"),
     (_set_field(4, 2, "1.0.0"), "malformed"),
     (_drop_field, "malformed"),
-    (_set_field(4, 0, "0.013"), "off the lattice"),
-    (_set_field(4, 1, "5.0"), "off the lattice"),
-    (_set_field(4, 0, "-0.02"), "off the lattice"),
-    (_swap_xi_eta, "below the diagonal"),
-    (_duplicate_row, "repeated or missing"),
+    (_set_field(4, 0, "0.013"), "not node"),
+    (_set_field(4, 1, "5.0"), "not node"),
+    (_set_field(4, 0, "-0.02"), "not node"),
+    (_swap_xi_eta, "not node"),
+    (_duplicate_row, "not node"),
+    (_swap_rows, "row 3 at (xi, eta) = (0.0, 0.06) is not node (i, j) = (0, 2)"),
     (_drop_row, "rows"),
     (_header_only, "rows"),
     (_beyond_region, "regenerate it with `wavekernel kernel`"),
     (_whole_triangle, "regenerate it with `wavekernel kernel`"),
 ], ids=["header", "nan", "inf", "unparsable", "short_row", "off_grid", "beyond_lattice",
-        "negative", "below_diagonal", "duplicate", "missing", "empty", "beyond_region",
+        "negative", "below_diagonal", "duplicate", "swapped", "missing", "empty", "beyond_region",
         "whole_triangle"])
 def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     one_pot(tmp_path)
@@ -550,7 +557,7 @@ def test_validate_reports_h2_failure(tmp_path, capsys, monkeypatch):
     from wavekernel import control_op
     monkeypatch.setattr(control_op, "norm_constants", lambda p, T: (0.0, 0.0))
     monkeypatch.setattr(control_op, "kernel_constants",
-                        lambda p, f: wk.KernelConstants(0.0, 0.0, 0.0, 0.0))
+                        lambda f: wk.KernelConstants(0.0, 0.0, 0.0, 0.0))
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path, extra="trials = 5\n")
     assert main(["validate", "--config", str(cfg)]) == 3

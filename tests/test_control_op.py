@@ -345,7 +345,7 @@ def test_seed_recorded_as_int(pot_one, field_one):
 def test_certify_raises_where_measure_reports(monkeypatch, pot_one, field_one):
     monkeypatch.setattr(control_op, "norm_constants", lambda p, T: (0.0, 0.0))
     monkeypatch.setattr(control_op, "kernel_constants",
-                        lambda p, f: wk.KernelConstants(0.0, 0.0, 0.0, 0.0))
+                        lambda f: wk.KernelConstants(0.0, 0.0, 0.0, 0.0))
     rep = wk.measure_h2_bound(field_one, pot_one, 1.0, trials=3, N=64, seed=2)
     assert rep.composite_bound == 0.0 and rep.empirical_ratio > 0.0
     with pytest.raises(CertificationError, match="exceeds"):

@@ -181,33 +181,33 @@ def test_derivatives_v_finite_difference(pot_one, field_one):
     assert np.abs(v_eta - fd_eta).max() < 10 * field_one.step
 
 
-def test_wtilde_x_zero(pot_zero, field_zero):
-    assert np.abs(wk.wtilde_x(pot_zero, field_zero, 0.2, 0.6)).max() == 0.0
+def test_wtilde_x_zero(field_zero):
+    assert np.abs(wk.wtilde_x(field_zero, 0.2, 0.6)).max() == 0.0
 
 
-def test_wtilde_x_finite_difference(pot_one, field_one):
+def test_wtilde_x_finite_difference(field_one):
     h = field_one.step
     wt = field_one.wtilde_lattice()
     for (x, t) in [(0.25, 0.75), (0.1, 0.5), (0.4, 0.9)]:
         i, j = int(round((t - x) / h)), int(round((t + x) / h))
         fd = (wt[i - 1, j + 1] - wt[i + 1, j - 1])[0, 0] / (2 * h)
-        got = wk.wtilde_x(pot_one, field_one, x, t)[0, 0]
+        got = wk.wtilde_x(field_one, x, t)[0, 0]
         assert abs(got - fd) < 10 * h
 
 
-def test_wtilde_x_bessel(pot_one, field_one):
+def test_wtilde_x_bessel(field_one):
     # d/dx of the closed form minus the explicit-part derivative
     x, t = 0.3, 0.8
     eps = 1e-5
     wb = lambda xx: wk.bessel_kernel_constant(1.0, xx, t)
     dw = (wb(x + eps) - wb(x - eps)) / (2 * eps)
     w0x = -0.5  # for q = 1 the explicit part is -x/2
-    got = wk.wtilde_x(pot_one, field_one, x, t)[0, 0]
+    got = wk.wtilde_x(field_one, x, t)[0, 0]
     assert abs(got - (dw - w0x)) < 10 * field_one.step
 
 
-def test_wtt_zero(pot_zero, field_zero):
-    assert np.abs(wk.wtt_explicit(pot_zero, field_zero, 0.2, 0.7)).max() == 0.0
+def test_wtt_zero(field_zero):
+    assert np.abs(wk.wtt_explicit(field_zero, 0.2, 0.7)).max() == 0.0
 
 
 @pytest.mark.parametrize("preset", ["one_plus_quadratic", "herm2"])
@@ -233,14 +233,14 @@ def test_wtt_pde_identity(pot_one, field_one):
     assert node_norms(num - field_one.wxx_lattice()[i, j]).max() < 5e-4
 
 
-def test_kernel_constants_zero(pot_zero, field_zero):
-    kc = wk.kernel_constants(pot_zero, field_zero)
+def test_kernel_constants_zero(field_zero):
+    kc = wk.kernel_constants(field_zero)
     assert (kc.b1, kc.b2, kc.b3, kc.b4) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_kernel_constants_chain_bound(pot_one, field_one):
     a1, _ = wk.norm_constants(pot_one, 1.0)
-    kc = wk.kernel_constants(pot_one, field_one)
+    kc = wk.kernel_constants(field_one)
     chain = 2 * a1 * kc.b4 + 3 * a1**2 / 4 + 6 * a1**2 / 8 + 9 * a1**2 * kc.b4 / 4
     assert 0 < kc.b3 < 1.0 * chain**2
     assert kc.b4 == pytest.approx(0.5, abs=1e-6)
@@ -254,8 +254,8 @@ def test_kernel_constants_unitary_invariant():
     pb = wk.constant_potential(u @ c @ u.conj().T, x_max=1.0, step=1 / 256)
     fa = wk.solve_goursat(pa, 1.0, 1 / 50, 1e-10)
     fb = wk.solve_goursat(pb, 1.0, 1 / 50, 1e-10)
-    ka = wk.kernel_constants(pa, fa)
-    kb = wk.kernel_constants(pb, fb)
+    ka = wk.kernel_constants(fa)
+    kb = wk.kernel_constants(fb)
     for name in ("b1", "b2", "b3", "b4"):
         assert getattr(ka, name) == pytest.approx(getattr(kb, name), rel=1e-10, abs=1e-12)
 
@@ -361,7 +361,7 @@ def test_picard_memory_guard(pot_herm2):
 def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     csv_path = tmp_path / "k.csv"
     json_path = tmp_path / "k.json"
-    wk.dump_kernel(field_herm2, pot_herm2, csv_path, json_path)
+    wk.dump_kernel(field_herm2, csv_path, json_path)
     back = wk.load_kernel(csv_path, json_path, pot_herm2)
     assert back.M == field_herm2.M
     assert np.abs(back.v - field_herm2.v).max() < 1e-15
@@ -376,14 +376,14 @@ def test_solve_and_load_build_no_tables(tmp_path, pot_herm2):
     # holds v alone, and the dump's constants read the tables without keeping them
     fields = [wk.solve_goursat(pot_herm2, 1.0, 1 / 50, 1e-10, method=method)
               for method in ("picard", "march")]
-    wk.dump_kernel(fields[1], pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    wk.dump_kernel(fields[1], tmp_path / "k.csv", tmp_path / "k.json")
     fields.append(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2))
     for f in fields:
         assert f._wx_lat is None and f._wtt_lat is None
 
 
 def test_every_field_has_the_half_square_layout(tmp_path, pot_herm2, field_herm2):
-    wk.dump_kernel(field_herm2, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    wk.dump_kernel(field_herm2, tmp_path / "k.csv", tmp_path / "k.json")
     loaded = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
     for f in (field_herm2, wk.initial_v0(pot_herm2, 1.0, 1 / 100), loaded):
         region = _region(f.M)
@@ -395,7 +395,7 @@ def test_every_field_has_the_half_square_layout(tmp_path, pot_herm2, field_herm2
 @pytest.fixture(scope="module")
 def loaded_herm2(tmp_path_factory, pot_herm2, field_herm2):
     d = tmp_path_factory.mktemp("dump")
-    wk.dump_kernel(field_herm2, pot_herm2, d / "k.csv", d / "k.json")
+    wk.dump_kernel(field_herm2, d / "k.csv", d / "k.json")
     return wk.load_kernel(d / "k.csv", d / "k.json", pot_herm2)
 
 
@@ -451,7 +451,7 @@ def test_dump_matches_csv_writer_and_round_trips_exactly(tmp_path, pot_herm2, fi
     planted = _planted_field(field_herm2)
     v = planted.v
     with np.errstate(over="ignore", invalid="ignore"):
-        wk.dump_kernel(planted, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+        wk.dump_kernel(planted, tmp_path / "k.csv", tmp_path / "k.json")
     _csv_writer_dump(planted, tmp_path / "ref.csv")
     assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
@@ -463,7 +463,7 @@ def test_dump_written_as_17g_still_loads_bit_for_bit(tmp_path, pot_herm2, field_
     # earlier versions wrote every value as %.17g
     planted = _planted_field(field_herm2)
     with np.errstate(over="ignore", invalid="ignore"):
-        wk.dump_kernel(planted, pot_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+        wk.dump_kernel(planted, tmp_path / "k.csv", tmp_path / "k.json")
     _csv_writer_dump(planted, tmp_path / "old.csv", spell=lambda x: f"{x:.17g}")
     assert (tmp_path / "old.csv").read_bytes() != (tmp_path / "k.csv").read_bytes()
     back = wk.load_kernel(tmp_path / "old.csv", tmp_path / "k.json", pot_herm2)
@@ -485,10 +485,8 @@ def test_solve_rejects_non_finite_parameters(pot_one, T, h, tol):
 @pytest.mark.parametrize("x, t", [(float("nan"), 0.5), (0.1, float("nan")), (0.1, float("inf"))],
                          ids=["nan_x", "nan_t", "inf_t"])
 @pytest.mark.parametrize("evaluator", [
-    lambda p, f, x, t: wk.kernel_w(f, x, t),
-    lambda p, f, x, t: wk.wtilde_x(p, f, x, t),
-    lambda p, f, x, t: wk.wtt_explicit(p, f, x, t),
+    wk.kernel_w, wk.wtilde_x, wk.wtt_explicit,
 ], ids=["kernel_w", "wtilde_x", "wtt_explicit"])
-def test_point_evaluators_reject_non_finite(pot_one, field_one, evaluator, x, t):
+def test_point_evaluators_reject_non_finite(field_one, evaluator, x, t):
     with pytest.raises(DomainError):
-        evaluator(pot_one, field_one, x, t)
+        evaluator(field_one, x, t)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -85,3 +86,25 @@ def test_bench_library_names_resolve():
         assert callable(fn), fn
         inspect.signature(fn).bind(*args, **kwargs)
     assert wk.FDConfig(N_x=16, T=1.0).cfl > 0      # tracer._fd_counts reads cfl
+
+
+def test_no_unread_parameters():
+    # every parameter of every function in the package is read in its body;
+    # the one exception is the (cfg, out, seed) signature all cli.cmd_* share
+    unread = []
+    for path in sorted((ROOT / "src" / "wavekernel").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None]
+            if path.name == "cli.py" and name.startswith("cmd_"):
+                assert params == ["cfg", "out", "seed"], name
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            unread += [f"{path.name}:{fn.lineno} {name}({p})" for p in params if p not in read]
+    assert not unread, unread

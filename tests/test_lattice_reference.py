@@ -285,7 +285,7 @@ def layered_outer(ref):
     return t
 
 
-def ref_kernel_constants(p, f):
+def ref_kernel_constants(f):
     M, h = f.M, f.step
     _, A, B = _grids(M)
     phys = (A <= B) & (A + B <= M)
@@ -450,7 +450,7 @@ def two_pass_assemble_wtt(f, outer: np.ndarray) -> np.ndarray:
     return outer
 
 
-def two_pass_kernel_constants(p, f) -> KernelConstants:
+def two_pass_kernel_constants(f) -> KernelConstants:
     """Sup norms and the integrated second-derivative constant of the kernel.
 
     All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
@@ -667,7 +667,7 @@ def test_tables_match_layered_reference_bit_for_bit(case, tmp_path):
     p, h, f, _ = case
     _assert_tables_match_layered(f)
     _assert_tables_match_layered(wk.initial_v0(p, 1.0, h))
-    wk.dump_kernel(f, p, tmp_path / "k.csv", tmp_path / "k.json")
+    wk.dump_kernel(f, tmp_path / "k.csv", tmp_path / "k.json")
     _assert_tables_match_layered(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p))
 
 
@@ -716,10 +716,10 @@ def test_kernel_constants_match_reference(case):
     # read from the stream by a field without tables, and from the held tables
     p, _, f, _ = case
     fresh = dataclasses.replace(f)
-    assert wk.kernel_constants(p, fresh) == ref_kernel_constants(p, f)
+    assert wk.kernel_constants(fresh) == ref_kernel_constants(f)
     assert fresh._wx_lat is None and fresh._wtt_lat is None
     f.wtt_lattice()
-    assert wk.kernel_constants(p, f) == ref_kernel_constants(p, f)
+    assert wk.kernel_constants(f) == ref_kernel_constants(f)
 
 
 @pytest.mark.parametrize("M", [40, 100])
@@ -733,11 +733,11 @@ def test_one_pass_stream_matches_two_pass_reference(n, M):
     assert f.v.shape[0] % _ROWS
     ref = two_pass_tables(f)
     assert f.tail_bound == ref.residual
-    streamed = wk.kernel_constants(p, f)
+    streamed = wk.kernel_constants(f)
     assert f._wx_lat is None and f._wtt_lat is None
     assert np.array_equal(f.wx_lat, ref.wx_lat)
     assert np.array_equal(f.wtt_lattice(), ref.wtt_lattice())
-    assert streamed == wk.kernel_constants(p, f) == two_pass_kernel_constants(p, ref)
+    assert streamed == wk.kernel_constants(f) == two_pass_kernel_constants(ref)
 
 
 @pytest.mark.parametrize("M", [40, 100])
@@ -764,12 +764,12 @@ def test_loaded_field_equals_solved_field(case, tmp_path):
     # a dump holds the whole region a field stores, so a field read back from
     # its dump equals the solved field array for array
     p, _, f, _ = case
-    wk.dump_kernel(f, p, tmp_path / "k.csv", tmp_path / "k.json")
+    wk.dump_kernel(f, tmp_path / "k.csv", tmp_path / "k.json")
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p)
     assert np.array_equal(back.v, f.v)
     assert np.array_equal(back.wx_lat, f.wx_lat)
     assert np.array_equal(back.wtt_lattice(), f.wtt_lattice())
-    assert wk.kernel_constants(p, back) == wk.kernel_constants(p, f)
+    assert wk.kernel_constants(back) == wk.kernel_constants(f)
     assert wk.check_goursat(p, back) == wk.check_goursat(p, f)
     for N in (37, 160):
         got, ref = OperatorTables(back, 1.0, N), OperatorTables(f, 1.0, N)

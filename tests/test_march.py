@@ -305,7 +305,7 @@ def test_march_field_memory_guard(pot_herm2):
 
     def kernel():
         f = holder["f"] = wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
-        wk.kernel_constants(pot_herm2, f)
+        wk.kernel_constants(f)
 
     def resident():
         arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]

@@ -223,7 +223,7 @@ def test_operator_tables_numpy_integer_grid(field_one):
     assert full_table(tab.k0()).shape == (17, 17, 1, 1)
 
 
-def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
+def test_operator_tables_match_point_evaluation(field_herm2):
     # k0 and k1 are the trapezoid-weighted kernel and x-derivative samples
     N = 40
     tab = OperatorTables(field_herm2, 1.0, N)
@@ -239,7 +239,7 @@ def test_operator_tables_match_point_evaluation(pot_herm2, field_herm2):
             assert np.abs(tab_k0[k, m]).max() == 0.0 and np.abs(tab_k1[k, m]).max() == 0.0
             continue
         k0 = weight * wk.kernel_w(field_herm2, x, s)
-        k1 = weight * (wk.wtilde_x(pot_herm2, field_herm2, x, s)
+        k1 = weight * (wk.wtilde_x(field_herm2, x, s)
                        - 0.25 * (field_herm2.q_at((s + x) / 2.0)
                                  + field_herm2.q_at((s - x) / 2.0)))
         assert np.abs(tab_k0[k, m] - k0).max() <= 1e-14
@@ -470,3 +470,27 @@ def test_propagate_exactly_causal(field_herm2, data):
     for name in ("u", "u_x", "u_xx"):
         a, b = getattr(base, name), getattr(pert, name)
         assert np.abs(b[k0:] - a[k0:]).max() <= 1e-15 * np.abs(a).max(), name
+
+
+BUMP = wk.bump_control(1.0, 0.1, 0.9)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda p, f, f2: wk.propagate(f, BUMP, True, 32), DomainError),
+    (lambda p, f, f2: wk.apply_W(f, BUMP, True, 32), DomainError),
+    (lambda p, f, f2: wk.build_volterra(f, True, 32), DomainError),
+    (lambda p, f, f2: wk.measure_h2_bound(f, p, True, trials=2, N=16), DomainError),
+    (lambda p, f, f2: wk.certify_h2_bound(f, p, True, trials=2, N=16), DomainError),
+    (lambda p, f, f2: OperatorTables(f, True, 8), DomainError),
+    (lambda p, f, f2: wk.difference_quotient_test(f2, BUMP, True, [0.1, 0.05]), DomainError),
+    (lambda p, f, f2: wk.FDConfig(N_x=16, T=True), DomainError),
+    (lambda p, f, f2: wk.FDConfig(N_x=16, T=1.0, cfl=True), DomainError),
+    (lambda p, f, f2: wk.bump_control(True, 0.1, 0.9), ControlError),
+    (lambda p, f, f2: wk.ramp_control(True, 0.1, 0.9), ControlError),
+    (lambda p, f, f2: wk.zero_control(True), ControlError),
+], ids=["propagate", "apply_W", "build_volterra", "measure_h2", "certify_h2", "tables",
+        "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "zero"])
+def test_horizons_reject_bool(pot_one, field_one, field_one_2T, call, error):
+    # Python treats True as 1, a valid horizon (and cfl); it is not a number here
+    with pytest.raises(error):
+        call(pot_one, field_one, field_one_2T)

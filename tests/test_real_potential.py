@@ -79,10 +79,10 @@ def test_real_field_matches_complex_twin_bit_for_bit(pair):
     p, f, twin = pair
     assert np.array_equal(f.v, twin.v)
     assert f.tail_bound == twin.tail_bound
-    assert wk.kernel_constants(p, f) == wk.kernel_constants(p, twin)     # streamed
+    assert wk.kernel_constants(f) == wk.kernel_constants(twin)     # streamed
     assert np.array_equal(f.wx_lat, twin.wx_lat)
     assert np.array_equal(f.wtt_lattice(), twin.wtt_lattice())
-    assert wk.kernel_constants(p, f) == wk.kernel_constants(p, twin)     # held tables
+    assert wk.kernel_constants(f) == wk.kernel_constants(twin)     # held tables
     assert wk.check_goursat(p, f) == wk.check_goursat(p, twin)
     # N = 37 and N = 100 end inside a row block
     for N in (37, 100):
@@ -118,21 +118,21 @@ def test_real_products_agree_with_complex_twin(pair):
 def test_real_dump_loads_back_real_bit_for_bit(pair, tmp_path):
     # the dump of a real field is the dump of its complex twin, byte for byte
     p, f, twin = pair
-    wk.dump_kernel(f, p, tmp_path / "k.csv", tmp_path / "k.json")
-    wk.dump_kernel(twin, p, tmp_path / "c.csv", tmp_path / "c.json")
+    wk.dump_kernel(f, tmp_path / "k.csv", tmp_path / "k.json")
+    wk.dump_kernel(twin, tmp_path / "c.csv", tmp_path / "c.json")
     assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     assert (tmp_path / "k.json").read_bytes() == (tmp_path / "c.json").read_bytes()
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p)
     assert back.v.dtype == np.float64
     assert np.array_equal(back.v, f.v)
-    assert wk.kernel_constants(p, back) == wk.kernel_constants(p, f)
+    assert wk.kernel_constants(back) == wk.kernel_constants(f)
 
 
 def test_dump_with_imaginary_part_stays_complex(pair, tmp_path):
     # a real potential does not drop a nonzero imaginary part of a dump
     p, f, twin = pair
     planted = dataclasses.replace(twin, v=twin.v * (1.0 + 0.5j))
-    wk.dump_kernel(planted, p, tmp_path / "k.csv", tmp_path / "k.json")
+    wk.dump_kernel(planted, tmp_path / "k.csv", tmp_path / "k.json")
     back = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", p)
     assert back.qh.dtype == np.float64
     assert back.v.dtype == np.complex128
@@ -151,7 +151,7 @@ def test_real_kernel_memory_guard():
     def run(q):
         f = KernelField(T=1.0, step=h, v=_march(q, h), iterations=0, tail_bound=math.nan, qh=q)
         f.tail_bound = _residual(f)
-        wk.kernel_constants(p, f)
+        wk.kernel_constants(f)
 
     real = traced_peak(lambda: run(qh), 1)
     forced = traced_peak(lambda: run(qh.astype(complex)), 1)

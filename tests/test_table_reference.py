@@ -27,9 +27,9 @@ import pytest
 import wavekernel as wk
 from wavekernel.control_op import _SobolevTables, _checked_snapshot
 from wavekernel.errors import SingularSystemError
-from wavekernel.goursat import _BLOCK, _interp_triangle
+from wavekernel.goursat import _interp_triangle
 from wavekernel.potential import potential_from_callable
-from wavekernel.propagator import OperatorTables
+from wavekernel.propagator import _BLOCK, OperatorTables
 
 from conftest import full_table
 
