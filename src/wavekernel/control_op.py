@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CertificationError, DomainError, SingularSystemError, check_count
 from .goursat import KernelField, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import Control, OperatorTables, _l2, propagate, random_smooth_control
+from .propagator import Control, OperatorTables, _l2, _random_smooth_samples, propagate
 
 _DENSE_SVD_CAP = 1024
 
@@ -275,9 +275,11 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     the norm constants of the potential and the kernel.  A f and its two
     derivatives stream k0 and k1 of the one table layer, OperatorTables;
     only the second-derivative terms of (A f)'' are added here.  The
-    trials, an integer >= 1, are drawn from one generator seeded by seed,
-    an integer >= 0, and applied as one stack; each ratio is the worst over
-    the trials with a nonzero denominator.  Returns the report whether or
+    trials, an integer >= 1, are the successive random_smooth_control draws
+    of numpy.random.default_rng(seed), seed an integer >= 0.  They are
+    sampled as one stack by _random_smooth_samples, to the bytes of one
+    Control per trial but without making any, and applied as one stack;
+    each ratio is the worst over the trials with a nonzero denominator.  Returns the report whether or
     not the ratios stay within their bounds.
     """
     check_count(trials, "trials", 1, DomainError)
@@ -297,9 +299,8 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
         + T * bound_ii**2 * emb
         + bound_iii**2 * emb
     )
-    rng = np.random.default_rng(seed)
-    samples = [random_smooth_control(T, field.dim, rng).sample(grid) for _ in range(trials)]
-    f0, f1, f2 = (np.stack(parts) for parts in zip(*samples))     # (trials, N+1, n)
+    f0, f1, f2 = _random_smooth_samples(T, field.dim, np.random.default_rng(seed),
+                                        trials, grid)           # (trials, N+1, n)
     Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
     sup_f = _sup(f0)
     h2_f = _h2(grid, f0, f1, f2)

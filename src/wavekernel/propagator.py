@@ -9,12 +9,17 @@ from the interior equation rather than from differentiating the kernel
 twice, which is the only route the kernel's regularity supports.
 
 OperatorTables is the one layer that samples the kernel onto a grid; propagate
-and difference_quotient_test read its k0.  It evaluates only the causal pairs
-s >= x, the block upper triangle of the operator, and streams each table by
-blocks of rows, each multiplied into its rows of the product as it is made,
-so a product never holds the whole table.  By time invariance a wave at any
-time t' <= H is a wave at the horizon H (f(t' - s) vanishes for s > t'), so
-one table on [0, H] serves all the difference-quotient test's times.
+and difference_quotient_test read its k0.  It streams each table by blocks of
+rows, each multiplied into its rows of the product as it is made, so a product
+never holds the whole table.  A block is sampled as one array: its rows by the
+columns from its first row on, the causal pairs s >= x of the block upper
+triangle of the operator plus a small triangle below the diagonal, which it
+sets to zero.  By time invariance a wave at any time t' <= H is a wave at the
+horizon H (f(t' - s) vanishes for s > t'), so one table on [0, H] serves all
+the difference-quotient test's times.
+
+random_smooth_control draws a sum of random bumps; _random_smooth_samples
+samples many successive draws as one array, without a Control per trial.
 """
 
 from __future__ import annotations
@@ -34,25 +39,26 @@ _RANDOM_BUMPS = 3         # bumps per random_smooth_control
 _DQ_N = 400               # grid intervals of difference_quotient_test
 
 
-def _bump_profile(t: np.ndarray, start: float, stop: float):
+def _bump_profile(t: np.ndarray, start, stop):
     """Compactly supported C-infinity profile on (start, stop), peak 1.
 
     Returns the profile and its first two derivatives; all three vanish
-    identically outside the open support interval.
+    identically outside the open support interval.  t, start and stop
+    broadcast, so start and stop of shape (bumps, 1) give one row per bump.
     """
-    t = np.asarray(t, dtype=float)
-    f = np.zeros_like(t)
-    f1 = np.zeros_like(t)
-    f2 = np.zeros_like(t)
+    t, start, stop = np.broadcast_arrays(np.asarray(t, dtype=float), start, stop)
+    f = np.zeros(t.shape)
+    f1 = np.zeros(t.shape)
+    f2 = np.zeros(t.shape)
     pad = 1e-9 * (stop - start)
     inside = (t > start + pad) & (t < stop - pad)
     if not inside.any():
         return f, f1, f2
-    ti = t[inside]
-    d1 = ti - start
-    d2 = stop - ti
+    ti, a, b = t[inside], start[inside], stop[inside]
+    d1 = ti - a
+    d2 = b - ti
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        g = -1.0 / d1 - 1.0 / d2 + 4.0 / (stop - start)
+        g = -1.0 / d1 - 1.0 / d2 + 4.0 / (b - a)
         phi = np.exp(g)
         g1 = 1.0 / d1**2 - 1.0 / d2**2
         g2 = -2.0 / d1**3 - 2.0 / d2**3
@@ -159,17 +165,32 @@ class Control:
                                 label=f"refl({self.label})"))
 
 
+def _check_vanishing(sample, support_start, T: float, label: str) -> None:
+    """Raise ControlError unless a control is finite and vanishes on [0, support_start].
+
+    sample maps times to (f, f', f''), each of shape times.shape + (dim,)
+    or with its last two axes swapped.  All three are probed at 16 points
+    of [0, support_start] against the size of f on 257 nodes of [0, T].
+    support_start may be an array, one support per leading index of the
+    values, sample then broadcasting its times against it; the message
+    names label and the first failing support.
+    """
+    probes = np.linspace(0.0, support_start, 16, axis=-1)
+    worst = np.max(np.abs(sample(probes)), axis=(0, -2, -1))
+    scale = np.maximum(np.max(np.abs(sample(np.linspace(0.0, T, 257))[0]), axis=(-2, -1)), 1.0)
+    bad = np.flatnonzero(~(worst <= _SUPPORT_TOL * scale))     # NaN fails too
+    if bad.size:
+        i = bad[0]
+        raise ControlError(
+            f"control {label!r} is not finite or does not vanish on "
+            f"[0, {np.ravel(support_start)[i]}]: worst probe magnitude "
+            f"{np.ravel(worst)[i]:.3e}"
+        )
+
+
 def _checked(ctrl: Control) -> Control:
     """Verify the vanishing-near-zero contract at 16 probe points, and finiteness."""
-    probes = np.linspace(0.0, ctrl.support_start, 16)
-    worst = float(np.max(np.abs(ctrl.sample(probes))))
-    grid = np.linspace(0.0, ctrl.T, 257)
-    scale = float(np.maximum(np.max(np.abs(ctrl.sample(grid)[0])), 1.0))
-    if not worst <= _SUPPORT_TOL * scale:       # false for NaN, so it fails too
-        raise ControlError(
-            f"control {ctrl.label!r} is not finite or does not vanish on "
-            f"[0, {ctrl.support_start}]: worst probe magnitude {worst:.3e}"
-        )
+    _check_vanishing(ctrl.sample, ctrl.support_start, ctrl.T, ctrl.label)
     return ctrl
 
 
@@ -253,17 +274,68 @@ def control_from_samples(ts, values, T: float = None) -> Control:
     return _checked(Control(T, dim, support_start, ev, label="sampled"))
 
 
-def random_smooth_control(T: float, dim: int, rng: np.random.Generator) -> Control:
-    """Random sum of _RANDOM_BUMPS bumps; reproducible from the generator state."""
-    ctrl = None
-    for _ in range(_RANDOM_BUMPS):
-        start = float(rng.uniform(0.05, 0.45)) * T
+def _draw_bumps(T: float, dim: int, rng: np.random.Generator, count: int):
+    """Supports (start, stop), each (count,), and amplitudes (count, dim) of count random bumps.
+
+    Each bump draws, in order: its start and its width as uniform fractions
+    of T, then the real and the imaginary parts of its amplitude, dim
+    normals each.  A random_smooth_control is _RANDOM_BUMPS such bumps, so
+    count = trials * _RANDOM_BUMPS are the bumps of that many successive
+    controls, trial-major.
+    """
+    start, stop = np.empty(count), np.empty(count)
+    amp = np.empty((count, dim), dtype=complex)
+    for b in range(count):
+        start[b] = float(rng.uniform(0.05, 0.45)) * T
         width = float(rng.uniform(0.25, 0.5)) * T
-        stop = min(start + width, 0.97 * T)
-        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        piece = bump_control(T, start, stop, amp)
+        stop[b] = min(start[b] + width, 0.97 * T)
+        amp[b] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return start, stop, amp
+
+
+def random_smooth_control(T: float, dim: int, rng: np.random.Generator) -> Control:
+    """Random sum of _RANDOM_BUMPS bumps; reproducible from the generator state.
+
+    The bumps come from _draw_bumps and are summed in their order,
+    ((b1 + b2) + b3).  _random_smooth_samples samples many successive
+    draws at once, to the same bytes.
+    """
+    start, stop, amp = _draw_bumps(T, dim, rng, _RANDOM_BUMPS)
+    ctrl = None
+    for a, b, c in zip(start.tolist(), stop.tolist(), amp):
+        piece = bump_control(T, a, b, c)
         ctrl = piece if ctrl is None else ctrl + piece
     return ctrl
+
+
+def _random_smooth_samples(T: float, dim: int, rng: np.random.Generator, trials: int,
+                           t: np.ndarray):
+    """f, f', f'' of trials successive random_smooth_control draws at times t >= 0.
+
+    Each is a (trials, t.size, dim) array equal byte for byte to stacking
+    random_smooth_control(T, dim, rng).sample(t) over the trials, and rng
+    is left in the same state.  All the trials' bumps are checked at once,
+    as _checked checks one control, and sampled as one array; no Control
+    is made.
+    """
+    start, stop, amp = _draw_bumps(T, dim, rng, trials * _RANDOM_BUMPS)
+    support = start[:, None], stop[:, None]
+
+    def sample(s):      # components before times: numpy then loops over the long axis
+        return tuple(f[:, None, :] * amp[..., None] for f in _bump_profile(s, *support))
+
+    _check_vanishing(sample, start, T, "random bump")
+    slots = amp.reshape(trials, _RANDOM_BUMPS, dim, 1)
+    out = []
+    for f in _bump_profile(t, *support):
+        f = f.reshape(trials, _RANDOM_BUMPS, -1)
+        total = np.empty((trials, f.shape[-1], dim), dtype=complex)
+        for c in range(dim):
+            np.multiply(f[:, 0], slots[:, 0, c], out=total[:, :, c])
+            for j in range(1, _RANDOM_BUMPS):       # ((b1 + b2) + b3), as Control.__add__ nests
+                total[:, :, c] += f[:, j] * slots[:, j, c]
+        out.append(total)
+    return tuple(out)
 
 
 # --- wave snapshots ----------------------------------------------------------
@@ -293,11 +365,13 @@ class OperatorTables:
 
     Row k, column m is the pair (x_k, s_m), i.e. the characteristic point
     (xi, eta) = (s_m - x_k, s_m + x_k) = (p, r) delta with p = m - k and
-    r = m + k.  Only the causal pairs m >= k are evaluated; every entry
-    below the diagonal is exactly 0.  Each value is weighted by the
-    trapezoid rule over [x_k, T].  k0 is the weighted kernel, the operator
-    of the representation formula and of the control-to-state map; k1 is
-    the weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel
+    r = m + k.  The causal pairs m >= k are weighted by the trapezoid rule
+    over [x_k, T]; every entry below the diagonal is exactly +0.0.  Row
+    block by row block, _causal samples one rectangle: the block's rows k
+    by the columns m >= k0, its first row, with p clipped to 0 below the
+    diagonal.  k0 is the weighted kernel, the operator of the
+    representation formula and of the control-to-state map; k1 is the
+    weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel
     inside the integral.  Each call of k0() or k1() samples its table
     afresh, as a stream of (rows, block) pairs from _causal: block is a
     zeroed (rows, n, N+1, n) array, the table's rows in the order of its
@@ -313,8 +387,9 @@ class OperatorTables:
     along eta with two gathers per pair.  A pair whose xi and eta fall in
     the same lattice cell touches the diagonal, where the cell is a
     triangle, not bilinear; such pairs occur only in rows with x_k below
-    about h/2, and _interp_triangle evaluates just those.  q_half holds q
-    at the 2N+1 points r delta / 2, gathered per pair.
+    about h/2 (and, clipped, below the diagonal in rows with x_k < h), and
+    _interp_triangle evaluates just those.  q_half holds q at the 2N+1
+    points r delta / 2, gathered per pair.
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
@@ -329,23 +404,28 @@ class OperatorTables:
     def _causal(self, values):
         """Yield (rows, block) for the blocks of _BLOCK rows, last block first.
 
-        block holds the rows' values(p, r) at every causal pair, times the
-        weights; values maps the pairs' p and r arrays to a new (pairs, n, n)
-        array of their values.  The rows come in the order back-substitution
-        needs; a product takes them in any order.
+        The rows k of a block are sampled as one rectangle with the columns
+        m >= k0, its first row: values maps arrays p = max(m - k, 0) and
+        r = m + k of shape (rows, columns) to a new (rows, columns, n, n)
+        array of their values.  The rectangle is weighted by broadcasting
+        and copied into block with one strided copy; every pair below the
+        diagonal, and every column before k0, holds +0.0.  The rows come in
+        the order back-substitution needs; a product takes them in any order.
         """
         N, n = self.grid.size - 1, self.field.dim
-        col = np.arange(N + 1)
         for rows in reversed(list(_blocks(N + 1, _BLOCK))):
-            local, m = np.nonzero(col >= col[rows, None])
-            k = local + rows.start
-            out = values(m - k, m + k)
+            k = np.arange(rows.start, rows.stop)[:, None]
+            m = np.arange(rows.start, N + 1)
+            out = values(np.maximum(m - k, 0), m + k)
             # trapezoid weights over [x_k, T]: half at both ends, none on the point [T, T]
-            wgt = np.where((m == k) | (m == N), 0.5 * self.delta, self.delta)
-            wgt[k == N] = 0.0
-            out *= wgt[:, None, None]
+            wgt = np.full(out.shape[:2], self.delta)
+            np.fill_diagonal(wgt, 0.5 * self.delta)
+            wgt[:, -1] = 0.5 * self.delta
+            wgt[k[:, 0] == N] = 0.0
+            out *= wgt[..., None, None]
+            out[m < k] = 0.0        # a weight of 0 would leave -0.0 under a negative value
             block = np.zeros((rows.stop - rows.start, n, N + 1, n), dtype=out.dtype)
-            block.transpose(0, 2, 1, 3)[local, m] = out
+            block[:, :, rows.start:] = out.transpose(0, 2, 1, 3)
             yield rows, block
 
     @staticmethod
@@ -393,7 +473,7 @@ class OperatorTables:
         def values(p: np.ndarray, r: np.ndarray) -> np.ndarray:
             flat = p * cols
             flat += cell[r]
-            u = frac[r][:, None, None]
+            u = frac[r][..., None, None]
             out = np.take(along_xi, flat, axis=0)
             out *= 1 - u
             flat += 1
@@ -401,7 +481,7 @@ class OperatorTables:
             work *= u
             out += work
             # triangle cells: xi and eta in one cell, so eta - xi = 2 x_k < h
-            tri = np.nonzero(cell[p] >= cell[r])[0]
+            tri = cell[p] >= cell[r]
             out[tri] = _interp_triangle(lattice, p[tri] * self.delta, r[tri] * self.delta, h, M)
             return out
 

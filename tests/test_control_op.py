@@ -320,6 +320,20 @@ def test_measure_matches_per_trial_loop(request, name):
         assert ref > 0.0 and abs(value - ref) <= 1e-12 * ref
 
 
+def test_trials_are_sampled_without_a_control_each(monkeypatch, pot_one, field_one):
+    # 100 trials used to make 500 Controls: 3 bumps and 2 sums per trial
+    made = []
+    init = wk.Control.__post_init__
+
+    def counted(self):
+        made.append(self.label)
+        init(self)
+
+    monkeypatch.setattr(wk.Control, "__post_init__", counted)
+    wk.measure_h2_bound(field_one, pot_one, 1.0, trials=100, N=32, seed=0)
+    assert len(made) < 5, made[:5]
+
+
 @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
 @pytest.mark.parametrize("entry", [wk.measure_h2_bound, wk.certify_h2_bound],
                          ids=["measure_h2_bound", "certify_h2_bound"])

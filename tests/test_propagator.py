@@ -6,7 +6,8 @@ import wavekernel as wk
 from wavekernel.control_op import _SobolevTables
 from wavekernel.errors import ControlError, DomainError
 from wavekernel.goursat import _interp_triangle
-from wavekernel.propagator import OperatorTables, _checked
+from wavekernel import propagator
+from wavekernel.propagator import OperatorTables, _checked, _random_smooth_samples
 
 from conftest import full_table, traced_peak
 
@@ -149,6 +150,36 @@ def test_random_smooth_control_reproducible():
     b = wk.random_smooth_control(1.0, 2, np.random.default_rng(4))
     ts = np.linspace(0, 1, 17)
     assert np.abs(a.sample(ts)[0] - b.sample(ts)[0]).max() == 0.0
+
+
+@pytest.mark.parametrize("trials", [1, 100])
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trial_stack_matches_random_smooth_controls(n, seed, trials):
+    # measure_h2_bound's stack: the bytes of one random_smooth_control per
+    # trial, and the same generator state after it (bounds.json and
+    # validate.json depend on both)
+    grid = np.arange(257) * (1.0 / 256)
+    one, stack = np.random.default_rng(seed), np.random.default_rng(seed)
+    controls = [wk.random_smooth_control(1.0, n, one).sample(grid) for _ in range(trials)]
+    for got, want in zip(_random_smooth_samples(1.0, n, stack, trials, grid),
+                         (np.stack(parts) for parts in zip(*controls))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert stack.random() == one.random()
+
+
+def test_trial_stack_checks_every_bump(monkeypatch):
+    draw = propagator._draw_bumps
+
+    def non_finite(*args):
+        start, stop, amp = draw(*args)
+        amp[4, 1] = np.nan
+        return start, stop, amp
+
+    monkeypatch.setattr(propagator, "_draw_bumps", non_finite)
+    with pytest.raises(ControlError, match=r"'random bump' is not finite"):
+        _random_smooth_samples(1.0, 2, np.random.default_rng(0), 3, np.linspace(0.0, 1.0, 9))
 
 
 def test_propagate_dalembert(field_zero, bump1):

@@ -7,7 +7,7 @@ two full squares, and a full square of trapezoid weights zeroes the pairs
 below the diagonal.  The package evaluates only the causal pairs m >= k, row
 block by row block, with the same operations in the same order, so every
 causal entry must reproduce the reference bit for bit and every entry below
-the diagonal must be exactly 0.
+the diagonal must be exactly +0.0.
 
 The products: one matrix product with the whole table, and back-substitution
 over the whole table.  The package streams the table by row blocks, each
@@ -181,7 +181,9 @@ def test_tables_match_full_square_reference(field_h50, T, N):
         got = full_table(getattr(tab, name)())
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
-        assert np.all(got[below] == 0.0), name
+        zeros = got[below]
+        assert np.all(zeros == 0.0), name
+        assert not np.signbit(np.stack([zeros.real, zeros.imag])).any(), name   # +0.0
 
 
 def product_mismatches(fields) -> list:
