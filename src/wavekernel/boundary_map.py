@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PotentialError, SingularSystemError
+from .errors import ControlError, DomainError, PotentialError, SingularSystemError
 from .fileio import write_table
 from .potential import PotentialGrid
 
@@ -24,6 +24,8 @@ _PD_TOL = 1e-12
 def _sqrtm_pd(c: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive definite matrix."""
     c = np.atleast_2d(np.asarray(c, dtype=complex))
+    if not np.all(np.isfinite(c)):
+        raise PotentialError("decay matrix must be finite")
     herm = 0.5 * (c + c.conj().T)
     if np.max(np.abs(c - herm)) > 1e-10 * max(np.max(np.abs(c)), 1.0):
         raise PotentialError("decay matrix must be Hermitian")
@@ -81,7 +83,8 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     ODE is integrated backward from the cutoff with classical fourth-order
     steps on the sampled potential; failure to renormalize at the origin
     signals that the positivity assertion does not hold.  The cutoff X must
-    be finite, positive and within the sampled domain (PotentialError).
+    be finite, positive and within the sampled domain, and c finite,
+    Hermitian and positive definite (PotentialError).
     """
     if not 0.0 < X <= p.x_max * (1 + 1e-12):
         raise PotentialError(f"cutoff {X} must be positive and within the sampled "
@@ -138,8 +141,14 @@ def dump_weyl(K: WeylSolution, path) -> None:
 
 
 def lambda_map(K: WeylSolution, vec) -> callable:
-    """The isomorphism sending a vector to the kernel element x -> -K(x) v."""
-    v = np.asarray(vec, dtype=complex).reshape(K.dim)
+    """The isomorphism sending a vector to the kernel element x -> -K(x) v.
+
+    vec must hold K.dim finite entries (DomainError).
+    """
+    v = np.asarray(vec, dtype=complex)
+    if v.size != K.dim or not np.all(np.isfinite(v)):
+        raise DomainError(f"vector must hold {K.dim} finite entries, got {v.tolist()}")
+    v = v.reshape(K.dim)
 
     def fn(x):
         return -K.eval(x) @ v
@@ -150,8 +159,11 @@ def lambda_map(K: WeylSolution, vec) -> callable:
 def lift_control(K: WeylSolution, f_v) -> callable:
     """Lift a vector-valued control to a kernel-element-valued one.
 
-    Returns a two-argument evaluator (t, x) -> -K(x) f_v(t).
+    Returns a two-argument evaluator (t, x) -> -K(x) f_v(t).  The control's
+    dimension must be K's (ControlError).
     """
+    if f_v.dim != K.dim:
+        raise ControlError(f"control dimension {f_v.dim} != solution dimension {K.dim}")
 
     def fn(t, x):
         ft = f_v.sample(np.asarray(t, dtype=float))[0]

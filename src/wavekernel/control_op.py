@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CertificationError, DomainError, SingularSystemError, check_count
 from .goursat import KernelField, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import Control, OperatorTables, _l2, _random_smooth_samples, propagate
+from .propagator import OperatorTables, _l2, _random_smooth_samples
 
 _DENSE_SVD_CAP = 1024
 
@@ -25,11 +25,6 @@ _DENSE_SVD_CAP = 1024
 def reflect(g: np.ndarray) -> np.ndarray:
     """Sample-exact reflection about the midpoint of a uniform grid."""
     return np.asarray(g)[::-1].copy()
-
-
-def apply_W(field: KernelField, f: Control, T: float, N: int) -> np.ndarray:
-    """Control-to-state map: the wave profile at time T on N+1 nodes."""
-    return propagate(field, f, T, N).u
 
 
 @dataclass(frozen=True)
@@ -43,10 +38,15 @@ class VolterraSystem:
     neumann_partial_sums, which use it more than once, gather it whole.
     """
 
-    T: float
-    N: int
-    grid: np.ndarray
     tables: OperatorTables
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.tables.grid
+
+    @property
+    def N(self) -> int:
+        return self.tables.grid.size - 1
 
     @property
     def dim(self) -> int:
@@ -73,8 +73,7 @@ def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
     system to reflected control samples reproduces the propagated wave to
     rounding.  Nothing is sampled until the system is used.
     """
-    tab = OperatorTables(field, T, N)
-    return VolterraSystem(T=float(T), N=N, grid=tab.grid, tables=tab)
+    return VolterraSystem(OperatorTables(field, T, N))
 
 
 def _checked_snapshot(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:

@@ -65,7 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fileio
-from .errors import ConvergenceError, DomainError, SingularSystemError
+from .errors import ConvergenceError, DomainError, SingularSystemError, check_count
 from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
@@ -139,10 +139,6 @@ class KernelField:
         k = np.minimum(np.floor(pos).astype(int), self.M - 1)
         frac = (pos - k)[..., None, None]
         return self.qh[k] * (1.0 - frac) + self.qh[k + 1] * frac
-
-    def wtilde_lattice(self) -> np.ndarray:
-        """The smooth part v - v0 on the region, v0 the explicit potential integral."""
-        return self.v - _v0_lattice(self.qh, self.step)
 
     @property
     def wx_lat(self) -> np.ndarray:
@@ -861,18 +857,24 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     region i <= j, i + j <= M + 1 that a field stores, i-major.  So the
     loaded field equals the solved field it was dumped from, array for
     array.  The CSV header may be left out.  Raises DomainError when a
-    file cannot be read, when the summary's dimension n is not the
-    potential's, and when the dump is malformed: a header that does not
-    match the dimension, a non-finite or unparsable value, a short row,
-    another number of rows, or a row whose (xi, eta) is not its node's
-    (a dump of the whole triangle, as older versions wrote, is one).
+    file cannot be read; when the summary's T or h is a boolean, its
+    iterations is not an integer >= 0, or its dimension n is not an
+    integer >= 1 or not the potential's; and when the dump is malformed: a
+    header that does not match the dimension, a non-finite or unparsable
+    value, a short row, another number of rows, or a row whose (xi, eta)
+    is not its node's (a dump of the whole triangle, as older versions
+    wrote, is one).
     """
     meta = fileio.read_json(json_path, "kernel summary", DomainError)
     try:
-        T, h, n = float(meta["T"]), float(meta["h"]), int(meta["n"])
-        iterations, tail = int(meta["iterations"]), float(meta["tail_bound"])
+        if isinstance(meta["T"], bool) or isinstance(meta["h"], bool):
+            raise TypeError("T and h must be numbers, not booleans")
+        T, h, tail = float(meta["T"]), float(meta["h"]), float(meta["tail_bound"])
+        n, iterations = meta["n"], meta["iterations"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed kernel summary {json_path}: {exc!r}") from exc
+    check_count(n, f"{json_path}: kernel dimension n", 1, DomainError)
+    check_count(iterations, f"{json_path}: iterations", 0, DomainError)
     if n != p.dim:
         raise DomainError(f"{json_path}: kernel dimension {n} != potential dimension {p.dim}")
     M, qh = _lattice_setup(p, T, h)

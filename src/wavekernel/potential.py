@@ -345,13 +345,6 @@ def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
     return p.integral(a, np.minimum(b, p.x_max))
 
 
-def majorant_S(p: PotentialGrid, eta: float) -> float:
-    """Scalar majorant: half the integral of the operator norm of q over [0, eta/2]."""
-    if not (0.0 <= eta <= 2.0 * p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL):
-        raise DomainError(f"eta = {eta} outside [0, {2 * p.x_max}]")
-    return float(0.5 * p.norm_integral(min(eta / 2.0, p.x_max)))
-
-
 def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
     """L1 and L2 norm constants of q over [0, T]: (half the L1 norm, the L2 norm)."""
     if not 0.0 <= T <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
@@ -362,24 +355,6 @@ def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
     cum_sq = _cumtrapz(sq, p.step)
     a2 = float(np.sqrt(np.real(p._cum_at(cum_sq, sq, T))))
     return a1, a2
-
-
-def convolution_p(p: PotentialGrid, x: float) -> np.ndarray:
-    """Matrix self-convolution of q evaluated at x by the trapezoid rule."""
-    if not (0.0 <= x <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL):
-        raise DomainError(f"x = {x} outside [0, {p.x_max}]")
-    x = min(x, p.x_max)
-    if x == 0.0:
-        return np.zeros((p.dim, p.dim), dtype=complex)
-    k_full = int(np.floor(x / p.step + _RANGE_TOL))
-    taus = np.arange(k_full + 1) * p.step
-    if x - taus[-1] > _RANGE_TOL * max(1.0, x):
-        taus = np.append(taus, x)
-    left = p.eval(taus)
-    right = p.eval(x - taus)
-    prods = np.einsum("kab,kbc->kac", left, right)
-    widths = np.diff(taus)
-    return np.einsum("k,kab->ab", widths, 0.5 * (prods[:-1] + prods[1:]))
 
 
 # --- potential spec files ---------------------------------------------------

@@ -111,8 +111,7 @@ class Control:
     def __post_init__(self):
         if isinstance(self.T, bool) or not (math.isfinite(self.T) and self.T > 0.0):
             raise ControlError(f"control horizon T must be finite and positive, got {self.T}")
-        if self.dim < 1:
-            raise ControlError(f"control dimension must be at least 1, got {self.dim}")
+        check_count(self.dim, "control dimension", 1, ControlError)
 
     def sample(self, t):
         """Values and first two derivatives at t; zero for negative arguments."""
@@ -133,36 +132,6 @@ class Control:
 
         return Control(self.T, self.dim, min(self.support_start, other.support_start),
                        ev, label=f"{self.label}+{other.label}")
-
-    def scaled(self, alpha: complex) -> "Control":
-        f = self._eval
-
-        def ev(t):
-            a = f(t)
-            return tuple(alpha * a[k] for k in range(3))
-
-        return Control(self.T, self.dim, self.support_start, ev,
-                       label=f"{alpha}*{self.label}")
-
-    def delayed(self, tau: float) -> "Control":
-        """The same control started tau later (zero-padded at the front)."""
-        def ev(t):
-            return self.sample(np.asarray(t, dtype=float) - tau)
-
-        return Control(self.T, self.dim, self.support_start + tau, ev,
-                       label=f"{self.label}@+{tau}")
-
-    def reflected(self, support_start: float) -> "Control":
-        """Time reversal about the horizon; caller asserts the new support."""
-        f = self._eval
-        T = self.T
-
-        def ev(t):
-            a = f(T - np.asarray(t, dtype=float))
-            return a[0], -a[1], a[2]
-
-        return _checked(Control(self.T, self.dim, support_start, ev,
-                                label=f"refl({self.label})"))
 
 
 def _check_vanishing(sample, support_start, T: float, label: str) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
+from wavekernel.goursat import _v0_lattice
 
 from conftest import lattice_xt, region_interior
 
@@ -135,7 +136,7 @@ def test_criterion_06_isomorphism_round_trip(case, field_one_100, field_herm2_10
     for _ in range(20):
         f = wk.random_smooth_control(1.0, fld.dim, rng)
         samples = f.sample(sysv.grid)[0]
-        u = wk.apply_W(fld, f, 1.0, N)
+        u = wk.propagate(fld, f, 1.0, N).u
         rec = wk.reflect(wk.invert_W(sysv, u))
         num = np.sqrt(np.trapezoid(np.sum(np.abs(rec - samples) ** 2, 1), sysv.grid))
         den = np.sqrt(np.trapezoid(np.sum(np.abs(samples) ** 2, 1), sysv.grid))
@@ -217,7 +218,7 @@ def test_criterion_10_pde_identity(pot_quad, pot_herm2, field_herm2_100):
     resids = []
     for h in (1 / 50, 1 / 100, 1 / 200):
         fld = wk.solve_goursat(pot_quad, 1.0, h, TOL)
-        wt = fld.wtilde_lattice()
+        wt = fld.v - _v0_lattice(fld.qh, fld.step)
         i, j = region_interior(fld.M)
         i, j = i[i + 1 < j], j[i + 1 < j]
         num = (wt[i - 1, j + 1] - 2 * wt[i, j] + wt[i + 1, j - 1]) / h**2
@@ -226,7 +227,7 @@ def test_criterion_10_pde_identity(pot_quad, pot_herm2, field_herm2_100):
     assert np.all(orders >= 0.9)
     # matrix case at one resolution
     h = field_herm2_100.step
-    wt = field_herm2_100.wtilde_lattice()
+    wt = field_herm2_100.v - _v0_lattice(field_herm2_100.qh, field_herm2_100.step)
     i, j = region_interior(field_herm2_100.M)
     i, j = i[i + 1 < j], j[i + 1 < j]
     num = (wt[i - 1, j + 1] - 2 * wt[i, j] + wt[i + 1, j - 1]) / h**2

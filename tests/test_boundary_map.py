@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import wavekernel as wk
-from wavekernel.errors import DomainError, PotentialError
+from wavekernel.errors import ControlError, DomainError, PotentialError
 
 
 def test_weyl_scalar_exponential():
@@ -144,6 +144,33 @@ def test_lift_control():
     # injective on constants: evaluation at the origin recovers the vector
     g = wk.lambda_map(K, 4.0)
     assert abs(g(0.0)[0] + 4.0) < 1e-14
+
+
+@pytest.fixture(scope="module")
+def weyl_one():
+    return wk.weyl_solution(wk.constant_potential(1.0, x_max=2.0, step=1 / 128), 1.5, 1.0)
+
+
+def test_lift_control_rejects_other_dimension(weyl_one):
+    # a 2-vector control on a 1x1 solution used to lift to numbers
+    f = wk.bump_control(1.0, 0.2, 0.8, [1.0, 1.0])
+    with pytest.raises(ControlError, match="dimension"):
+        wk.lift_control(weyl_one, f)
+
+
+@pytest.mark.parametrize("vec", [[1.0, 2.0], [float("nan")], [float("inf")]],
+                         ids=["wrong_size", "nan", "inf"])
+def test_lambda_map_rejects_bad_vector(weyl_one, vec):
+    # a wrong size used to end in reshape's ValueError, a NaN in NaN values
+    with pytest.raises(DomainError, match="finite entries"):
+        wk.lambda_map(weyl_one, vec)
+
+
+def test_weyl_rejects_non_finite_decay_matrix():
+    # a NaN decay constant used to end in numpy's LinAlgError
+    p = wk.constant_potential(1.0, x_max=2.0, step=1 / 128)
+    with pytest.raises(PotentialError, match="must be finite"):
+        wk.weyl_solution(p, 1.5, float("nan"))
 
 
 def test_dump_weyl(tmp_path):

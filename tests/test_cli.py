@@ -212,17 +212,29 @@ def _whole_triangle(lines):
     (_header_only, "rows"),
     (_beyond_region, "regenerate it with `wavekernel kernel`"),
     (_whole_triangle, "regenerate it with `wavekernel kernel`"),
+    # a dict replaces keys of the kernel.json summary; each of these used to load
+    ({"n": 1.7}, "kernel dimension n must be an integer >= 1, got 1.7"),
+    ({"n": True}, "kernel dimension n must be an integer >= 1, got True"),
+    ({"iterations": 3.9}, "iterations must be an integer >= 0, got 3.9"),
+    ({"iterations": -5}, "iterations must be an integer >= 0, got -5"),
+    ({"T": True}, "T and h must be numbers"),
+    ({"h": True}, "T and h must be numbers"),
 ], ids=["header", "nan", "inf", "unparsable", "short_row", "off_grid", "beyond_lattice",
         "negative", "below_diagonal", "duplicate", "swapped", "missing", "empty", "beyond_region",
-        "whole_triangle"])
+        "whole_triangle", "n_fraction", "n_bool", "iterations_fraction", "iterations_negative",
+        "T_bool", "h_bool"])
 def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)
     assert main(["kernel", "--config", str(cfg)]) == 0
-    dump = tmp_path / "out" / "kernel.csv"
-    lines = dump.read_text().split("\n")
-    edit(lines)
-    dump.write_text("\n".join(lines))
+    if isinstance(edit, dict):
+        summary = tmp_path / "out" / "kernel.json"
+        summary.write_text(json.dumps({**json.loads(summary.read_text()), **edit}))
+    else:
+        dump = tmp_path / "out" / "kernel.csv"
+        lines = dump.read_text().split("\n")
+        edit(lines)
+        dump.write_text("\n".join(lines))
     cfg2 = write_cfg(tmp_path, extra="kernel_dump = out/kernel.csv\n")
     assert main(["propagate", "--config", str(cfg2), "--out", str(tmp_path / "out2")]) == 1
     err = capsys.readouterr().err

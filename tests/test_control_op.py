@@ -23,18 +23,18 @@ def test_reflect_basics():
     assert wk.reflect(g)[0, 0] == 1.0
 
 
-def test_apply_W_zero_potential(field_zero, bump1):
-    u = wk.apply_W(field_zero, bump1, 1.0, 100)
+def test_control_to_state_zero_potential(field_zero, bump1):
+    u = wk.propagate(field_zero, bump1, 1.0, 100).u
     grid = np.linspace(0, 1, 101)
     assert np.abs(u - bump1.sample(1.0 - grid)[0]).max() == 0.0
 
 
-def test_apply_W_zero_control(field_one):
-    u = wk.apply_W(field_one, wk.zero_control(1.0, 1), 1.0, 64)
+def test_control_to_state_zero_control(field_one):
+    u = wk.propagate(field_one, wk.zero_control(1.0, 1), 1.0, 64).u
     assert np.abs(u).max() == 0.0
 
 
-def test_apply_W_within_singular_envelope(field_one, bump1):
+def test_control_to_state_within_singular_envelope(field_one, bump1):
     N = 256
     sysv = wk.build_volterra(field_one, 1.0, N)
     s_min, s_max, _ = wk.condition_estimate(sysv)
@@ -58,12 +58,13 @@ def test_build_volterra_causal_structure(field_one):
     assert below.max() == 0.0
 
 
-def test_apply_W_equals_volterra_after_reflection(field_one):
-    # same operator through two code paths
+def test_control_to_state_equals_volterra_after_reflection(field_one):
+    # same operator through two code paths; the bump profile is symmetric, so
+    # the bump on (T - 0.6, T - 0.15) is f reflected about T = 1
     N = 200
     f = wk.bump_control(1.0, 0.15, 0.6, 1.0)
     sysv = wk.build_volterra(field_one, 1.0, N)
-    lhs = wk.apply_W(field_one, f.reflected(support_start=0.4), 1.0, N)
+    lhs = wk.propagate(field_one, wk.bump_control(1.0, 0.4, 0.85, 1.0), 1.0, N).u
     rhs = sysv.apply(f.sample(sysv.grid)[0])
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -82,7 +83,7 @@ def test_invert_round_trip(field_one):
     for _ in range(5):
         f = wk.random_smooth_control(1.0, 1, rng)
         samples = f.sample(sysv.grid)[0]
-        u = wk.apply_W(field_one, f, 1.0, N)
+        u = wk.propagate(field_one, f, 1.0, N).u
         rec = wk.reflect(wk.invert_W(sysv, u))
         num = np.sqrt(np.trapezoid(np.sum(np.abs(rec - samples) ** 2, 1), sysv.grid))
         den = np.sqrt(np.trapezoid(np.sum(np.abs(samples) ** 2, 1), sysv.grid))
@@ -93,7 +94,7 @@ def test_invert_round_trip(field_one):
 @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
        start=st.floats(0.05, 0.5), width=st.floats(0.1, 0.45))
 def test_invert_recovers_applied_control(n, seed, start, width):
-    # invert_W(build_volterra(...), apply_W(...)) is the identity on reflected samples
+    # invert_W(build_volterra(...), propagate(...).u) is the identity on reflected samples
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
     herm = 0.5 * (a + a.conj().transpose(0, 2, 1))
@@ -103,7 +104,7 @@ def test_invert_recovers_applied_control(n, seed, start, width):
     f = wk.bump_control(1.0, start, start + width, rng.normal(size=n) + 1j * rng.normal(size=n))
     N = 80
     sysv = wk.build_volterra(field, 1.0, N)
-    g = wk.invert_W(sysv, wk.apply_W(field, f, 1.0, N))
+    g = wk.invert_W(sysv, wk.propagate(field, f, 1.0, N).u)
     want = wk.reflect(f.sample(sysv.grid)[0])
     assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -164,16 +165,16 @@ class _StoredK0:
     def __init__(self, table):
         self.table = table
         self.field = types.SimpleNamespace(dim=table.shape[1])
+        self.grid = np.linspace(0, 1, len(table))
 
     def k0(self):
         yield slice(0, len(self.table)), self.table
 
 
 def test_invert_singular_block():
-    grid = np.linspace(0, 1, 4)
     table = np.zeros((4, 1, 4, 1), dtype=complex)
     table[1, 0, 1, 0] = -1.0          # diagonal block becomes exactly zero
-    sysv = VolterraSystem(T=1.0, N=3, grid=grid, tables=_StoredK0(table))
+    sysv = VolterraSystem(_StoredK0(table))
     with pytest.raises(SingularSystemError):
         wk.invert_W(sysv, np.ones((4, 1), dtype=complex))
 
@@ -181,7 +182,7 @@ def test_invert_singular_block():
 def test_neumann_converges_to_substitution(field_one, bump1):
     N = 150
     sysv = wk.build_volterra(field_one, 1.0, N)
-    u = wk.apply_W(field_one, bump1, 1.0, N)
+    u = wk.propagate(field_one, bump1, 1.0, N).u
     exact = wk.invert_W(sysv, u)
     sums = wk.neumann_partial_sums(sysv, u, 20)
     errs = np.array([np.abs(s - exact).max() for s in sums])
@@ -410,7 +411,6 @@ def test_condition_unitary_invariant():
 
 
 def test_condition_cap(field_one):
-    big = VolterraSystem(T=1.0, N=2000, grid=np.linspace(0, 1, 2001),
-                         tables=OperatorTables(field_one, 1.0, 2000))
+    big = VolterraSystem(OperatorTables(field_one, 1.0, 2000))
     with pytest.raises(DomainError):
         wk.condition_estimate(big)

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +109,15 @@ def test_no_unread_parameters():
                     if isinstance(node, ast.Name)}
             unread += [f"{path.name}:{fn.lineno} {name}({p})" for p in params if p not in read]
     assert not unread, unread
+
+
+def test_public_names_are_listed_in_the_readme():
+    # every name in backticks in README's "Library API" section is an export,
+    # and every export but the version string is named there
+    import wavekernel as wk
+    readme = (ROOT / "README.md").read_text()
+    assert "\n## Library API\n" in readme
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    exported = set(wk.__all__) - {"__version__"}
+    assert listed == exported, sorted(listed ^ exported)

@@ -37,7 +37,7 @@ import pytest
 import wavekernel as wk
 from wavekernel.goursat import (
     _BOUND_SLACK, _ROWS, GoursatReport, KernelConstants, _blocks, _diag, _lattice_setup,
-    _region, _tail_bound, _toeplitz, _v0_at, _V_rows, _wxx,
+    _region, _tail_bound, _toeplitz, _v0_at, _v0_lattice, _V_rows, _wxx,
 )
 from wavekernel.propagator import OperatorTables
 
@@ -289,7 +289,7 @@ def ref_kernel_constants(f):
     M, h = f.M, f.step
     _, A, B = _grids(M)
     phys = (A <= B) & (A + B <= M)
-    b1 = float(np.max(_opnorms(full_square(f.wtilde_lattice()))[phys]))
+    b1 = float(np.max(_opnorms(full_square(f.v - _v0_lattice(f.qh, f.step)))[phys]))
     b2 = float(np.max(_opnorms(full_square(f.wx_lat))[phys]))
     b4 = float(np.max(_opnorms(full_square(f.v))[phys]))
     wxx_norm = _opnorms(ref_wxx_lattice(f))
@@ -626,7 +626,8 @@ def test_solve_goursat_matches_reference(case):
     # region nodes (i, j); e_cum[i, j] integrates along eta_j from xi = 0 to xi_i
     i, j = np.nonzero(_region(f.M))
     assert rel_gap(f.v[i, j], ref.v[i, j]) <= REL
-    assert rel_gap(f.wtilde_lattice()[i, j], (ref.v - full_v0(p, 1.0, h))[i, j]) <= REL
+    wtilde = f.v - _v0_lattice(f.qh, f.step)
+    assert rel_gap(wtilde[i, j], (ref.v - full_v0(p, 1.0, h))[i, j]) <= REL
     # e_cum[i, j] = ref.e_cum[j, j] - ref.e_cum[j, j - i], d_cum[i, j] = ref.d_cum[i, j - i]
     e_diag = ref.e_cum[i, i] - ref.e_cum[i, 0]
     outer = ref.d_cum[i, j - i] - e_diag + (ref.e_cum[j, j] - ref.e_cum[j, j - i])

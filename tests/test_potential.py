@@ -107,7 +107,7 @@ def test_constructors_reject_degenerate_sizes(build):
         "x_max_nan", "step_negative", "step_bool", "x_max_beyond_samples",
         "x_max_short_of_samples"])
 def test_grid_rejects_bad_input(x_max, step, samples, match):
-    # built directly, a NaN grid used to construct and then fail in majorant_S
+    # built directly, a NaN grid used to construct and then fail in its norm integrals
     with pytest.raises(PotentialError, match=match):
         wk.PotentialGrid(x_max, step, samples)
 
@@ -131,7 +131,7 @@ def test_grid_derives_what_the_constructors_did():
     assert (p.x_max, p.step) == (1.0, 1 / 32) and isinstance(p.x_max, float)
     for name in ("samples", "norms", "cum_integral", "cum_norm_integral"):
         assert np.array_equal(getattr(p, name), getattr(ref, name)), name
-    assert wk.majorant_S(p, 1.5) == wk.majorant_S(ref, 1.5)
+    assert p.norm_integral(0.75) == ref.norm_integral(0.75)
 
 
 def test_integral_linear_potential():
@@ -175,18 +175,19 @@ def test_non_finite_point_is_a_domain_error(evaluate, bad):
         evaluate(p, bad)
 
 
+# the majorant S(eta), half the integral of the operator norm of q over [0, eta/2]
 def test_majorant_scalar_and_diag():
     p = wk.constant_potential(2.0, x_max=2.0, step=1 / 64)
-    assert wk.majorant_S(p, 1.0) == pytest.approx(2.0 / 4.0, abs=1e-14)
+    assert 0.5 * p.norm_integral(1.0 / 2) == pytest.approx(2.0 / 4.0, abs=1e-14)
     pd = wk.constant_potential(np.diag([1.0, 3.0]), x_max=2.0, step=1 / 64)
-    assert wk.majorant_S(pd, 1.0) == pytest.approx(3.0 / 4.0, abs=1e-12)
-    assert wk.majorant_S(pd, 0.0) == 0.0
+    assert 0.5 * pd.norm_integral(1.0 / 2) == pytest.approx(3.0 / 4.0, abs=1e-12)
+    assert 0.5 * pd.norm_integral(0.0) == 0.0
 
 
 def test_majorant_monotone():
     p = wk.preset_potential("one_plus_bump", x_max=2.0, step=1 / 256)
     etas = np.linspace(0, 4.0, 40)
-    vals = [wk.majorant_S(p, e) for e in etas]
+    vals = [0.5 * p.norm_integral(e / 2) for e in etas]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
 
@@ -223,32 +224,6 @@ def test_norm_constants_unitary_invariant():
     v2 = wk.norm_constants(p2, 1.0)
     assert v1[0] == pytest.approx(v2[0], rel=1e-12)
     assert v1[1] == pytest.approx(v2[1], rel=1e-12)
-
-
-def test_convolution_values():
-    p0 = wk.zero_potential(1, x_max=1.0, step=1 / 64)
-    assert np.abs(wk.convolution_p(p0, 0.7)).max() == 0.0
-    pc = wk.constant_potential(2.0, x_max=1.0, step=1 / 64)
-    assert wk.convolution_p(pc, 0.8)[0, 0] == pytest.approx(4.0 * 0.8, abs=1e-12)
-    x = np.linspace(0, 1, 2001)
-    px = wk.sampled_potential(x, x.astype(complex))
-    assert wk.convolution_p(px, 0.9)[0, 0] == pytest.approx(0.9**3 / 6.0, abs=1e-6)
-
-
-def test_convolution_against_double_loop():
-    # independent O(N^2) reference on a scalar sampled potential
-    n = 400
-    x = np.linspace(0, 1, n + 1)
-    q = np.sin(3 * x) + 1.5
-    p = wk.sampled_potential(x, q.astype(complex))
-    x0 = 0.85
-    k = int(x0 / (1 / n))
-    taus = np.linspace(0, x0, k + 1)
-    qt = np.interp(taus, x, q)
-    qr = np.interp(x0 - taus, x, q)
-    ref = np.trapezoid(qt * qr, taus)
-    val = wk.convolution_p(p, x0)[0, 0].real
-    assert val == pytest.approx(ref, rel=1e-10)
 
 
 def test_parse_complex():
@@ -320,9 +295,7 @@ def test_potential_file_malformed(tmp_path):
 def test_majorant_domain_error():
     p = wk.constant_potential(1.0, x_max=1.0, step=1 / 32)
     with pytest.raises(DomainError):
-        wk.majorant_S(p, 2.5)
-    with pytest.raises(DomainError):
-        wk.convolution_p(p, 1.2)
+        0.5 * p.norm_integral(2.5 / 2)
 
 
 def test_eval_out_of_range():

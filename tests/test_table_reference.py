@@ -233,6 +233,6 @@ def test_streamed_products_match_whole_table():
 def test_streamed_invert_matches_whole_table(field_h50, N):
     sysv = wk.build_volterra(field_h50, 1.0, N)
     f = wk.bump_control(1.0, 0.1, 0.9, np.linspace(1.0, 0.5j, field_h50.dim))
-    u = wk.apply_W(field_h50, f, 1.0, N)
+    u = wk.propagate(field_h50, f, 1.0, N).u
     want = ref_invert_W(sysv, full_table(sysv.tables.k0()), u)
     assert wk.invert_W(sysv, u).tobytes() == want.tobytes()
