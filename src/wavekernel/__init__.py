@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .boundary_map import (WeylSolution, dump_weyl, lambda_map,
                            lift_control, weyl_solution)
-from .control_op import (SobolevReport, VolterraSystem, build_volterra,
+from .control_op import (SobolevReport, build_volterra,
                          certify_h2_bound, condition_estimate, h2_norm,
                          invert_W, measure_h2_bound, neumann_partial_sums,
                          reflect)
@@ -36,7 +36,7 @@ __all__ = [
     "Control", "WaveSnapshot", "DifferenceQuotientReport", "zero_control",
     "bump_control", "ramp_control", "control_from_samples",
     "random_smooth_control", "propagate", "u_tt", "difference_quotient_test",
-    "VolterraSystem", "SobolevReport", "reflect", "build_volterra",
+    "SobolevReport", "reflect", "build_volterra",
     "invert_W", "neumann_partial_sums", "h2_norm", "measure_h2_bound",
     "certify_h2_bound", "condition_estimate",
     "WeylSolution", "weyl_solution", "dump_weyl", "lambda_map", "lift_control",

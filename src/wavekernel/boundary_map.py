@@ -83,10 +83,10 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     ODE is integrated backward from the cutoff with classical fourth-order
     steps on the sampled potential; failure to renormalize at the origin
     signals that the positivity assertion does not hold.  The cutoff X must
-    be finite, positive and within the sampled domain, and c finite,
-    Hermitian and positive definite (PotentialError).
+    be a finite positive number, not a bool, within the sampled domain, and
+    c finite, Hermitian and positive definite (PotentialError).
     """
-    if not 0.0 < X <= p.x_max * (1 + 1e-12):
+    if isinstance(X, bool) or not 0.0 < X <= p.x_max * (1 + 1e-12):
         raise PotentialError(f"cutoff {X} must be positive and within the sampled "
                              f"domain (0, {p.x_max}]")
     root_c = _sqrtm_pd(c)
@@ -160,12 +160,18 @@ def lift_control(K: WeylSolution, f_v) -> callable:
     """Lift a vector-valued control to a kernel-element-valued one.
 
     Returns a two-argument evaluator (t, x) -> -K(x) f_v(t).  The control's
-    dimension must be K's (ControlError).
+    dimension must be K's (ControlError), and the shapes of t and x must
+    broadcast (DomainError).
     """
     if f_v.dim != K.dim:
         raise ControlError(f"control dimension {f_v.dim} != solution dimension {K.dim}")
 
     def fn(t, x):
+        try:
+            np.broadcast_shapes(np.shape(t), np.shape(x))
+        except ValueError:
+            raise DomainError(f"times of shape {np.shape(t)} and points of shape "
+                              f"{np.shape(x)} do not broadcast") from None
         ft = f_v.sample(np.asarray(t, dtype=float))[0]
         return -np.einsum("...ab,...b->...a", K.eval(x), ft)
 

@@ -198,14 +198,14 @@ def cmd_invert(cfg: dict, out: Path, seed: int) -> int:
         raise ConfigError("snapshot needs at least 3 rows")
     if not np.max(np.abs(x[:, 0] - np.linspace(0.0, T, N + 1))) <= 1e-9 * T:
         raise ConfigError(f"snapshot {snap_path} x column is not the uniform grid on [0, {T}]")
-    sysv = build_volterra(field, T, N)
-    g = invert_W(sysv, u)
+    tab = build_volterra(field, T, N)
+    g = invert_W(tab, u)
     recovered = reflect(g)
-    _write_series_csv(out / "control_recovered.csv", "t", sysv.grid, f=recovered)
+    _write_series_csv(out / "control_recovered.csv", "t", tab.grid, f=recovered)
     summary = {"N": N, "T": T}
     if "control" in cfg:
-        ref = _load_control(cfg, T, n).sample(sysv.grid)[0]
-        num, den = _l2(sysv.grid, recovered - ref), _l2(sysv.grid, ref)
+        ref = _load_control(cfg, T, n).sample(tab.grid)[0]
+        num, den = _l2(tab.grid, recovered - ref), _l2(tab.grid, ref)
         summary["roundtrip_rel_l2"] = float(num / den) if den > 0 else 0.0
     write_json(out / "invert.json", summary)
     return 0

@@ -4,7 +4,9 @@ Reflecting the control turns the map into identity plus a block-triangular
 integral operator with the kernel itself as its kernel function.  That
 structure gives an exact discrete inverse by blockwise substitution, its
 Neumann series, dense singular-value diagnostics, and an empirical
-certification of the Sobolev-norm boundedness estimates.
+certification of the Sobolev-norm boundedness estimates.  The integral
+part is the k0 table of OperatorTables, which build_volterra returns and
+invert_W, neumann_partial_sums and condition_estimate read.
 """
 
 from __future__ import annotations
@@ -27,77 +29,39 @@ def reflect(g: np.ndarray) -> np.ndarray:
     return np.asarray(g)[::-1].copy()
 
 
-@dataclass(frozen=True)
-class VolterraSystem:
-    """Discretized identity-plus-causal-integral operator.
-
-    The represented operator is I + A with (A g)(x_k) = sum_m K[k, m] g(s_m),
-    where K is the k0 table of tables: the trapezoid-weighted kernel sample
-    w(x_k, s_m) for s_m >= x_k and exactly zero below the causal diagonal.
-    apply and invert_W stream K by row blocks; dense and
-    neumann_partial_sums, which use it more than once, gather it whole.
-    """
-
-    tables: OperatorTables
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.tables.grid
-
-    @property
-    def N(self) -> int:
-        return self.tables.grid.size - 1
-
-    @property
-    def dim(self) -> int:
-        return self.tables.field.dim
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """(I + A) g on sample vectors of shape (N+1, n); DomainError otherwise."""
-        g = _checked_snapshot(self, g)
-        return g + OperatorTables.apply(self.tables.k0(), g)
-
-    def dense(self) -> np.ndarray:
-        """Full ((N+1)n) x ((N+1)n) matrix of I + A: the whole k0 table plus the identity."""
-        size = (self.N + 1) * self.dim
-        flat = OperatorTables.full(self.tables.k0()).reshape(size, size)
-        flat += np.eye(size)
-        return flat
-
-
-def build_volterra(field: KernelField, T: float, N: int) -> VolterraSystem:
+def build_volterra(field: KernelField, T: float, N: int) -> OperatorTables:
     """Discretize the reflected control-to-state map on N+1 uniform nodes.
 
-    The system holds the one table layer, OperatorTables, and reads its k0,
-    the same weighted kernel samples the propagator reads, so applying the
-    system to reflected control samples reproduces the propagated wave to
-    rounding.  Nothing is sampled until the system is used.
+    The map is I + A with (A g)(x_k) = sum_m K[k, m] g(s_m), where K is the
+    k0 table of the returned OperatorTables, the weighted kernel samples the
+    propagator reads.  Nothing is sampled until the tables are read.
     """
-    return VolterraSystem(OperatorTables(field, T, N))
+    return OperatorTables(field, T, N)
 
 
-def _checked_snapshot(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
-    """Wave samples as a complex array on the system's grid, checked finite."""
+def _checked_snapshot(tab: OperatorTables, u: np.ndarray) -> np.ndarray:
+    """Wave samples as a complex array on the tables' grid, checked finite."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (sys.N + 1, sys.dim):
-        raise DomainError(f"snapshot shape {u.shape} does not match grid ({sys.N + 1}, {sys.dim})")
+    shape = (tab.grid.size, tab.field.dim)
+    if u.shape != shape:
+        raise DomainError(f"snapshot shape {u.shape} does not match grid {shape}")
     if not np.all(np.isfinite(u)):
         raise DomainError("snapshot samples must be finite (found NaN or inf)")
     return u
 
 
-def invert_W(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
+def invert_W(tab: OperatorTables, u: np.ndarray) -> np.ndarray:
     """Solve (I + A) g = u for the reflected control samples.
 
     Exact blockwise solve marching against causality, over the k0 row
     blocks as they are sampled, last block first; neumann_partial_sums
     gives the alternating operator power series instead.
     """
-    u = _checked_snapshot(sys, u)
+    u = _checked_snapshot(tab, u)
     g = np.zeros_like(u)
-    g_flat, n = g.reshape(-1), sys.dim
+    g_flat, n = g.reshape(-1), tab.field.dim
     eye = np.eye(n)
-    for rows, block in sys.tables.k0():
+    for rows, block in tab.k0():
         flat = block.reshape(-1, g_flat.size)
         for k in range(rows.stop - 1, rows.start - 1, -1):
             row = flat[(k - rows.start) * n:(k - rows.start + 1) * n]
@@ -112,7 +76,7 @@ def invert_W(sys: VolterraSystem, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def neumann_partial_sums(sys: VolterraSystem, u: np.ndarray, terms: int) -> list[np.ndarray]:
+def neumann_partial_sums(tab: OperatorTables, u: np.ndarray, terms: int) -> list[np.ndarray]:
     """Partial sums of the alternating operator power series for the inverse.
 
     terms, the number of terms after the first, is an integer >= 0
@@ -120,20 +84,29 @@ def neumann_partial_sums(sys: VolterraSystem, u: np.ndarray, terms: int) -> list
     applied terms times.
     """
     check_count(terms, "terms", 0, DomainError)
-    u = _checked_snapshot(sys, u)
+    u = _checked_snapshot(tab, u)
     sums = [u.copy()]
     if terms:
-        whole = [(slice(0, sys.N + 1), OperatorTables.full(sys.tables.k0()))]
+        whole = [(slice(0, tab.grid.size), OperatorTables.full(tab.k0()))]
         for _ in range(terms):
             sums.append(u - OperatorTables.apply(whole, sums[-1]))
     return sums
 
 
-def condition_estimate(sys: VolterraSystem) -> tuple[float, float, float]:
+def _dense(tab: OperatorTables) -> np.ndarray:
+    """Full ((N+1)n) x ((N+1)n) matrix of I + A: the whole k0 table plus the identity."""
+    size = tab.grid.size * tab.field.dim
+    flat = OperatorTables.full(tab.k0()).reshape(size, size)
+    flat += np.eye(size)
+    return flat
+
+
+def condition_estimate(tab: OperatorTables) -> tuple[float, float, float]:
     """Singular-value extremes and condition number of the dense system."""
-    if sys.N > _DENSE_SVD_CAP:
-        raise DomainError(f"N = {sys.N} exceeds the dense SVD cap {_DENSE_SVD_CAP}")
-    sv = np.linalg.svd(sys.dense(), compute_uv=False)
+    N = tab.grid.size - 1
+    if N > _DENSE_SVD_CAP:
+        raise DomainError(f"N = {N} exceeds the dense SVD cap {_DENSE_SVD_CAP}")
+    sv = np.linalg.svd(_dense(tab), compute_uv=False)
     s_max, s_min = float(sv[0]), float(sv[-1])
     return s_min, s_max, s_max / s_min
 

@@ -346,8 +346,11 @@ def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
 
 
 def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
-    """L1 and L2 norm constants of q over [0, T]: (half the L1 norm, the L2 norm)."""
-    if not 0.0 <= T <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
+    """L1 and L2 norm constants of q over [0, T]: (half the L1 norm, the L2 norm).
+
+    T is a number in the sampled domain, not a bool (DomainError).
+    """
+    if isinstance(T, bool) or not 0.0 <= T <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
         raise DomainError(f"T = {T} outside the potential domain [0, {p.x_max}]")
     T = min(T, p.x_max)
     a1 = float(0.5 * p.norm_integral(T))

@@ -16,7 +16,9 @@ columns from its first row on, the causal pairs s >= x of the block upper
 triangle of the operator plus a small triangle below the diagonal, which it
 sets to zero.  By time invariance a wave at any time t' <= H is a wave at the
 horizon H (f(t' - s) vanishes for s > t'), so one table on [0, H] serves all
-the difference-quotient test's times.
+the difference-quotient test's times.  The tables are also the reflected
+control-to-state map: build_volterra returns them, and invert_W,
+neumann_partial_sums and condition_estimate read their k0.
 
 random_smooth_control draws a sum of random bumps; _random_smooth_samples
 samples many successive draws as one array, without a Control per trial.
@@ -512,9 +514,16 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
 
 
 def u_tt(field: KernelField, f: Control, x: float, t: float) -> np.ndarray:
-    """Second time derivative of the wave at one point (own trapezoid); zero beyond the front."""
-    if not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
+    """Second time derivative of the wave at one point (own trapezoid); zero beyond the front.
+
+    The point must satisfy 0 <= x <= t <= T with t a number, not a bool
+    (DomainError), and the control's dimension must be the field's
+    (ControlError).
+    """
+    if isinstance(t, bool) or not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
         raise DomainError("point outside 0 <= x <= t <= T")
+    if f.dim != field.dim:
+        raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
     if x >= t - 1e-14:
         return np.zeros(field.dim, dtype=complex)
     k = max(2, int(math.ceil(t / (field.step / 2.0))) + 1)

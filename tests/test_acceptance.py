@@ -130,16 +130,16 @@ def test_criterion_05_oracle_agreement(case, pot_one, pot_herm2):
 def test_criterion_06_isomorphism_round_trip(case, field_one_100, field_herm2_100):
     fld = field_one_100 if case == "scalar" else field_herm2_100
     N = 200
-    sysv = wk.build_volterra(fld, 1.0, N)
+    tab = wk.build_volterra(fld, 1.0, N)
     rng = np.random.default_rng(20)
     worst = 0.0
     for _ in range(20):
         f = wk.random_smooth_control(1.0, fld.dim, rng)
-        samples = f.sample(sysv.grid)[0]
+        samples = f.sample(tab.grid)[0]
         u = wk.propagate(fld, f, 1.0, N).u
-        rec = wk.reflect(wk.invert_W(sysv, u))
-        num = np.sqrt(np.trapezoid(np.sum(np.abs(rec - samples) ** 2, 1), sysv.grid))
-        den = np.sqrt(np.trapezoid(np.sum(np.abs(samples) ** 2, 1), sysv.grid))
+        rec = wk.reflect(wk.invert_W(tab, u))
+        num = np.sqrt(np.trapezoid(np.sum(np.abs(rec - samples) ** 2, 1), tab.grid))
+        den = np.sqrt(np.trapezoid(np.sum(np.abs(samples) ** 2, 1), tab.grid))
         worst = max(worst, num / den)
     assert worst <= 1e-10
     print(f"[PASS] criterion 6 ({case}): worst round-trip relative error "

@@ -158,6 +158,14 @@ def test_lift_control_rejects_other_dimension(weyl_one):
         wk.lift_control(weyl_one, f)
 
 
+def test_lift_control_rejects_shapes_that_do_not_broadcast(weyl_one, bump1):
+    # 2 times and 3 points used to end in numpy's bare broadcast ValueError
+    lift = wk.lift_control(weyl_one, bump1)
+    with pytest.raises(DomainError, match=r"\(2,\).*\(3,\)"):
+        lift([0.2, 0.5], [0.1, 0.4, 0.7])
+    assert lift([[0.2], [0.5]], [0.1, 0.4, 0.7]).shape == (2, 3, 1)
+
+
 @pytest.mark.parametrize("vec", [[1.0, 2.0], [float("nan")], [float("inf")]],
                          ids=["wrong_size", "nan", "inf"])
 def test_lambda_map_rejects_bad_vector(weyl_one, vec):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel import control_op
-from wavekernel.control_op import VolterraSystem, _apply_A_with_derivatives, _SobolevTables, _sup
+from wavekernel.control_op import _apply_A_with_derivatives, _dense, _SobolevTables, _sup
 from wavekernel.errors import CertificationError, DomainError, SingularSystemError
 from wavekernel.propagator import OperatorTables, _l2
 
@@ -36,25 +36,26 @@ def test_control_to_state_zero_control(field_one):
 
 def test_control_to_state_within_singular_envelope(field_one, bump1):
     N = 256
-    sysv = wk.build_volterra(field_one, 1.0, N)
-    s_min, s_max, _ = wk.condition_estimate(sysv)
-    f = bump1.sample(sysv.grid)[0]
-    u = sysv.apply(wk.reflect(f))
+    tab = wk.build_volterra(field_one, 1.0, N)
+    s_min, s_max, _ = wk.condition_estimate(tab)
+    f = bump1.sample(tab.grid)[0]
+    g = wk.reflect(f)
+    u = g + OperatorTables.apply(tab.k0(), g)
     r = np.linalg.norm(u) / np.linalg.norm(f)
     assert s_min - 1e-12 <= r <= s_max + 1e-12
 
 
 def test_build_volterra_identity_for_zero(field_zero):
-    sysv = wk.build_volterra(field_zero, 1.0, 50)
-    assert np.abs(full_table(sysv.tables.k0())).max() == 0.0
+    tab = wk.build_volterra(field_zero, 1.0, 50)
+    assert np.abs(full_table(tab.k0())).max() == 0.0
     g = np.random.default_rng(0).normal(size=(51, 1))
-    assert np.abs(sysv.apply(g) - g).max() == 0.0
+    assert np.abs(g + OperatorTables.apply(tab.k0(), g) - g).max() == 0.0
 
 
 def test_build_volterra_causal_structure(field_one):
-    sysv = wk.build_volterra(field_one, 1.0, 40)
+    tab = wk.build_volterra(field_one, 1.0, 40)
     ii, jj = np.meshgrid(np.arange(41), np.arange(41), indexing="ij")
-    below = np.abs(full_table(sysv.tables.k0()))[jj < ii]
+    below = np.abs(full_table(tab.k0()))[jj < ii]
     assert below.max() == 0.0
 
 
@@ -63,30 +64,31 @@ def test_control_to_state_equals_volterra_after_reflection(field_one):
     # the bump on (T - 0.6, T - 0.15) is f reflected about T = 1
     N = 200
     f = wk.bump_control(1.0, 0.15, 0.6, 1.0)
-    sysv = wk.build_volterra(field_one, 1.0, N)
+    tab = wk.build_volterra(field_one, 1.0, N)
     lhs = wk.propagate(field_one, wk.bump_control(1.0, 0.4, 0.85, 1.0), 1.0, N).u
-    rhs = sysv.apply(f.sample(sysv.grid)[0])
+    g = f.sample(tab.grid)[0]
+    rhs = g + OperatorTables.apply(tab.k0(), g)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_invert_identity_case(field_zero):
-    sysv = wk.build_volterra(field_zero, 1.0, 60)
+    tab = wk.build_volterra(field_zero, 1.0, 60)
     u = np.random.default_rng(1).normal(size=(61, 1)) + 0j
-    g = wk.invert_W(sysv, u)
+    g = wk.invert_W(tab, u)
     assert np.abs(g - u).max() == 0.0
 
 
 def test_invert_round_trip(field_one):
     N = 200
     rng = np.random.default_rng(3)
-    sysv = wk.build_volterra(field_one, 1.0, N)
+    tab = wk.build_volterra(field_one, 1.0, N)
     for _ in range(5):
         f = wk.random_smooth_control(1.0, 1, rng)
-        samples = f.sample(sysv.grid)[0]
+        samples = f.sample(tab.grid)[0]
         u = wk.propagate(field_one, f, 1.0, N).u
-        rec = wk.reflect(wk.invert_W(sysv, u))
-        num = np.sqrt(np.trapezoid(np.sum(np.abs(rec - samples) ** 2, 1), sysv.grid))
-        den = np.sqrt(np.trapezoid(np.sum(np.abs(samples) ** 2, 1), sysv.grid))
+        rec = wk.reflect(wk.invert_W(tab, u))
+        num = np.sqrt(np.trapezoid(np.sum(np.abs(rec - samples) ** 2, 1), tab.grid))
+        den = np.sqrt(np.trapezoid(np.sum(np.abs(samples) ** 2, 1), tab.grid))
         assert num / den < 1e-10
 
 
@@ -103,58 +105,58 @@ def test_invert_recovers_applied_control(n, seed, start, width):
     field = wk.solve_goursat(p, 1.0, 1 / 40, 1e-10)
     f = wk.bump_control(1.0, start, start + width, rng.normal(size=n) + 1j * rng.normal(size=n))
     N = 80
-    sysv = wk.build_volterra(field, 1.0, N)
-    g = wk.invert_W(sysv, wk.propagate(field, f, 1.0, N).u)
-    want = wk.reflect(f.sample(sysv.grid)[0])
+    tab = wk.build_volterra(field, 1.0, N)
+    g = wk.invert_W(tab, wk.propagate(field, f, 1.0, N).u)
+    want = wk.reflect(f.sample(tab.grid)[0])
     assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_invert_shape_check(field_one):
-    sysv = wk.build_volterra(field_one, 1.0, 50)
+    tab = wk.build_volterra(field_one, 1.0, 50)
     with pytest.raises(DomainError):
-        wk.invert_W(sysv, np.zeros((44, 1)))
+        wk.invert_W(tab, np.zeros((44, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_invert_rejects_non_finite_snapshot(field_one, bad):
-    sysv = wk.build_volterra(field_one, 1.0, 50)
+    tab = wk.build_volterra(field_one, 1.0, 50)
     u = np.zeros((51, 1), dtype=complex)
     u[7] = bad
     with pytest.raises(DomainError, match="finite"):
-        wk.invert_W(sysv, u)
+        wk.invert_W(tab, u)
 
 
 def test_volterra_apply_rejects_bad_samples(field_herm2):
-    sysv = wk.build_volterra(field_herm2, 1.0, 10)
+    tab = wk.build_volterra(field_herm2, 1.0, 10)
     with pytest.raises(DomainError, match="shape"):
-        sysv.apply(np.ones((5, 2)))
+        wk.invert_W(tab, np.ones((5, 2)))
     g = np.ones((11, 2), dtype=complex)
     g[4, 1] = np.nan
     with pytest.raises(DomainError, match="finite"):
-        sysv.apply(g)
+        wk.invert_W(tab, g)
 
 
 def test_neumann_rejects_bad_snapshot(field_one):
-    sysv = wk.build_volterra(field_one, 1.0, 50)
+    tab = wk.build_volterra(field_one, 1.0, 50)
     with pytest.raises(DomainError, match="shape"):
-        wk.neumann_partial_sums(sysv, np.zeros((44, 1)), 3)
+        wk.neumann_partial_sums(tab, np.zeros((44, 1)), 3)
     u = np.zeros((51, 1), dtype=complex)
     u[3] = np.nan
     with pytest.raises(DomainError, match="finite"):
-        wk.neumann_partial_sums(sysv, u, 3)
+        wk.neumann_partial_sums(tab, u, 3)
 
 
 @pytest.mark.parametrize("terms", [-1, 2.5, True, "3", None])
 def test_neumann_rejects_bad_term_count(field_one, terms):
-    sysv = wk.build_volterra(field_one, 1.0, 50)
+    tab = wk.build_volterra(field_one, 1.0, 50)
     with pytest.raises(DomainError, match="terms must be an integer >= 0"):
-        wk.neumann_partial_sums(sysv, np.zeros((51, 1), dtype=complex), terms)
+        wk.neumann_partial_sums(tab, np.zeros((51, 1), dtype=complex), terms)
 
 
 def test_neumann_zero_terms_is_the_snapshot(field_one):
-    sysv = wk.build_volterra(field_one, 1.0, 50)
+    tab = wk.build_volterra(field_one, 1.0, 50)
     u = np.ones((51, 1), dtype=complex)
-    sums = wk.neumann_partial_sums(sysv, u, np.int64(0))
+    sums = wk.neumann_partial_sums(tab, u, np.int64(0))
     assert len(sums) == 1 and np.array_equal(sums[0], u)
 
 
@@ -174,23 +176,22 @@ class _StoredK0:
 def test_invert_singular_block():
     table = np.zeros((4, 1, 4, 1), dtype=complex)
     table[1, 0, 1, 0] = -1.0          # diagonal block becomes exactly zero
-    sysv = VolterraSystem(_StoredK0(table))
     with pytest.raises(SingularSystemError):
-        wk.invert_W(sysv, np.ones((4, 1), dtype=complex))
+        wk.invert_W(_StoredK0(table), np.ones((4, 1), dtype=complex))
 
 
 def test_neumann_converges_to_substitution(field_one, bump1):
     N = 150
-    sysv = wk.build_volterra(field_one, 1.0, N)
+    tab = wk.build_volterra(field_one, 1.0, N)
     u = wk.propagate(field_one, bump1, 1.0, N).u
-    exact = wk.invert_W(sysv, u)
-    sums = wk.neumann_partial_sums(sysv, u, 20)
+    exact = wk.invert_W(tab, u)
+    sums = wk.neumann_partial_sums(tab, u, 20)
     errs = np.array([np.abs(s - exact).max() for s in sums])
     assert np.all(errs[1:8] < errs[:7])          # decreasing from the start
     assert errs[-1] < 1e-12
     ratios = errs[1:7] / errs[:6]                # pre-plateau contraction factors
     assert ratios[-1] < ratios[0]                # factorial-type acceleration
-    same = wk.neumann_partial_sums(sysv, u, 25)[-1]
+    same = wk.neumann_partial_sums(tab, u, 25)[-1]
     assert np.abs(same - exact).max() < 1e-12
 
 
@@ -380,10 +381,10 @@ def test_h2_verdict_allows_rounding_slack(pot_one, field_one, ratio, bound):
 
 
 def test_dense_columns_are_apply_on_unit_vectors(field_herm2):
-    sysv = wk.build_volterra(field_herm2, 1.0, 24)
-    size = 25 * sysv.dim
-    cols = [sysv.apply(e.reshape(25, sysv.dim)).ravel() for e in np.eye(size)]
-    assert np.array_equal(sysv.dense(), np.stack(cols, axis=1))
+    tab = wk.build_volterra(field_herm2, 1.0, 24)
+    units = np.eye(25 * field_herm2.dim).reshape(-1, 25, field_herm2.dim)
+    cols = [(e + OperatorTables.apply(tab.k0(), e)).ravel() for e in units]
+    assert np.array_equal(_dense(tab), np.stack(cols, axis=1))
 
 
 def test_condition_zero_potential(field_zero):
@@ -411,6 +412,5 @@ def test_condition_unitary_invariant():
 
 
 def test_condition_cap(field_one):
-    big = VolterraSystem(OperatorTables(field_one, 1.0, 2000))
     with pytest.raises(DomainError):
-        wk.condition_estimate(big)
+        wk.condition_estimate(OperatorTables(field_one, 1.0, 2000))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel.control_op import _SobolevTables
-from wavekernel.errors import ControlError, DomainError
+from wavekernel.errors import ControlError, DomainError, PotentialError
 from wavekernel.goursat import _interp_triangle
 from wavekernel import propagator
 from wavekernel.propagator import OperatorTables, _checked, _random_smooth_samples
@@ -383,6 +383,14 @@ def test_propagate_dim_mismatch(field_herm2, bump1):
         wk.propagate(field_herm2, bump1, 1.0, 50)
 
 
+@pytest.mark.parametrize("x", [0.3, 0.8], ids=["inside", "on_front"])
+def test_u_tt_rejects_other_dimension(field_one, x):
+    # a 2-vector control on a scalar field used to return a 2-vector
+    f = wk.bump_control(1.0, 0.1, 0.9, [1.0, 1.0])
+    with pytest.raises(ControlError, match="dimension"):
+        wk.u_tt(field_one, f, x, 0.8)
+
+
 def test_u_tt_values(field_zero, field_one, bump1):
     # without potential the second derivative rides the control
     val = wk.u_tt(field_zero, bump1, 0.3, 0.9)
@@ -523,8 +531,11 @@ BUMP = wk.bump_control(1.0, 0.1, 0.9)
     (lambda p, f, f2: wk.bump_control(True, 0.1, 0.9), ControlError),
     (lambda p, f, f2: wk.ramp_control(True, 0.1, 0.9), ControlError),
     (lambda p, f, f2: wk.zero_control(True), ControlError),
+    (lambda p, f, f2: wk.u_tt(f, BUMP, 0.3, True), DomainError),
+    (lambda p, f, f2: wk.norm_constants(p, True), DomainError),
+    (lambda p, f, f2: wk.weyl_solution(p, True, 1.0), PotentialError),
 ], ids=["propagate", "build_volterra", "measure_h2", "certify_h2", "tables",
-        "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "zero"])
+        "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "zero", "u_tt", "norm_constants", "weyl"])
 def test_horizons_reject_bool(pot_one, field_one, field_one_2T, call, error):
     # Python treats True as 1, a valid horizon (and cfl); it is not a number here
     with pytest.raises(error):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.control_op import _SobolevTables
+from wavekernel.control_op import _dense, _SobolevTables
 from wavekernel.goursat import KernelField, _lattice_setup, _march, _picard, _residual
 from wavekernel.propagator import OperatorTables
 
@@ -64,7 +64,7 @@ def test_real_potential_runs_in_float64(name):
     tab = _SobolevTables(f, 1.0, 37)
     for table in TABLES:
         assert OperatorTables.full(getattr(tab, table)()).dtype == np.float64, table
-    assert wk.build_volterra(f, 1.0, 37).dense().dtype == np.float64
+    assert _dense(wk.build_volterra(f, 1.0, 37)).dtype == np.float64
 
 
 def test_complex_potential_stays_complex():

@@ -128,17 +128,17 @@ def ref_apply_table(table: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (g.reshape(g.shape[:-2] + flat.shape[1:]) @ flat.T).reshape(g.shape)
 
 
-def ref_invert_W(sys, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+def ref_invert_W(tab, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Solve (I + A) g = u for the reflected control samples.
 
     Exact blockwise solve marching against causality; blocks is the whole
     (N+1, N+1, n, n) k0 table.
     """
-    u = _checked_snapshot(sys, u)
+    u = _checked_snapshot(tab, u)
     g = np.zeros_like(u)
-    flat, g_flat, n = ref_flat(blocks), g.reshape(-1), sys.dim
+    flat, g_flat, n = ref_flat(blocks), g.reshape(-1), tab.field.dim
     eye = np.eye(n)
-    for k in range(sys.N, -1, -1):
+    for k in range(tab.grid.size - 1, -1, -1):
         row = flat[k * n:(k + 1) * n]
         rhs = u[k] - row[:, (k + 1) * n:] @ g_flat[(k + 1) * n:]
         diag = eye + row[:, k * n:(k + 1) * n]
@@ -231,8 +231,8 @@ def test_streamed_products_match_whole_table():
 # N = 37 and N = 100 both end inside a row block
 @pytest.mark.parametrize("N", [37, 100])
 def test_streamed_invert_matches_whole_table(field_h50, N):
-    sysv = wk.build_volterra(field_h50, 1.0, N)
+    tab = wk.build_volterra(field_h50, 1.0, N)
     f = wk.bump_control(1.0, 0.1, 0.9, np.linspace(1.0, 0.5j, field_h50.dim))
     u = wk.propagate(field_h50, f, 1.0, N).u
-    want = ref_invert_W(sysv, full_table(sysv.tables.k0()), u)
-    assert wk.invert_W(sysv, u).tobytes() == want.tobytes()
+    want = ref_invert_W(tab, full_table(tab.k0()), u)
+    assert wk.invert_W(tab, u).tobytes() == want.tobytes()
