@@ -104,9 +104,11 @@ def write_blocks(path, real_names, complex_names, blocks) -> None:
         for real, cplx in blocks:
             # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
             table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
-            # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n"
-            text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
-            fh.write(text[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
+            # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n", with one copy of the text
+            text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\r\n")
+            fh.write(memoryview(text)[2:-2])
+            fh.write(b"\r\n")
+            del real, cplx, table, text     # one block's arrays and text alive at a time
 
 
 def read_table(path, what: str, error: type[Exception], n_real: int

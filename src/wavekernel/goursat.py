@@ -42,8 +42,13 @@ them to the node layout.  V_h itself is one step over a block of rows in
 the same node layout (_V_rows), streamed like the tables: the march's
 residual applies it to the region, and the Picard sweeps to the whole
 square (M+1, M+1, n, n), which solve_goursat crops to the region after
-the last sweep.  The streams and the half-square products read q_{j-i} at
-their nodes through a strided view of qh (_toeplitz).
+the last sweep.  Every pass over a half-square's row blocks (the table
+stream, the residual, the constants and the Goursat check) computes on a
+window of columns per block, the region's columns in those rows plus one
+zero column on the left (_row_windows), so the half of the half-square that
+lies off the region is not computed on; a field writes the windows of its
+tables into zeroed half-squares.  The streams and the half-square products
+read q_{j-i} at their nodes through a strided view of qh (_toeplitz).
 
 Arithmetic: a potential whose samples qh have no nonzero imaginary part
 (every scalar potential, and real-symmetric matrices) is set up as a
@@ -163,9 +168,9 @@ class KernelField:
         never sees a half-built table; two first calls at once only repeat
         the work.
         """
-        wx, wtt = np.empty_like(self.v), np.empty_like(self.v)
-        for b, wx_rows, wtt_rows in _table_rows(self):
-            wx[b], wtt[b] = wx_rows, wtt_rows
+        wx, wtt = np.zeros_like(self.v), np.zeros_like(self.v)
+        for b, w, wx_rows, wtt_rows in _table_rows(self):
+            wx[b, w], wtt[b, w] = wx_rows, wtt_rows
         self._wx_lat, self._wtt_lat = wx, wtt
 
     def wxx_lattice(self) -> np.ndarray:
@@ -386,7 +391,8 @@ def _march(qh: np.ndarray, h: float) -> np.ndarray:
 
     then inner[i, j] = ip + h/2 g[i, j] and
     C[i, j] = C[i-1, j] + h/2 (inner[i-1, j] + inner[i, j]).  Row 0 is v0
-    with C = 0; a diagonal node has v = inner = 0 and
+    with C = 0, and its inner is one cumulation before the anti-diagonals;
+    a diagonal node has v = inner = 0 and
     C[i, i] = C[i-1, i] + h/2 inner[i-1, i], which only the vector of
     diagonal values keeps.  So the march keeps inner, C and g of the
     previous anti-diagonal, indexed by i, and C[i, i], and writes v straight
@@ -400,15 +406,17 @@ def _march(qh: np.ndarray, h: float) -> np.ndarray:
     half = 0.5 * h
     v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=qh.dtype)
     nodes = v.reshape(-1, n, n)             # node (i, d - i) sits at d + i M
+    # row 0 at once: v = v0 off node (0, 0), C = 0, and inner the cumulation of
+    # g = q_j v[0, j] from g[0, 0] = +0.0, so that no step of it is -0.0
+    v[0, 1:] = _v0_at(q_cum, 0, slice(1, M + 1))
+    inner_0 = np.zeros((M + 1, n, n), dtype=qh.dtype)
+    _mul(qh[1:], v[0, 1:], out=inner_0[1:])
+    _cumtrapz(inner_0, h, axis=0, out=inner_0)
     inner, C, g, inner_new, C_new, g_new, c_diag = np.zeros((7, M // 2 + 2, n, n),
                                                             dtype=qh.dtype)
     for d in range(1, M + 2):
-        if d <= M:                          # row 0: v = v0, C = 0
-            nodes[d] = _v0_at(q_cum, 0, d)
-            _mul(qh[d], nodes[d], out=g_new[0])
-            np.add(g[0], g_new[0], out=inner_new[0])
-            inner_new[0] *= half
-            inner_new[0] += inner[0]
+        if d <= M:
+            inner_new[0] = inner_0[d]
         a, b = max(d - M, 1), (d - 1) // 2  # rows 1 <= i < j off the diagonal
         if a <= b:
             rows, prev = slice(a, b + 1), slice(a - 1, b)
@@ -481,9 +489,31 @@ def _blocks(rows: int, size: int):
     return (slice(a, min(a + size, rows)) for a in range(0, rows, size))
 
 
+def _row_windows(M: int, rows: int, *carries: list):
+    """Blocks b of _ROWS rows among the first rows of a half-square of size M,
+    each with its column window w, as (b, w).
+
+    Rows b hold region nodes in columns b.start .. M + 1 - b.start, and the
+    window is those columns plus one on the left, clipped to the lattice.
+    That column lies below the diagonal of every row of b, so it holds
+    exact zeros, and a cumulation along eta from it starts from the +0.0 it
+    reaches over the whole row.  Every row-block pass computes on the window
+    alone.  Windows nest, so a cumulation along xi streams on: between two
+    blocks each carry list (_cumtrapz's carry) is cut from the columns of
+    one window to the next one's.
+    """
+    prev = 0
+    for b in _blocks(rows, _ROWS):
+        w = slice(max(b.start - 1, 0), min(M + 1, M + 2 - b.start))
+        for carry in carries:
+            carry[:] = [c[w.start - prev:w.stop - prev] for c in carry]
+        yield b, w
+        prev = w.start
+
+
 def _diag(a: np.ndarray, start: int = 0) -> np.ndarray:
     """a[k, start + k] for each row k: the diagonal of a half-square table, or
-    of the block of its rows that begins at row start."""
+    of a block of its rows whose first diagonal node is in column start."""
     k = np.arange(a.shape[0])
     return a[k, k + start]
 
@@ -491,11 +521,12 @@ def _diag(a: np.ndarray, start: int = 0) -> np.ndarray:
 def _V_rows(d_cum: np.ndarray, h: float, start: int, carry: list) -> np.ndarray:
     """V_h v on one block of rows, the step that every application of V_h streams.
 
-    d_cum holds the block's rows start, start + 1, ... of g = q_{j-i} v,
-    zero off the nodes that enter (the region for the march's residual, the
-    triangle i <= j for Picard's full square), cumulated by the trapezoid at
-    step h/2 along eta.  The step cumulates it along xi at step 2h, in
-    place, from the rows that carry (a list, empty for the first block)
+    d_cum holds a block of rows of g = q_{j-i} v, zero off the nodes that
+    enter (the region for the march's residual, the triangle i <= j for
+    Picard's full square), cumulated by the trapezoid at step h/2 along eta;
+    the block's first diagonal node is in its column start (whole rows, or
+    a window of _row_windows).  The step cumulates it along xi at step 2h,
+    in place, from the rows that carry (a list, empty for the first block)
     brings over from the block above, and returns V_h v = -1/4 (C - C[i, i])
     in d_cum's buffer, zero on and below the diagonal.  Node (i, j) reads
     only rows a <= i, so leading rows come out exact.  The two steps'
@@ -511,10 +542,11 @@ def _V_rows(d_cum: np.ndarray, h: float, start: int, carry: list) -> np.ndarray:
 
 
 def _square_d_cum(qh: np.ndarray, v: np.ndarray, start: int, h: float) -> np.ndarray:
-    """_V_rows's input for rows start, start + 1, ... of v, a half-square or
-    a full square: g = q_{j-i} v, zero below the diagonal whatever v holds
+    """_V_rows's input for a block of rows v of a half-square or a full
+    square, whose first diagonal node is in v's column start (whole rows, or
+    a window): g = q_{j-i} v, zero below the diagonal whatever v holds
     there, cumulated along eta at step h/2."""
-    g = _mul(_toeplitz(qh, start + len(v))[start:], v)
+    g = _mul(_toeplitz(qh, start + len(v))[start:, :v.shape[1]], v)
     for k, row in enumerate(g):
         row[:start + k] = 0.0
     return _cumtrapz(g, h / 2.0, axis=1, out=g)
@@ -522,7 +554,8 @@ def _square_d_cum(qh: np.ndarray, v: np.ndarray, start: int, h: float) -> np.nda
 
 def _residual(f: KernelField) -> float:
     """The march's certificate: the largest operator norm of v - v0 - V_h v
-    over the region, one block of _ROWS rows at a time.
+    over the region, one block of _ROWS rows at a time, on its window
+    (_row_windows).
 
     Each block forms g = q_{j-i} v and its cumulation d_cum along eta
     (_square_d_cum; v is zero off the region, so g is too), and the step
@@ -533,23 +566,28 @@ def _residual(f: KernelField) -> float:
     region = _region(M)
     q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
     worst, carry = np.zeros(()), []
-    for b in _blocks(region.shape[0], _ROWS):
-        r = _V_rows(_square_d_cum(f.qh, f.v[b], b.start, h), h, b.start, carry)
-        np.subtract(f.v[b], r, out=r)
-        r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(M + 1))
-        worst = np.maximum(worst, np.max(_opnorms(r)[region[b]], initial=0.0))
+    for b, w in _row_windows(M, region.shape[0], carry):
+        start = b.start - w.start
+        r = _V_rows(_square_d_cum(f.qh, f.v[b, w], start, h), h, start, carry)
+        np.subtract(f.v[b, w], r, out=r)
+        r -= _v0_at(q_cum, np.arange(b.start, b.stop)[:, None], np.arange(w.start, w.stop))
+        worst = np.maximum(worst, np.max(_opnorms(r), where=region[b, w], initial=0.0))
     return float(worst)
 
 
 def _table_rows(f: KernelField):
-    """wx and wtt, yielded as (rows, wx[rows], wtt[rows]) per block of _ROWS rows.
+    """wx and wtt, yielded as (rows, columns, wx, wtt) per block of _ROWS rows.
 
-    One integrand g[i, j] = q_{j-i} v[i, j], zero off the region, is
-    cumulated (step h/2) along eta from j = 0 into d_cum and along xi from 0
-    into e_cum.  A block forms g for its rows, d_cum within them, and e_cum
-    from the input and output rows carried over from the block above
-    (_cumtrapz's carry), so neither table exists beyond one block.  From
-    them the block takes
+    Each block computes on its window of columns (_row_windows): the
+    yielded wx and wtt are fresh (rows, window) arrays, zero at the
+    window's nodes off the region; every node outside the windows is off
+    the region.  One integrand g[i, j] = q_{j-i} v[i, j], zero off the region, is cumulated
+    (step h/2) along eta from the window's first column, where the whole
+    row's cumulation is still +0.0, into d_cum, and along xi from 0 into
+    e_cum.  A block forms g for its rows, d_cum within them, and e_cum from
+    the input and output rows carried over from the block above
+    (_cumtrapz's carry, cut to the block's window), so neither table exists
+    beyond one block.  From them the block takes
 
     - wx = 1/2 (d_cum - e_cum - e_cum[i, i]), d/dx of the smooth part;
     - outer = d_cum - e_cum[i, i] + e_cum, the outer integrand of wtt
@@ -567,11 +605,10 @@ def _table_rows(f: KernelField):
     the outer integrand and cc6) continue from the rows carried over from
     the block above.  cc1, whose integrand q_0 q_i does not vanish on the
     diagonal, has rows that start there: cc1[i, m] belongs to node
-    (i, i+m), and a shift within each row moves it to column i+m, the
-    layout of every other table.  Every node gets the same operations in
-    the same order as when each term had a half-square of its own, so the
-    bits do not depend on the blocks.  The yielded rows are fresh arrays,
-    zero off the region.
+    (i, i+m), and a shift within each row of the window moves it to the
+    node's column, the layout of every other table.  Every node gets the
+    same operations in the same order as when each term had a half-square
+    of its own, so the bits depend neither on the blocks nor on the windows.
     """
     M, h = f.M, f.step
     dx, qh = h / 2.0, f.qh
@@ -579,18 +616,18 @@ def _table_rows(f: KernelField):
     q = _toeplitz(qh, region.shape[0])
     q_cum = _cumtrapz(qh, dx, axis=0)
     q_cum_jm = _toeplitz(q_cum, region.shape[0])
-    m = np.arange(M + 1)
     qv_edge = _mul(qh, f.v[0])
     e_carry, xi_carry, cc6_carry = [], [], []
-    for b in _blocks(region.shape[0], _ROWS):
-        off, i = ~region[b], np.arange(b.start, b.stop)[:, None]
+    for b, w in _row_windows(M, region.shape[0], e_carry, xi_carry, cc6_carry):
+        off, i = ~region[b, w], np.arange(b.start, b.stop)[:, None]
+        start, m = b.start - w.start, np.arange(w.stop - w.start)
 
         # the line integrals: wx and the outer integrand
-        g = _mul(q[b], f.v[b])
+        g = _mul(q[b, w], f.v[b, w])
         g[off] = 0.0
         outer = _cumtrapz(g, dx, axis=1)
         e_cum = _cumtrapz(g, dx, axis=0, out=g, carry=e_carry)
-        e_diag = _diag(e_cum, b.start)[:, None]
+        e_diag = _diag(e_cum, start)[:, None]
         wx = outer - e_cum
         wx -= e_diag
         wx *= 0.5
@@ -601,43 +638,43 @@ def _table_rows(f: KernelField):
 
         # double integrals: the outer integrand q_{j-i} outer, zero off the
         # region, integrated along eta_j from the diagonal and along xi_i from 0
-        g = _mul(q[b], outer)
+        g = _mul(q[b, w], outer)
         g[off] = 0.0
         w_hat = _cumtrapz(g, dx, axis=1)
         cum_xi = _cumtrapz(g, dx, axis=0, out=g, carry=xi_carry)
-        w_hat -= _diag(cum_xi, b.start)[:, None]
+        w_hat -= _diag(cum_xi, start)[:, None]
         w_hat += cum_xi
         w_hat *= 0.25
         del g, cum_xi
 
         # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from
         # the diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
-        fwd = _mul(qh, qh[np.minimum(i + m, M)])
+        fwd = _mul(qh[:m.size], qh[np.minimum(i + m, M)])
         fwd[2 * i + m > M + 1] = 0.0              # node (i, i+m) off the region
         eighth = _cumtrapz(fwd, dx, axis=1, out=fwd)
         for k, row in enumerate(eighth):         # eighth[i, j] = cc1[i, max(j - i, 0)]
-            r = b.start + k
-            row[r:] = row[:M + 1 - r]
+            r = start + k                         # the window's column of node (i, i)
+            row[r:] = row[:m.size - r]
             row[:r] = row[r]
-        eighth -= _mul(q_cum_jm[b], qh[b, None])
-        cc6 = _mul(q[b], qh[b, None])
+        eighth -= _mul(q_cum_jm[b, w], qh[b, None])
+        cc6 = _mul(q[b, w], qh[b, None])
         cc6[off] = 0.0
         _cumtrapz(cc6, dx, axis=0, out=cc6, carry=cc6_carry)
-        eighth += _diag(cc6, b.start)[:, None]
+        eighth += _diag(cc6, start)[:, None]
         eighth -= _mul(q_cum[b], qh[b])[:, None]
-        eighth += _mul(q_cum[None, :] - q_cum_jm[b], qh[None, :])
+        eighth += _mul(q_cum[None, w] - q_cum_jm[b, w], qh[None, w])
         eighth -= cc6
         eighth *= 0.125
         del cc6
 
         # pointwise edge terms, then the sum into outer's buffer
         wtt = outer
-        np.subtract(qv_edge[b, None], qv_edge[None, :], out=wtt)
+        np.subtract(qv_edge[b, None], qv_edge[None, w], out=wtt)
         wtt *= 0.25
         wtt += eighth
         wtt += w_hat
         wtt[off] = 0.0
-        yield b, wx, wtt
+        yield b, w, wx, wtt
 
 
 # --- point evaluation -------------------------------------------------------
@@ -717,39 +754,37 @@ def kernel_constants(f: KernelField) -> KernelConstants:
     """Sup norms and the integrated second-derivative constant of the kernel.
 
     All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
-    nodes with i + j <= M.  The nodes are gathered one block of _ROWS rows
-    at a time, with the block's rows of wx and wtt: the tables the field
-    holds, or else the stream _table_rows, which is read and not kept.
-    Each block takes its maxima, and the w_xx norms on the even diagonals
-    j - i go into one real array, diagonal after diagonal, from which each
-    diagonal is integrated whole.
+    nodes with i + j <= M.  They are taken one block of _ROWS rows at a
+    time, on the block's window (_row_windows), with the block's windows of
+    wx and wtt: from the tables the field holds, or else from the stream
+    _table_rows, which is read and not kept.  Each block takes its maxima
+    over the window's physical nodes, and the w_xx norms on the even
+    diagonals j - i go into one real array, diagonal after diagonal, from
+    which each diagonal is integrated whole.
     """
     M, h = f.M, f.step
     wx_lat, wtt_lat = f._wx_lat, f._wtt_lat
     if wx_lat is None or wtt_lat is None:
         rows = _table_rows(f)
     else:
-        rows = ((b, wx_lat[b], wtt_lat[b]) for b in _blocks(f.v.shape[0], _ROWS))
-    m = np.arange(M + 1)
+        rows = ((b, w, wx_lat[b, w], wtt_lat[b, w]) for b, w in _row_windows(M, f.v.shape[0]))
     # w_xx norms on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal
     # after another: node (i, i + d) at first[d/2] + i
     ds = np.arange(0, M + 1, 2)
     ends = np.cumsum((M - ds) // 2 + 1)
     first = np.concatenate([[0], ends[:-1]])
-    q_cum = _cumtrapz(f.qh, h / 2.0, axis=0)
+    q, q_cum = _toeplitz(f.qh, f.v.shape[0]), _cumtrapz(f.qh, h / 2.0, axis=0)
     sups, wxx_norm = np.zeros(3), np.zeros(ends[-1])
-    for b, wx, wtt in rows:
-        r = np.arange(b.start, b.stop)[:, None]
-        k, j = np.nonzero((r <= m) & (m <= M - r))          # the block's physical nodes
-        if not k.size:                  # the last row i = M/2 + 1 holds only the halo
-            continue
-        i = k + b.start
-        v = f.v[i, j]
-        sups = np.maximum(sups, [np.max(_opnorms(v - _v0_at(q_cum, i, j))),
-                                 np.max(_opnorms(wx[k, j])), np.max(_opnorms(v))])
+    for b, w, wx, wtt in rows:
+        i, j = np.arange(b.start, b.stop)[:, None], np.arange(w.start, w.stop)
         d = j - i
-        e = d % 2 == 0
-        wxx_norm[first[d[e] // 2] + i[e]] = _opnorms(_wxx(f.qh[d[e]], v[e], wtt[k[e], j[e]]))
+        phys = (d >= 0) & (j <= M - i)                      # the block's physical nodes
+        v = f.v[b, w]
+        sups = np.maximum(sups, [np.max(_opnorms(a), where=phys, initial=0.0)
+                                 for a in (v - _v0_at(q_cum, i, j), wx, v)])
+        even = phys & (d % 2 == 0)
+        wxx = _opnorms(_wxx(q[b, w], v, wtt))
+        wxx_norm[(first[np.maximum(d, 0) // 2] + i)[even]] = wxx[even]
     b1, b2, b4 = map(float, sups)
     inner = [float(np.trapezoid(vals, dx=h)) if vals.size > 1 else 0.0
              for vals in np.split(wxx_norm, ends[:-1])]
@@ -773,7 +808,8 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     quadrature, the interior equation as a mixed second difference against
     the pointwise product q*v at the lower cell corner, on the cells whose
     corners lie in the region i + j <= M + 1 that a field stores.  The
-    cells are taken one block of _ROWS rows of lower corners at a time.
+    cells are taken one block of _ROWS rows of lower corners at a time, on
+    the block's window (_row_windows).
     """
     M, h, v = f.M, f.step, f.v
     idx = np.arange(M + 1)
@@ -781,13 +817,14 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     edge = float(np.max(_opnorms(v[0] + 0.5 * integral_Q(p, 0.0, idx * h / 2.0))))
     cells = v.shape[0] - 1                                  # rows of lower cell corners
     q, interior = _toeplitz(f.qh, cells), np.zeros(())
-    for r in _blocks(cells, _ROWS):
-        lo, hi = v[r], v[r.start + 1:r.stop + 1]
+    for r, w in _row_windows(M, cells):
+        lo, hi = v[r, w], v[r.start + 1:r.stop + 1, w]
         resid = (hi[:, 1:] - lo[:, 1:] - hi[:, :-1] + lo[:, :-1]) * (1.0 / h**2)
-        resid += 0.25 * _mul(q[r, :-1], lo[:, :-1])
-        a, b = np.arange(r.start, r.stop)[:, None], idx[:-1]   # lower corner of each cell
+        corner = slice(w.start, w.stop - 1)                  # lower corner columns of the cells
+        resid += 0.25 * _mul(q[r, corner], lo[:, :-1])
+        a, b = np.arange(r.start, r.stop)[:, None], idx[corner]
         inside = (a + 1 <= b) & (a + b <= M - 1)
-        interior = np.maximum(interior, np.max(_opnorms(resid)[inside], initial=0.0))
+        interior = np.maximum(interior, np.max(_opnorms(resid), where=inside, initial=0.0))
     count, excess = bound_violations(f)
     return GoursatReport(diag_residual=diag, edge_residual=edge,
                          interior_residual=float(interior),
@@ -801,7 +838,7 @@ def bound_violations(f: KernelField) -> tuple[int, float]:
     uses, so the edge-equality case is reproduced exactly; a node counts only
     when it exceeds the bound by more than _BOUND_SLACK * (1 + bound).  Only
     the nodes of the region i + j <= M + 1, which a field stores, are checked,
-    one block of _ROWS rows at a time.
+    one block of _ROWS rows at a time, on the block's window (_row_windows).
     """
     M, h = f.M, f.step
     region = _region(M)
@@ -809,10 +846,10 @@ def bound_violations(f: KernelField) -> tuple[int, float]:
     s_lat = 0.5 * _cumtrapz(norms_qh, h / 2.0)
     xi = np.arange(region.shape[0]) * h
     count, worst = 0, np.zeros(())
-    for b in _blocks(region.shape[0], _ROWS):
-        bound = s_lat[None, :] * np.exp(xi[b, None] * s_lat[None, :]) + f.tail_bound
-        excess = _opnorms(f.v[b]) - (bound + _BOUND_SLACK * (1.0 + bound))
-        bad = (excess > 0) & region[b]
+    for b, w in _row_windows(M, region.shape[0]):
+        bound = s_lat[None, w] * np.exp(xi[b, None] * s_lat[None, w]) + f.tail_bound
+        excess = _opnorms(f.v[b, w]) - (bound + _BOUND_SLACK * (1.0 + bound))
+        bad = (excess > 0) & region[b, w]
         count += int(np.count_nonzero(bad))
         worst = np.maximum(worst, np.max(excess[bad], initial=0.0))
     return count, float(worst)

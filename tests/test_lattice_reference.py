@@ -37,7 +37,7 @@ import pytest
 import wavekernel as wk
 from wavekernel.goursat import (
     _BOUND_SLACK, _ROWS, GoursatReport, KernelConstants, _blocks, _diag, _lattice_setup,
-    _region, _tail_bound, _toeplitz, _v0_at, _v0_lattice, _V_rows, _wxx,
+    _region, _residual, _tail_bound, _toeplitz, _v0_at, _v0_lattice, _V_rows, _wxx,
 )
 from wavekernel.propagator import OperatorTables
 
@@ -699,6 +699,23 @@ def test_nonzero_diagonal_shifts_d_cum(case):
     assert np.array_equal(planted.wtt_lattice(), two_pass.wtt_lattice())
 
 
+def test_planted_diagonal_at_a_block_start_matches_whole_rows(case):
+    # row _ROWS starts the second row block, whose window begins one column
+    # left of its diagonal.  A field with v[_ROWS, _ROWS] != 0 has g nonzero
+    # on that diagonal, so a window that began there would start d_cum at 0
+    # where the whole row has already added (h/4) q_0 v[i, i].  The stream on
+    # windows gives the whole-row reference's tables and residual bit for bit
+    _, _, f, _ = case
+    v = f.v.copy()
+    v[_ROWS, _ROWS] = np.eye(f.dim)
+    planted = dataclasses.replace(f, v=v)
+    ref = two_pass_tables(planted)
+    assert not np.array_equal(ref.wx_lat[_ROWS], two_pass_tables(f).wx_lat[_ROWS])
+    assert np.array_equal(planted.wx_lat, ref.wx_lat)
+    assert np.array_equal(planted.wtt_lattice(), ref.wtt_lattice())
+    assert _residual(planted) == ref.residual > 0.1
+
+
 def test_replaced_field_builds_its_own_tables(case):
     # dataclasses.replace copies only the init fields, so a copy with a new v
     # builds its tables from that v, before and after wtt_lattice(), whatever
@@ -723,12 +740,13 @@ def test_kernel_constants_match_reference(case):
     assert wk.kernel_constants(f) == ref_kernel_constants(f)
 
 
-@pytest.mark.parametrize("M", [40, 100])
+@pytest.mark.parametrize("M", [2, 4, 40, 100])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_pass_stream_matches_two_pass_reference(n, M):
-    # M = 40 and 100: 22 and 52 rows, so the last row block is partial.  The
-    # march's residual, wx_lat, wtt and the constants, streamed and held, are
-    # the two-pass reference's bit for bit
+    # M = 2 and 4: 3 and 4 rows, one row block whose column window is the
+    # whole row.  M = 40 and 100: 22 and 52 rows, so the last row block is
+    # partial.  The march's residual, wx_lat, wtt and the constants, streamed
+    # and held, are the two-pass reference's bit for bit
     p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
     f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
     assert f.v.shape[0] % _ROWS
@@ -759,6 +777,16 @@ def test_row_block_check_matches_whole_half_square_reference(n, M):
         assert wk.check_goursat(p, g) == wk.check_goursat(p, twin) == whole_check_goursat(p, twin)
     assert wk.check_goursat(p, big).bound_violations > 0
     assert wk.check_goursat(p, planted).interior_residual > 1.0
+
+
+@pytest.mark.parametrize("M", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_whole_row_window_check_matches_whole_half_square_reference(n, M):
+    # one row block of cells, whose column window is the whole row
+    p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
+    f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
+    twin = dataclasses.replace(f, v=f.v.astype(complex), qh=f.qh.astype(complex))
+    assert wk.check_goursat(p, f) == whole_check_goursat(p, twin)
 
 
 def test_loaded_field_equals_solved_field(case, tmp_path):

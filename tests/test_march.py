@@ -200,6 +200,24 @@ def test_residual_reads_the_halo_anti_diagonal(pot_herm2):
     assert streamed_residual(qh, v, 1 / 50) >= 0.99e-6
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_marched_zeros_are_positive(n):
+    # v is zero at node (0, 0), on the diagonal and off the region, v's tables
+    # off the region; every zero entry is +0.0 in its real and imaginary
+    # parts, since the dump writes a -0.0 as "-0.0".  n = 1 runs in float64,
+    # n = 2 in complex128
+    p = seeded_potential(5, n)
+    f = wk.solve_goursat(p, 1.0, 1 / 50, 1e-10, method="march")
+    assert f.v.dtype == (float if n == 1 else complex)
+    off = ~_region(f.M)
+    diag = np.arange(f.v.shape[0])
+    assert not f.v[off].any() and not f.v[diag, diag].any()
+    for a in (f.v, f.wx_lat, f.wtt_lattice()):
+        assert not a[off].any()
+        for part in (a.real, a.imag):
+            assert not np.signbit(part[part == 0]).any()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_streamed_residual_equals_plane_major_residual(n):
     # M = 400: the 202 rows of the half-square end inside a row block.  The
