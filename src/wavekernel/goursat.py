@@ -497,14 +497,17 @@ def _row_windows(M: int, rows: int, *carries: list):
     window is those columns plus one on the left, clipped to the lattice.
     That column lies below the diagonal of every row of b, so it holds
     exact zeros, and a cumulation along eta from it starts from the +0.0 it
-    reaches over the whole row.  Every row-block pass computes on the window
-    alone.  Windows nest, so a cumulation along xi streams on: between two
-    blocks each carry list (_cumtrapz's carry) is cut from the columns of
-    one window to the next one's.
+    reaches over the whole row.  The window also reaches the diagonal node
+    of each row of b, which every pass reads: a last block that holds only
+    the halo row M/2 + 1, which has no region nodes, gets columns M/2 and
+    M/2 + 1.  Every row-block pass computes on the window alone.  Windows
+    nest, so a cumulation along xi streams on: between two blocks each
+    carry list (_cumtrapz's carry) is cut from the columns of one window to
+    the next one's.
     """
     prev = 0
     for b in _blocks(rows, _ROWS):
-        w = slice(max(b.start - 1, 0), min(M + 1, M + 2 - b.start))
+        w = slice(max(b.start - 1, 0), min(M + 1, max(M + 2 - b.start, b.stop)))
         for carry in carries:
             carry[:] = [c[w.start - prev:w.stop - prev] for c in carry]
         yield b, w

@@ -740,13 +740,13 @@ def test_kernel_constants_match_reference(case):
     assert wk.kernel_constants(f) == ref_kernel_constants(f)
 
 
-@pytest.mark.parametrize("M", [2, 4, 40, 100])
+@pytest.mark.parametrize("M", [14, 30, 40, 100])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_pass_stream_matches_two_pass_reference(n, M):
-    # M = 2 and 4: 3 and 4 rows, one row block whose column window is the
-    # whole row.  M = 40 and 100: 22 and 52 rows, so the last row block is
-    # partial.  The march's residual, wx_lat, wtt and the constants, streamed
-    # and held, are the two-pass reference's bit for bit
+    # M = 14 and 30: 9 and 17 rows, so the last row block holds only the halo
+    # row M/2 + 1, which has no region nodes.  M = 40 and 100: 22 and 52 rows,
+    # so the last row block is partial.  The march's residual, wx_lat, wtt and
+    # the constants, streamed and held, are the two-pass reference's bit for bit
     p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
     f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
     assert f.v.shape[0] % _ROWS
@@ -759,14 +759,16 @@ def test_one_pass_stream_matches_two_pass_reference(n, M):
     assert streamed == wk.kernel_constants(f) == two_pass_kernel_constants(ref)
 
 
-@pytest.mark.parametrize("M", [40, 100])
+@pytest.mark.parametrize("M", [14, 30, 40, 100])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_block_check_matches_whole_half_square_reference(n, M):
-    # 21 and 51 rows of cells and 22 and 52 rows of nodes: the last row block
-    # of each loop is partial.  A field scaled past its a priori bound has
-    # violations to count, and a node planted in the last row block puts the
-    # worst interior residual there.  The reference runs in complex128, as it
-    # always did; a real field (n = 1) must report the bits of its complex twin
+    # M = 14 and 30: the last row block of nodes holds only the halo row
+    # M/2 + 1.  M = 40 and 100: 21 and 51 rows of cells and 22 and 52 rows of
+    # nodes, so the last row block of each loop is partial.  A field scaled
+    # past its a priori bound has violations to count, and a node planted in
+    # the last row block puts the worst interior residual there.  The
+    # reference runs in complex128, as it always did; a real field (n = 1)
+    # must report the bits of its complex twin
     p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
     f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
     big = dataclasses.replace(f, v=4.0 * f.v)
@@ -777,16 +779,6 @@ def test_row_block_check_matches_whole_half_square_reference(n, M):
         assert wk.check_goursat(p, g) == wk.check_goursat(p, twin) == whole_check_goursat(p, twin)
     assert wk.check_goursat(p, big).bound_violations > 0
     assert wk.check_goursat(p, planted).interior_residual > 1.0
-
-
-@pytest.mark.parametrize("M", [2, 4])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_whole_row_window_check_matches_whole_half_square_reference(n, M):
-    # one row block of cells, whose column window is the whole row
-    p = POTENTIALS[{1: "one", 2: "herm2", 3: "herm3"}[n]]()
-    f = wk.solve_goursat(p, 1.0, 2.0 / M, 1e-10, method="march")
-    twin = dataclasses.replace(f, v=f.v.astype(complex), qh=f.qh.astype(complex))
-    assert wk.check_goursat(p, f) == whole_check_goursat(p, twin)
 
 
 def test_loaded_field_equals_solved_field(case, tmp_path):

@@ -234,6 +234,23 @@ def test_streamed_residual_equals_plane_major_residual(n):
     assert residual == plane_major_residual(qh, v, 1 / 200) > 1e-3
 
 
+@pytest.mark.parametrize("M", [14, 30])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_streamed_residual_on_a_halo_row_block_equals_plane_major_residual(n, M):
+    # M = 14 and 30: the last row block holds only the halo row M/2 + 1, which
+    # has no region nodes.  Its window still reaches the row's diagonal, and
+    # the two residuals agree bit for bit, on the march's solution and off it
+    p = seeded_potential(4, n)
+    _, qh = _lattice_setup(p, 1.0, 2.0 / M)
+    v = _march(qh, 2.0 / M)
+    assert v.shape[0] % _ROWS == 1
+    assert streamed_residual(qh, v, 2.0 / M) == plane_major_residual(qh, v, 2.0 / M) <= 1e-14
+    rng = np.random.default_rng(n)
+    v += 1e-3 * rng.standard_normal(v.shape) * _region(M)[..., None, None]
+    residual = streamed_residual(qh, v, 2.0 / M)
+    assert residual == plane_major_residual(qh, v, 2.0 / M) > 1e-3
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_apply_V_equals_plane_major_reference(n):
     # M = 40: the 41 rows of the square end inside a row block
