@@ -1,9 +1,10 @@
 """Batch front-end: reproducible runs driven by flat key-value config files.
 
-Subcommands: kernel, propagate, apply, invert, bounds, validate, oracle.
-Exit codes: 0 ok, 1 input error (a lattice or grid too fine for memory
-included), 2 kernel residual above tol, 3 validation failure.  The kernel
-is solved by the anti-diagonal march (solve_goursat's method="march").
+Subcommands: kernel, propagate, invert, bounds, validate, oracle.
+Exit codes: 0 ok, 1 input error (a usage error, and a lattice or grid too
+fine for memory, included), 2 kernel residual above tol, 3 validation
+failure.  The kernel is solved by the anti-diagonal march (solve_goursat's
+method="march").
 A config key outside _CONFIG_KEYS is an input error.  Every command that
 returns writes a manifest echoing the resolved configuration, and identical
 configurations with identical seeds produce byte-identical output files.
@@ -39,12 +40,14 @@ from .propagator import (Control, _l2, bump_control, control_from_samples,
 # Every key a command reads.  One set serves all commands, so one config file
 # can drive each of them; any other key is an input error.
 _CONFIG_KEYS = frozenset({"potential", "T", "h", "tol", "N", "control", "kernel_dump",
-                          "snapshot", "trials", "dq_t", "out", "seed"})
+                          "snapshot", "trials", "out", "seed"})
 
 # validate's fixed thresholds; its interior threshold is max(10 h, 0.05)
 _EDGE_TOL = 1e-4
 _ORACLE_REL_TOL = 1e-2
 _DQ_SLOPE_MIN = 0.9
+# the difference-quotient test measures u at _DQ_T * T, with steps T/16 ... T/256
+_DQ_T = 0.75
 
 # grid intervals of the condition number: its dense SVD holds ((N+1)n)^2 entries,
 # and condition_estimate refuses N above control_op._DENSE_SVD_CAP = 1024
@@ -175,12 +178,6 @@ def cmd_propagate(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_apply(cfg: dict, out: Path, seed: int) -> int:
-    _, _, snap = _wave(cfg)
-    _write_series_csv(out / "wave.csv", "t", snap.grid, u=snap.u)
-    return 0
-
-
 def cmd_invert(cfg: dict, out: Path, seed: int) -> int:
     p = _load_potential(cfg)
     field = _field_for(cfg, p)
@@ -239,10 +236,6 @@ def cmd_bounds(cfg: dict, out: Path, seed: int) -> int:
 def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
     p = _load_potential(cfg)
     T = _cfg_float(cfg, "T")
-    dq_t = _cfg_float(cfg, "dq_t", 0.75 * T)
-    if not dq_t <= 15 * T / 16:
-        raise ConfigError(f"dq_t = {dq_t} leaves no room for the largest difference-quotient "
-                          f"step T/16 before T; the largest allowed value is {15 * T / 16!r}")
     field = _solve_field(cfg, p)
     N = _cfg_int(cfg, "N", 200)
     f = _load_control(cfg, T, p.dim)
@@ -253,7 +246,8 @@ def cmd_validate(cfg: dict, out: Path, seed: int) -> int:
     _, _, rel = compare(snap, fd)
     rep = measure_h2_bound(field, p, T, trials=_cfg_int(cfg, "trials", 25),
                            N=min(N, 256), seed=seed)
-    dq_slope = difference_quotient_test(field, f, dq_t, [T * 2.0**-k for k in range(4, 9)]).slope
+    steps = [T * 2.0**-k for k in range(4, 9)]
+    dq_slope = difference_quotient_test(field, f, _DQ_T * T, steps).slope
     if math.isinf(dq_slope):        # a zero wave: no slope to fit, nothing to fail
         dq_slope = None
     s_min, s_max, cond = condition_estimate(build_volterra(field, T, min(N, _COND_N)))
@@ -321,7 +315,6 @@ def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
 _COMMANDS = {
     "kernel": cmd_kernel,
     "propagate": cmd_propagate,
-    "apply": cmd_apply,
     "invert": cmd_invert,
     "bounds": cmd_bounds,
     "validate": cmd_validate,
@@ -339,7 +332,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:       # --help exits 0; a usage error is an input error
+        return 1 if exc.code else 0
 
     try:
         cfg = _parse_config(args.config)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, DomainError, SingularSystemError, check_count
-from .goursat import KernelField, kernel_constants
+from .goursat import KernelField, _check_dim, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
 from .propagator import OperatorTables, _l2, _random_smooth_samples
 
@@ -252,10 +252,12 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     sampled as one stack by _random_smooth_samples, to the bytes of one
     Control per trial but without making any, and applied as one stack;
     each ratio is the worst over the trials with a nonzero denominator.  Returns the report whether or
-    not the ratios stay within their bounds.
+    not the ratios stay within their bounds.  The potential's dimension must
+    be the field's (DomainError).
     """
     check_count(trials, "trials", 1, DomainError)
     check_count(seed, "seed", 0, DomainError)
+    _check_dim(p, field)
     tab = _SobolevTables(field, T, N)
     grid = tab.grid
     a1, a2 = norm_constants(p, T)

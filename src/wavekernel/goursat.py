@@ -620,6 +620,9 @@ def _table_rows(f: KernelField):
     q_cum = _cumtrapz(qh, dx, axis=0)
     q_cum_jm = _toeplitz(q_cum, region.shape[0])
     qv_edge = _mul(qh, f.v[0])
+    # qh padded with copies of qh[M], as _toeplitz pads with a[0]: entry i + m
+    # of qh_end is qh[min(i + m, M)]
+    qh_end = np.concatenate([qh, np.broadcast_to(qh[-1:], (region.shape[0],) + qh.shape[1:])])
     e_carry, xi_carry, cc6_carry = [], [], []
     for b, w in _row_windows(M, region.shape[0], e_carry, xi_carry, cc6_carry):
         off, i = ~region[b, w], np.arange(b.start, b.stop)[:, None]
@@ -652,7 +655,7 @@ def _table_rows(f: KernelField):
 
         # single q*q integrals; cc1[i, m] integrates q(s) q(xi_i/2 + s) from
         # the diagonal, cc6[i, j] integrates q_{j-b} q_b over b = 0..i
-        fwd = _mul(qh[:m.size], qh[np.minimum(i + m, M)])
+        fwd = _mul(qh[:m.size], np.moveaxis(sliding_window_view(qh_end, m.size, axis=0)[b], -1, 1))
         fwd[2 * i + m > M + 1] = 0.0              # node (i, i+m) off the region
         eighth = _cumtrapz(fwd, dx, axis=1, out=fwd)
         for k, row in enumerate(eighth):         # eighth[i, j] = cc1[i, max(j - i, 0)]
@@ -690,9 +693,15 @@ def kernel_w(f: KernelField, x, t) -> np.ndarray:
 
 def split_w(p: PotentialGrid, f: KernelField, x: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Split the kernel into its explicit potential integral and the smooth rest."""
+    _check_dim(p, f)
     _check_xt(f, x, t)
     w0 = -0.5 * integral_Q(p, (t - x) / 2.0, (t + x) / 2.0)
     return w0, kernel_w(f, x, t) - w0
+
+
+def _check_dim(p: PotentialGrid, f: KernelField) -> None:
+    if p.dim != f.dim:
+        raise DomainError(f"potential dimension {p.dim} != kernel dimension {f.dim}")
 
 
 def _check_xt(f: KernelField, x, t) -> None:
@@ -711,6 +720,7 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
     quadrature of the interpolated field.  The point must satisfy
     xi + eta <= 2T (t <= T), where v is stored.
     """
+    _check_dim(p, f)
     if not (-_TOL <= xi <= eta + _TOL and xi + eta <= 2 * f.T * (1 + _TOL) + _TOL):
         raise DomainError("characteristic point outside 0 <= xi <= eta, xi + eta <= 2T")
     h = f.step
@@ -814,6 +824,7 @@ def check_goursat(p: PotentialGrid, f: KernelField) -> GoursatReport:
     cells are taken one block of _ROWS rows of lower corners at a time, on
     the block's window (_row_windows).
     """
+    _check_dim(p, f)
     M, h, v = f.M, f.step, f.v
     idx = np.arange(M + 1)
     diag = float(np.max(_opnorms(_diag(v))))

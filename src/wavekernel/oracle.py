@@ -157,10 +157,13 @@ def bessel_substitution_residual(c: float, points) -> float:
 def compare(a: WaveSnapshot, b: WaveSnapshot) -> tuple[float, float, float]:
     """L2, max, and relative L2 distance between snapshots.
 
-    Grids are resampled to the coarser one by linear interpolation.
+    Grids are resampled to the coarser one by linear interpolation.  The
+    snapshots must share their horizon and dimension (DomainError).
     """
     if abs(a.T - b.T) > 1e-12 * max(1.0, a.T):
         raise DomainError(f"horizon mismatch: {a.T} vs {b.T}")
+    if a.dim != b.dim:
+        raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if len(a.grid) < len(b.grid):
         coarse, fine = a, b
     else:

@@ -39,7 +39,7 @@ def _planted(rng, rows, dim):
 
 @pytest.mark.parametrize("axis, names, dim", [
     ("x", ("u", "ux", "uxx"), 2),      # snapshot.csv, fd_snapshot.csv
-    ("t", ("u",), 1),                  # wave.csv
+    ("t", ("u",), 1),                  # one series of one component
     ("t", ("f",), 3),                  # control_recovered.csv
 ], ids=["snapshot", "wave", "recovered"])
 def test_series_writer_matches_csv_writer(tmp_path, axis, names, dim):

@@ -490,3 +490,22 @@ def test_solve_rejects_non_finite_parameters(pot_one, T, h, tol):
 def test_point_evaluators_reject_non_finite(field_one, evaluator, x, t):
     with pytest.raises(DomainError):
         evaluator(field_one, x, t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, f, snaps: wk.check_goursat(p, f),
+    lambda p, f, snaps: wk.split_w(p, f, 0.2, 0.5),
+    lambda p, f, snaps: wk.derivatives_v(p, f, 0.2, 0.5),
+    lambda p, f, snaps: wk.measure_h2_bound(f, p, 1.0, trials=2, N=32),
+    lambda p, f, snaps: wk.certify_h2_bound(f, p, 1.0, trials=2, N=32),
+    lambda p, f, snaps: wk.compare(*snaps),
+    lambda p, f, snaps: wk.compare(*snaps[::-1]),
+], ids=["check_goursat", "split_w", "derivatives_v", "measure_h2_bound", "certify_h2_bound",
+        "compare_1_2", "compare_2_1"])
+def test_dimension_mismatch_rejected(pot_herm2, field_one, field_herm2, bump1, call):
+    # a 2x2 potential against a scalar field, and snapshots of 1 and 2 components
+    # on equal grids: each used to return numbers or end in an IndexError
+    snaps = (wk.propagate(field_one, bump1, 1.0, 32),
+             wk.propagate(field_herm2, wk.bump_control(1.0, 0.1, 0.9, [1.0, 1.0]), 1.0, 32))
+    with pytest.raises(DomainError, match=r"dimension.* (1 .*2|2 .*1)$"):   # both named
+        call(pot_herm2, field_one, snaps)

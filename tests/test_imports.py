@@ -121,3 +121,18 @@ def test_public_names_are_listed_in_the_readme():
     listed = set(re.findall(r"`([A-Za-z_]\w*)`", section))
     exported = set(wk.__all__) - {"__version__"}
     assert listed == exported, sorted(listed ^ exported)
+
+
+def test_cli_reference_in_the_readme():
+    # the `wavekernel <command>` lines of README's command block are cli._COMMANDS,
+    # and the first column of its "Config keys" table is cli._CONFIG_KEYS
+    from wavekernel import cli
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    assert re.findall(r"^wavekernel (\w+) ", block, re.M) == list(cli._COMMANDS)
+    keys = section.split("\n### Config keys\n", 1)[1]
+    table = re.search(r"(^\|.*\n)+", keys, re.M).group()
+    listed = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert sorted(listed) == sorted(cli._CONFIG_KEYS), sorted(set(listed) ^ cli._CONFIG_KEYS)
+    assert f"The run config has {len(cli._CONFIG_KEYS)} keys." in keys
