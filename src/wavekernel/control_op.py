@@ -6,7 +6,9 @@ structure gives an exact discrete inverse by blockwise substitution, its
 Neumann series, dense singular-value diagnostics, and an empirical
 certification of the Sobolev-norm boundedness estimates.  The integral
 part is the k0 table of OperatorTables, which build_volterra returns and
-invert_W, neumann_partial_sums and condition_estimate read.
+invert_W, neumann_partial_sums and condition_estimate read.  The Sobolev
+trials stream all four of its tables, k0, k1, k2a and k2b, and add only
+the pointwise terms of (A f)' and (A f)''.
 """
 
 from __future__ import annotations
@@ -157,48 +159,22 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     return float(_h2(grid, g, g1, g2))
 
 
-class _SobolevTables(OperatorTables):
-    """The shared k0/k1 plus the second-derivative terms of (A f)''.
-
-    k2a and k2b are causal tables streamed by the same _causal, sampled
-    afresh on each call.
-    """
-
-    def __init__(self, field: KernelField, T: float, N: int):
-        super().__init__(field, T, N)
-        s = self.grid
-        self.q_x = field.q_at(s)
-        # half-integral of q along the grid
-        self.q_half_cum = 0.5 * _cumtrapz(self.q_x, self.delta)
-        self.wx_diag = self.trace(field.wx_lat)
-        self.q_mix_T = 0.25 * (field.q_at((T - s) / 2.0) - field.q_at((T + s) / 2.0))
-
-    def k2a(self):
-        return self.weighted(self.field.wxx_lattice())
-
-    def k2b(self):
-        """(q(eta/2) - q(xi/2))/4, weighted; acts on f'."""
-        q = self.q_half
-
-        def values(p, r):
-            out = np.take(q, r, axis=0)
-            out -= np.take(q, p, axis=0)
-            out *= 0.25
-            return out
-
-        return self._causal(values)
-
-
-def _apply_A_with_derivatives(tab: _SobolevTables, f0, f1):
+def _apply_A_with_derivatives(tab: OperatorTables, f0, f1):
     """A f and the explicit (A f)', (A f)'' for samples (..., N+1, n); leading axes batch.
 
-    Each of k0, k1, k2a and k2b is streamed through one product.
+    Each of k0, k1, k2a and k2b is streamed through one product.  The
+    pointwise terms are q - w_x on the diagonal, the half-integral of q
+    along the grid, and the q(T -+ s) mix that multiplies f at T.
     """
+    field, s = tab.field, tab.grid
+    q_x = field.q_at(s)
+    q_half_cum = 0.5 * _cumtrapz(q_x, tab.delta)
+    q_mix_T = 0.25 * (field.q_at((tab.T - s) / 2.0) - field.q_at((tab.T + s) / 2.0))
     Af = tab.apply(tab.k0(), f0)
-    Af1 = np.einsum("kab,...kb->...ka", tab.q_half_cum, f0) + tab.apply(tab.k1(), f0)
-    Af2 = np.einsum("kab,...kb->...ka", tab.q_x - tab.wx_diag, f0) \
-        + np.einsum("kab,...kb->...ka", tab.q_half_cum, f1) \
-        + np.einsum("kab,...b->...ka", tab.q_mix_T, f0[..., -1, :]) \
+    Af1 = np.einsum("kab,...kb->...ka", q_half_cum, f0) + tab.apply(tab.k1(), f0)
+    Af2 = np.einsum("kab,...kb->...ka", q_x - tab.trace(field.wx_lat), f0) \
+        + np.einsum("kab,...kb->...ka", q_half_cum, f1) \
+        + np.einsum("kab,...b->...ka", q_mix_T, f0[..., -1, :]) \
         + tab.apply(tab.k2a(), f0) \
         + tab.apply(tab.k2b(), f1)
     return Af, Af1, Af2
@@ -245,8 +221,8 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     behind the three chained estimates (L2 -> sup, sup -> C1, C1 -> H2) and
     the full Sobolev ratio, next to their analytic bounds assembled from
     the norm constants of the potential and the kernel.  A f and its two
-    derivatives stream k0 and k1 of the one table layer, OperatorTables;
-    only the second-derivative terms of (A f)'' are added here.  The
+    derivatives stream k0, k1, k2a and k2b of the one table layer,
+    OperatorTables; only the pointwise terms are added here.  The
     trials, an integer >= 1, are the successive random_smooth_control draws
     of numpy.random.default_rng(seed), seed an integer >= 0.  They are
     sampled as one stack by _random_smooth_samples, to the bytes of one
@@ -258,7 +234,8 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     check_count(trials, "trials", 1, DomainError)
     check_count(seed, "seed", 0, DomainError)
     _check_dim(p, field)
-    tab = _SobolevTables(field, T, N)
+    tab = OperatorTables(field, T, N)
+    field.wtt_lattice()     # wx_lat and wtt before the trials: built after, they raise the peak
     grid = tab.grid
     a1, a2 = norm_constants(p, T)
     kc = kernel_constants(field)

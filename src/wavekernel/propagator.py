@@ -8,10 +8,11 @@ the kernel against the control history.  Second space derivatives come
 from the interior equation rather than from differentiating the kernel
 twice, which is the only route the kernel's regularity supports.
 
-OperatorTables is the one layer that samples the kernel onto a grid; propagate
-and difference_quotient_test read its k0.  It streams each table by blocks of
-rows, each multiplied into its rows of the product as it is made, so a product
-never holds the whole table.  A block is sampled as one array: its rows by the
+OperatorTables is the one layer that samples the kernel onto a grid: k0 and
+k1, which propagate and difference_quotient_test read, and k2a and k2b, which
+the Sobolev trials of control_op add for (A f)''.  It streams each table by
+blocks of rows, each multiplied into its rows of the product as it is made, so
+a product never holds the whole table.  A block is sampled as one array: its rows by the
 columns from its first row on, the causal pairs s >= x of the block upper
 triangle of the operator plus a small triangle below the diagonal, which it
 sets to zero.  By time invariance a wave at any time t' <= H is a wave at the
@@ -343,10 +344,13 @@ class OperatorTables:
     diagonal.  k0 is the weighted kernel, the operator of the
     representation formula and of the control-to-state map; k1 is the
     weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel
-    inside the integral.  Each call of k0() or k1() samples its table
-    afresh, as a stream of (rows, block) pairs from _causal: block is a
-    zeroed (rows, n, N+1, n) array, the table's rows in the order of its
-    matrix product.  apply multiplies a stream into a stack of samples one
+    inside the integral.  k2a (the weighted w_xx) and k2b (the weighted
+    (q(eta/2) - q(xi/2))/4) are the two tables of (A f)'' that the Sobolev
+    trials add; k1 and k2b share one recipe for their q terms, _q_pair.
+    T is the horizon the tables were given, and delta = T/N their step.
+    Each call of k0() to k2b() samples its table afresh, as a stream of
+    (rows, block) pairs from _causal: block is a zeroed (rows, n, N+1, n)
+    array, the table's rows in the order of its matrix product.  apply multiplies a stream into a stack of samples one
     block at a time; full gathers a whole (N+1, n, N+1, n) table, for an
     operator applied more than once.  A block has the dtype of its values:
     float64 for a real field (a real potential), complex128 otherwise.  A
@@ -359,8 +363,8 @@ class OperatorTables:
     the same lattice cell touches the diagonal, where the cell is a
     triangle, not bilinear; such pairs occur only in rows with x_k below
     about h/2 (and, clipped, below the diagonal in rows with x_k < h), and
-    _interp_triangle evaluates just those.  q_half holds q at the 2N+1
-    points r delta / 2, gathered per pair.
+    _interp_triangle evaluates just those, in just the blocks that hold
+    one.  q_half holds q at the 2N+1 points r delta / 2, gathered per pair.
     """
 
     def __init__(self, field: KernelField, T: float, N: int):
@@ -369,6 +373,7 @@ class OperatorTables:
             raise DomainError(f"horizon T = {T} must lie in (0, {field.T}], "
                               f"the kernel horizon")
         self.field = field
+        self.T = T
         self.delta = T / N
         self.grid = np.arange(N + 1) * self.delta
 
@@ -453,7 +458,9 @@ class OperatorTables:
             out += work
             # triangle cells: xi and eta in one cell, so eta - xi = 2 x_k < h
             tri = cell[p] >= cell[r]
-            out[tri] = _interp_triangle(lattice, p[tri] * self.delta, r[tri] * self.delta, h, M)
+            if tri.any():
+                out[tri] = _interp_triangle(lattice, p[tri] * self.delta, r[tri] * self.delta,
+                                            h, M)
             return out
 
         return values
@@ -473,21 +480,32 @@ class OperatorTables:
         """The potential at r delta / 2, r = 0..2N: q(eta/2) at r, q(xi/2) at p."""
         return self.field.q_at(np.arange(2 * self.grid.size - 1) * self.delta / 2.0)
 
+    def _q_pair(self, p: np.ndarray, r: np.ndarray, op) -> np.ndarray:
+        """(q(eta/2) op q(xi/2))/4 at the pairs (p, r), op np.add or np.subtract."""
+        out = np.take(self.q_half, r, axis=0)
+        op(out, np.take(self.q_half, p, axis=0), out=out)
+        out *= 0.25
+        return out
+
     def k0(self):
         return self.weighted(self.field.v)
 
     def k1(self):
-        sample, q = self._sampler(self.field.wx_lat), self.q_half
+        sample = self._sampler(self.field.wx_lat)
 
         def values(p, r):
             out = sample(p, r)
-            q_sum = np.take(q, r, axis=0)
-            q_sum += np.take(q, p, axis=0)
-            q_sum *= 0.25
-            out -= q_sum
+            out -= self._q_pair(p, r, np.add)
             return out
 
         return self._causal(values)
+
+    def k2a(self):
+        return self.weighted(self.field.wxx_lattice())
+
+    def k2b(self):
+        """(q(eta/2) - q(xi/2))/4, weighted; acts on f'."""
+        return self._causal(lambda p, r: self._q_pair(p, r, np.subtract))
 
 
 def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel import control_op
-from wavekernel.control_op import _apply_A_with_derivatives, _dense, _SobolevTables, _sup
+from wavekernel.control_op import _apply_A_with_derivatives, _dense, _sup
 from wavekernel.errors import CertificationError, DomainError, SingularSystemError
+from wavekernel.goursat import KernelField
 from wavekernel.propagator import OperatorTables, _l2
 
 from conftest import full_table
@@ -256,7 +257,7 @@ def test_apply_A_derivative_formulas(pot_quad):
     # the explicit (A f)' and (A f)'' formulas agree with differencing A f
     field = wk.solve_goursat(pot_quad, 1.0, 1 / 200, 1e-11)
     N = 800
-    tab = _SobolevTables(field, 1.0, N)
+    tab = OperatorTables(field, 1.0, N)
     f = wk.bump_control(1.0, 0.1, 0.85, 1.3)
     f0, f1, _ = f.sample(tab.grid)
     Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
@@ -291,7 +292,7 @@ def test_measure_matches_per_trial_loop(request, name):
     field = request.getfixturevalue(f"field_{name}")
     p = request.getfixturevalue(f"pot_{name}")
     T, N, trials, seed = 1.0, 128, 7, 4
-    tab = _SobolevTables(field, T, N)
+    tab = OperatorTables(field, T, N)
     grid = tab.grid
     rng = np.random.default_rng(seed)
     r_i = r_ii = r_iii = r_h2 = r_inv = 0.0
@@ -334,6 +335,27 @@ def test_trials_are_sampled_without_a_control_each(monkeypatch, pot_one, field_o
     monkeypatch.setattr(wk.Control, "__post_init__", counted)
     wk.measure_h2_bound(field_one, pot_one, 1.0, trials=100, N=32, seed=0)
     assert len(made) < 5, made[:5]
+
+
+def test_tables_are_built_before_the_trials_are_drawn(monkeypatch, pot_herm2, field_herm2):
+    # drawn first, the trials sit under the field's derived tables and raise
+    # the peak memory of bounds
+    field = dataclasses.replace(field_herm2)        # a copy starts without tables
+    calls = []
+    build, draw = KernelField._build_tables, control_op._random_smooth_samples
+
+    def built(self):
+        calls.append("tables")
+        build(self)
+
+    def drawn(*args):
+        calls.append("trials")
+        return draw(*args)
+
+    monkeypatch.setattr(KernelField, "_build_tables", built)
+    monkeypatch.setattr(control_op, "_random_smooth_samples", drawn)
+    wk.measure_h2_bound(field, pot_herm2, 1.0, trials=4, N=32, seed=0)
+    assert calls == ["tables", "trials"]
 
 
 @pytest.mark.parametrize("trials", [0, -5, 2.5, True])

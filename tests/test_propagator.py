@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
-from wavekernel.control_op import _SobolevTables
 from wavekernel.errors import ControlError, DomainError, PotentialError
 from wavekernel.goursat import _interp_triangle
 from wavekernel import propagator
@@ -288,7 +287,7 @@ def test_separable_sampling_matches_per_pair(field_h50, T, N):
     # trapezoid weights, is the reference; quad's q varies, so it checks that
     # k1 and k2b read q at eta/2 and at xi/2
     f = field_h50
-    tab = _SobolevTables(f, T, N)
+    tab = OperatorTables(f, T, N)
     tables = {name: full_table(getattr(tab, name)()) for name in ("k0", "k1", "k2a", "k2b")}
     X, S = np.meshgrid(tab.grid, tab.grid, indexing="ij")
     causal = S >= X
@@ -359,6 +358,31 @@ def test_tables_are_stored_in_product_order(field_herm2):
         assert traced_peak(lambda: tab.apply(whole, g), table.nbytes) < 0.01
     for rows, block in tab.k0():
         assert block.flags.c_contiguous and block.shape == (rows.stop - rows.start, 2, N + 1, 2)
+
+
+def test_triangle_cells_are_sampled_only_in_blocks_that_hold_one(monkeypatch, field_herm2):
+    # k0 at N = 800 on the M = 200 field: only a block that holds a pair whose
+    # xi and eta share a lattice cell calls _interp_triangle, with that pair
+    N, h = 800, field_herm2.step
+    tab = OperatorTables(field_herm2, 1.0, N)
+    sizes = []
+
+    def spy(arr, xi, eta, step, M):
+        sizes.append(np.size(xi))
+        return _interp_triangle(arr, xi, eta, step, M)
+
+    def cell(idx):
+        return np.minimum((idx * tab.delta / h).astype(int), field_herm2.M - 1)
+
+    monkeypatch.setattr(propagator, "_interp_triangle", spy)
+    holding, blocks = 0, 0
+    for rows, _ in tab.k0():
+        blocks += 1
+        k = np.arange(rows.start, rows.stop)[:, None]
+        m = np.arange(rows.start, N + 1)
+        holding += bool(np.any(cell(np.maximum(m - k, 0)) >= cell(m + k)))
+    assert 0 < holding < blocks
+    assert len(sizes) == holding and min(sizes) > 0
 
 
 def test_apply_table_batch_matches_single_controls(field_herm2):

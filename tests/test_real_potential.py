@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.control_op import _dense, _SobolevTables
+from wavekernel.control_op import _dense
 from wavekernel.goursat import KernelField, _lattice_setup, _march, _picard, _residual
 from wavekernel.propagator import OperatorTables
 
@@ -61,7 +61,7 @@ def test_real_potential_runs_in_float64(name):
     f = wk.solve_goursat(preset(name), 1.0, 1 / 50, 1e-10, method="march")
     assert f.qh.dtype == f.v.dtype == np.float64
     assert f.wx_lat.dtype == f.wtt_lattice().dtype == f.wxx_lattice().dtype == np.float64
-    tab = _SobolevTables(f, 1.0, 37)
+    tab = OperatorTables(f, 1.0, 37)
     for table in TABLES:
         assert OperatorTables.full(getattr(tab, table)()).dtype == np.float64, table
     assert _dense(wk.build_volterra(f, 1.0, 37)).dtype == np.float64
@@ -70,7 +70,7 @@ def test_real_potential_runs_in_float64(name):
 def test_complex_potential_stays_complex():
     f = wk.solve_goursat(preset("herm2"), 1.0, 1 / 50, 1e-10, method="march")
     assert f.qh.dtype == f.v.dtype == f.wx_lat.dtype == f.wtt_lattice().dtype == np.complex128
-    tab = _SobolevTables(f, 1.0, 37)
+    tab = OperatorTables(f, 1.0, 37)
     for table in TABLES:
         assert OperatorTables.full(getattr(tab, table)()).dtype == np.complex128, table
 
@@ -86,7 +86,7 @@ def test_real_field_matches_complex_twin_bit_for_bit(pair):
     assert wk.check_goursat(p, f) == wk.check_goursat(p, twin)
     # N = 37 and N = 100 end inside a row block
     for N in (37, 100):
-        got, want = _SobolevTables(f, 1.0, N), _SobolevTables(twin, 1.0, N)
+        got, want = OperatorTables(f, 1.0, N), OperatorTables(twin, 1.0, N)
         for name in TABLES:
             assert np.array_equal(OperatorTables.full(getattr(got, name)()),
                                   OperatorTables.full(getattr(want, name)())), (N, name)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel.control_op import _SobolevTables, _checked_snapshot
+from wavekernel.control_op import _checked_snapshot
 from wavekernel.errors import SingularSystemError
 from wavekernel.goursat import _interp_triangle
 from wavekernel.potential import potential_from_callable
@@ -174,7 +174,7 @@ def field_h50(request, pot_one, pot_herm2):
                                   (1.0, 160), (0.7, 35), (0.7, 37), (0.5, 200), (1.0, 100),
                                   (1.0, 2 * _BLOCK - 1)])
 def test_tables_match_full_square_reference(field_h50, T, N):
-    tab = _SobolevTables(field_h50, T, N)
+    tab = OperatorTables(field_h50, T, N)
     ref = ref_tables(field_h50, T, N)
     below = np.tril(np.ones((N + 1, N + 1), dtype=bool), -1)
     for name, want in ref.items():
@@ -194,7 +194,7 @@ def product_mismatches(fields) -> list:
     for field in fields:
         n = field.dim
         for N in (37, 100):
-            tab = _SobolevTables(field, 1.0, N)
+            tab = OperatorTables(field, 1.0, N)
             rng = np.random.default_rng(N)
             batch = rng.normal(size=(5, N + 1, n)) + 1j * rng.normal(size=(5, N + 1, n))
             for name in ("k0", "k1", "k2a", "k2b"):
