@@ -227,15 +227,16 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     of numpy.random.default_rng(seed), seed an integer >= 0.  They are
     sampled as one stack by _random_smooth_samples, to the bytes of one
     Control per trial but without making any, and applied as one stack;
-    each ratio is the worst over the trials with a nonzero denominator.  Returns the report whether or
-    not the ratios stay within their bounds.  The potential's dimension must
-    be the field's (DomainError).
+    each ratio is the worst over the trials with a nonzero denominator.
+    kernel_constants builds the field's tables before the trials are drawn,
+    which keeps the peak lower.  Returns the report whether or not the
+    ratios stay within their bounds.  The potential's dimension must be the
+    field's (DomainError).
     """
     check_count(trials, "trials", 1, DomainError)
     check_count(seed, "seed", 0, DomainError)
     _check_dim(p, field)
     tab = OperatorTables(field, T, N)
-    field.wtt_lattice()     # wx_lat and wtt before the trials: built after, they raise the peak
     grid = tab.grid
     a1, a2 = norm_constants(p, T)
     kc = kernel_constants(field)

@@ -35,8 +35,8 @@ every other cumulation behind wx and wtt, exist one block of rows at a
 time: one generator (_table_rows) yields wx and wtt block by block,
 carrying the last row of each cumulation along xi from block to block.  A
 field holds only v until a caller asks for wx_lat or wtt_lattice(), which
-keep both tables from one pass of the stream; kernel_constants reads the
-stream without keeping it when the field holds no tables.  Within a block,
+keep both tables from one pass of the stream; kernel_constants reads them
+that way too, so it builds and keeps them.  Within a block,
 cc1 of the wtt assembly keeps rows that start on the diagonal and shifts
 them to the node layout.  V_h itself is one step over a block of rows in
 the same node layout (_V_rows), streamed like the tables: the march's
@@ -769,18 +769,14 @@ def kernel_constants(f: KernelField) -> KernelConstants:
     All suprema run over the physical region 0 <= x <= t <= T, i.e. lattice
     nodes with i + j <= M.  They are taken one block of _ROWS rows at a
     time, on the block's window (_row_windows), with the block's windows of
-    wx and wtt: from the tables the field holds, or else from the stream
-    _table_rows, which is read and not kept.  Each block takes its maxima
-    over the window's physical nodes, and the w_xx norms on the even
-    diagonals j - i go into one real array, diagonal after diagonal, from
-    which each diagonal is integrated whole.
+    the field's wx_lat and wtt_lattice(), which the field builds on first
+    use and keeps.  Each block takes its maxima over the window's physical
+    nodes, and the w_xx norms on the even diagonals j - i go into one real
+    array, diagonal after diagonal, from which each diagonal is integrated
+    whole.
     """
     M, h = f.M, f.step
-    wx_lat, wtt_lat = f._wx_lat, f._wtt_lat
-    if wx_lat is None or wtt_lat is None:
-        rows = _table_rows(f)
-    else:
-        rows = ((b, w, wx_lat[b, w], wtt_lat[b, w]) for b, w in _row_windows(M, f.v.shape[0]))
+    wx_lat, wtt_lat = f.wx_lat, f.wtt_lattice()
     # w_xx norms on the even diagonals j - i = d, i = 0..(M - d)/2, one diagonal
     # after another: node (i, i + d) at first[d/2] + i
     ds = np.arange(0, M + 1, 2)
@@ -788,15 +784,15 @@ def kernel_constants(f: KernelField) -> KernelConstants:
     first = np.concatenate([[0], ends[:-1]])
     q, q_cum = _toeplitz(f.qh, f.v.shape[0]), _cumtrapz(f.qh, h / 2.0, axis=0)
     sups, wxx_norm = np.zeros(3), np.zeros(ends[-1])
-    for b, w, wx, wtt in rows:
+    for b, w in _row_windows(M, f.v.shape[0]):
         i, j = np.arange(b.start, b.stop)[:, None], np.arange(w.start, w.stop)
         d = j - i
         phys = (d >= 0) & (j <= M - i)                      # the block's physical nodes
         v = f.v[b, w]
         sups = np.maximum(sups, [np.max(_opnorms(a), where=phys, initial=0.0)
-                                 for a in (v - _v0_at(q_cum, i, j), wx, v)])
+                                 for a in (v - _v0_at(q_cum, i, j), wx_lat[b, w], v)])
         even = phys & (d % 2 == 0)
-        wxx = _opnorms(_wxx(q[b, w], v, wtt))
+        wxx = _opnorms(_wxx(q[b, w], v, wtt_lat[b, w]))
         wxx_norm[(first[np.maximum(d, 0) // 2] + i)[even]] = wxx[even]
     b1, b2, b4 = map(float, sups)
     inner = [float(np.trapezoid(vals, dx=h)) if vals.size > 1 else 0.0
@@ -876,7 +872,8 @@ def _dump_names(n: int) -> list[str]:
 
 
 def dump_kernel(f: KernelField, csv_path, json_path) -> None:
-    """Write the lattice field as numeric CSV plus a JSON summary.
+    """Write the lattice field as numeric CSV, and T, h, n, iterations and
+    tail_bound, what load_kernel reads, as a JSON summary.
 
     One row per node of the region i <= j, i + j <= M + 1 (t <= T plus one
     halo anti-diagonal), i-major: xi, eta, then each entry of v in
@@ -888,17 +885,13 @@ def dump_kernel(f: KernelField, csv_path, json_path) -> None:
     block at a time as they are written.
     """
     M, n = f.M, f.dim
-    kc = kernel_constants(f)
     fileio.check_finite(csv_path, f.v)      # zero off the region, which the dump leaves out
     i, j = np.nonzero(_region(M))
     fileio.write_blocks(csv_path, ("xi", "eta"), _dump_names(n), (
         (np.stack([i[s] * f.step, j[s] * f.step], axis=1), f.v[i[s], j[s]].reshape(-1, n * n))
         for s in fileio.spans(i.size)))
-    fileio.write_json(json_path, {
-        "T": f.T, "h": f.step, "n": n,
-        "iterations": f.iterations, "tail_bound": f.tail_bound,
-        "b1": kc.b1, "b2": kc.b2, "b3": kc.b3, "b4": kc.b4,
-    })
+    fileio.write_json(json_path, {"T": f.T, "h": f.step, "n": n, "iterations": f.iterations,
+                                  "tail_bound": f.tail_bound})
 
 
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
@@ -914,7 +907,8 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     header that does not match the dimension, a non-finite or unparsable
     value, a short row, another number of rows, or a row whose (xi, eta)
     is not its node's (a dump of the whole triangle, as older versions
-    wrote, is one).
+    wrote, is one).  No other key of the summary is read, so the b1-b4
+    that older versions wrote there are ignored.
     """
     meta = fileio.read_json(json_path, "kernel summary", DomainError)
     try:

@@ -105,10 +105,10 @@ def bessel_j1_over_z(z2: np.ndarray) -> np.ndarray:
 def bessel_kernel_constant(c: float, x, t) -> np.ndarray:
     """Closed-form scalar kernel for a constant potential c > 0.
 
-    c, x and t must be finite, with 0 <= x <= t up to 1e-12 (DomainError).
+    c (not a bool), x and t must be finite, with 0 <= x <= t up to 1e-12 (DomainError).
     """
-    if not (math.isfinite(c) and c > 0):
-        raise DomainError(f"constant must be finite and positive, got {c}")
+    if isinstance(c, bool) or not (math.isfinite(c) and c > 0):
+        raise DomainError(f"constant must be finite and positive, not a bool, got {c!r}")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):

@@ -177,9 +177,9 @@ def zero_control(T: float, dim: int = 1) -> Control:
 
 def _profile_control(T: float, start: float, stop: float, amplitude, profile,
                      name: str) -> Control:
-    """A scalar profile on (start, stop) times a constant amplitude vector."""
-    if not (0.0 < start < stop <= T):
-        raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
+    """A scalar profile on (start, stop), numbers not bools, times a constant amplitude vector."""
+    if isinstance(start, bool) or isinstance(stop, bool) or not (0.0 < start < stop <= T):
+        raise ControlError(f"need numbers 0 < start < stop <= T, got ({start}, {stop}, {T})")
     amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
     if not np.all(np.isfinite(amp)):
         raise ControlError(f"control amplitude must be finite, got {amp.tolist()}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wavekernel as wk
-from wavekernel import cli
+from wavekernel import cli, goursat
 from wavekernel.cli import main
 
 
@@ -66,22 +66,50 @@ def test_help_exits_0(capsys):
 
 def test_kernel_zero_potential(tmp_path):
     zero_pot(tmp_path)
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, extra="trials = 2\n")
     assert main(["kernel", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "kernel.json").read_text())
     assert summary["iterations"] == 100 + 2       # the march's M + 2 anti-diagonals, M = 2T/h
     assert summary["tail_bound"] == 0.0
-    assert summary["b1"] == 0.0 and summary["b4"] == 0.0
     assert (tmp_path / "out" / "manifest.json").exists()
+    # the kernel constants are reported by bounds, on the same config
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    assert report["b1"] == 0.0 and report["b4"] == 0.0
 
 
 def test_kernel_constant_summary(tmp_path):
     one_pot(tmp_path)
-    cfg = write_cfg(tmp_path, extra="h = 0.005\n")
+    cfg = write_cfg(tmp_path, extra="h = 0.005\ntrials = 2\n")
     assert main(["kernel", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "kernel.json").read_text())
     assert summary["tail_bound"] < 1e-4
-    assert summary["b4"] == pytest.approx(0.5, abs=1e-4)
+    # the kernel constants are reported by bounds, on the same config
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    assert report["b4"] == pytest.approx(0.5, abs=1e-4)
+
+
+def test_kernel_summary_keys(tmp_path):
+    # kernel.json holds what load_kernel reads; the kernel constants b1-b4 are
+    # in bounds.json and validate.json
+    one_pot(tmp_path)
+    assert main(["kernel", "--config", str(write_cfg(tmp_path))]) == 0
+    summary = json.loads((tmp_path / "out" / "kernel.json").read_text())
+    assert set(summary) == {"T", "h", "n", "iterations", "tail_bound"}
+
+
+def test_kernel_computes_no_constants_and_builds_no_table(tmp_path, monkeypatch):
+    # the kernel command solves and dumps: it never calls kernel_constants, and
+    # its field holds v alone afterwards
+    one_pot(tmp_path)
+    fields, solve = [], cli.solve_goursat
+    monkeypatch.setattr(cli, "solve_goursat", lambda *a, **kw: fields.append(solve(*a, **kw)) or fields[-1])
+    calls, constants = [], goursat.kernel_constants
+    monkeypatch.setattr(goursat, "kernel_constants", lambda f: calls.append(f) or constants(f))
+    assert main(["kernel", "--config", str(write_cfg(tmp_path))]) == 0
+    assert calls == [] and len(fields) == 1
+    assert fields[0]._wx_lat is None and fields[0]._wtt_lat is None
 
 
 def test_kernel_malformed_potential(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel.errors import DomainError
+from wavekernel.fileio import write_json
 from wavekernel.goursat import _interp_triangle, _lattice_setup, _region, _v0_lattice
 from wavekernel.potential import potential_from_callable
 
@@ -373,13 +375,27 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
 
 def test_solve_and_load_build_no_tables(tmp_path, pot_herm2):
     # the derived tables are built on first use, so a solved or loaded field
-    # holds v alone, and the dump's constants read the tables without keeping them
+    # holds v alone, and the dump builds none
     fields = [wk.solve_goursat(pot_herm2, 1.0, 1 / 50, 1e-10, method=method)
               for method in ("picard", "march")]
     wk.dump_kernel(fields[1], tmp_path / "k.csv", tmp_path / "k.json")
     fields.append(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2))
     for f in fields:
         assert f._wx_lat is None and f._wtt_lat is None
+
+
+def test_load_reads_a_summary_with_the_kernel_constants(tmp_path, pot_herm2, field_herm2):
+    # earlier versions also wrote the kernel constants b1-b4 into kernel.json;
+    # such a summary loads as the summary without them does
+    wk.dump_kernel(field_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    meta = json.loads((tmp_path / "k.json").read_text())
+    kc = wk.kernel_constants(dataclasses.replace(field_herm2))
+    write_json(tmp_path / "old.json", {**meta, "b1": kc.b1, "b2": kc.b2, "b3": kc.b3, "b4": kc.b4})
+    new = wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
+    old = wk.load_kernel(tmp_path / "k.csv", tmp_path / "old.json", pot_herm2)
+    assert np.array_equal(old.v, new.v) and np.array_equal(old.v, field_herm2.v)
+    assert (old.T, old.step, old.iterations, old.tail_bound) == (
+        new.T, new.step, new.iterations, new.tail_bound)
 
 
 def test_every_field_has_the_half_square_layout(tmp_path, pot_herm2, field_herm2):

@@ -329,18 +329,16 @@ def test_march_builds_no_full_square(pot_herm2):
 
 
 def test_march_field_memory_guard(pot_herm2):
-    # what the CLI's kernel command runs, 2x2 at M = 200: the march and the
-    # constants read from the table stream hold v (0.51 lattices) and blocks
-    # of rows, at 1.16 (1.92 when the field kept wx_lat and wtt's outer
-    # integrand); the field still holds v alone afterwards.  Asked for wtt, it
-    # builds wx_lat and wtt in one pass (a peak of 1.52 over v, 2.03 in all,
-    # where the two passes reached 1.92) and keeps them, 1.53 held.
+    # the solve the CLI's kernel command runs, 2x2 at M = 200: the march and
+    # its residual hold v (0.51 lattices) and blocks of rows, at 0.73; the
+    # field holds v alone afterwards.  The kernel constants, which bounds and
+    # validate read, build wx_lat and wtt in one pass and keep them: a peak of
+    # 1.51 over v, 2.02 in all, 1.53 held.
     lattice = 201 ** 2 * 4 * 16
     holder = {}
 
     def kernel():
-        f = holder["f"] = wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
-        wk.kernel_constants(f)
+        holder["f"] = wk.solve_goursat(pot_herm2, 1.0, 1 / 100, 1e-10, method="march")
 
     def resident():
         arrays = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
@@ -351,5 +349,5 @@ def test_march_field_memory_guard(pot_herm2):
     assert f._wx_lat is None and f._wtt_lat is None
     held = resident()
     assert held <= 0.6
-    assert held + traced_peak(f.wtt_lattice, lattice) <= 2.1
+    assert held + traced_peak(lambda: wk.kernel_constants(f), lattice) <= 2.1
     assert resident() <= 1.6

@@ -554,13 +554,19 @@ BUMP = wk.bump_control(1.0, 0.1, 0.9)
     (lambda p, f, f2: wk.FDConfig(N_x=16, T=1.0, cfl=True), DomainError),
     (lambda p, f, f2: wk.bump_control(True, 0.1, 0.9), ControlError),
     (lambda p, f, f2: wk.ramp_control(True, 0.1, 0.9), ControlError),
+    (lambda p, f, f2: wk.bump_control(2.0, True, 1.5), ControlError),
+    (lambda p, f, f2: wk.bump_control(2.0, 0.5, True), ControlError),
+    (lambda p, f, f2: wk.ramp_control(2.0, True, 1.5), ControlError),
+    (lambda p, f, f2: wk.ramp_control(2.0, 0.5, True), ControlError),
     (lambda p, f, f2: wk.zero_control(True), ControlError),
     (lambda p, f, f2: wk.u_tt(f, BUMP, 0.3, True), DomainError),
     (lambda p, f, f2: wk.norm_constants(p, True), DomainError),
     (lambda p, f, f2: wk.weyl_solution(p, True, 1.0), PotentialError),
 ], ids=["propagate", "build_volterra", "measure_h2", "certify_h2", "tables",
-        "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "zero", "u_tt", "norm_constants", "weyl"])
+        "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "bump_start", "bump_stop", "ramp_start",
+        "ramp_stop", "zero", "u_tt", "norm_constants", "weyl"])
 def test_horizons_reject_bool(pot_one, field_one, field_one_2T, call, error):
-    # Python treats True as 1, a valid horizon (and cfl); it is not a number here
+    # Python treats True as 1, a valid horizon (and cfl, start or stop of a
+    # support); it is not a number here
     with pytest.raises(error):
         call(pot_one, field_one, field_one_2T)

@@ -79,10 +79,10 @@ def test_real_field_matches_complex_twin_bit_for_bit(pair):
     p, f, twin = pair
     assert np.array_equal(f.v, twin.v)
     assert f.tail_bound == twin.tail_bound
-    assert wk.kernel_constants(f) == wk.kernel_constants(twin)     # streamed
+    assert wk.kernel_constants(f) == wk.kernel_constants(twin)     # builds the tables
     assert np.array_equal(f.wx_lat, twin.wx_lat)
     assert np.array_equal(f.wtt_lattice(), twin.wtt_lattice())
-    assert wk.kernel_constants(f) == wk.kernel_constants(twin)     # held tables
+    assert wk.kernel_constants(f) == wk.kernel_constants(twin)     # reads them
     assert wk.check_goursat(p, f) == wk.check_goursat(p, twin)
     # N = 37 and N = 100 end inside a row block
     for N in (37, 100):
