@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlError, DomainError, PotentialError, SingularSystemError
+from .errors import ControlError, DomainError, PotentialError, SingularSystemError, check_real
 from .fileio import write_table
-from .potential import PotentialGrid
+from .potential import PotentialGrid, _lerp
 
 _PD_TOL = 1e-12
 
@@ -62,11 +62,7 @@ class WeylSolution:
         out = np.empty(xs.shape + (self.dim, self.dim), dtype=complex)
         inside = xs <= self.cutoff + 1e-12
         if inside.any():
-            h = self.grid[1] - self.grid[0]
-            pos = np.clip(xs[inside], 0.0, self.cutoff) / h
-            k = np.minimum(pos.astype(int), len(self.grid) - 2)
-            frac = (pos - k)[:, None, None]
-            out[inside] = self.samples[k] * (1 - frac) + self.samples[k + 1] * frac
+            out[inside] = _lerp(self.samples, xs[inside], self.cutoff, self.grid[1] - self.grid[0])
         if (~inside).any():
             vals, vecs = np.linalg.eigh(self.decay_matrix)
             dx = xs[~inside] - self.cutoff
@@ -86,9 +82,7 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     be a finite positive number, not a bool, within the sampled domain, and
     c finite, Hermitian and positive definite (PotentialError).
     """
-    if isinstance(X, bool) or not 0.0 < X <= p.x_max * (1 + 1e-12):
-        raise PotentialError(f"cutoff {X} must be positive and within the sampled "
-                             f"domain (0, {p.x_max}]")
+    check_real(X, "cutoff X", PotentialError, 0.0, p.x_max * (1 + 1e-12))
     root_c = _sqrtm_pd(c)
     n = p.dim
     if root_c.shape != (n, n):

@@ -70,8 +70,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fileio
-from .errors import ConvergenceError, DomainError, SingularSystemError, check_count
-from .potential import PotentialGrid, _cumtrapz, _mul, _opnorms, integral_Q
+from .errors import ConvergenceError, DomainError, SingularSystemError, check_count, check_real
+from .potential import PotentialGrid, _cumtrapz, _lerp, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
 _BOUND_SLACK = 1e-10      # relative slack of bound_violations, for rounding
@@ -140,10 +140,7 @@ class KernelField:
         pts = np.asarray(pts, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise DomainError("potential requested at a non-finite point")
-        pos = np.clip(pts, 0.0, self.T) / (0.5 * self.step)
-        k = np.minimum(np.floor(pos).astype(int), self.M - 1)
-        frac = (pos - k)[..., None, None]
-        return self.qh[k] * (1.0 - frac) + self.qh[k + 1] * frac
+        return _lerp(self.qh, pts, self.T, 0.5 * self.step)
 
     @property
     def wx_lat(self) -> np.ndarray:
@@ -222,9 +219,7 @@ def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
 # --- construction ----------------------------------------------------------
 
 def _lattice_setup(p: PotentialGrid, T: float, h: float):
-    if (isinstance(T, bool) or isinstance(h, bool)
-            or not (math.isfinite(T) and math.isfinite(h) and T > 0 and h > 0)):
-        raise DomainError(f"T = {T} and h = {h} must be finite and positive")
+    T, h = check_real(T, "T", DomainError, 0.0), check_real(h, "h", DomainError, 0.0)
     M = int(round(2.0 * T / h))
     if abs(M * h - 2.0 * T) > _TOL * max(1.0, T):
         raise DomainError(f"step h = {h} does not divide 2T = {2 * T}")
@@ -307,8 +302,7 @@ def solve_goursat(p: PotentialGrid, T: float, h: float, tol: float,
     Either way the field holds v alone; its derived tables are built on
     first use.
     """
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    check_real(tol, "tol", DomainError, 0.0)
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     M, qh = _lattice_setup(p, T, h)
@@ -901,20 +895,18 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     region i <= j, i + j <= M + 1 that a field stores, i-major.  So the
     loaded field equals the solved field it was dumped from, array for
     array.  The CSV header may be left out.  Raises DomainError when a
-    file cannot be read; when the summary's T or h is a boolean, its
-    iterations is not an integer >= 0, or its dimension n is not an
-    integer >= 1 or not the potential's; and when the dump is malformed: a
-    header that does not match the dimension, a non-finite or unparsable
-    value, a short row, another number of rows, or a row whose (xi, eta)
-    is not its node's (a dump of the whole triangle, as older versions
-    wrote, is one).  No other key of the summary is read, so the b1-b4
-    that older versions wrote there are ignored.
+    file cannot be read; when the summary's T or h is not a number > 0
+    (check_real), its iterations is not an integer >= 0, or its dimension
+    n is not an integer >= 1 or not the potential's; and when the dump is
+    malformed: a header that does not match the dimension, a non-finite or
+    unparsable value, a short row, another number of rows, or a row whose
+    (xi, eta) is not its node's (a dump of the whole triangle, as older
+    versions wrote, is one).  No other key of the summary is read, so the
+    b1-b4 that older versions wrote there are ignored.
     """
     meta = fileio.read_json(json_path, "kernel summary", DomainError)
     try:
-        if isinstance(meta["T"], bool) or isinstance(meta["h"], bool):
-            raise TypeError("T and h must be numbers, not booleans")
-        T, h, tail = float(meta["T"]), float(meta["h"]), float(meta["tail_bound"])
+        T, h, tail = meta["T"], meta["h"], float(meta["tail_bound"])
         n, iterations = meta["n"], meta["iterations"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed kernel summary {json_path}: {exc!r}") from exc
@@ -942,4 +934,5 @@ def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
         vals = vals.real                # a real potential's kernel is real
     v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=vals.dtype)
     v[tuple(node.T)] = vals.reshape(-1, n, n)
-    return KernelField(T=T, step=h, v=v, iterations=iterations, tail_bound=tail, qh=qh)
+    return KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
+                       tail_bound=tail, qh=qh)

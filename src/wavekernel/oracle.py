@@ -10,12 +10,11 @@ it is trusted as a reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_count
+from .errors import ControlError, DomainError, check_count, check_real
 from .potential import PotentialGrid
 from .propagator import Control, WaveSnapshot, _l2
 
@@ -24,7 +23,7 @@ _N_QUAD = 400        # Simpson cells per axis (even) in bessel_substitution_resi
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Leapfrog discretization: N_x space cells on [0, T], time step cfl*dx."""
+    """Leapfrog discretization: N_x space cells on [0, T], time step cfl*dx, cfl in (0, 1]."""
 
     N_x: int
     T: float
@@ -32,10 +31,8 @@ class FDConfig:
 
     def __post_init__(self):
         check_count(self.N_x, "N_x (space cells)", 16, DomainError)
-        if isinstance(self.T, bool) or not (math.isfinite(self.T) and self.T > 0):
-            raise DomainError(f"horizon T = {self.T} must be finite and positive")
-        if isinstance(self.cfl, bool) or not 0.0 < self.cfl <= 1.0:
-            raise DomainError(f"cfl = {self.cfl} must lie in (0, 1]; above 1 is unstable")
+        check_real(self.T, "horizon T", DomainError, 0.0)
+        check_real(self.cfl, "cfl", DomainError, 0.0, 1.0)
 
 
 def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:
@@ -43,7 +40,8 @@ def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:
 
     The spatial domain extends two cells beyond x = T so the wave front
     never reaches the artificial right edge; at cfl = 1 the scheme is
-    exact for potential-free transport.
+    exact for potential-free transport.  The control's dimension must be the
+    potential's (ControlError).
     """
     T = cfg.T
     dx = T / cfg.N_x
@@ -55,7 +53,7 @@ def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:
         )
     n = p.dim
     if f.dim != n:
-        raise DomainError(f"control dimension {f.dim} != potential dimension {n}")
+        raise ControlError(f"control dimension {f.dim} != potential dimension {n}")
     qs = p.eval(xs)
     n_t = int(np.ceil(T / (cfg.cfl * dx) - 1e-12))
     dt = T / n_t
@@ -107,8 +105,7 @@ def bessel_kernel_constant(c: float, x, t) -> np.ndarray:
 
     c (not a bool), x and t must be finite, with 0 <= x <= t up to 1e-12 (DomainError).
     """
-    if isinstance(c, bool) or not (math.isfinite(c) and c > 0):
-        raise DomainError(f"constant must be finite and positive, not a bool, got {c!r}")
+    check_real(c, "constant c", DomainError, 0.0)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):

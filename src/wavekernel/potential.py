@@ -10,7 +10,6 @@ is the operator 2-norm (largest singular value).
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, PotentialError, check_count
+from .errors import DomainError, PotentialError, check_count, check_real
 
 _HERMITIAN_TOL = 1e-8
 _RANGE_TOL = 1e-9
@@ -148,7 +147,8 @@ class PotentialGrid:
             )
         samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
         norms = _opnorms(samples)
-        step, x_max = _positive("step", self.step), _positive("x_max", self.x_max)
+        step = check_real(self.step, "step", PotentialError, 0.0)
+        x_max = check_real(self.x_max, "x_max", PotentialError, 0.0)
         # sampled_potential's steps may each miss the first by _STEP_TOL, and
         # its first node 0 by _RANGE_TOL
         m = shape[0] - 1
@@ -169,14 +169,17 @@ class PotentialGrid:
     def n_nodes(self) -> int:
         return self.samples.shape[0]
 
-    def _locate(self, x):
+    def _inside(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if not np.all((x >= -_RANGE_TOL) & (x <= self.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
             raise DomainError(
                 f"evaluation at x outside [0, {self.x_max}] or not finite "
                 f"(requested range [{x.min()}, {x.max()}])"
             )
-        xc = np.clip(x, 0.0, self.x_max)
+        return x
+
+    def _locate(self, x):
+        xc = np.clip(self._inside(x), 0.0, self.x_max)
         pos = xc / self.step
         k = np.minimum(np.floor(pos).astype(int), self.n_nodes - 2)
         frac = pos - k
@@ -184,9 +187,7 @@ class PotentialGrid:
 
     def eval(self, x) -> np.ndarray:
         """Linearly interpolated q(x); x may be a scalar or an array."""
-        _, k, frac = self._locate(x)
-        w = frac[..., None, None]
-        return self.samples[k] * (1.0 - w) + self.samples[k + 1] * w
+        return _lerp(self.samples, self._inside(x), self.x_max, self.step)
 
     def _cum_at(self, cum: np.ndarray, nodal: np.ndarray, x) -> np.ndarray:
         # cum holds node values of the antiderivative; finish the partial cell
@@ -208,14 +209,12 @@ class PotentialGrid:
         return self._cum_at(self.cum_norm_integral, self.norms, x)
 
 
-def _positive(name: str, value) -> float:
-    """value as a float, after checking it is finite and positive (PotentialError).
-
-    A bool is not a length, though Python treats it as a number.
-    """
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-        raise PotentialError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
+def _lerp(samples: np.ndarray, x, top: float, step: float) -> np.ndarray:
+    """Samples (m+1, n, n) at the nodes k * step, interpolated linearly at x clipped to [0, top]."""
+    pos = np.clip(x, 0.0, top) / step
+    k = np.minimum(np.floor(pos).astype(int), samples.shape[0] - 2)
+    frac = (pos - k)[..., None, None]
+    return samples[k] * (1.0 - frac) + samples[k + 1] * frac
 
 
 def _grid_steps(dim, x_max, step) -> int:
@@ -225,7 +224,8 @@ def _grid_steps(dim, x_max, step) -> int:
     [0, x_max] must hold at least one step; otherwise PotentialError.
     """
     check_count(dim, "dimension", 1, PotentialError)
-    m = int(round(_positive("x_max", x_max) / _positive("step", step)))
+    m = int(round(check_real(x_max, "x_max", PotentialError, 0.0)
+                  / check_real(step, "step", PotentialError, 0.0)))
     if m < 1:
         raise PotentialError(f"step {step} does not fit in [0, {x_max}]")
     return m
@@ -348,9 +348,9 @@ def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
 def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
     """L1 and L2 norm constants of q over [0, T]: (half the L1 norm, the L2 norm).
 
-    T is a number in the sampled domain, not a bool (DomainError).
+    T is a finite real number in the sampled domain, not a bool (DomainError).
     """
-    if isinstance(T, bool) or not 0.0 <= T <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
+    if not 0.0 <= check_real(T, "T", DomainError) <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
         raise DomainError(f"T = {T} outside the potential domain [0, {p.x_max}]")
     T = min(T, p.x_max)
     a1 = float(0.5 * p.norm_integral(T))

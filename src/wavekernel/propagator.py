@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ControlError, DomainError, check_count
+from .errors import ControlError, DomainError, check_count, check_real
 from .goursat import KernelField, _blocks, _interp_triangle
 
 _SUPPORT_TOL = 1e-12
@@ -112,8 +112,7 @@ class Control:
     label: str = "control"
 
     def __post_init__(self):
-        if isinstance(self.T, bool) or not (math.isfinite(self.T) and self.T > 0.0):
-            raise ControlError(f"control horizon T must be finite and positive, got {self.T}")
+        check_real(self.T, "control horizon T", ControlError, 0.0)
         check_count(self.dim, "control dimension", 1, ControlError)
 
     def sample(self, t):
@@ -178,8 +177,6 @@ def zero_control(T: float, dim: int = 1) -> Control:
 def _profile_control(T: float, start: float, stop: float, amplitude, profile,
                      name: str) -> Control:
     """A scalar profile on (start, stop), numbers not bools, times a constant amplitude vector."""
-    if isinstance(start, bool) or isinstance(stop, bool) or not (0.0 < start < stop <= T):
-        raise ControlError(f"need numbers 0 < start < stop <= T, got ({start}, {stop}, {T})")
     amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
     if not np.all(np.isfinite(amp)):
         raise ControlError(f"control amplitude must be finite, got {amp.tolist()}")
@@ -188,7 +185,12 @@ def _profile_control(T: float, start: float, stop: float, amplitude, profile,
         f, f1, f2 = profile(t, start, stop)
         return f[..., None] * amp, f1[..., None] * amp, f2[..., None] * amp
 
-    return _checked(Control(T, amp.size, start, ev, label=f"{name}({start},{stop})"))
+    ctrl = Control(T, amp.size, start, ev, label=f"{name}({start},{stop})")    # checks T
+    check_real(start, "start", ControlError)
+    check_real(stop, "stop", ControlError)
+    if not 0.0 < start < stop <= T:
+        raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
+    return _checked(ctrl)
 
 
 def bump_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
@@ -369,12 +371,9 @@ class OperatorTables:
 
     def __init__(self, field: KernelField, T: float, N: int):
         check_count(N, "grid size N", 1, DomainError)
-        if isinstance(T, bool) or not 0.0 < T <= field.T * (1 + 1e-12) + 1e-12:
-            raise DomainError(f"horizon T = {T} must lie in (0, {field.T}], "
-                              f"the kernel horizon")
         self.field = field
-        self.T = T
-        self.delta = T / N
+        self.T = check_real(T, "horizon T", DomainError, 0.0, field.T * (1 + 1e-12) + 1e-12)
+        self.delta = self.T / N
         self.grid = np.arange(N + 1) * self.delta
 
     def _causal(self, values):
@@ -534,11 +533,12 @@ def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
 def u_tt(field: KernelField, f: Control, x: float, t: float) -> np.ndarray:
     """Second time derivative of the wave at one point (own trapezoid); zero beyond the front.
 
-    The point must satisfy 0 <= x <= t <= T with t a number, not a bool
-    (DomainError), and the control's dimension must be the field's
-    (ControlError).
+    The point must satisfy 0 <= x <= t <= T with x and t finite real
+    numbers, not bools (DomainError), and the control's dimension must be
+    the field's (ControlError).
     """
-    if isinstance(t, bool) or not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
+    x, t = check_real(x, "x", DomainError), check_real(t, "t", DomainError)
+    if not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
         raise DomainError("point outside 0 <= x <= t <= T")
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
@@ -577,8 +577,8 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     if h_arr.size < 2 or h_arr[0] == h_arr[-1] or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
         raise DomainError(f"steps must be at least two distinct finite positive numbers "
                           f"(a slope needs two), got {list(h_list)}")
-    if isinstance(t, bool) or not (math.isfinite(t) and t >= 0):
-        raise DomainError(f"time t = {t} must be finite and non-negative")
+    if check_real(t, "time t", DomainError) < 0:
+        raise DomainError(f"time t = {t} must be non-negative")
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
     tab = OperatorTables(field, t + h_arr.max(), _DQ_N)

@@ -132,3 +132,15 @@ def shortest(x: float) -> str:
         sign, digits = mantissa[:mantissa.startswith("-")], mantissa.lstrip("-").replace(".", "")
         return f"{sign}0.0000{digits}"
     return f"{mantissa}e{int(exp)}"
+
+
+# values that are not a finite real number, by id suffix; True, which Python
+# treats as 1, keeps the bare id of the entry point it is passed to
+NOT_NUMBERS = {"": True, "-numpy_bool": np.True_, "-str": "1", "-None": None,
+               "-nan": float("nan")}
+
+
+def against_not_numbers(cases, ids):
+    """pytest params: each case tuple, then each value of NOT_NUMBERS, as id + suffix."""
+    return [pytest.param(*case, bad, id=name + suffix)
+            for case, name in zip(cases, ids) for suffix, bad in NOT_NUMBERS.items()]

@@ -270,12 +270,13 @@ def _whole_triangle(lines):
     ({"n": True}, "kernel dimension n must be an integer >= 1, got True"),
     ({"iterations": 3.9}, "iterations must be an integer >= 0, got 3.9"),
     ({"iterations": -5}, "iterations must be an integer >= 0, got -5"),
-    ({"T": True}, "T and h must be numbers"),
-    ({"h": True}, "T and h must be numbers"),
+    ({"T": True}, "T must be a finite real number > 0, not a bool, got True"),
+    ({"h": True}, "h must be a finite real number > 0, not a bool, got True"),
+    ({"T": "1.0"}, "T must be a finite real number > 0, not a bool, got '1.0'"),
 ], ids=["header", "nan", "inf", "unparsable", "short_row", "off_grid", "beyond_lattice",
         "negative", "below_diagonal", "duplicate", "swapped", "missing", "empty", "beyond_region",
         "whole_triangle", "n_fraction", "n_bool", "iterations_fraction", "iterations_negative",
-        "T_bool", "h_bool"])
+        "T_bool", "h_bool", "T_string"])
 def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)

@@ -12,7 +12,8 @@ from wavekernel.fileio import write_json
 from wavekernel.goursat import _interp_triangle, _lattice_setup, _region, _v0_lattice
 from wavekernel.potential import potential_from_callable
 
-from conftest import full_v0, lattice_xt, region_interior, shortest, streamed_V, traced_peak
+from conftest import (against_not_numbers, full_v0, lattice_xt, region_interior, shortest,
+                      streamed_V, traced_peak)
 
 
 def node_norms(arr):
@@ -55,17 +56,18 @@ def test_apply_V_zero_field(pot_one):
         assert np.abs(streamed_V(qh, z, 1 / 10)).max() == 0.0
 
 
-@pytest.mark.parametrize("call", [
-    lambda p: wk.solve_goursat(p, True, 1 / 10, 1e-10),
-    lambda p: wk.solve_goursat(p, 1.0, True, 1e-10),
-    lambda p: wk.solve_goursat(p, 1.0, 1 / 10, True),
-    lambda p: wk.initial_v0(p, True, 1 / 10),
-    lambda p: wk.initial_v0(p, 1.0, True),
-], ids=["solve-T", "solve-h", "solve-tol", "v0-T", "v0-h"])
-def test_entry_points_reject_bool(pot_one, call):
-    # Python treats True as 1, which is a valid T, h and tol; it is not a number here
-    with pytest.raises(DomainError, match="finite and positive"):
-        call(pot_one)
+@pytest.mark.parametrize("call, name, bad", against_not_numbers([
+    (lambda p, bad: wk.solve_goursat(p, bad, 1 / 10, 1e-10), "T"),
+    (lambda p, bad: wk.solve_goursat(p, 1.0, bad, 1e-10), "h"),
+    (lambda p, bad: wk.solve_goursat(p, 1.0, 1 / 10, bad), "tol"),
+    (lambda p, bad: wk.initial_v0(p, bad, 1 / 10), "T"),
+    (lambda p, bad: wk.initial_v0(p, 1.0, bad), "h"),
+], ["solve-T", "solve-h", "solve-tol", "v0-T", "v0-h"]))
+def test_entry_points_reject_bool(pot_one, call, name, bad):
+    # Python treats True as 1, which is a valid T, h and tol; like numpy's
+    # True, a string, None and NaN, it is not a number here
+    with pytest.raises(DomainError, match=f"^{name} must be a finite real number > 0, "):
+        call(pot_one, bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -494,7 +496,10 @@ def test_dump_written_as_17g_still_loads_bit_for_bit(tmp_path, pot_herm2, field_
     (float("inf"), 1 / 50, 1e-10),
 ])
 def test_solve_rejects_non_finite_parameters(pot_one, T, h, tol):
-    with pytest.raises(DomainError, match="finite and positive"):
+    # solve_goursat checks tol, then T, then h
+    name = next(name for name, value in (("tol", tol), ("T", T), ("h", h))
+                if not 0.0 < value < float("inf"))
+    with pytest.raises(DomainError, match=f"^{name} must be a finite real number > 0, "):
         wk.solve_goursat(pot_one, T, h, tol)
 
 

@@ -8,7 +8,7 @@ from wavekernel.goursat import _interp_triangle
 from wavekernel import propagator
 from wavekernel.propagator import OperatorTables, _checked, _random_smooth_samples
 
-from conftest import full_table, traced_peak
+from conftest import against_not_numbers, full_table, traced_peak
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -407,6 +407,11 @@ def test_propagate_dim_mismatch(field_herm2, bump1):
         wk.propagate(field_herm2, bump1, 1.0, 50)
 
 
+def test_fd_solve_dim_mismatch(pot_herm2, bump1):
+    with pytest.raises(ControlError, match="control dimension 1 != potential dimension 2"):
+        wk.fd_solve(pot_herm2, bump1, wk.FDConfig(N_x=16, T=1.0))
+
+
 @pytest.mark.parametrize("x", [0.3, 0.8], ids=["inside", "on_front"])
 def test_u_tt_rejects_other_dimension(field_one, x):
     # a 2-vector control on a scalar field used to return a 2-vector
@@ -543,30 +548,33 @@ def test_propagate_exactly_causal(field_herm2, data):
 BUMP = wk.bump_control(1.0, 0.1, 0.9)
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda p, f, f2: wk.propagate(f, BUMP, True, 32), DomainError),
-    (lambda p, f, f2: wk.build_volterra(f, True, 32), DomainError),
-    (lambda p, f, f2: wk.measure_h2_bound(f, p, True, trials=2, N=16), DomainError),
-    (lambda p, f, f2: wk.certify_h2_bound(f, p, True, trials=2, N=16), DomainError),
-    (lambda p, f, f2: OperatorTables(f, True, 8), DomainError),
-    (lambda p, f, f2: wk.difference_quotient_test(f2, BUMP, True, [0.1, 0.05]), DomainError),
-    (lambda p, f, f2: wk.FDConfig(N_x=16, T=True), DomainError),
-    (lambda p, f, f2: wk.FDConfig(N_x=16, T=1.0, cfl=True), DomainError),
-    (lambda p, f, f2: wk.bump_control(True, 0.1, 0.9), ControlError),
-    (lambda p, f, f2: wk.ramp_control(True, 0.1, 0.9), ControlError),
-    (lambda p, f, f2: wk.bump_control(2.0, True, 1.5), ControlError),
-    (lambda p, f, f2: wk.bump_control(2.0, 0.5, True), ControlError),
-    (lambda p, f, f2: wk.ramp_control(2.0, True, 1.5), ControlError),
-    (lambda p, f, f2: wk.ramp_control(2.0, 0.5, True), ControlError),
-    (lambda p, f, f2: wk.zero_control(True), ControlError),
-    (lambda p, f, f2: wk.u_tt(f, BUMP, 0.3, True), DomainError),
-    (lambda p, f, f2: wk.norm_constants(p, True), DomainError),
-    (lambda p, f, f2: wk.weyl_solution(p, True, 1.0), PotentialError),
-], ids=["propagate", "build_volterra", "measure_h2", "certify_h2", "tables",
-        "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "bump_start", "bump_stop", "ramp_start",
-        "ramp_stop", "zero", "u_tt", "norm_constants", "weyl"])
-def test_horizons_reject_bool(pot_one, field_one, field_one_2T, call, error):
+@pytest.mark.parametrize("call, error, bad", against_not_numbers([
+    (lambda p, f, f2, b: wk.propagate(f, BUMP, b, 32), DomainError),
+    (lambda p, f, f2, b: wk.build_volterra(f, b, 32), DomainError),
+    (lambda p, f, f2, b: wk.measure_h2_bound(f, p, b, trials=2, N=16), DomainError),
+    (lambda p, f, f2, b: wk.certify_h2_bound(f, p, b, trials=2, N=16), DomainError),
+    (lambda p, f, f2, b: OperatorTables(f, b, 8), DomainError),
+    (lambda p, f, f2, b: wk.difference_quotient_test(f2, BUMP, b, [0.1, 0.05]), DomainError),
+    (lambda p, f, f2, b: wk.FDConfig(N_x=16, T=b), DomainError),
+    (lambda p, f, f2, b: wk.FDConfig(N_x=16, T=1.0, cfl=b), DomainError),
+    (lambda p, f, f2, b: wk.bump_control(b, 0.1, 0.9), ControlError),
+    (lambda p, f, f2, b: wk.ramp_control(b, 0.1, 0.9), ControlError),
+    (lambda p, f, f2, b: wk.bump_control(2.0, b, 1.5), ControlError),
+    (lambda p, f, f2, b: wk.bump_control(2.0, 0.5, b), ControlError),
+    (lambda p, f, f2, b: wk.ramp_control(2.0, b, 1.5), ControlError),
+    (lambda p, f, f2, b: wk.ramp_control(2.0, 0.5, b), ControlError),
+    (lambda p, f, f2, b: wk.zero_control(b), ControlError),
+    (lambda p, f, f2, b: wk.u_tt(f, BUMP, 0.3, b), DomainError),
+    (lambda p, f, f2, b: wk.u_tt(f, BUMP, b, 0.5), DomainError),
+    (lambda p, f, f2, b: wk.norm_constants(p, b), DomainError),
+    (lambda p, f, f2, b: wk.weyl_solution(p, b, 1.0), PotentialError),
+    (lambda p, f, f2, b: wk.bessel_kernel_constant(b, 0.1, 0.5), DomainError),
+], ["propagate", "build_volterra", "measure_h2", "certify_h2", "tables",
+    "dq_t", "fd_T", "fd_cfl", "bump", "ramp", "bump_start", "bump_stop", "ramp_start",
+    "ramp_stop", "zero", "u_tt", "u_tt_x", "norm_constants", "weyl", "bessel"]))
+def test_horizons_reject_bool(pot_one, field_one, field_one_2T, call, error, bad):
     # Python treats True as 1, a valid horizon (and cfl, start or stop of a
-    # support); it is not a number here
+    # support, or Bessel constant); like numpy's True, a string, None and
+    # NaN, it is not a number here
     with pytest.raises(error):
-        call(pot_one, field_one, field_one_2T)
+        call(pot_one, field_one, field_one_2T, bad)
