@@ -14,18 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlError, DomainError, PotentialError, SingularSystemError, check_real
+from .errors import (ControlError, DomainError, PotentialError, SingularSystemError,
+                     check_array, check_real)
 from .fileio import write_table
 from .potential import PotentialGrid, _lerp
 
 _PD_TOL = 1e-12
 
 
-def _sqrtm_pd(c: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive definite matrix."""
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
-    if not np.all(np.isfinite(c)):
-        raise PotentialError("decay matrix must be finite")
+def _sqrtm_pd(c, n: int) -> np.ndarray:
+    """Hermitian square root of a positive definite n x n matrix (PotentialError otherwise)."""
+    c = np.atleast_2d(check_array(c, "decay matrix", PotentialError, complex))
+    if c.shape != (n, n):
+        raise PotentialError(f"decay matrix shape {c.shape} != potential dim {n}")
     herm = 0.5 * (c + c.conj().T)
     if np.max(np.abs(c - herm)) > 1e-10 * max(np.max(np.abs(c)), 1.0):
         raise PotentialError("decay matrix must be Hermitian")
@@ -52,10 +53,10 @@ class WeylSolution:
     def eval(self, x) -> np.ndarray:
         """K(x) anywhere on the half-line; exponential formula beyond the cutoff.
 
-        x must be finite and >= 0 up to a 1e-12 rounding allowance (DomainError).
+        x must be finite, real and >= 0 up to a 1e-12 rounding allowance (DomainError).
         """
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x) & (x >= -1e-12)):
+        x = check_array(x, "x", DomainError)
+        if not np.all(x >= -1e-12):
             raise DomainError(f"K(x) needs finite x >= 0, got x in [{x.min()}, {x.max()}]")
         scal = x.ndim == 0
         xs = np.atleast_1d(x)
@@ -83,10 +84,8 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     c finite, Hermitian and positive definite (PotentialError).
     """
     check_real(X, "cutoff X", PotentialError, 0.0, p.x_max * (1 + 1e-12))
-    root_c = _sqrtm_pd(c)
     n = p.dim
-    if root_c.shape != (n, n):
-        raise PotentialError(f"decay matrix shape {root_c.shape} != potential dim {n}")
+    root_c = _sqrtm_pd(c, n)
     steps_per_cell = 2
     m = int(round(X / p.step)) * steps_per_cell
     m = max(m, 64)
@@ -139,8 +138,8 @@ def lambda_map(K: WeylSolution, vec) -> callable:
 
     vec must hold K.dim finite entries (DomainError).
     """
-    v = np.asarray(vec, dtype=complex)
-    if v.size != K.dim or not np.all(np.isfinite(v)):
+    v = check_array(vec, "vector", DomainError, complex)
+    if v.size != K.dim:
         raise DomainError(f"vector must hold {K.dim} finite entries, got {v.tolist()}")
     v = v.reshape(K.dim)
 
@@ -154,8 +153,8 @@ def lift_control(K: WeylSolution, f_v) -> callable:
     """Lift a vector-valued control to a kernel-element-valued one.
 
     Returns a two-argument evaluator (t, x) -> -K(x) f_v(t).  The control's
-    dimension must be K's (ControlError), and the shapes of t and x must
-    broadcast (DomainError).
+    dimension must be K's (ControlError), and t and x must hold finite real
+    numbers in shapes that broadcast (DomainError).
     """
     if f_v.dim != K.dim:
         raise ControlError(f"control dimension {f_v.dim} != solution dimension {K.dim}")
@@ -166,7 +165,7 @@ def lift_control(K: WeylSolution, f_v) -> callable:
         except ValueError:
             raise DomainError(f"times of shape {np.shape(t)} and points of shape "
                               f"{np.shape(x)} do not broadcast") from None
-        ft = f_v.sample(np.asarray(t, dtype=float))[0]
+        ft = f_v.sample(t)[0]
         return -np.einsum("...ab,...b->...a", K.eval(x), ft)
 
     return fn

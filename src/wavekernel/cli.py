@@ -120,7 +120,7 @@ def _load_control(cfg: dict, T: float, dim: int) -> Control:
         if len(amp) != dim:
             raise ControlError(f"control amplitude has {len(amp)} entries, need {dim}")
         maker = bump_control if kind == "bump" else ramp_control
-        return maker(T, start, stop, np.asarray(amp))
+        return maker(T, start, stop, amp)
     if not bare:
         raise ControlError("control 'csv' needs a file path: control = csv <file>")
     path = (cfg["_dir"] / bare[0]).resolve()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, SingularSystemError, check_count
+from .errors import CertificationError, DomainError, SingularSystemError, check_array, check_count
 from .goursat import KernelField, _check_dim, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
 from .propagator import OperatorTables, _l2, _random_smooth_samples
@@ -27,8 +27,8 @@ _DENSE_SVD_CAP = 1024
 
 
 def reflect(g: np.ndarray) -> np.ndarray:
-    """Sample-exact reflection about the midpoint of a uniform grid."""
-    return np.asarray(g)[::-1].copy()
+    """Sample-exact reflection of finite samples about a uniform grid's midpoint, as complex."""
+    return check_array(g, "g", DomainError, complex)[::-1].copy()
 
 
 def build_volterra(field: KernelField, T: float, N: int) -> OperatorTables:
@@ -43,12 +43,10 @@ def build_volterra(field: KernelField, T: float, N: int) -> OperatorTables:
 
 def _checked_snapshot(tab: OperatorTables, u: np.ndarray) -> np.ndarray:
     """Wave samples as a complex array on the tables' grid, checked finite."""
-    u = np.asarray(u, dtype=complex)
+    u = check_array(u, "snapshot samples", DomainError, complex)
     shape = (tab.grid.size, tab.field.dim)
     if u.shape != shape:
         raise DomainError(f"snapshot shape {u.shape} does not match grid {shape}")
-    if not np.all(np.isfinite(u)):
-        raise DomainError("snapshot samples must be finite (found NaN or inf)")
     return u
 
 
@@ -130,10 +128,12 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     """Sobolev norm combining a sampled function and its first two derivatives.
 
     Missing derivatives are filled by quintic-spline differentiation, which
-    needs at least 3 nodes.
+    needs at least 3 nodes.  Grid and samples are finite, the grid increasing (DomainError).
     """
-    grid = np.asarray(grid, dtype=float)
-    g = np.asarray(g, dtype=complex)
+    grid = check_array(grid, "h2_norm grid", DomainError)
+    g = check_array(g, "h2_norm samples", DomainError, complex)
+    g1, g2 = (d if d is None else check_array(d, "h2_norm derivatives", DomainError, complex)
+              for d in (g1, g2))
     if g.ndim == 1:
         g = g[:, None]
     fill = g1 is None or g2 is None
@@ -141,22 +141,18 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     if grid.ndim != 1 or grid.size < nodes:
         raise DomainError(f"h2_norm needs a 1-D grid of at least {nodes} nodes, "
                           f"got shape {grid.shape}")
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-        raise DomainError("h2_norm grid must be finite and strictly increasing")
-    if g.shape[0] != grid.size or any(d is not None and np.size(d) != g.size for d in (g1, g2)):
+    if not np.all(np.diff(grid) > 0):
+        raise DomainError("h2_norm grid must be strictly increasing")
+    if g.shape[0] != grid.size or any(d is not None and d.size != g.size for d in (g1, g2)):
         raise DomainError(f"h2_norm samples do not match the grid of {grid.size} nodes")
-    if not all(np.all(np.isfinite(d)) for d in (g, g1, g2) if d is not None):
-        raise DomainError("h2_norm samples must be finite")
     if fill:
         # scipy.interpolate takes ~0.5 s to import; only the spline fallback needs it
         from scipy.interpolate import make_interp_spline
 
         spl = make_interp_spline(grid, g, k=min(5, grid.size - 1))
-        g1 = np.asarray(spl.derivative(1)(grid)) if g1 is None else g1
-        g2 = np.asarray(spl.derivative(2)(grid)) if g2 is None else g2
-    g1 = np.asarray(g1, dtype=complex).reshape(g.shape)
-    g2 = np.asarray(g2, dtype=complex).reshape(g.shape)
-    return float(_h2(grid, g, g1, g2))
+        g1 = spl.derivative(1)(grid) if g1 is None else g1
+        g2 = spl.derivative(2)(grid) if g2 is None else g2
+    return float(_h2(grid, g, g1.reshape(g.shape), g2.reshape(g.shape)))
 
 
 def _apply_A_with_derivatives(tab: OperatorTables, f0, f1):

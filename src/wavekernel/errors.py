@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the one check each for counts and numbers."""
+"""Exception types shared across the package, and the one check each for counts,
+numbers and arrays of numbers."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -53,3 +56,25 @@ def check_real(value, name: str, error: type[Exception], low=-math.inf, high=mat
         rule = " and".join(f" {op} {b:g}" for op, b in bounds if math.isfinite(b))
         raise error(f"{name} must be a finite real number{rule}, not a bool, got {value!r}")
     return float(value)
+
+
+def check_array(value, name: str, error: type[Exception], dtype=float) -> np.ndarray:
+    """value as np.asarray(value, dtype), after checking it holds finite numbers only.
+
+    Otherwise the caller's error: for None, a string, a bool (Python's or
+    numpy's, alone or in an array), an array of objects or strings, a
+    complex value when dtype is real (never truncated to its real part),
+    and any NaN or inf entry.  A real value passes for a complex dtype.
+    """
+    kind = "real " if np.dtype(dtype).kind != "c" else ""
+    try:
+        arr = None if value is None or isinstance(value, str) else np.asarray(value)
+    except ValueError:          # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in ("iuf" if kind else "iufc"):
+        got = repr(value) if arr is None else f"{arr.dtype} values"
+        raise error(f"{name} must be finite {kind}numbers, got {got}")
+    arr = np.asarray(arr, dtype)
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite {kind}numbers, got NaN or inf")
+    return arr

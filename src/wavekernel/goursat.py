@@ -70,7 +70,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fileio
-from .errors import ConvergenceError, DomainError, SingularSystemError, check_count, check_real
+from .errors import (ConvergenceError, DomainError, SingularSystemError, check_array,
+                     check_count, check_real)
 from .potential import PotentialGrid, _cumtrapz, _lerp, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
@@ -136,11 +137,8 @@ class KernelField:
         return self.v.shape[-1]
 
     def q_at(self, pts) -> np.ndarray:
-        """Potential at finite points, interpolated from qh, held constant beyond [0, T]."""
-        pts = np.asarray(pts, dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("potential requested at a non-finite point")
-        return _lerp(self.qh, pts, self.T, 0.5 * self.step)
+        """Potential at finite real points, interpolated from qh, held constant beyond [0, T]."""
+        return _lerp(self.qh, check_array(pts, "points", DomainError), self.T, 0.5 * self.step)
 
     @property
     def wx_lat(self) -> np.ndarray:
@@ -681,14 +679,14 @@ def _table_rows(f: KernelField):
 
 def kernel_w(f: KernelField, x, t) -> np.ndarray:
     """Kernel value w(x, t) by interpolation of the characteristic lattice."""
-    _check_xt(f, x, t)
-    return _interp_triangle(f.v, np.asarray(t) - x, np.asarray(t) + x, f.step, f.M)
+    x, t = _check_xt(f, x, t)
+    return _interp_triangle(f.v, t - x, t + x, f.step, f.M)
 
 
 def split_w(p: PotentialGrid, f: KernelField, x: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Split the kernel into its explicit potential integral and the smooth rest."""
     _check_dim(p, f)
-    _check_xt(f, x, t)
+    x, t = _check_xt(f, x, t)
     w0 = -0.5 * integral_Q(p, (t - x) / 2.0, (t + x) / 2.0)
     return w0, kernel_w(f, x, t) - w0
 
@@ -698,11 +696,11 @@ def _check_dim(p: PotentialGrid, f: KernelField) -> None:
         raise DomainError(f"potential dimension {p.dim} != kernel dimension {f.dim}")
 
 
-def _check_xt(f: KernelField, x, t) -> None:
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
+def _check_xt(f: KernelField, x, t) -> tuple[np.ndarray, np.ndarray]:
+    x, t = check_array(x, "x", DomainError), check_array(t, "t", DomainError)
     if not np.all((x >= -_TOL) & (x <= t + _TOL) & (t <= f.T * (1 + _TOL) + _TOL)):
         raise DomainError(f"(x, t) outside the triangle 0 <= x <= t <= {f.T}")
+    return x, t
 
 
 def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
@@ -712,9 +710,10 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
     Evaluates the explicit formulas: a pointwise q term plus single line
     integrals of q*v along lattice-parallel segments, by trapezoid
     quadrature of the interpolated field.  The point must satisfy
-    xi + eta <= 2T (t <= T), where v is stored.
+    xi + eta <= 2T (t <= T), where v is stored, with xi and eta real numbers (DomainError).
     """
     _check_dim(p, f)
+    xi, eta = check_real(xi, "xi", DomainError), check_real(eta, "eta", DomainError)
     if not (-_TOL <= xi <= eta + _TOL and xi + eta <= 2 * f.T * (1 + _TOL) + _TOL):
         raise DomainError("characteristic point outside 0 <= xi <= eta, xi + eta <= 2T")
     h = f.step
@@ -737,13 +736,13 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
 
 def wtilde_x(f: KernelField, x: float, t: float) -> np.ndarray:
     """Space derivative of the smooth kernel part at (x, t)."""
-    _check_xt(f, x, t)
+    x, t = _check_xt(f, x, t)
     return _interp_triangle(f.wx_lat, t - x, t + x, f.step, f.M)
 
 
 def wtt_explicit(f: KernelField, x: float, t: float) -> np.ndarray:
     """Second time derivative of the smooth kernel part at (x, t)."""
-    _check_xt(f, x, t)
+    x, t = _check_xt(f, x, t)
     return _interp_triangle(f.wtt_lattice(), t - x, t + x, f.step, f.M)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlError, DomainError, check_count, check_real
+from .errors import ControlError, DomainError, check_array, check_count, check_real
 from .potential import PotentialGrid
 from .propagator import Control, WaveSnapshot, _l2
 
@@ -95,7 +95,7 @@ def bessel_j1_over_z(z2: np.ndarray) -> np.ndarray:
     for k in range(1, 60):
         term = term * (-z2 / 4.0) / (k * (k + 1))
         out = out + term
-        if np.max(np.abs(term)) < 1e-17 * max(np.max(np.abs(out)), 1e-30):
+        if np.max(np.abs(term), initial=0.0) < 1e-17 * np.max(np.abs(out), initial=1e-30):
             break
     return out
 
@@ -103,13 +103,10 @@ def bessel_j1_over_z(z2: np.ndarray) -> np.ndarray:
 def bessel_kernel_constant(c: float, x, t) -> np.ndarray:
     """Closed-form scalar kernel for a constant potential c > 0.
 
-    c (not a bool), x and t must be finite, with 0 <= x <= t up to 1e-12 (DomainError).
+    c (not a bool), x and t must be finite and real, with 0 <= x <= t up to 1e-12 (DomainError).
     """
     check_real(c, "constant c", DomainError, 0.0)
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-        raise DomainError("x and t must be finite (found NaN or inf)")
+    x, t = check_array(x, "x", DomainError), check_array(t, "t", DomainError)
     if np.any(x < -1e-12) or np.any(x > t + 1e-12):
         raise DomainError("need 0 <= x <= t")
     z2 = c * np.maximum(t**2 - x**2, 0.0)
@@ -122,8 +119,11 @@ def bessel_substitution_residual(c: float, points) -> float:
     Substitutes the Bessel form into v = v0 + V v at the given (xi, eta)
     points, evaluating the double integral with an independent fine
     Simpson rule of _N_QUAD cells per axis.  A small residual certifies the
-    closed form before it is used as an oracle.
+    closed form before it is used as an oracle.  points: (k, 2) finite reals (DomainError).
     """
+    points = check_array(points, "points", DomainError)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise DomainError(f"points must be (xi, eta) pairs, got shape {points.shape}")
 
     def v_of(xi, eta):
         xs = (eta - xi) / 2.0
@@ -132,7 +132,7 @@ def bessel_substitution_residual(c: float, points) -> float:
 
     worst = 0.0
     for xi, eta in points:
-        v_val = v_of(np.asarray(xi), np.asarray(eta))
+        v_val = v_of(xi, eta)
         v0 = -0.5 * c * (eta - xi) / 2.0
         if xi < 1e-14:
             integral = 0.0
@@ -155,8 +155,10 @@ def compare(a: WaveSnapshot, b: WaveSnapshot) -> tuple[float, float, float]:
     """L2, max, and relative L2 distance between snapshots.
 
     Grids are resampled to the coarser one by linear interpolation.  The
-    snapshots must share their horizon and dimension (DomainError).
+    snapshots must be WaveSnapshots of one horizon and dimension (DomainError).
     """
+    if not all(isinstance(s, WaveSnapshot) for s in (a, b)):
+        raise DomainError(f"compare takes WaveSnapshots, got {type(a).__name__, type(b).__name__}")
     if abs(a.T - b.T) > 1e-12 * max(1.0, a.T):
         raise DomainError(f"horizon mismatch: {a.T} vs {b.T}")
     if a.dim != b.dim:

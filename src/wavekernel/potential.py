@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, PotentialError, check_count, check_real
+from .errors import DomainError, PotentialError, check_array, check_count, check_real
 
 _HERMITIAN_TOL = 1e-8
 _RANGE_TOL = 1e-9
@@ -132,12 +132,11 @@ class PotentialGrid:
     cum_norm_integral: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=complex)
+        samples = check_array(self.samples, "samples", PotentialError, complex)
+        samples = np.ascontiguousarray(samples)
         shape = samples.shape
         if len(shape) != 3 or shape[0] < 2 or not 1 <= shape[1] == shape[2]:
             raise PotentialError(f"samples must be (m+1, n, n) with m, n >= 1, got {shape}")
-        if not np.all(np.isfinite(samples)):
-            raise PotentialError("potential samples must be finite (found NaN or inf)")
         asym = _opnorms(samples - samples.conj().transpose(0, 2, 1))
         worst = float(np.max(asym / np.maximum(_opnorms(samples), 1e-30)))
         if worst > _HERMITIAN_TOL:
@@ -170,12 +169,10 @@ class PotentialGrid:
         return self.samples.shape[0]
 
     def _inside(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_array(x, "x", DomainError)
         if not np.all((x >= -_RANGE_TOL) & (x <= self.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
-            raise DomainError(
-                f"evaluation at x outside [0, {self.x_max}] or not finite "
-                f"(requested range [{x.min()}, {x.max()}])"
-            )
+            raise DomainError(f"evaluation at x outside [0, {self.x_max}] "
+                              f"(requested range [{x.min()}, {x.max()}])")
         return x
 
     def _locate(self, x):
@@ -237,23 +234,21 @@ def zero_potential(dim: int = 1, x_max: float = 4.0, step: float = 1.0 / 2048) -
 
 
 def constant_potential(matrix, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
-    c = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    c = np.atleast_2d(check_array(matrix, "constant matrix", PotentialError, complex))
     m = _grid_steps(c.shape[-1], x_max, step)
     return PotentialGrid(m * step, step, np.broadcast_to(c, (m + 1, *c.shape)).copy())
 
 
 def sampled_potential(x: np.ndarray, values: np.ndarray) -> PotentialGrid:
     """Potential from explicit node samples; the x grid must be uniform from 0."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=complex)
+    x = check_array(x, "sample grid x", PotentialError)
+    values = check_array(values, "values", PotentialError, complex)
     if values.ndim == 1:
         values = values[:, None, None]
     if x.ndim != 1 or x.size < 2:
         raise PotentialError("need at least two sample points in a 1-D grid")
     if values.shape[:1] != x.shape:
         raise PotentialError(f"samples of shape {values.shape} for {x.size} grid points")
-    if not np.all(np.isfinite(x)):
-        raise PotentialError("sample grid points must be finite (found NaN or inf)")
     if abs(x[0]) > _RANGE_TOL:
         raise PotentialError("sample grid must start at x = 0")
     steps = np.diff(x)
@@ -315,22 +310,23 @@ def build_potential(spec: dict) -> PotentialGrid:
     preset takes a registry ``name``.
     """
     kind = spec.get("kind")
-    # only the keys the spec holds, so unset ones take the constructors' defaults
-    grid = {key: float(spec[key]) for key in ("x_max", "step") if key in spec}
+    # only the keys the spec holds, as given: the constructors check them or default them
+    grid = {key: spec[key] for key in ("x_max", "step") if key in spec}
     if kind == "zero":
         if "dimension" in spec:
-            grid["dim"] = int(spec["dimension"])
+            grid["dim"] = spec["dimension"]
         return zero_potential(**grid)
     if kind == "constant":
-        n = int(spec.get("dimension", 1))
-        entries = spec["matrix"]
-        if len(entries) != n * n:
-            raise PotentialError(f"constant matrix needs {n * n} entries, got {len(entries)}")
-        return constant_potential(np.asarray(entries, dtype=complex).reshape(n, n), **grid)
+        n = spec.get("dimension", 1)
+        check_count(n, "dimension", 1, PotentialError)
+        entries = check_array(spec.get("matrix"), "constant matrix", PotentialError, complex)
+        if entries.shape != (n * n,):
+            raise PotentialError(f"constant matrix needs {n * n} entries, got {entries.size}")
+        return constant_potential(entries.reshape(n, n), **grid)
     if kind == "sampled":
-        return sampled_potential(spec["x"], spec["values"])
+        return sampled_potential(spec.get("x"), spec.get("values"))
     if kind == "preset":
-        return preset_potential(spec["name"], **grid)
+        return preset_potential(spec.get("name"), **grid)
     raise PotentialError(f"unknown potential kind {kind!r}")
 
 
@@ -338,7 +334,7 @@ def build_potential(spec: dict) -> PotentialGrid:
 
 def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
     """Trapezoid value of the matrix integral of q over [a, b]; a and b may be arrays."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = check_array(a, "a", DomainError), check_array(b, "b", DomainError)
     if not np.all((0.0 <= a) & (a <= b + _RANGE_TOL)
                   & (b <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
         raise DomainError(f"integral bounds [{a.min()}, {b.max()}] outside [0, {p.x_max}]")

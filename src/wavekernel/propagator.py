@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ControlError, DomainError, check_count, check_real
+from .errors import ControlError, DomainError, check_array, check_count, check_real
 from .goursat import KernelField, _blocks, _interp_triangle
 
 _SUPPORT_TOL = 1e-12
@@ -114,10 +114,11 @@ class Control:
     def __post_init__(self):
         check_real(self.T, "control horizon T", ControlError, 0.0)
         check_count(self.dim, "control dimension", 1, ControlError)
+        check_real(self.support_start, "support start", ControlError)
 
     def sample(self, t):
-        """Values and first two derivatives at t; zero for negative arguments."""
-        t = np.asarray(t, dtype=float)
+        """Values and first two derivatives at finite real t (DomainError); zero for t < 0."""
+        t = check_array(t, "t", DomainError)
         out = self._eval(t)
         neg = (t < 0.0)[..., None]
         return tuple(np.where(neg, 0.0, out[k]) for k in range(3))
@@ -177,16 +178,13 @@ def zero_control(T: float, dim: int = 1) -> Control:
 def _profile_control(T: float, start: float, stop: float, amplitude, profile,
                      name: str) -> Control:
     """A scalar profile on (start, stop), numbers not bools, times a constant amplitude vector."""
-    amp = np.atleast_1d(np.asarray(amplitude, dtype=complex))
-    if not np.all(np.isfinite(amp)):
-        raise ControlError(f"control amplitude must be finite, got {amp.tolist()}")
+    amp = np.atleast_1d(check_array(amplitude, "control amplitude", ControlError, complex))
 
     def ev(t):
         f, f1, f2 = profile(t, start, stop)
         return f[..., None] * amp, f1[..., None] * amp, f2[..., None] * amp
 
-    ctrl = Control(T, amp.size, start, ev, label=f"{name}({start},{stop})")    # checks T
-    check_real(start, "start", ControlError)
+    ctrl = Control(T, amp.size, start, ev, label=f"{name}({start},{stop})")  # checks T, start
     check_real(stop, "stop", ControlError)
     if not 0.0 < start < stop <= T:
         raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
@@ -209,19 +207,18 @@ def control_from_samples(ts, values, T: float = None) -> Control:
     The samples must be identically zero on an initial segment.  The
     support starts at the last sample time of that segment; the spline is
     clamped to zero up to it and the smoothness contract is verified at
-    construction.  All-zero samples give the zero control.
+    construction.  All-zero samples give the zero control.  Times, values and
+    T (by default the last time) are finite, the values complex (ControlError).
     """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=complex)
+    ts = check_array(ts, "control sample times", ControlError)
+    values = check_array(values, "control samples", ControlError, complex)
     if values.ndim == 1:
         values = values[:, None]
     if ts.ndim != 1 or ts.size != values.shape[0] or ts.size < 7:
         raise ControlError("need at least 7 samples aligned with their times")
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
-        raise ControlError("control samples and their times must be finite")
     if not np.all(np.diff(ts) > 0):
         raise ControlError("control sample times must be strictly increasing")
-    T = float(ts[-1]) if T is None else float(T)
+    T = check_real(ts[-1] if T is None else T, "control horizon T", ControlError)
     dim = values.shape[1]
     mags = np.max(np.abs(values), axis=1)
     nz = np.nonzero(mags > _SUPPORT_TOL * max(mags.max(), 1.0))[0]
@@ -272,8 +269,10 @@ def random_smooth_control(T: float, dim: int, rng: np.random.Generator) -> Contr
 
     The bumps come from _draw_bumps and are summed in their order,
     ((b1 + b2) + b3).  _random_smooth_samples samples many successive
-    draws at once, to the same bytes.
+    draws at once, to the same bytes.  T and dim are checked as a Control's (ControlError).
     """
+    check_real(T, "control horizon T", ControlError, 0.0)
+    check_count(dim, "control dimension", 1, ControlError)
     start, stop, amp = _draw_bumps(T, dim, rng, _RANDOM_BUMPS)
     ctrl = None
     for a, b, c in zip(start.tolist(), stop.tolist(), amp):
@@ -572,11 +571,11 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     u_t(., t) (f' for f) come from one k0 product, as in propagate.  The
     grid has N = _DQ_N intervals.
     """
-    h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
+    h_arr = np.sort(check_array(h_list, "steps", DomainError), axis=None)[::-1]
     # sorted, so two distinct steps differ at the ends; np.unique would import numpy.ma
-    if h_arr.size < 2 or h_arr[0] == h_arr[-1] or not np.all(np.isfinite(h_arr) & (h_arr > 0)):
+    if h_arr.size < 2 or h_arr[0] == h_arr[-1] or not np.all(h_arr > 0):
         raise DomainError(f"steps must be at least two distinct finite positive numbers "
-                          f"(a slope needs two), got {list(h_list)}")
+                          f"(a slope needs two), got {h_arr.tolist()}")
     if check_real(t, "time t", DomainError) < 0:
         raise DomainError(f"time t = {t} must be non-negative")
     if f.dim != field.dim:

@@ -144,3 +144,11 @@ def against_not_numbers(cases, ids):
     """pytest params: each case tuple, then each value of NOT_NUMBERS, as id + suffix."""
     return [pytest.param(*case, bad, id=name + suffix)
             for case, name in zip(cases, ids) for suffix, bad in NOT_NUMBERS.items()]
+
+
+# values that are neither a finite real number nor an array of them, by id: a
+# point, a grid, a sample array or a scalar argument refuses each ("complex"
+# only where the argument is real); an empty array may also be accepted
+NOT_ARRAYS = {"complex": np.array([0.1 + 0.5j]), "bool_array": np.array([True]),
+              "str_list": ["a"], "None": None, "nan": float("nan"), "inf": float("inf"),
+              "-inf": -float("inf"), "empty": np.array([])}

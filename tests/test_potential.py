@@ -89,6 +89,29 @@ def test_constructors_reject_degenerate_sizes(build):
         build()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "zero", "x_max": True, "step": 0.25, "dimension": 2.7},
+    {"kind": "zero", "x_max": np.True_, "step": 0.25},
+    {"kind": "zero", "x_max": "4", "step": 0.25},
+    {"kind": "zero", "x_max": 1.0, "step": 0.25, "dimension": 2.7},
+    {"kind": "zero", "step": None},
+    {"kind": "constant", "dimension": 2.7, "matrix": [1.0, 0.0, 0.0, 1.0]},
+    {"kind": "constant", "dimension": True, "matrix": [1.0]},
+    {"kind": "constant", "matrix": ["a"]},
+    {"kind": "constant"},
+    {"kind": "preset", "name": "one", "step": None},
+    {"kind": "sampled"},
+], ids=["x_max_bool_dimension_fraction", "x_max_numpy_bool", "x_max_str", "dimension_fraction",
+        "step_None", "constant_dimension_fraction", "constant_dimension_bool",
+        "constant_matrix_str", "constant_no_matrix", "preset_step_None", "sampled_no_samples"])
+def test_build_potential_checks_the_spec_values(spec):
+    # the values reach the constructors as given: float() and int() used to turn
+    # True into 1, "4" into 4.0 and 2.7 into 2, and None or a missing key into a
+    # bare TypeError or KeyError
+    with pytest.raises(PotentialError):
+        wk.build_potential(spec)
+
+
 @pytest.mark.parametrize("x_max, step, samples, match", [
     (1.0, 0.5, np.full((3, 1, 1), np.nan), "finite"),
     (1.0, 0.5, np.full((3, 2, 2), complex(0.0, np.inf)), "finite"),
@@ -171,7 +194,7 @@ def test_integral_domain_errors():
 ], ids=["eval", "eval_array", "integral", "norm_integral"])
 def test_non_finite_point_is_a_domain_error(evaluate, bad):
     p = wk.preset_potential("herm2", x_max=2.0, step=1 / 64)
-    with pytest.raises(DomainError, match="not finite"):
+    with pytest.raises(DomainError, match="^x must be finite real numbers, got NaN or inf$"):
         evaluate(p, bad)
 
 
