@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ControlError, DomainError, PotentialError, SingularSystemError,
-                     check_array, check_real)
+                     check_array, check_order, check_real)
 from .fileio import write_table
 from .potential import PotentialGrid, _lerp
 
@@ -53,11 +53,10 @@ class WeylSolution:
     def eval(self, x) -> np.ndarray:
         """K(x) anywhere on the half-line; exponential formula beyond the cutoff.
 
-        x must be finite, real and >= 0 up to a 1e-12 rounding allowance (DomainError).
+        x must be finite, real and >= 0 up to rounding (errors.check_order; DomainError).
         """
         x = check_array(x, "x", DomainError)
-        if not np.all(x >= -1e-12):
-            raise DomainError(f"K(x) needs finite x >= 0, got x in [{x.min()}, {x.max()}]")
+        check_order("K(x) needs x >= 0", DomainError, 0.0, x)
         scal = x.ndim == 0
         xs = np.atleast_1d(x)
         out = np.empty(xs.shape + (self.dim, self.dim), dtype=complex)
@@ -83,7 +82,8 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     be a finite positive number, not a bool, within the sampled domain, and
     c finite, Hermitian and positive definite (PotentialError).
     """
-    check_real(X, "cutoff X", PotentialError, 0.0, p.x_max * (1 + 1e-12))
+    check_real(X, "cutoff X", PotentialError, 0.0)
+    check_order(f"cutoff X beyond the potential domain [0, {p.x_max}]", PotentialError, X, p.x_max)
     n = p.dim
     root_c = _sqrtm_pd(c, n)
     steps_per_cell = 2
@@ -95,10 +95,9 @@ def weyl_solution(p: PotentialGrid, X: float, c) -> WeylSolution:
     P = np.empty_like(K)
     K[0] = np.eye(n)
     P[0] = -root_c
-    q_of = p.eval
 
-    def rhs(x, K_val, P_val):
-        return P_val, q_of(float(np.clip(x, 0.0, p.x_max))) @ K_val
+    def rhs(x, K_val, P_val):       # x lies in [0, X]: q read unchecked, clipped as p.eval does
+        return P_val, _lerp(p.samples, x, p.x_max, p.step) @ K_val
 
     for r in range(m):
         x0 = xs[r]

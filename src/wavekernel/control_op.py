@@ -143,7 +143,7 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
                           f"got shape {grid.shape}")
     if not np.all(np.diff(grid) > 0):
         raise DomainError("h2_norm grid must be strictly increasing")
-    if g.shape[0] != grid.size or any(d is not None and d.size != g.size for d in (g1, g2)):
+    if g.shape[:1] != grid.shape or any(d is not None and d.size != g.size for d in (g1, g2)):
         raise DomainError(f"h2_norm samples do not match the grid of {grid.size} nodes")
     if fill:
         # scipy.interpolate takes ~0.5 s to import; only the spline fallback needs it

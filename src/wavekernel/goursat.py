@@ -71,10 +71,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fileio
 from .errors import (ConvergenceError, DomainError, SingularSystemError, check_array,
-                     check_count, check_real)
+                     check_count, check_order, check_real)
 from .potential import PotentialGrid, _cumtrapz, _lerp, _mul, _opnorms, integral_Q
 
 _TOL = 1e-9
+_XI_ETA = "characteristic point outside 0 <= xi <= eta, xi + eta <= 2T (0 <= x <= t <= T)"
 _BOUND_SLACK = 1e-10      # relative slack of bound_violations, for rounding
 
 
@@ -189,13 +190,12 @@ def _interp_triangle(arr: np.ndarray, xi, eta, h: float, M: int) -> np.ndarray:
     Off-diagonal cells use bilinear interpolation; cells touching the
     diagonal use linear interpolation on their three valid corners, which
     keeps diagonal values exact.  The points must be finite and satisfy
-    0 <= xi <= eta, xi + eta <= M*h = 2T.
+    0 <= xi <= eta, xi + eta <= M*h = 2T, checked as 0 <= x <= t <= T.
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     top = M * h
-    if not np.all((xi >= -_TOL) & (xi <= eta + _TOL) & (xi + eta <= top + _TOL * (1 + top))):
-        raise DomainError("interpolation point outside 0 <= xi <= eta, xi + eta <= 2T")
+    check_order(_XI_ETA, DomainError, 0.0, (eta - xi) / 2, (eta + xi) / 2, top / 2)
     xic = np.clip(xi, 0.0, top)
     etac = np.clip(np.maximum(eta, xic), 0.0, top)
     i = np.minimum((xic / h).astype(int), arr.shape[0] - 2)
@@ -225,8 +225,7 @@ def _lattice_setup(p: PotentialGrid, T: float, h: float):
         raise DomainError(f"step h = {h} must divide T (even lattice), got M = {M}")
     if M < 2:
         raise DomainError("lattice too coarse; need at least two steps")
-    if p.x_max < T - _TOL * max(1.0, T):
-        raise DomainError(f"potential domain [0, {p.x_max}] does not cover [0, {T}]")
+    check_order(f"potential domain [0, {p.x_max}] does not cover [0, T]", DomainError, T, p.x_max)
     qh = p.eval(np.minimum(np.arange(M + 1) * (h / 2.0), p.x_max))
     if not np.any(qh.imag):         # a real potential runs in real arithmetic
         qh = np.ascontiguousarray(qh.real)
@@ -698,8 +697,7 @@ def _check_dim(p: PotentialGrid, f: KernelField) -> None:
 
 def _check_xt(f: KernelField, x, t) -> tuple[np.ndarray, np.ndarray]:
     x, t = check_array(x, "x", DomainError), check_array(t, "t", DomainError)
-    if not np.all((x >= -_TOL) & (x <= t + _TOL) & (t <= f.T * (1 + _TOL) + _TOL)):
-        raise DomainError(f"(x, t) outside the triangle 0 <= x <= t <= {f.T}")
+    check_order(f"(x, t) outside the triangle 0 <= x <= t <= {f.T}", DomainError, 0.0, x, t, f.T)
     return x, t
 
 
@@ -714,8 +712,7 @@ def derivatives_v(p: PotentialGrid, f: KernelField, xi: float, eta: float
     """
     _check_dim(p, f)
     xi, eta = check_real(xi, "xi", DomainError), check_real(eta, "eta", DomainError)
-    if not (-_TOL <= xi <= eta + _TOL and xi + eta <= 2 * f.T * (1 + _TOL) + _TOL):
-        raise DomainError("characteristic point outside 0 <= xi <= eta, xi + eta <= 2T")
+    check_order(_XI_ETA, DomainError, 0.0, (eta - xi) / 2, (eta + xi) / 2, f.T)
     h = f.step
 
     def _line(a: float, b: float, q_arg, v_pt):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlError, DomainError, check_array, check_count, check_real
+from .errors import ControlError, DomainError, check_array, check_count, check_order, check_real
 from .potential import PotentialGrid
 from .propagator import Control, WaveSnapshot, _l2
 
@@ -32,7 +32,7 @@ class FDConfig:
     def __post_init__(self):
         check_count(self.N_x, "N_x (space cells)", 16, DomainError)
         check_real(self.T, "horizon T", DomainError, 0.0)
-        check_real(self.cfl, "cfl", DomainError, 0.0, 1.0)
+        check_order("cfl <= 1", DomainError, check_real(self.cfl, "cfl", DomainError, 0.0), 1.0)
 
 
 def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:
@@ -47,10 +47,7 @@ def fd_solve(p: PotentialGrid, f: Control, cfg: FDConfig) -> WaveSnapshot:
     dx = T / cfg.N_x
     n_ext = cfg.N_x + 2
     xs = np.arange(n_ext + 1) * dx
-    if xs[-1] > p.x_max * (1 + 1e-12) + 1e-12:
-        raise DomainError(
-            f"potential domain [0, {p.x_max}] does not cover the extended grid [0, {xs[-1]}]"
-        )
+    check_order(f"potential domain [0, {p.x_max}] too short", DomainError, xs[-1], p.x_max)
     n = p.dim
     if f.dim != n:
         raise ControlError(f"control dimension {f.dim} != potential dimension {n}")
@@ -103,12 +100,11 @@ def bessel_j1_over_z(z2: np.ndarray) -> np.ndarray:
 def bessel_kernel_constant(c: float, x, t) -> np.ndarray:
     """Closed-form scalar kernel for a constant potential c > 0.
 
-    c (not a bool), x and t must be finite and real, with 0 <= x <= t up to 1e-12 (DomainError).
+    c (not a bool), x and t finite reals in shapes that broadcast, with 0 <= x <= t (DomainError).
     """
     check_real(c, "constant c", DomainError, 0.0)
     x, t = check_array(x, "x", DomainError), check_array(t, "t", DomainError)
-    if np.any(x < -1e-12) or np.any(x > t + 1e-12):
-        raise DomainError("need 0 <= x <= t")
+    check_order("need 0 <= x <= t", DomainError, 0.0, x, t)
     z2 = c * np.maximum(t**2 - x**2, 0.0)
     return -c * x * bessel_j1_over_z(z2)
 

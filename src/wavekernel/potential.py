@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, PotentialError, check_array, check_count, check_real
+from .errors import DomainError, PotentialError, check_array, check_count, check_order, check_real
 
 _HERMITIAN_TOL = 1e-8
 _RANGE_TOL = 1e-9
@@ -170,9 +171,7 @@ class PotentialGrid:
 
     def _inside(self, x) -> np.ndarray:
         x = check_array(x, "x", DomainError)
-        if not np.all((x >= -_RANGE_TOL) & (x <= self.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
-            raise DomainError(f"evaluation at x outside [0, {self.x_max}] "
-                              f"(requested range [{x.min()}, {x.max()}])")
+        check_order(f"evaluation at x outside [0, {self.x_max}]", DomainError, 0.0, x, self.x_max)
         return x
 
     def _locate(self, x):
@@ -235,6 +234,8 @@ def zero_potential(dim: int = 1, x_max: float = 4.0, step: float = 1.0 / 2048) -
 
 def constant_potential(matrix, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
     c = np.atleast_2d(check_array(matrix, "constant matrix", PotentialError, complex))
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise PotentialError(f"constant matrix must be square, got shape {c.shape}")
     m = _grid_steps(c.shape[-1], x_max, step)
     return PotentialGrid(m * step, step, np.broadcast_to(c, (m + 1, *c.shape)).copy())
 
@@ -296,7 +297,7 @@ _PRESETS = {
 
 
 def preset_potential(name: str, x_max: float = 4.0, step: float = 1.0 / 2048) -> PotentialGrid:
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise PotentialError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
     dim, fn = _PRESETS[name]
     return potential_from_callable(fn, dim, x_max, step)
@@ -307,8 +308,10 @@ def build_potential(spec: dict) -> PotentialGrid:
 
     Recognized kinds: zero, constant, sampled, preset.  Constant takes a
     row-major ``matrix`` list; sampled takes node arrays ``x`` and ``values``;
-    preset takes a registry ``name``.
+    preset takes a registry ``name``.  Anything but a mapping is a PotentialError.
     """
+    if not isinstance(spec, Mapping):
+        raise PotentialError(f"potential spec must be a mapping, got {spec!r}")
     kind = spec.get("kind")
     # only the keys the spec holds, as given: the constructors check them or default them
     grid = {key: spec[key] for key in ("x_max", "step") if key in spec}
@@ -335,9 +338,7 @@ def build_potential(spec: dict) -> PotentialGrid:
 def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
     """Trapezoid value of the matrix integral of q over [a, b]; a and b may be arrays."""
     a, b = check_array(a, "a", DomainError), check_array(b, "b", DomainError)
-    if not np.all((0.0 <= a) & (a <= b + _RANGE_TOL)
-                  & (b <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL)):
-        raise DomainError(f"integral bounds [{a.min()}, {b.max()}] outside [0, {p.x_max}]")
+    check_order(f"bounds outside 0 <= a <= b <= {p.x_max}", DomainError, 0.0, a, b, p.x_max)
     return p.integral(a, np.minimum(b, p.x_max))
 
 
@@ -346,9 +347,8 @@ def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
 
     T is a finite real number in the sampled domain, not a bool (DomainError).
     """
-    if not 0.0 <= check_real(T, "T", DomainError) <= p.x_max * (1 + _RANGE_TOL) + _RANGE_TOL:
-        raise DomainError(f"T = {T} outside the potential domain [0, {p.x_max}]")
-    T = min(T, p.x_max)
+    T = check_real(T, "T", DomainError)
+    check_order(f"T outside the potential domain [0, {p.x_max}]", DomainError, 0.0, T, p.x_max)
     a1 = float(0.5 * p.norm_integral(T))
     sq = p.norms**2
     cum_sq = _cumtrapz(sq, p.step)
@@ -388,9 +388,12 @@ def parse_potential_file(path) -> dict:
     and step; constant those plus ``matrix`` (row-major complex entries);
     sampled only ``csv`` (sample file path, relative to the spec file);
     preset ``name`` (registry key), x_max and step.  Any other key is a
-    PotentialError.
+    PotentialError, and so is a path that is not a string or path object.
     """
-    path = Path(path)
+    try:
+        path = Path(path)
+    except TypeError:
+        raise PotentialError(f"potential file must be a path, got {path!r}") from None
     spec = fileio.read_key_values(path, "potential file", PotentialError)
     kind = spec.get("kind")
     if kind not in _SPEC_KEYS:

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ControlError, DomainError, check_array, check_count, check_real
+from .errors import ControlError, DomainError, check_array, check_count, check_order, check_real
 from .goursat import KernelField, _blocks, _interp_triangle
 
 _SUPPORT_TOL = 1e-12
@@ -371,7 +371,8 @@ class OperatorTables:
     def __init__(self, field: KernelField, T: float, N: int):
         check_count(N, "grid size N", 1, DomainError)
         self.field = field
-        self.T = check_real(T, "horizon T", DomainError, 0.0, field.T * (1 + 1e-12) + 1e-12)
+        self.T = check_real(T, "horizon T", DomainError, 0.0)
+        check_order(f"horizon T beyond the kernel's {field.T}", DomainError, self.T, field.T)
         self.delta = self.T / N
         self.grid = np.arange(N + 1) * self.delta
 
@@ -457,8 +458,9 @@ class OperatorTables:
             # triangle cells: xi and eta in one cell, so eta - xi = 2 x_k < h
             tri = cell[p] >= cell[r]
             if tri.any():
-                out[tri] = _interp_triangle(lattice, p[tri] * self.delta, r[tri] * self.delta,
-                                            h, M)
+                # a horizon past the field's, by rounding, reads these cells at the field's
+                d = min(self.delta, self.field.T / N)
+                out[tri] = _interp_triangle(lattice, p[tri] * d, r[tri] * d, h, M)
             return out
 
         return values
@@ -537,15 +539,15 @@ def u_tt(field: KernelField, f: Control, x: float, t: float) -> np.ndarray:
     the field's (ControlError).
     """
     x, t = check_real(x, "x", DomainError), check_real(t, "t", DomainError)
-    if not (-1e-12 <= x <= t + 1e-12 and t <= field.T * (1 + 1e-12)):
-        raise DomainError("point outside 0 <= x <= t <= T")
+    check_order(f"point outside 0 <= x <= t <= {field.T}", DomainError, 0.0, x, t, field.T)
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
     if x >= t - 1e-14:
         return np.zeros(field.dim, dtype=complex)
     k = max(2, int(math.ceil(t / (field.step / 2.0))) + 1)
     s = x + (t - x) * np.linspace(0.0, 1.0, k)
-    W = _interp_triangle(field.v, s - x, s + x, field.step, field.M)
+    sv = np.minimum(s, field.T)          # a t past T, by rounding, reads the kernel at T
+    W = _interp_triangle(field.v, sv - x, sv + x, field.step, field.M)
     g = np.einsum("kab,kb->ka", W, f.sample(t - s)[2])
     dx = (t - x) / (k - 1)
     return f.sample(np.array([t - x]))[2][0] + dx * (g.sum(axis=0) - 0.5 * g[0] - 0.5 * g[-1])
@@ -576,8 +578,7 @@ def difference_quotient_test(field: KernelField, f: Control, t: float,
     if h_arr.size < 2 or h_arr[0] == h_arr[-1] or not np.all(h_arr > 0):
         raise DomainError(f"steps must be at least two distinct finite positive numbers "
                           f"(a slope needs two), got {h_arr.tolist()}")
-    if check_real(t, "time t", DomainError) < 0:
-        raise DomainError(f"time t = {t} must be non-negative")
+    check_order("time t >= 0", DomainError, 0.0, check_real(t, "time t", DomainError))
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
     tab = OperatorTables(field, t + h_arr.max(), _DQ_N)

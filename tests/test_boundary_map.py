@@ -79,7 +79,7 @@ def test_weyl_rejects_bad_cutoff(X):
 
 
 @pytest.mark.parametrize("x", [float("nan"), -1.0, float("inf"), [0.5, float("nan")],
-                               -2e-12], ids=["nan", "negative", "inf", "array_nan", "below_rounding"])
+                               -2e-9], ids=["nan", "negative", "inf", "array_nan", "below_rounding"])
 def test_weyl_eval_rejects_bad_point(x):
     # eval(nan) used to return a NaN matrix, eval(-1) K(0); lambda_map passed both on
     p = wk.constant_potential(1.0, x_max=2.0, step=1 / 128)
@@ -88,8 +88,9 @@ def test_weyl_eval_rejects_bad_point(x):
         K.eval(x)
     with pytest.raises(DomainError):
         wk.lambda_map(K, [1.0])(x)
-    # within the rounding allowance, x = -1e-13 reads K(0)
+    # within the rounding allowance, x = -1e-13 and x = -5e-10 read K(0)
     assert np.array_equal(K.eval(-1e-13), K.eval(0.0))
+    assert np.array_equal(K.eval(-5e-10), K.eval(0.0))
 
 
 def test_weyl_rejects_bad_decay_matrix():

@@ -210,7 +210,7 @@ def test_h2_norm_values():
 
 @pytest.mark.parametrize("case", ["one_node", "two_nodes_no_g2", "nan_sample", "inf_g2",
                                   "decreasing", "repeated_node", "nan_node", "empty",
-                                  "length", "g1_length", "grid_2d"])
+                                  "length", "g1_length", "grid_2d", "scalar_samples"])
 def test_h2_norm_rejects_bad_input(case):
     # each case used to end in a bare ValueError or IndexError from the spline fit
     grid = np.linspace(0, 1, 11)
@@ -235,6 +235,8 @@ def test_h2_norm_rejects_bad_input(case):
         g, g1, g2 = g[:10], None, None
     elif case == "g1_length":
         g1 = g1[:10]
+    elif case == "scalar_samples":        # used to end in an IndexError
+        g, g1, g2 = 0.5, None, None
     else:
         grid = np.stack([grid, grid])
     with pytest.raises(DomainError):

@@ -133,6 +133,15 @@ def test_public_names_are_listed_in_the_readme():
     assert listed == exported, sorted(listed ^ exported)
 
 
+def test_input_checks_are_named_in_the_readme():
+    # every errors.check_* rule is named in README's "Inputs are checked" paragraph
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("\nInputs are checked ", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`errors\.(check_\w+)`", paragraph))
+    rules = {name for name in vars(errors) if name.startswith("check_")}
+    assert rules == named, sorted(rules ^ named)
+
+
 # The refusal table of the public API.  Each public name has either the
 # reason it takes no number or array of numbers, or a row: a function of the
 # valid objects of the api fixture that gives a callable and valid keyword

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,30 @@ def test_build_potential_checks_the_spec_values(spec):
     # bare TypeError or KeyError
     with pytest.raises(PotentialError):
         wk.build_potential(spec)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: wk.preset_potential(["a"]), r"^unknown preset \['a'\]; choose from \['diag14', "),
+    (lambda: wk.preset_potential(None), "^unknown preset None; choose from"),
+    (lambda: wk.parse_potential_file(None), "^potential file must be a path, got None$"),
+    (lambda: wk.build_potential(None), "^potential spec must be a mapping, got None$"),
+    (lambda: wk.build_potential("kind = zero"), "^potential spec must be a mapping"),
+], ids=["preset_list", "preset_None", "file_None", "spec_None", "spec_str"])
+def test_values_of_the_wrong_kind_are_potential_errors(call, match):
+    # these used to end in a bare TypeError (unhashable list, Path(None)) or AttributeError
+    with pytest.raises(PotentialError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("matrix, shape", [
+    (np.ones((2, 2, 2)), (2, 2, 2)), ([1.0, 2.0], (1, 2)), (np.ones((2, 3)), (2, 3)),
+], ids=["three_d", "row", "not_square"])
+def test_constant_potential_checks_the_matrix_before_broadcasting_it(matrix, shape):
+    # the (2, 2, 2) matrix used to be broadcast to every node, (8193, 2, 2, 2),
+    # before the grid refused the samples' shape
+    with pytest.raises(PotentialError, match=f"^constant matrix must be square, got shape "
+                                             f"{re.escape(str(shape))}$"):
+        wk.constant_potential(matrix)
 
 
 @pytest.mark.parametrize("x_max, step, samples, match", [
