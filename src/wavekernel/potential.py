@@ -1,4 +1,4 @@
-"""Sampled Hermitian matrix potentials on [0, x_max] with cached integrals.
+"""Sampled Hermitian matrix potentials on [0, x_max] with a cached integral.
 
 Potentials are stored as uniformly sampled, piecewise-linear grid functions.
 All antiderivatives use the composite trapezoid rule; endpoints that fall
@@ -122,15 +122,14 @@ class PotentialGrid:
 
     Immutable after construction; all methods are pure reads.  Construction
     rejects bad samples, bad grid sizes and an x_max that is not the span of
-    the samples (PotentialError), and derives the rest.
+    the samples (PotentialError), and derives one table: cum_integral, the
+    trapezoid antiderivative of q at the nodes, which integral_Q reads.
     """
 
     x_max: float
     step: float
     samples: np.ndarray            # (m+1, n, n) complex, Hermitian at each node
-    norms: np.ndarray = field(repr=False, init=False)
     cum_integral: np.ndarray = field(repr=False, init=False)
-    cum_norm_integral: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
         samples = check_array(self.samples, "samples", PotentialError, complex)
@@ -146,7 +145,6 @@ class PotentialGrid:
                 f"exceeds tolerance {_HERMITIAN_TOL:.0e}"
             )
         samples = 0.5 * (samples + samples.conj().transpose(0, 2, 1))
-        norms = _opnorms(samples)
         step = check_real(self.step, "step", PotentialError, 0.0)
         x_max = check_real(self.x_max, "x_max", PotentialError, 0.0)
         # sampled_potential's steps may each miss the first by _STEP_TOL, and
@@ -155,54 +153,30 @@ class PotentialGrid:
         if abs(x_max - m * step) > _STEP_TOL * max(step, 1.0) * m + _RANGE_TOL:
             raise PotentialError(f"x_max = {x_max} does not match {shape[0]} samples at "
                                  f"step {step}, which span [0, {m * step}]")
-        for name, value in (("x_max", x_max), ("step", step),
-                            ("samples", samples), ("norms", norms),
-                            ("cum_integral", _cumtrapz(samples, step)),
-                            ("cum_norm_integral", _cumtrapz(norms, step))):
+        for name, value in (("x_max", x_max), ("step", step), ("samples", samples),
+                            ("cum_integral", _cumtrapz(samples, step))):
             object.__setattr__(self, name, value)    # frozen: set once, here
 
     @property
     def dim(self) -> int:
         return self.samples.shape[-1]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.samples.shape[0]
-
-    def _inside(self, x) -> np.ndarray:
-        x = check_array(x, "x", DomainError)
-        check_order(f"evaluation at x outside [0, {self.x_max}]", DomainError, 0.0, x, self.x_max)
-        return x
-
-    def _locate(self, x):
-        xc = np.clip(self._inside(x), 0.0, self.x_max)
-        pos = xc / self.step
-        k = np.minimum(np.floor(pos).astype(int), self.n_nodes - 2)
-        frac = pos - k
-        return xc, k, frac
-
     def eval(self, x) -> np.ndarray:
         """Linearly interpolated q(x); x may be a scalar or an array."""
-        return _lerp(self.samples, self._inside(x), self.x_max, self.step)
+        x = check_array(x, "x", DomainError)
+        check_order(f"evaluation at x outside [0, {self.x_max}]", DomainError, 0.0, x, self.x_max)
+        return _lerp(self.samples, x, self.x_max, self.step)
 
     def _cum_at(self, cum: np.ndarray, nodal: np.ndarray, x) -> np.ndarray:
-        # cum holds node values of the antiderivative; finish the partial cell
-        # with a trapezoid against the linearly interpolated integrand.
-        xc, k, frac = self._locate(x)
+        # cum holds node values of the antiderivative of nodal; at checked points x, finish
+        # the partial cell with a trapezoid against the linearly interpolated integrand.
+        xc = np.clip(x, 0.0, self.x_max)
+        pos = xc / self.step
+        k = np.minimum(np.floor(pos).astype(int), nodal.shape[0] - 2)
         entry = (...,) + (None,) * (nodal.ndim - 1)    # frac against matrix or scalar nodes
-        frac, width = frac[entry], (xc - k * self.step)[entry]
+        frac, width = (pos - k)[entry], (xc - k * self.step)[entry]
         q_x = nodal[k] * (1.0 - frac) + nodal[k + 1] * frac
         return cum[k] + width * 0.5 * (nodal[k] + q_x)
-
-    def integral(self, a, b) -> np.ndarray:
-        """Matrix antiderivative difference: integral of q over [a, b]."""
-        return self._cum_at(self.cum_integral, self.samples, b) - self._cum_at(
-            self.cum_integral, self.samples, a
-        )
-
-    def norm_integral(self, x) -> np.ndarray:
-        """Integral of the operator norm of q over [0, x]."""
-        return self._cum_at(self.cum_norm_integral, self.norms, x)
 
 
 def _lerp(samples: np.ndarray, x, top: float, step: float) -> np.ndarray:
@@ -339,7 +313,7 @@ def integral_Q(p: PotentialGrid, a, b) -> np.ndarray:
     """Trapezoid value of the matrix integral of q over [a, b]; a and b may be arrays."""
     a, b = check_array(a, "a", DomainError), check_array(b, "b", DomainError)
     check_order(f"bounds outside 0 <= a <= b <= {p.x_max}", DomainError, 0.0, a, b, p.x_max)
-    return p.integral(a, np.minimum(b, p.x_max))
+    return p._cum_at(p.cum_integral, p.samples, b) - p._cum_at(p.cum_integral, p.samples, a)
 
 
 def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
@@ -349,10 +323,10 @@ def norm_constants(p: PotentialGrid, T: float) -> tuple[float, float]:
     """
     T = check_real(T, "T", DomainError)
     check_order(f"T outside the potential domain [0, {p.x_max}]", DomainError, 0.0, T, p.x_max)
-    a1 = float(0.5 * p.norm_integral(T))
-    sq = p.norms**2
-    cum_sq = _cumtrapz(sq, p.step)
-    a2 = float(np.sqrt(np.real(p._cum_at(cum_sq, sq, T))))
+    norms = _opnorms(p.samples)
+    a1 = float(0.5 * p._cum_at(_cumtrapz(norms, p.step), norms, T))
+    sq = norms**2
+    a2 = float(np.sqrt(np.real(p._cum_at(_cumtrapz(sq, p.step), sq, T))))
     return a1, a2
 
 
@@ -364,8 +338,6 @@ def parse_complex(token: str) -> complex:
     if not t:
         raise PotentialError("empty complex entry")
     t = re.sub(r"i\b", "j", t.replace("I", "i"))
-    if t.endswith("i"):
-        t = t[:-1] + "j"
     try:
         return complex(t)
     except ValueError as exc:

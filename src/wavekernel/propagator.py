@@ -103,18 +103,19 @@ def _ramp_profile(t: np.ndarray, start: float, stop: float):
 
 @dataclass
 class Control:
-    """Smooth boundary control with two derivatives, vanishing near t = 0."""
+    """Smooth boundary control on [0, T] with two derivatives, vanishing near t = 0.
+
+    The makers below vanish there by construction; control_from_samples, built
+    from outside data, also probes its spline (_check_vanishing).
+    """
 
     T: float
     dim: int
-    support_start: float
     _eval: callable    # t array -> (f, f', f'') stacked as (3, ..., dim)
-    label: str = "control"
 
     def __post_init__(self):
         check_real(self.T, "control horizon T", ControlError, 0.0)
         check_count(self.dim, "control dimension", 1, ControlError)
-        check_real(self.support_start, "support start", ControlError)
 
     def sample(self, t):
         """Values and first two derivatives at finite real t (DomainError); zero for t < 0."""
@@ -124,6 +125,8 @@ class Control:
         return tuple(np.where(neg, 0.0, out[k]) for k in range(3))
 
     def __add__(self, other: "Control") -> "Control":
+        if not isinstance(other, Control):
+            raise ControlError(f"can only add a Control to a Control, got {type(other).__name__}")
         if abs(other.T - self.T) > 1e-12 or other.dim != self.dim:
             raise ControlError("can only add controls with equal horizon and dimension")
         f, g = self._eval, other._eval
@@ -133,37 +136,19 @@ class Control:
             b = g(t)
             return tuple(a[k] + b[k] for k in range(3))
 
-        return Control(self.T, self.dim, min(self.support_start, other.support_start),
-                       ev, label=f"{self.label}+{other.label}")
+        return Control(self.T, self.dim, ev)
 
 
-def _check_vanishing(sample, support_start, T: float, label: str) -> None:
-    """Raise ControlError unless a control is finite and vanishes on [0, support_start].
+def _check_vanishing(sample, support_start: float, T: float) -> None:
+    """Raise ControlError unless sample, t -> (f, f', f''), is finite and 0 on [0, support_start].
 
-    sample maps times to (f, f', f''), each of shape times.shape + (dim,)
-    or with its last two axes swapped.  All three are probed at 16 points
-    of [0, support_start] against the size of f on 257 nodes of [0, T].
-    support_start may be an array, one support per leading index of the
-    values, sample then broadcasting its times against it; the message
-    names label and the first failing support.
+    All three are probed at 16 points, against the size of f on 257 nodes of [0, T].
     """
-    probes = np.linspace(0.0, support_start, 16, axis=-1)
-    worst = np.max(np.abs(sample(probes)), axis=(0, -2, -1))
-    scale = np.maximum(np.max(np.abs(sample(np.linspace(0.0, T, 257))[0]), axis=(-2, -1)), 1.0)
-    bad = np.flatnonzero(~(worst <= _SUPPORT_TOL * scale))     # NaN fails too
-    if bad.size:
-        i = bad[0]
-        raise ControlError(
-            f"control {label!r} is not finite or does not vanish on "
-            f"[0, {np.ravel(support_start)[i]}]: worst probe magnitude "
-            f"{np.ravel(worst)[i]:.3e}"
-        )
-
-
-def _checked(ctrl: Control) -> Control:
-    """Verify the vanishing-near-zero contract at 16 probe points, and finiteness."""
-    _check_vanishing(ctrl.sample, ctrl.support_start, ctrl.T, ctrl.label)
-    return ctrl
+    worst = np.max(np.abs(sample(np.linspace(0.0, support_start, 16))))
+    scale = np.maximum(np.max(np.abs(sample(np.linspace(0.0, T, 257))[0])), 1.0)
+    if not worst <= _SUPPORT_TOL * scale:      # NaN fails too
+        raise ControlError(f"sampled control is not finite or does not vanish on "
+                           f"[0, {support_start}]: worst probe magnitude {worst:.3e}")
 
 
 def zero_control(T: float, dim: int = 1) -> Control:
@@ -172,33 +157,36 @@ def zero_control(T: float, dim: int = 1) -> Control:
         z = np.zeros(shape, dtype=complex)
         return z, z.copy(), z.copy()
 
-    return Control(T, dim, T, ev, label="zero")
+    return Control(T, dim, ev)
 
 
-def _profile_control(T: float, start: float, stop: float, amplitude, profile,
-                     name: str) -> Control:
-    """A scalar profile on (start, stop), numbers not bools, times a constant amplitude vector."""
+def _profile_control(T: float, start: float, stop: float, amplitude, profile) -> Control:
+    """A scalar profile on (start, stop), numbers not bools, times a constant amplitude vector.
+
+    The profile is exactly 0 on [0, start], so the control needs no probe there.
+    """
     amp = np.atleast_1d(check_array(amplitude, "control amplitude", ControlError, complex))
 
     def ev(t):
         f, f1, f2 = profile(t, start, stop)
         return f[..., None] * amp, f1[..., None] * amp, f2[..., None] * amp
 
-    ctrl = Control(T, amp.size, start, ev, label=f"{name}({start},{stop})")  # checks T, start
+    ctrl = Control(T, amp.size, ev)     # checks T
+    check_real(start, "support start", ControlError)
     check_real(stop, "stop", ControlError)
     if not 0.0 < start < stop <= T:
         raise ControlError(f"need 0 < start < stop <= T, got ({start}, {stop}, {T})")
-    return _checked(ctrl)
+    return ctrl
 
 
 def bump_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
     """Bump profile times a constant amplitude vector; support in (start, stop)."""
-    return _profile_control(T, start, stop, amplitude, _bump_profile, "bump")
+    return _profile_control(T, start, stop, amplitude, _bump_profile)
 
 
 def ramp_control(T: float, start: float, stop: float, amplitude=1.0) -> Control:
     """Smooth step from zero to the amplitude vector; nonzero at t = T."""
-    return _profile_control(T, start, stop, amplitude, _ramp_profile, "ramp")
+    return _profile_control(T, start, stop, amplitude, _ramp_profile)
 
 
 def control_from_samples(ts, values, T: float = None) -> Control:
@@ -218,7 +206,7 @@ def control_from_samples(ts, values, T: float = None) -> Control:
         raise ControlError("need at least 7 samples aligned with their times")
     if not np.all(np.diff(ts) > 0):
         raise ControlError("control sample times must be strictly increasing")
-    T = check_real(ts[-1] if T is None else T, "control horizon T", ControlError)
+    T = check_real(ts[-1] if T is None else T, "control horizon T", ControlError, 0.0)
     dim = values.shape[1]
     mags = np.max(np.abs(values), axis=1)
     nz = np.nonzero(mags > _SUPPORT_TOL * max(mags.max(), 1.0))[0]
@@ -242,7 +230,8 @@ def control_from_samples(ts, values, T: float = None) -> Control:
         dead = (tc <= support_start)[..., None]
         return tuple(np.where(dead, 0.0, g) for g in flat)
 
-    return _checked(Control(T, dim, support_start, ev, label="sampled"))
+    _check_vanishing(ev, support_start, T)
+    return Control(T, dim, ev)
 
 
 def _draw_bumps(T: float, dim: int, rng: np.random.Generator, count: int):
@@ -287,17 +276,12 @@ def _random_smooth_samples(T: float, dim: int, rng: np.random.Generator, trials:
 
     Each is a (trials, t.size, dim) array equal byte for byte to stacking
     random_smooth_control(T, dim, rng).sample(t) over the trials, and rng
-    is left in the same state.  All the trials' bumps are checked at once,
-    as _checked checks one control, and sampled as one array; no Control
-    is made.
+    is left in the same state.  All the trials' bumps are sampled as one
+    array and no Control is made; like bump_control's, each bump vanishes on
+    [0, start] by construction, and its drawn amplitude is finite.
     """
     start, stop, amp = _draw_bumps(T, dim, rng, trials * _RANDOM_BUMPS)
     support = start[:, None], stop[:, None]
-
-    def sample(s):      # components before times: numpy then loops over the long axis
-        return tuple(f[:, None, :] * amp[..., None] for f in _bump_profile(s, *support))
-
-    _check_vanishing(sample, start, T, "random bump")
     slots = amp.reshape(trials, _RANDOM_BUMPS, dim, 1)
     out = []
     for f in _bump_profile(t, *support):
@@ -465,10 +449,6 @@ class OperatorTables:
 
         return values
 
-    def weighted(self, lattice: np.ndarray):
-        """Trapezoid-weighted samples of a lattice field, streamed by _causal."""
-        return self._causal(self._sampler(lattice))
-
     def trace(self, lattice: np.ndarray) -> np.ndarray:
         """A lattice field on the diagonal x = s, i.e. at (xi, eta) = (0, 2x)."""
         s = self.grid
@@ -488,7 +468,7 @@ class OperatorTables:
         return out
 
     def k0(self):
-        return self.weighted(self.field.v)
+        return self._causal(self._sampler(self.field.v))
 
     def k1(self):
         sample = self._sampler(self.field.wx_lat)
@@ -501,7 +481,7 @@ class OperatorTables:
         return self._causal(values)
 
     def k2a(self):
-        return self.weighted(self.field.wxx_lattice())
+        return self._causal(self._sampler(self.field.wxx_lattice()))
 
     def k2b(self):
         """(q(eta/2) - q(xi/2))/4, weighted; acts on f'."""

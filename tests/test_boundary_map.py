@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import wavekernel as wk
-from wavekernel.errors import ControlError, DomainError, PotentialError
+from wavekernel.errors import ControlError, DomainError, PotentialError, SingularSystemError
 
 
 def test_weyl_scalar_exponential():
@@ -100,6 +100,20 @@ def test_weyl_rejects_bad_decay_matrix():
     p2 = wk.constant_potential(np.diag([1.0, 4.0]), x_max=2.0, step=1 / 128)
     with pytest.raises(PotentialError):
         wk.weyl_solution(p2, 1.5, np.diag([1.0, -1.0]))
+
+
+def test_weyl_rejects_a_decay_matrix_that_is_not_hermitian():
+    p = wk.constant_potential(np.diag([1.0, 4.0]), x_max=2.0, step=1 / 128)
+    with pytest.raises(PotentialError, match="^decay matrix must be Hermitian$"):
+        wk.weyl_solution(p, 1.5, [[1.0, 1.0], [0.0, 4.0]])
+
+
+def test_weyl_refuses_an_ill_conditioned_origin():
+    # decay rates 10 and 1 over X = 4 give K(0) = diag(e^40, e^4), cond e^36 > 1e12
+    c = np.diag([100.0, 1.0])
+    p = wk.constant_potential(c, x_max=4.5, step=1 / 64)
+    with pytest.raises(SingularSystemError, match="singular at the origin"):
+        wk.weyl_solution(p, 4.0, c)
 
 
 def test_weyl_unitary_equivariance():

@@ -420,6 +420,93 @@ def test_non_integral_config_int(tmp_path, capsys):
     assert not (tmp_path / "out" / "snapshot.csv").exists()
 
 
+def herm2_pot(tmp_path):
+    return write_pot(tmp_path / "pot.txt",
+                     "kind = preset\nname = herm2\nx_max = 2.0\nstep = 0.0009765625\n")
+
+
+def _drop_key(cfg, key):
+    lines = cfg.read_text().splitlines(keepends=True)
+    cfg.write_text("".join(line for line in lines if line.partition("=")[0].strip() != key))
+    return cfg
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("kernel", "potential", None, "config is missing required key 'potential'"),
+    ("kernel", "T", None, "config is missing required key 'T'"),
+    ("propagate", "N", None, "config is missing required key 'N'"),
+    ("invert", "h", None, "config is missing required key 'h'"),
+    ("kernel", "T", "abc", "config key 'T' is not a number: 'abc'"),
+], ids=["no_potential", "no_T", "no_N", "no_h", "T_not_a_number"])
+def test_required_key_missing_or_not_a_number(tmp_path, capsys, command, key, value, message):
+    one_pot(tmp_path)
+    cfg = _drop_key(write_cfg(tmp_path), key)
+    if value is not None:
+        cfg.write_text(cfg.read_text() + f"{key} = {value}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_left_out_key_takes_its_default(tmp_path):
+    # tol defaults to 1e-10: a config without it dumps the same kernel as one that names it
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path)
+    assert "tol = 1e-10\n" in cfg.read_text()
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "given")]) == 0
+    assert main(["kernel", "--config", str(_drop_key(cfg, "tol")),
+                 "--out", str(tmp_path / "default")]) == 0
+    for name in ("kernel.csv", "kernel.json"):
+        given, default = (tmp_path / d / name for d in ("given", "default"))
+        assert given.read_bytes() == default.read_bytes()
+    manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+    assert "tol" not in manifest["config"]
+
+
+def test_scalar_amplitude_fills_every_component(tmp_path):
+    herm2_pot(tmp_path)
+    snaps = []
+    for amp in ("2", "2,2"):
+        cfg = write_cfg(tmp_path, extra=f"control = bump start=0.1 stop=0.9 amp={amp}\n")
+        assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / amp)]) == 0
+        snaps.append((tmp_path / amp / "snapshot.csv").read_bytes())
+    assert snaps[0] == snaps[1]
+
+
+@pytest.mark.parametrize("pot, files, control, message", [
+    (herm2_pot, {}, "bump start=0.1 stop=0.9 amp=1,2,3", "control amplitude has 3 entries, need 2"),
+    (zero_pot, {"ctrl.csv": "".join(f"{k / 10},0,0,0,0\n" for k in range(11))}, "csv ctrl.csv",
+     "needs columns t plus 1 re/im pair(s), got 2 pair(s)"),
+], ids=["amp_count", "csv_pairs"])
+def test_control_of_another_dimension(tmp_path, capsys, pot, files, control, message):
+    pot(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    cfg = write_cfg(tmp_path, extra=f"control = {control}\n")
+    assert main(["propagate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pot, snapshot, message", [
+    (one_pot, None, "invert needs a 'snapshot' key pointing at wave samples"),
+    (herm2_pot, "x,u0_re,u0_im\n" + "".join(f"{k / 4},1,0\n" for k in range(5)),
+     "has too few columns for dimension 2"),
+    (one_pot, "0,1,0\n1,1,0\n", "snapshot needs at least 3 rows"),
+], ids=["no_snapshot", "too_few_columns", "two_rows"])
+def test_invert_refuses_the_snapshot(tmp_path, capsys, pot, snapshot, message):
+    pot(tmp_path)
+    extra = ""
+    if snapshot is not None:
+        (tmp_path / "snap.csv").write_text(snapshot)
+        extra = "snapshot = snap.csv\n"
+    assert main(["invert", "--config", str(write_cfg(tmp_path, extra=extra))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
 ZERO_CONTROL_CSV = "".join(f"{k / 10},0,0\n" for k in range(11))
 
 
@@ -597,6 +684,31 @@ def test_validate_threshold_failure(tmp_path, capsys, monkeypatch):
     assert "goursat_interior" in capsys.readouterr().err
     rep = json.loads((tmp_path / "out" / "validate.json").read_text())
     assert rep["failing"] == ["goursat_interior"]
+
+
+def _report(**changes):
+    """cli.check_goursat with the given fields of its report replaced."""
+    check = cli.check_goursat
+    return "check_goursat", lambda p, f: dataclasses.replace(check(p, f), **changes)
+
+
+@pytest.mark.parametrize("patch, check", [
+    (_report(diag_residual=1e-3), "goursat_diagonal"),
+    (_report(edge_residual=1.0), "goursat_edge"),
+    (_report(bound_violations=1), "apriori_bound"),
+    (("_ORACLE_REL_TOL", 0.0), "oracle_agreement"),
+    (("_DQ_SLOPE_MIN", 1e9), "difference_quotient"),
+], ids=["goursat_diagonal", "goursat_edge", "apriori_bound", "oracle_agreement",
+        "difference_quotient"])
+def test_validate_reports_each_failing_check(tmp_path, capsys, monkeypatch, patch, check):
+    # no real input fails these checks, so one value or threshold is set past its rule
+    monkeypatch.setattr(cli, *patch)
+    one_pot(tmp_path)
+    cfg = write_cfg(tmp_path, extra="trials = 5\n")
+    assert main(["validate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"validation failed: {check}\n"
+    rep = json.loads((tmp_path / "out" / "validate.json").read_text())
+    assert rep["failing"] == [check] and rep["pass"] is False
 
 
 def test_validate_reports_h2_failure(tmp_path, capsys, monkeypatch):

@@ -331,7 +331,7 @@ def test_trials_are_sampled_without_a_control_each(monkeypatch, pot_one, field_o
     init = wk.Control.__post_init__
 
     def counted(self):
-        made.append(self.label)
+        made.append(self)
         init(self)
 
     monkeypatch.setattr(wk.Control, "__post_init__", counted)

@@ -131,6 +131,12 @@ def test_missing_files_raise_the_callers_error(tmp_path):
             read(tmp_path / "missing")
 
 
+def test_malformed_json_raises_the_callers_error(tmp_path):
+    (tmp_path / "k.json").write_text('{"T": 1.0,')
+    with pytest.raises(DomainError, match=r"^malformed kernel summary .*k\.json: "):
+        fileio.read_json(tmp_path / "k.json", "kernel summary", DomainError)
+
+
 def test_repeated_key_names_both_lines(tmp_path):
     # a repeated key used to overwrite the earlier one
     (tmp_path / "run.cfg").write_text("T = 1\n# comment\nN = 4\nT = 0.5\n")

@@ -185,6 +185,24 @@ def test_derivatives_v_finite_difference(pot_one, field_one):
     assert np.abs(v_eta - fd_eta).max() < 10 * field_one.step
 
 
+def test_derivatives_v_on_the_edge_xi_0(pot_one, field_one):
+    # at xi = 0 two of the line integrals run over a zero-length line and are
+    # zero; v = -(1/2) int_0^(eta/2) q there, so v_eta = -q(eta/2)/4 exactly
+    v_xi, v_eta = wk.derivatives_v(pot_one, field_one, 0.0, 0.8)
+    assert np.array_equal(v_eta, -0.25 * pot_one.eval(0.4))
+    eps = 1e-4
+    fd_xi = (_interp_triangle(field_one.v, eps, 0.8, field_one.step, field_one.M)
+             - _interp_triangle(field_one.v, 0.0, 0.8, field_one.step, field_one.M)) / eps
+    assert np.abs(v_xi - fd_xi).max() < 10 * field_one.step
+
+
+def test_lattice_too_coarse():
+    # T = 1e-10 at h = 1 rounds to M = 0, which divides 2T within the tolerance
+    p = wk.preset_potential("one", x_max=2.0, step=1 / 64)
+    with pytest.raises(DomainError, match="^lattice too coarse; need at least two steps$"):
+        wk.solve_goursat(p, 1e-10, 1.0, 1e-10)
+
+
 def test_wtilde_x_zero(field_zero):
     assert np.abs(wk.wtilde_x(field_zero, 0.2, 0.6)).max() == 0.0
 
@@ -384,6 +402,16 @@ def test_solve_and_load_build_no_tables(tmp_path, pot_herm2):
     fields.append(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2))
     for f in fields:
         assert f._wx_lat is None and f._wtt_lat is None
+
+
+def test_load_refuses_a_summary_without_tail_bound(tmp_path, pot_herm2, field_herm2):
+    wk.dump_kernel(field_herm2, tmp_path / "k.csv", tmp_path / "k.json")
+    meta = json.loads((tmp_path / "k.json").read_text())
+    del meta["tail_bound"]
+    write_json(tmp_path / "k.json", meta)
+    with pytest.raises(DomainError,
+                       match=r"^malformed kernel summary .*KeyError\('tail_bound'\)$"):
+        wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2)
 
 
 def test_load_reads_a_summary_with_the_kernel_constants(tmp_path, pot_herm2, field_herm2):

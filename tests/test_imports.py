@@ -155,9 +155,6 @@ REFUSAL_TABLE = {
                                                         samples=np.ones((3, 1, 1)))),
                       {"x_max": REAL, "step": REAL, "samples": COMPLEX}),
     "PotentialGrid.eval": (lambda o: (o.p.eval, dict(x=0.5)), {"x": REAL}),
-    "PotentialGrid.integral": (lambda o: (o.p.integral, dict(a=0.1, b=0.5)),
-                               {"a": REAL, "b": REAL}),
-    "PotentialGrid.norm_integral": (lambda o: (o.p.norm_integral, dict(x=0.5)), {"x": REAL}),
     "zero_potential": (lambda o: (wk.zero_potential, dict(dim=1, x_max=1.0, step=0.25)),
                        {"dim": REAL, "x_max": REAL, "step": REAL}),
     "constant_potential": (lambda o: (wk.constant_potential,
@@ -181,9 +178,8 @@ REFUSAL_TABLE = {
                 {"x": REAL, "t": REAL}),
     "derivatives_v": (lambda o: (wk.derivatives_v, dict(p=o.p, f=o.f, xi=0.2, eta=0.5)),
                       {"xi": REAL, "eta": REAL}),
-    "Control": (lambda o: (wk.Control, dict(T=1.0, dim=1, support_start=0.1,
-                                            _eval=o.ctrl._eval)),
-                {"T": REAL, "dim": REAL, "support_start": REAL}),
+    "Control": (lambda o: (wk.Control, dict(T=1.0, dim=1, _eval=o.ctrl._eval)),
+                {"T": REAL, "dim": REAL}),
     "Control.sample": (lambda o: (o.ctrl.sample, dict(t=0.5)), {"t": REAL}),
     "zero_control": (lambda o: (wk.zero_control, dict(T=1.0, dim=1)),
                      {"T": REAL, "dim": REAL}),

@@ -6,7 +6,7 @@ import wavekernel as wk
 from wavekernel.errors import ControlError, DomainError, PotentialError
 from wavekernel.goursat import _interp_triangle
 from wavekernel import propagator
-from wavekernel.propagator import OperatorTables, _checked, _random_smooth_samples
+from wavekernel.propagator import OperatorTables, _check_vanishing, _random_smooth_samples
 
 from conftest import against_not_numbers, full_table, traced_peak
 
@@ -32,6 +32,19 @@ def test_control_support_contract():
     assert np.abs(f.sample(np.array([-0.5]))[0]).max() == 0.0
     with pytest.raises(ControlError):
         wk.bump_control(1.0, 0.0, 0.5, 1.0)   # support must avoid t = 0
+
+
+@pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
+def test_profiles_vanish_on_0_start_by_construction(maker):
+    # so the makers probe nothing: f, f' and f'' are exactly 0 up to start, and
+    # past stop the ramp is its amplitude with zero derivatives
+    f = maker(1.0, 0.2, 0.7, [1.0 - 2.0j, 3.0])
+    for arr in f.sample(np.linspace(0.0, 0.2, 16)):
+        assert arr.shape == (16, 2) and not arr.any()
+    if maker is wk.ramp_control:
+        f0, f1, f2 = f.sample(np.linspace(0.75, 1.0, 4))
+        assert np.array_equal(f0, np.tile([1.0 - 2.0j, 3.0], (4, 1)))
+        assert not f1.any() and not f2.any()
 
 
 @pytest.mark.parametrize("maker", [wk.bump_control, wk.ramp_control])
@@ -72,13 +85,15 @@ def test_support_check_fails_on_non_finite_probe():
         return z, z, z
 
     with pytest.raises(ControlError, match="not finite"):
-        _checked(wk.Control(1.0, 1, 0.5, ev, label="nan"))
+        _check_vanishing(ev, 0.5, 1.0)
 
 
 def test_control_zero():
-    f = wk.zero_control(1.0, 2)
-    vals = f.sample(np.linspace(0, 1, 7))
-    assert all(np.abs(v).max() == 0.0 for v in vals)
+    # all-zero samples give the zero control too
+    zeros = wk.control_from_samples(np.linspace(0, 1, 9), np.zeros((9, 2)))
+    for f in (wk.zero_control(1.0, 2), zeros):
+        vals = f.sample(np.linspace(0, 1, 7))
+        assert f.dim == 2 and all(v.shape == (7, 2) and np.abs(v).max() == 0.0 for v in vals)
 
 
 def test_control_arithmetic():
@@ -89,6 +104,19 @@ def test_control_arithmetic():
     lhs = c.sample(ts)[0]
     rhs = a.sample(ts)[0] + 0.5 * b.sample(ts)[0]
     assert np.abs(lhs - rhs).max() < 1e-15
+
+
+@pytest.mark.parametrize("other, message", [
+    (lambda: 1, "^can only add a Control to a Control, got int$"),
+    (lambda: None, "^can only add a Control to a Control, got NoneType$"),
+    (lambda: np.zeros(3), "^can only add a Control to a Control, got ndarray$"),
+    (lambda: wk.bump_control(2.0, 0.1, 0.9), "^can only add controls with equal horizon and"),
+    (lambda: wk.bump_control(1.0, 0.1, 0.9, [1.0, 1.0j]), "^can only add controls with equal"),
+], ids=["int", "None", "array", "horizon", "dimension"])
+def test_control_adds_only_a_control_of_its_horizon_and_dimension(other, message):
+    # adding 1 used to end in "'int' object has no attribute 'T'"
+    with pytest.raises(ControlError, match=message):
+        wk.bump_control(1.0, 0.1, 0.9) + other()
 
 
 def test_control_from_samples_roundtrip():
@@ -162,19 +190,6 @@ def test_trial_stack_matches_random_smooth_controls(n, seed, trials):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert stack.random() == one.random()
-
-
-def test_trial_stack_checks_every_bump(monkeypatch):
-    draw = propagator._draw_bumps
-
-    def non_finite(*args):
-        start, stop, amp = draw(*args)
-        amp[4, 1] = np.nan
-        return start, stop, amp
-
-    monkeypatch.setattr(propagator, "_draw_bumps", non_finite)
-    with pytest.raises(ControlError, match=r"'random bump' is not finite"):
-        _random_smooth_samples(1.0, 2, np.random.default_rng(0), 3, np.linspace(0.0, 1.0, 9))
 
 
 def test_propagate_dalembert(field_zero, bump1):
