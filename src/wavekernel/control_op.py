@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CertificationError, DomainError, SingularSystemError, check_array, check_count
 from .goursat import KernelField, _check_dim, kernel_constants
 from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import OperatorTables, _l2, _random_smooth_samples
+from .propagator import OperatorTables, _l2, _quintic, _random_smooth_samples
 
 _DENSE_SVD_CAP = 1024
 
@@ -128,7 +128,8 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     """Sobolev norm combining a sampled function and its first two derivatives.
 
     Missing derivatives are filled by quintic-spline differentiation, which
-    needs at least 3 nodes.  Grid and samples are finite, the grid increasing (DomainError).
+    needs at least 3 nodes.  Grid and samples are finite, the grid increasing,
+    and so are the spline's values and derivatives on the grid (DomainError).
     """
     grid = check_array(grid, "h2_norm grid", DomainError)
     g = check_array(g, "h2_norm samples", DomainError, complex)
@@ -146,12 +147,9 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     if g.shape[:1] != grid.shape or any(d is not None and d.size != g.size for d in (g1, g2)):
         raise DomainError(f"h2_norm samples do not match the grid of {grid.size} nodes")
     if fill:
-        # scipy.interpolate takes ~0.5 s to import; only the spline fallback needs it
-        from scipy.interpolate import make_interp_spline
-
-        spl = make_interp_spline(grid, g, k=min(5, grid.size - 1))
-        g1 = spl.derivative(1)(grid) if g1 is None else g1
-        g2 = spl.derivative(2)(grid) if g2 is None else g2
+        _, d1, d2 = _quintic(grid, g, min(5, grid.size - 1), grid, "h2_norm spline", DomainError)
+        g1 = d1(grid) if g1 is None else g1
+        g2 = d2(grid) if g2 is None else g2
     return float(_h2(grid, g, g1.reshape(g.shape), g2.reshape(g.shape)))
 
 

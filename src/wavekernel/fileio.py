@@ -5,10 +5,10 @@ Real columns come first, then each complex column as the pair
 ``<name>_re,<name>_im``.  Each value is written as the shortest string that
 reads back to the same bits (orjson's Ryu output: ``0.0025``, ``-0.0``,
 ``5e-324``, ``1e16``), so a read-back restores it bit for bit, signed zeros
-and subnormals included; a non-finite value is refused before the file is
-opened.  Files written as %.17g by earlier versions read the same.  The
-first line is the header when its first field is not a number, so a file
-may leave it out.
+and subnormals included.  Files written as %.17g by earlier versions read
+the same.  The first line is the header when its first field is not a
+number, so a file may leave it out.  errors.check_array refuses a
+non-finite value, before a written file is opened and after a read.
 
 JSON: keys sorted, indent 2, a trailing newline.  Both writers create the
 directory they write into.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_array
 
 _BLOCK = 4096       # rows formatted per write
 
@@ -69,12 +69,6 @@ def header(real_names, complex_names) -> str:
     return ",".join([*real_names, *(f"{c}_{p}" for c in complex_names for p in ("re", "im"))])
 
 
-def check_finite(path, *arrays: np.ndarray) -> None:
-    """DomainError, naming the table at path, when a value of the arrays is not finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DomainError(f"non-finite value in table for {path}; nothing written")
-
-
 def spans(rows: int):
     """Slices of the blocks of at most _BLOCK rows that a table is written in."""
     return (slice(start, start + _BLOCK) for start in range(0, rows, _BLOCK))
@@ -83,9 +77,10 @@ def spans(rows: int):
 def write_table(path, real_names, complex_names, real: np.ndarray, cplx: np.ndarray) -> None:
     """Write rows of real values (rows, a) and complex values (rows, b) as numeric CSV.
 
-    Raises DomainError, and writes nothing, when a value is not finite.
+    Raises DomainError, and writes nothing, when a value is not finite (check_array).
     """
-    check_finite(path, real, cplx)
+    check_array(real, f"table {path}", DomainError)
+    check_array(cplx, f"table {path}", DomainError, complex)
     write_blocks(path, real_names, complex_names, ((real[s], cplx[s]) for s in spans(len(real))))
 
 
@@ -94,7 +89,7 @@ def write_blocks(path, real_names, complex_names, blocks) -> None:
 
     Each block is a pair: real values (r, a) and complex values (r, b) with
     r >= 1.  Every value must be finite; callers check them with
-    check_finite before, so that a refused table leaves no file.
+    errors.check_array before, so that a refused table leaves no file.
     """
     import orjson       # only commands that write a table pay for it
 
@@ -116,8 +111,9 @@ def read_table(path, what: str, error: type[Exception], n_real: int
     """Header (None when absent), the n_real real columns and the complex columns.
 
     An empty body gives zero rows; callers check the counts.  A file that
-    cannot be read or parsed, holds a non-finite value or has columns that
-    are not n_real reals plus re/im pairs raises the caller's error type.
+    cannot be read or parsed, has columns that are not n_real reals plus
+    re/im pairs or holds a non-finite value (check_array) raises the
+    caller's error type.
     """
     try:
         with open(path) as fh:
@@ -140,8 +136,7 @@ def read_table(path, what: str, error: type[Exception], n_real: int
     if raw.shape[1] < n_real or (raw.shape[1] - n_real) % 2:
         raise error(f"{what} {path} has {raw.shape[1]} columns; expected {n_real} "
                     "real column(s), then re/im pairs")
-    if not np.all(np.isfinite(raw)):
-        raise error(f"non-finite value in {what} {path}")
+    check_array(raw, f"{what} {path}", error)
     return head, raw[:, :n_real], np.ascontiguousarray(raw[:, n_real:]).view(complex)
 
 

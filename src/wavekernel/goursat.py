@@ -871,11 +871,11 @@ def dump_kernel(f: KernelField, csv_path, json_path) -> None:
     each value the shortest string that reads back to its bits, so that
     load_kernel restores those nodes bit for bit.  Dumps that earlier
     versions wrote as %.17g load the same.  A non-finite value raises
-    DomainError before the CSV is opened.  The rows are gathered one
-    block at a time as they are written.
+    DomainError (check_array) before the CSV is opened.  The rows are
+    gathered one block at a time as they are written.
     """
     M, n = f.M, f.dim
-    fileio.check_finite(csv_path, f.v)      # zero off the region, which the dump leaves out
+    check_array(f.v, f"table {csv_path}", DomainError, f.v.dtype)     # no copy; 0 off the region
     i, j = np.nonzero(_region(M))
     fileio.write_blocks(csv_path, ("xi", "eta"), _dump_names(n), (
         (np.stack([i[s] * f.step, j[s] * f.step], axis=1), f.v[i[s], j[s]].reshape(-1, n * n))

@@ -251,8 +251,8 @@ def _whole_triangle(lines):
 
 @pytest.mark.parametrize("edit, message", [
     (_wrong_header, "header"),
-    (_set_field(4, 2, "nan"), "non-finite"),
-    (_set_field(4, 3, "-inf"), "non-finite"),
+    (_set_field(4, 2, "nan"), "must be finite"),
+    (_set_field(4, 3, "-inf"), "must be finite"),
     (_set_field(4, 2, "1.0.0"), "malformed"),
     (_drop_field, "malformed"),
     (_set_field(4, 0, "0.013"), "not node"),

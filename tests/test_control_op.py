@@ -210,9 +210,11 @@ def test_h2_norm_values():
 
 @pytest.mark.parametrize("case", ["one_node", "two_nodes_no_g2", "nan_sample", "inf_g2",
                                   "decreasing", "repeated_node", "nan_node", "empty",
-                                  "length", "g1_length", "grid_2d", "scalar_samples"])
+                                  "length", "g1_length", "grid_2d", "scalar_samples",
+                                  "spline_overflows", "spline_not_differentiable"])
 def test_h2_norm_rejects_bad_input(case):
-    # each case used to end in a bare ValueError or IndexError from the spline fit
+    # each case used to end in a bare ValueError or IndexError from the spline fit;
+    # spline_overflows returned nan
     grid = np.linspace(0, 1, 11)
     g, g1, g2 = grid ** 2, 2 * grid, np.full(11, 2.0)
     if case == "one_node":
@@ -237,6 +239,10 @@ def test_h2_norm_rejects_bad_input(case):
         g1 = g1[:10]
     elif case == "scalar_samples":        # used to end in an IndexError
         g, g1, g2 = 0.5, None, None
+    elif case.startswith("spline"):       # finite samples; the spline's derivatives overflow
+        grid = np.linspace(0, 1, 21)
+        scale = 1e305 if case == "spline_overflows" else 1e306
+        g, g1, g2 = np.where(grid > 0.3, scale, 0) * np.sin(40 * grid), None, None
     else:
         grid = np.stack([grid, grid])
     with pytest.raises(DomainError):

@@ -101,7 +101,7 @@ def test_write_table_refuses_non_finite_and_writes_nothing(tmp_path, bad, where)
     else:
         cplx[4, 1] = complex(0.0, bad)
     path = tmp_path / "out" / "t.csv"
-    with pytest.raises(DomainError, match="non-finite.*t.csv"):
+    with pytest.raises(DomainError, match="table .*t.csv must be finite"):
         fileio.write_table(path, ("x",), ("z0", "z1"), real, cplx)
     assert not path.exists()
 
@@ -111,7 +111,7 @@ def test_write_table_refuses_non_finite_and_writes_nothing(tmp_path, bad, where)
     ("t,f0_re,f0_im\r\n", None),
     ("0,1,2\n0,1\n", "malformed"),
     ("0,1\n", "2 columns"),
-    ("0,nan,1\n", "non-finite"),
+    ("0,nan,1\n", "table .*t.csv must be finite"),
 ], ids=["empty", "header_only", "ragged", "odd_pairs", "nan"])
 def test_read_table_empty_and_malformed(tmp_path, body, match):
     (tmp_path / "t.csv").write_text(body)

@@ -121,6 +121,29 @@ def test_no_unread_parameters():
     assert not unread, unread
 
 
+def test_one_finiteness_rule_and_one_spline_fit():
+    # errors.check_array is the package's only finiteness test, and one function
+    # imports scipy: the spline fit that control_from_samples and h2_norm share
+    finite, scipy = [], []
+
+    def scan(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{path.name}:{node.name}"
+        if getattr(node, "attr", getattr(node, "id", None)) == "isfinite":
+            finite.append(f"{path.name}:{node.lineno}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if any(m and m.split(".")[0] == "scipy" for m in modules):
+                scipy.append(owner)
+        for child in ast.iter_child_nodes(node):
+            scan(child, path, owner)
+
+    for path in sorted((ROOT / "src" / "wavekernel").glob("*.py")):
+        scan(ast.parse(path.read_text()), path, f"{path.name}:<module>")
+    assert finite and {f.split(":")[0] for f in finite} == {"errors.py"}, finite
+    assert scipy == ["propagator.py:_quintic"], scipy
+
+
 def test_public_names_are_listed_in_the_readme():
     # every name in backticks in README's "Library API" section is an export,
     # and every export but the version string is named there
