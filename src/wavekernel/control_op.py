@@ -129,7 +129,7 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
 
     Missing derivatives are filled by quintic-spline differentiation, which
     needs at least 3 nodes.  Grid and samples are finite, the grid increasing,
-    and so are the spline's values and derivatives on the grid (DomainError).
+    and so are the spline's values and derivatives and the norm (DomainError).
     """
     grid = check_array(grid, "h2_norm grid", DomainError)
     g = check_array(g, "h2_norm samples", DomainError, complex)
@@ -150,7 +150,9 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
         _, d1, d2 = _quintic(grid, g, min(5, grid.size - 1), grid, "h2_norm spline", DomainError)
         g1 = d1(grid) if g1 is None else g1
         g2 = d2(grid) if g2 is None else g2
-    return float(_h2(grid, g, g1.reshape(g.shape), g2.reshape(g.shape)))
+    with np.errstate(over="ignore"):        # an overflow leaves an inf, refused below
+        norm = _h2(grid, g, g1.reshape(g.shape), g2.reshape(g.shape))
+    return float(check_array(norm, "h2_norm", DomainError))
 
 
 def _apply_A_with_derivatives(tab: OperatorTables, f0, f1):

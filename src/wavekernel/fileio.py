@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import DomainError, check_array
 
-_BLOCK = 4096       # rows formatted per write
-
 
 def read_key_values(path: Path, what: str, error: type[Exception]) -> dict:
     """``key = value`` lines of a text file; ``#`` starts a comment.
@@ -69,11 +67,6 @@ def header(real_names, complex_names) -> str:
     return ",".join([*real_names, *(f"{c}_{p}" for c in complex_names for p in ("re", "im"))])
 
 
-def spans(rows: int):
-    """Slices of the blocks of at most _BLOCK rows that a table is written in."""
-    return (slice(start, start + _BLOCK) for start in range(0, rows, _BLOCK))
-
-
 def write_table(path, real_names, complex_names, real: np.ndarray, cplx: np.ndarray) -> None:
     """Write rows of real values (rows, a) and complex values (rows, b) as numeric CSV.
 
@@ -81,29 +74,28 @@ def write_table(path, real_names, complex_names, real: np.ndarray, cplx: np.ndar
     """
     check_array(real, f"table {path}", DomainError)
     check_array(cplx, f"table {path}", DomainError, complex)
-    write_blocks(path, real_names, complex_names, ((real[s], cplx[s]) for s in spans(len(real))))
+    # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
+    table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
+    write_blocks(path, real_names, complex_names, [table] if len(table) else [])
 
 
-def write_blocks(path, real_names, complex_names, blocks) -> None:
+def write_blocks(path, real_names, complex_names, tables) -> None:
     """Write consecutive blocks of rows as numeric CSV, one block at a time.
 
-    Each block is a pair: real values (r, a) and complex values (r, b) with
-    r >= 1.  Every value must be finite; callers check them with
-    errors.check_array before, so that a refused table leaves no file.
+    Each block is a float64 table of r >= 1 rows: the real columns, then a
+    re/im pair per complex column.  Every value must be finite; callers check
+    them with errors.check_array before, so that a refused table leaves no file.
     """
     import orjson       # only commands that write a table pay for it
 
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header(real_names, complex_names).encode() + b"\r\n")
-        for real, cplx in blocks:
-            # a contiguous complex128 array viewed as float64 is its re/im pairs, bit for bit
-            table = np.hstack([real, np.ascontiguousarray(cplx, dtype=complex).view(float)])
-            # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n", with one copy of the text
-            text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\r\n")
-            fh.write(memoryview(text)[2:-2])
-            fh.write(b"\r\n")
-            del real, cplx, table, text     # one block's arrays and text alive at a time
+        for table in tables:
+            # b"[[a,b],[c,d]]" -> b"a,b\r\nc,d\r\n": one split and one join
+            rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            rows.append(b"")
+            fh.write(b"\r\n".join(rows))
 
 
 def read_table(path, what: str, error: type[Exception], n_real: int

@@ -861,25 +861,32 @@ def _dump_names(n: int) -> list[str]:
     return [f"v{a}{b}" for a in range(n) for b in range(n)]
 
 
+def _check_tail_bound(tail, where: str) -> float:
+    """tail_bound as a float, after checking it is a finite real number >= 0 (DomainError)."""
+    tail = check_real(tail, f"{where}: tail_bound", DomainError)
+    check_order(f"{where}: 0 <= tail_bound", DomainError, 0.0, tail)
+    return tail
+
+
 def dump_kernel(f: KernelField, csv_path, json_path) -> None:
     """Write the lattice field as numeric CSV, and T, h, n, iterations and
     tail_bound, what load_kernel reads, as a JSON summary.
 
-    One row per node of the region i <= j, i + j <= M + 1 (t <= T plus one
-    halo anti-diagonal), i-major: xi, eta, then each entry of v in
-    row-major order as a re/im pair, in the format of fileio.write_table:
-    each value the shortest string that reads back to its bits, so that
-    load_kernel restores those nodes bit for bit.  Dumps that earlier
-    versions wrote as %.17g load the same.  A non-finite value raises
-    DomainError (check_array) before the CSV is opened.  The rows are
-    gathered one block at a time as they are written.
+    The CSV holds v alone, one row per node of the region i <= j,
+    i + j <= M + 1 (t <= T plus one halo anti-diagonal), i-major: each
+    entry in row-major order as a re/im pair, in the format of
+    fileio.write_table, so load_kernel restores the nodes bit for bit.  No
+    row names its node; the order is the contract.  A non-finite value or
+    a tail_bound that is not a number >= 0 raises DomainError before a file
+    is opened.  Each half-square row i (nodes j = i .. M + 1 - i, up to M
+    in row 0) is written as one block.
     """
     M, n = f.M, f.dim
     check_array(f.v, f"table {csv_path}", DomainError, f.v.dtype)     # no copy; 0 off the region
-    i, j = np.nonzero(_region(M))
-    fileio.write_blocks(csv_path, ("xi", "eta"), _dump_names(n), (
-        (np.stack([i[s] * f.step, j[s] * f.step], axis=1), f.v[i[s], j[s]].reshape(-1, n * n))
-        for s in fileio.spans(i.size)))
+    _check_tail_bound(f.tail_bound, f"kernel summary {json_path}")
+    fileio.write_blocks(csv_path, (), _dump_names(n), (
+        np.ascontiguousarray(f.v[i, i:min(M, M + 1 - i) + 1], dtype=complex)
+        .reshape(-1, n * n).view(float) for i in range(M // 2 + 1)))
     fileio.write_json(json_path, {"T": f.T, "h": f.step, "n": n, "iterations": f.iterations,
                                   "tail_bound": f.tail_bound})
 
@@ -887,48 +894,45 @@ def dump_kernel(f: KernelField, csv_path, json_path) -> None:
 def load_kernel(csv_path, json_path, p: PotentialGrid) -> KernelField:
     """Reconstruct a field from a dump; derivative tables are built on first use.
 
-    The dump's rows are the nodes dump_kernel writes, in its order: the
-    region i <= j, i + j <= M + 1 that a field stores, i-major.  So the
+    The dump's rows are the region's nodes in dump_kernel's order, so the
     loaded field equals the solved field it was dumped from, array for
     array.  The CSV header may be left out.  Raises DomainError when a
     file cannot be read; when the summary's T or h is not a number > 0
-    (check_real), its iterations is not an integer >= 0, or its dimension
-    n is not an integer >= 1 or not the potential's; and when the dump is
-    malformed: a header that does not match the dimension, a non-finite or
-    unparsable value, a short row, another number of rows, or a row whose
-    (xi, eta) is not its node's (a dump of the whole triangle, as older
-    versions wrote, is one).  No other key of the summary is read, so the
-    b1-b4 that older versions wrote there are ignored.
+    (check_real), its tail_bound not a number >= 0, its iterations not an
+    integer >= 0, or its dimension n not an integer >= 1 or not the
+    potential's; and when the dump is malformed: a header that does not
+    match the dimension, a non-finite or unparsable value, a short row, or
+    another number of rows or columns.  So a dump of earlier versions, with
+    xi, eta columns, is refused.  Other keys of the summary, such as the
+    b1-b4 that older versions wrote, are ignored.
     """
     meta = fileio.read_json(json_path, "kernel summary", DomainError)
     try:
-        T, h, tail = meta["T"], meta["h"], float(meta["tail_bound"])
+        T, h, tail = meta["T"], meta["h"], meta["tail_bound"]
         n, iterations = meta["n"], meta["iterations"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed kernel summary {json_path}: {exc!r}") from exc
     check_count(n, f"{json_path}: kernel dimension n", 1, DomainError)
     check_count(iterations, f"{json_path}: iterations", 0, DomainError)
+    tail = _check_tail_bound(tail, f"kernel summary {json_path}")
     if n != p.dim:
         raise DomainError(f"{json_path}: kernel dimension {n} != potential dimension {p.dim}")
     M, qh = _lattice_setup(p, T, h)
-    head, xy, vals = fileio.read_table(csv_path, "kernel dump", DomainError, 2)
-    if head is not None and head != fileio.header(("xi", "eta"), _dump_names(n)):
-        raise DomainError(f"{csv_path}: header does not match dimension {n}")
-    node = np.argwhere(_region(M))          # (i, j) of the rows dump_kernel writes, in order
+    head, _, vals = fileio.read_table(csv_path, "kernel dump", DomainError, 0)
     regenerate = "regenerate it with `wavekernel kernel`"
-    if vals.shape != (len(node), n * n):
-        raise DomainError(f"{csv_path}: expected {len(node)} rows of {2 + 2 * n * n} values, one "
+    names = fileio.header((), _dump_names(n))
+    if head is not None and head != names:
+        raise DomainError(f"{csv_path}: header is not {names!r}, that of a dump of "
+                          f"dimension {n}; {regenerate}")
+    region = _region(M)
+    rows = np.count_nonzero(region)
+    if vals.shape != (rows, n * n):
+        raise DomainError(f"{csv_path}: expected {rows} rows of {2 * n * n} values, one "
                           f"per node i <= j, i + j <= {M + 1}, got {len(vals)} rows of "
-                          f"{2 + 2 * vals.shape[1]}; {regenerate}")
-    bad = np.flatnonzero(np.max(np.abs(xy / h - node), axis=1) > 1e-6)
-    if bad.size:
-        r = bad[0]
-        raise DomainError(f"{csv_path}: row {r + 1} at (xi, eta) = ({xy[r, 0]}, {xy[r, 1]}) is "
-                          f"not node (i, j) = ({node[r, 0]}, {node[r, 1]}) of step {h}, which the "
-                          f"dump's i-major order puts there; {regenerate}")
+                          f"{2 * vals.shape[1]}; {regenerate}")
     if not (np.iscomplexobj(qh) or np.any(vals.imag)):
         vals = vals.real                # a real potential's kernel is real
-    v = np.zeros((M // 2 + 2, M + 1, n, n), dtype=vals.dtype)
-    v[tuple(node.T)] = vals.reshape(-1, n, n)
+    v = np.zeros(region.shape + (n, n), dtype=vals.dtype)
+    v[region] = vals.reshape(-1, n, n)  # a boolean mask takes the nodes i-major
     return KernelField(T=float(T), step=float(h), v=v, iterations=iterations,
                        tail_bound=tail, qh=qh)

@@ -211,23 +211,8 @@ def _set_field(row, col, value):
     return edit
 
 
-def _swap_xi_eta(lines):
-    xi, eta, rest = lines[2].split(",", 2)
-    lines[2] = ",".join([eta, xi, rest])
-
-
-def _duplicate_row(lines):
-    lines[2] = lines[3]
-
-
 def _drop_row(lines):
     del lines[5]
-
-
-def _swap_rows(lines):
-    # every node once, but row 3 holds node (0, 3), where the dump's i-major
-    # order puts node (0, 2)
-    lines[3], lines[4] = lines[4], lines[3]
 
 
 def _header_only(lines):
@@ -238,33 +223,36 @@ def _wrong_header(lines):
     lines[0] = "xi,eta,v00_re,v00_im,v01_re,v01_im,v10_re,v10_im,v11_re,v11_im"
 
 
-def _beyond_region(lines):
-    # node (25, 78) of the M = 100 lattice: above the diagonal, but i + j > M + 1
-    lines[4] = ",".join(["0.5", "1.56"] + lines[4].split(",")[2:])
-
-
 def _whole_triangle(lines):
     # every node i <= j of the M = 100 lattice, as a dump of the whole triangle holds
     lines[1:] = [f"{i * 0.02:.17g},{j * 0.02:.17g},0,0\r"
                  for i in range(101) for j in range(i, 101)] + [""]
 
 
+def _old_format(lines):
+    # the dump as earlier versions wrote it: xi and eta first in every row
+    nodes = [(i, j) for i in range(51) for j in range(i, min(100, 101 - i) + 1)]
+    lines[0] = "xi,eta," + lines[0]
+    lines[1:-1] = [f"{i * 0.02!r},{j * 0.02!r},{line}" for (i, j), line in zip(nodes, lines[1:-1])]
+
+
+def _old_format_bare(lines):
+    _old_format(lines)
+    del lines[0]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_wrong_header, "header"),
-    (_set_field(4, 2, "nan"), "must be finite"),
-    (_set_field(4, 3, "-inf"), "must be finite"),
-    (_set_field(4, 2, "1.0.0"), "malformed"),
+    (_set_field(4, 0, "nan"), "must be finite"),
+    (_set_field(4, 1, "-inf"), "must be finite"),
+    (_set_field(4, 0, "1.0.0"), "malformed"),
     (_drop_field, "malformed"),
-    (_set_field(4, 0, "0.013"), "not node"),
-    (_set_field(4, 1, "5.0"), "not node"),
-    (_set_field(4, 0, "-0.02"), "not node"),
-    (_swap_xi_eta, "not node"),
-    (_duplicate_row, "not node"),
-    (_swap_rows, "row 3 at (xi, eta) = (0.0, 0.06) is not node (i, j) = (0, 2)"),
     (_drop_row, "rows"),
     (_header_only, "rows"),
-    (_beyond_region, "regenerate it with `wavekernel kernel`"),
     (_whole_triangle, "regenerate it with `wavekernel kernel`"),
+    (_old_format, "header is not 'v00_re,v00_im', that of a dump of dimension 1; "
+                  "regenerate it with `wavekernel kernel`"),
+    (_old_format_bare, "got 2651 rows of 4; regenerate it with `wavekernel kernel`"),
     # a dict replaces keys of the kernel.json summary; each of these used to load
     ({"n": 1.7}, "kernel dimension n must be an integer >= 1, got 1.7"),
     ({"n": True}, "kernel dimension n must be an integer >= 1, got True"),
@@ -273,10 +261,15 @@ def _whole_triangle(lines):
     ({"T": True}, "T must be a finite real number > 0, not a bool, got True"),
     ({"h": True}, "h must be a finite real number > 0, not a bool, got True"),
     ({"T": "1.0"}, "T must be a finite real number > 0, not a bool, got '1.0'"),
-], ids=["header", "nan", "inf", "unparsable", "short_row", "off_grid", "beyond_lattice",
-        "negative", "below_diagonal", "duplicate", "swapped", "missing", "empty", "beyond_region",
-        "whole_triangle", "n_fraction", "n_bool", "iterations_fraction", "iterations_negative",
-        "T_bool", "h_bool", "T_string"])
+    ({"tail_bound": float("nan")}, "tail_bound must be a finite real number, not a bool, got nan"),
+    ({"tail_bound": float("inf")}, "tail_bound must be a finite real number, not a bool, got inf"),
+    ({"tail_bound": -1.0}, "0 <= tail_bound: 0.0 <= -1.0 fails"),
+    ({"tail_bound": True}, "tail_bound must be a finite real number, not a bool, got True"),
+    ({"tail_bound": "1e-16"}, "tail_bound must be a finite real number, not a bool, got '1e-16'"),
+], ids=["header", "nan", "inf", "unparsable", "short_row", "missing", "empty", "whole_triangle",
+        "old_format", "old_format_bare", "n_fraction", "n_bool", "iterations_fraction",
+        "iterations_negative", "T_bool", "h_bool", "T_string", "tail_nan", "tail_inf",
+        "tail_negative", "tail_bool", "tail_string"])
 def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)

@@ -389,8 +389,23 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     assert np.abs(back.v - field_herm2.v).max() < 1e-15
     assert back.iterations == field_herm2.iterations
     assert np.array_equal(back.v, field_herm2.v)
+    # the body is one row of 2 n^2 values per node of the region, under the values' header
     M = back.M
-    assert len(csv_path.read_bytes().splitlines()) == 1 + (M // 2 + 1) * (M // 2 + 2) - 1
+    head, *body = csv_path.read_bytes().splitlines()
+    assert head == b"v00_re,v00_im,v01_re,v01_im,v10_re,v10_im,v11_re,v11_im"
+    assert len(body) == (M // 2 + 1) * (M // 2 + 2) - 1
+    assert {row.count(b",") for row in body} == {2 * 2 * 2 - 1}
+
+
+@pytest.mark.parametrize("tail", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+def test_dump_refuses_a_bad_tail_bound_and_writes_nothing(tmp_path, pot_herm2, field_herm2, tail):
+    # load_kernel refuses such a summary, so dump_kernel does not write one;
+    # initial_v0's field has tail_bound inf
+    f = (wk.initial_v0(pot_herm2, 1.0, 1 / 50) if tail == float("inf")
+         else dataclasses.replace(field_herm2, tail_bound=tail))
+    with pytest.raises(DomainError, match=r"k\.json: (tail_bound must be a finite|0 <= tail_bound)"):
+        wk.dump_kernel(f, tmp_path / "out" / "k.csv", tmp_path / "out" / "k.json")
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_and_load_build_no_tables(tmp_path, pot_herm2):
@@ -465,19 +480,20 @@ def test_interp_half_table_rejects_points_beyond_its_rows(loaded_herm2):
 
 
 def _csv_writer_dump(f, path, spell=shortest):
-    """Reference writer: one csv.writer row per node i <= j, i + j <= M + 1,
-    every value spelled by spell (the package's spelling, or an older one)."""
+    """Reference writer: one csv.writer row of values per node i <= j,
+    i + j <= M + 1, every value spelled by spell (the package's spelling, or
+    an older one)."""
     n = f.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["xi", "eta"]
+        header = []
         for a in range(n):
             for b in range(n):
                 header += [f"v{a}{b}_re", f"v{a}{b}_im"]
         writer.writerow(header)
         for i in range(f.M // 2 + 1):
             for j in range(i, min(f.M, f.M + 1 - i) + 1):
-                row = [spell(i * f.step), spell(j * f.step)]
+                row = []
                 for a in range(n):
                     for b in range(n):
                         row += [spell(f.v[i, j, a, b].real), spell(f.v[i, j, a, b].imag)]
