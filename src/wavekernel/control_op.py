@@ -7,8 +7,8 @@ Neumann series, dense singular-value diagnostics, and an empirical
 certification of the Sobolev-norm boundedness estimates.  The integral
 part is the k0 table of OperatorTables, which build_volterra returns and
 invert_W, neumann_partial_sums and condition_estimate read.  The Sobolev
-trials stream all four of its tables, k0, k1, k2a and k2b, and add only
-the pointwise terms of (A f)' and (A f)''.
+trials take W f and its two derivatives from propagate's evaluator,
+_wave_from_tables, which streams k0 and k1, and A f = W f - f.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import CertificationError, DomainError, SingularSystemError, check_array, check_count
 from .goursat import KernelField, _check_dim, kernel_constants
-from .potential import PotentialGrid, _cumtrapz, norm_constants
-from .propagator import OperatorTables, _l2, _quintic, _random_smooth_samples
+from .potential import PotentialGrid, norm_constants
+from .propagator import (OperatorTables, _l2, _quintic, _random_smooth_samples,
+                         _wave_from_tables)
 
 _DENSE_SVD_CAP = 1024
 
@@ -155,27 +156,6 @@ def h2_norm(grid: np.ndarray, g: np.ndarray, g1: np.ndarray = None,
     return float(check_array(norm, "h2_norm", DomainError))
 
 
-def _apply_A_with_derivatives(tab: OperatorTables, f0, f1):
-    """A f and the explicit (A f)', (A f)'' for samples (..., N+1, n); leading axes batch.
-
-    Each of k0, k1, k2a and k2b is streamed through one product.  The
-    pointwise terms are q - w_x on the diagonal, the half-integral of q
-    along the grid, and the q(T -+ s) mix that multiplies f at T.
-    """
-    field, s = tab.field, tab.grid
-    q_x = field.q_at(s)
-    q_half_cum = 0.5 * _cumtrapz(q_x, tab.delta)
-    q_mix_T = 0.25 * (field.q_at((tab.T - s) / 2.0) - field.q_at((tab.T + s) / 2.0))
-    Af = tab.apply(tab.k0(), f0)
-    Af1 = np.einsum("kab,...kb->...ka", q_half_cum, f0) + tab.apply(tab.k1(), f0)
-    Af2 = np.einsum("kab,...kb->...ka", q_x - tab.trace(field.wx_lat), f0) \
-        + np.einsum("kab,...kb->...ka", q_half_cum, f1) \
-        + np.einsum("kab,...b->...ka", q_mix_T, f0[..., -1, :]) \
-        + tab.apply(tab.k2a(), f0) \
-        + tab.apply(tab.k2b(), f1)
-    return Af, Af1, Af2
-
-
 @dataclass(frozen=True)
 class SobolevReport:
     """Analytic norm constants, their chained bounds, and measured ratios."""
@@ -216,9 +196,10 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     Measures, over a seeded family of trial controls, the operator ratios
     behind the three chained estimates (L2 -> sup, sup -> C1, C1 -> H2) and
     the full Sobolev ratio, next to their analytic bounds assembled from
-    the norm constants of the potential and the kernel.  A f and its two
-    derivatives stream k0, k1, k2a and k2b of the one table layer,
-    OperatorTables; only the pointwise terms are added here.  The
+    the norm constants of the potential and the kernel.  Each trial is
+    taken as reflected control samples: W f and its two derivatives come
+    from propagate's formulas (_wave_from_tables), whose precondition holds
+    since every trial is exactly 0 on s >= 0.95 T, and A f = W f - f.  The
     trials, an integer >= 1, are the successive random_smooth_control draws
     of numpy.random.default_rng(seed), seed an integer >= 0.  They are
     sampled as one stack by _random_smooth_samples, to the bytes of one
@@ -249,11 +230,14 @@ def measure_h2_bound(field: KernelField, p: PotentialGrid, T: float,
     )
     f0, f1, f2 = _random_smooth_samples(T, field.dim, np.random.default_rng(seed),
                                         trials, grid)           # (trials, N+1, n)
-    Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
+    Af, Af1, Af2 = _wave_from_tables(tab, f0, f1, f2)      # W f, (W f)', (W f)''
+    h2_Wf = _h2(grid, Af, Af1, Af2)
+    Af -= f0
+    Af1 -= f1
+    Af2 -= f2
     sup_f = _sup(f0)
     h2_f = _h2(grid, f0, f1, f2)
     h2_Af = _h2(grid, Af, Af1, Af2)
-    h2_Wf = _h2(grid, f0 + Af, f1 + Af1, f2 + Af2)
     num = np.stack([_sup(Af), _sup(Af1), _l2(grid, Af2), h2_Af, h2_f])
     den = np.stack([_l2(grid, f0), sup_f, np.maximum(sup_f, _sup(f1)), h2_f, h2_Wf])
     # worst ratio over the trials with a nonzero denominator; 0 when there are none

@@ -862,9 +862,14 @@ def _dump_names(n: int) -> list[str]:
 
 
 def _check_tail_bound(tail, where: str) -> float:
-    """tail_bound as a float, after checking it is a finite real number >= 0 (DomainError)."""
+    """tail_bound as a float, after checking it is a finite real number >= 0 (DomainError).
+
+    Exactly >= 0, -0.0 included: check_order's rounding allowance would let a
+    negative certificate shrink the majorant of bound_violations.
+    """
     tail = check_real(tail, f"{where}: tail_bound", DomainError)
-    check_order(f"{where}: 0 <= tail_bound", DomainError, 0.0, tail)
+    if tail < 0.0:
+        raise DomainError(f"{where}: 0 <= tail_bound: 0.0 <= {tail!r} fails")
     return tail
 
 

@@ -9,8 +9,8 @@ from the interior equation rather than from differentiating the kernel
 twice, which is the only route the kernel's regularity supports.
 
 OperatorTables is the one layer that samples the kernel onto a grid: k0 and
-k1, which propagate and difference_quotient_test read, and k2a and k2b, which
-the Sobolev trials of control_op add for (A f)''.  It streams each table by
+k1, which propagate, difference_quotient_test and the Sobolev trials of
+control_op read through one evaluator, _wave_from_tables.  It streams each table by
 blocks of rows, each multiplied into its rows of the product as it is made, so
 a product never holds the whole table.  A block is sampled as one array: its rows by the
 columns from its first row on, the causal pairs s >= x of the block upper
@@ -334,13 +334,11 @@ class OperatorTables:
     diagonal.  k0 is the weighted kernel, the operator of the
     representation formula and of the control-to-state map; k1 is the
     weighted x-derivative w_x - (q(eta/2) + q(xi/2))/4 of the kernel
-    inside the integral.  k2a (the weighted w_xx) and k2b (the weighted
-    (q(eta/2) - q(xi/2))/4) are the two tables of (A f)'' that the Sobolev
-    trials add; k1 and k2b share one recipe for their q terms, _q_pair.
-    T is the horizon the tables were given, and delta = T/N their step.
-    Each call of k0() to k2b() samples its table afresh, as a stream of
-    (rows, block) pairs from _causal: block is a zeroed (rows, n, N+1, n)
-    array, the table's rows in the order of its matrix product.  apply multiplies a stream into a stack of samples one
+    inside the integral.  T is the horizon the tables were given, and
+    delta = T/N their step.  Each call of k0() or k1() samples its table
+    afresh, as a stream of (rows, block) pairs from _causal: block is a
+    zeroed (rows, n, N+1, n) array, the table's rows in the order of its
+    matrix product.  apply multiplies a stream into a stack of samples one
     block at a time; full gathers a whole (N+1, n, N+1, n) table, for an
     operator applied more than once.  A block has the dtype of its values:
     float64 for a real field (a real potential), complex128 otherwise.  A
@@ -465,13 +463,6 @@ class OperatorTables:
         """The potential at r delta / 2, r = 0..2N: q(eta/2) at r, q(xi/2) at p."""
         return self.field.q_at(np.arange(2 * self.grid.size - 1) * self.delta / 2.0)
 
-    def _q_pair(self, p: np.ndarray, r: np.ndarray, op) -> np.ndarray:
-        """(q(eta/2) op q(xi/2))/4 at the pairs (p, r), op np.add or np.subtract."""
-        out = np.take(self.q_half, r, axis=0)
-        op(out, np.take(self.q_half, p, axis=0), out=out)
-        out *= 0.25
-        return out
-
     def k0(self):
         return self._causal(self._sampler(self.field.v))
 
@@ -480,40 +471,53 @@ class OperatorTables:
 
         def values(p, r):
             out = sample(p, r)
-            out -= self._q_pair(p, r, np.add)
+            q = np.take(self.q_half, r, axis=0)         # (q(eta/2) + q(xi/2))/4
+            q += np.take(self.q_half, p, axis=0)
+            q *= 0.25
+            out -= q
             return out
 
         return self._causal(values)
 
-    def k2a(self):
-        return self._causal(self._sampler(self.field.wxx_lattice()))
 
-    def k2b(self):
-        """(q(eta/2) - q(xi/2))/4, weighted; acts on f'."""
-        return self._causal(lambda p, r: self._q_pair(p, r, np.subtract))
+def _wave_from_tables(tab: OperatorTables, g0, g1, g2):
+    """u, u_x and u_xx at the horizon from reflected control samples; leading axes batch.
+
+    g0 holds g(s) = f(T - s) on the tables' grid and g1, g2 its first two
+    s-derivatives, each (..., N+1, n).  u = g + K0 g is the representation
+    formula and u_x = g' - w(x, x) g + K1 g its differentiated form; u_xx
+    comes from the interior equation u_xx = u_tt + q u, with
+    u_tt = g'' + K0 g'' from pushing two time derivatives onto the control
+    (one k0 product over the stack [g0, g2]).  That needs f(0) = f'(0) = 0,
+    i.e. g and g' vanish at s = T: every Control vanishes near t = 0, and
+    every Sobolev trial is exactly 0 on s >= 0.95 T.  Both products are
+    streamed, so no whole table is ever held, and the sums are made in place.
+    """
+    field, s = tab.field, tab.grid
+    # u_x first: k1's sampler, a peak of its own, then runs before the k0 stack exists
+    u_x = tab.apply(tab.k1(), g0)
+    u_x += g1 - np.einsum("kab,...kb->...ka", tab.trace(field.v), g0)
+    g = np.stack([g0, g2])
+    wave = tab.apply(tab.k0(), g)
+    wave += g
+    del g
+    u, u_xx = wave
+    u_xx += np.einsum("kab,...kb->...ka", field.q_at(s), u)
+    return u, u_x, u_xx
 
 
 def propagate(field: KernelField, f: Control, T: float, N: int) -> WaveSnapshot:
     """Wave snapshot at time T on N+1 uniform nodes.
 
-    Reads the one table layer, OperatorTables: u and u_tt come from the
-    representation formula, one k0 product over the stacked control and
-    its second derivative; u_x from its differentiated form with k1 and
-    the diagonal trace of the kernel; and u_xx from the interior equation
-    u_xx = u_tt + q u, with u_tt evaluated by pushing two time derivatives
-    onto the control.  Both products are streamed, so no whole table is
-    ever held.
+    Reads the one table layer, OperatorTables, through _wave_from_tables:
+    the control sampled at T - s is the reflected g, so g' = -f'(T - s).
     """
     if f.dim != field.dim:
         raise ControlError(f"control dimension {f.dim} != kernel dimension {field.dim}")
     tab = OperatorTables(field, T, N)
-    s = tab.grid
-    f0, f1, f2 = f.sample(T - s)
-    g = np.stack([f0, f2])
-    u, u_tt = g + tab.apply(tab.k0(), g)
-    u_xx = u_tt + np.einsum("kab,kb->ka", field.q_at(s), u)
-    u_x = -f1 - np.einsum("kab,kb->ka", tab.trace(field.v), f0) + tab.apply(tab.k1(), f0)
-    return WaveSnapshot(T=float(T), grid=s, u=u, u_x=u_x, u_xx=u_xx)
+    f0, f1, f2 = f.sample(T - tab.grid)
+    u, u_x, u_xx = _wave_from_tables(tab, f0, -f1, f2)
+    return WaveSnapshot(T=float(T), grid=tab.grid, u=u, u_x=u_x, u_xx=u_xx)
 
 
 def u_tt(field: KernelField, f: Control, x: float, t: float) -> np.ndarray:

@@ -264,12 +264,13 @@ def _old_format_bare(lines):
     ({"tail_bound": float("nan")}, "tail_bound must be a finite real number, not a bool, got nan"),
     ({"tail_bound": float("inf")}, "tail_bound must be a finite real number, not a bool, got inf"),
     ({"tail_bound": -1.0}, "0 <= tail_bound: 0.0 <= -1.0 fails"),
+    ({"tail_bound": -5e-10}, "0 <= tail_bound: 0.0 <= -5e-10 fails"),
     ({"tail_bound": True}, "tail_bound must be a finite real number, not a bool, got True"),
     ({"tail_bound": "1e-16"}, "tail_bound must be a finite real number, not a bool, got '1e-16'"),
 ], ids=["header", "nan", "inf", "unparsable", "short_row", "missing", "empty", "whole_triangle",
         "old_format", "old_format_bare", "n_fraction", "n_bool", "iterations_fraction",
         "iterations_negative", "T_bool", "h_bool", "T_string", "tail_nan", "tail_inf",
-        "tail_negative", "tail_bool", "tail_string"])
+        "tail_negative", "tail_barely_negative", "tail_bool", "tail_string"])
 def test_malformed_kernel_dump_rejected(tmp_path, capsys, edit, message):
     one_pot(tmp_path)
     cfg = write_cfg(tmp_path)

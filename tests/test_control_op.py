@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import wavekernel as wk
 from wavekernel import control_op
-from wavekernel.control_op import _apply_A_with_derivatives, _dense, _sup
+from wavekernel.control_op import _dense, _sup
 from wavekernel.errors import CertificationError, DomainError, SingularSystemError
 from wavekernel.goursat import KernelField
-from wavekernel.propagator import OperatorTables, _l2
+from wavekernel.propagator import (OperatorTables, _l2, _random_smooth_samples,
+                                  _wave_from_tables)
 
 from conftest import full_table
 
@@ -266,19 +267,32 @@ def test_h2_norm_unitary_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_apply_A_derivative_formulas(pot_quad):
-    # the explicit (A f)' and (A f)'' formulas agree with differencing A f
-    field = wk.solve_goursat(pot_quad, 1.0, 1 / 200, 1e-11)
+def test_apply_A_derivative_formulas(pot_quad, pot_herm2):
+    # (A f)' and (A f)'' of the wave evaluator, A f = W f - f, agree with
+    # differencing A f, on a scalar q that varies and on a 2x2 complex one;
+    # the bump is 0 on s >= 0.85, so the evaluator's precondition holds
     N = 800
-    tab = OperatorTables(field, 1.0, N)
-    f = wk.bump_control(1.0, 0.1, 0.85, 1.3)
-    f0, f1, _ = f.sample(tab.grid)
-    Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
-    dx = tab.grid[1] - tab.grid[0]
-    fd1 = np.gradient(Af[:, 0], dx)
-    fd2 = np.gradient(Af1[:, 0], dx)
-    assert np.abs(fd1[3:-3] - Af1[3:-3, 0]).max() < 1e-4
-    assert np.abs(fd2[3:-3] - Af2[3:-3, 0]).max() < 1e-3
+    for pot, amp in ((pot_quad, 1.3), (pot_herm2, np.array([1.3, 0.7 - 0.4j]))):
+        field = wk.solve_goursat(pot, 1.0, 1 / 200, 1e-11)
+        tab = OperatorTables(field, 1.0, N)
+        f = wk.bump_control(1.0, 0.1, 0.85, amp)
+        f0, f1, f2 = f.sample(tab.grid)
+        Af, Af1, Af2 = (w - g for w, g in zip(_wave_from_tables(tab, f0, f1, f2), (f0, f1, f2)))
+        dx = tab.grid[1] - tab.grid[0]
+        fd1 = np.gradient(Af, dx, axis=0)
+        fd2 = np.gradient(Af1, dx, axis=0)
+        assert np.abs(fd1[3:-3] - Af1[3:-3]).max() < 1e-4, field.dim
+        assert np.abs(fd2[3:-3] - Af2[3:-3]).max() < 1e-3, field.dim
+
+
+@pytest.mark.parametrize("T", [1.0, 2.5])
+def test_trials_vanish_near_the_horizon(T):
+    # the wave evaluator needs g = g' = 0 at s = T: every trial's bumps start
+    # below 0.45 T and are at most 0.5 T wide, so f and f' are exactly 0 on s >= 0.95 T
+    s = np.linspace(0.95 * T, T, 101)
+    for seed in range(50):
+        f0, f1, _ = _random_smooth_samples(T, 2, np.random.default_rng(seed), 20, s)
+        assert not f0.any() and not f1.any(), seed
 
 
 def test_certify_zero_potential(pot_zero, field_zero):
@@ -312,14 +326,14 @@ def test_measure_matches_per_trial_loop(request, name):
     for _ in range(trials):
         f = wk.random_smooth_control(T, field.dim, rng)
         f0, f1, f2 = f.sample(grid)
-        Af, Af1, Af2 = _apply_A_with_derivatives(tab, f0, f1)
+        Wf, Wf1, Wf2 = _wave_from_tables(tab, f0, f1, f2)
+        Af, Af1, Af2 = Wf - f0, Wf1 - f1, Wf2 - f2
         l2_f = _l2(grid, f0)
         sup_f = _sup(f0)
         c1_f = max(sup_f, _sup(f1))
         h2_f = math.sqrt(_l2(grid, f0) ** 2 + _l2(grid, f1) ** 2 + _l2(grid, f2) ** 2)
         h2_Af = math.sqrt(_l2(grid, Af) ** 2 + _l2(grid, Af1) ** 2 + _l2(grid, Af2) ** 2)
-        h2_Wf = math.sqrt(_l2(grid, f0 + Af) ** 2 + _l2(grid, f1 + Af1) ** 2
-                          + _l2(grid, f2 + Af2) ** 2)
+        h2_Wf = math.sqrt(_l2(grid, Wf) ** 2 + _l2(grid, Wf1) ** 2 + _l2(grid, Wf2) ** 2)
         if l2_f > 0:
             r_i = max(r_i, _sup(Af) / l2_f)
         if sup_f > 0:

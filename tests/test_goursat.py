@@ -397,10 +397,12 @@ def test_dump_load_roundtrip(tmp_path, pot_herm2, field_herm2):
     assert {row.count(b",") for row in body} == {2 * 2 * 2 - 1}
 
 
-@pytest.mark.parametrize("tail", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("tail", [float("inf"), float("nan"), -1.0, -5e-10],
+                         ids=["inf", "nan", "negative", "barely_negative"])
 def test_dump_refuses_a_bad_tail_bound_and_writes_nothing(tmp_path, pot_herm2, field_herm2, tail):
     # load_kernel refuses such a summary, so dump_kernel does not write one;
-    # initial_v0's field has tail_bound inf
+    # initial_v0's field has tail_bound inf.  A tail bound is a certificate,
+    # so no rounding allowance lets a negative one through
     f = (wk.initial_v0(pot_herm2, 1.0, 1 / 50) if tail == float("inf")
          else dataclasses.replace(field_herm2, tail_bound=tail))
     with pytest.raises(DomainError, match=r"k\.json: (tail_bound must be a finite|0 <= tail_bound)"):
@@ -417,6 +419,13 @@ def test_solve_and_load_build_no_tables(tmp_path, pot_herm2):
     fields.append(wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2))
     for f in fields:
         assert f._wx_lat is None and f._wtt_lat is None
+
+
+@pytest.mark.parametrize("tail", [0.0, -0.0])
+def test_a_zero_tail_bound_round_trips(tmp_path, pot_herm2, field_herm2, tail):
+    f = dataclasses.replace(field_herm2, tail_bound=tail)
+    wk.dump_kernel(f, tmp_path / "k.csv", tmp_path / "k.json")
+    assert wk.load_kernel(tmp_path / "k.csv", tmp_path / "k.json", pot_herm2).tail_bound == 0.0
 
 
 def test_load_refuses_a_summary_without_tail_bound(tmp_path, pot_herm2, field_herm2):

@@ -28,7 +28,7 @@ from conftest import traced_peak
 
 REL = 1e-14
 REAL = ("one", "diag14")
-TABLES = ("k0", "k1", "k2a", "k2b")
+TABLES = ("k0", "k1")
 
 
 def preset(name):

@@ -87,7 +87,7 @@ def ref_q_halves(field, delta, N):
 
 
 def ref_tables(field, T, N):
-    """k0, k1, k2a and k2b as the full-square sampler built them."""
+    """k0 and k1 as the full-square sampler built them."""
     delta = T / N
     wgt = ref_weights(delta, N)
     k0 = ref_sample(field, delta, N, field.v) * wgt
@@ -97,11 +97,7 @@ def ref_tables(field, T, N):
     q_plus *= 0.25
     k1 -= q_plus
     k1 *= wgt
-    k2a = ref_sample(field, delta, N, field.wxx_lattice()) * wgt
-    q_plus, q_minus = ref_q_halves(field, delta, N)
-    q_plus -= q_minus
-    q_plus *= wgt * 0.25
-    return {"k0": k0, "k1": k1, "k2a": k2a, "k2b": q_plus}
+    return {"k0": k0, "k1": k1}
 
 
 # --- reference: products over the whole table --------------------------------
@@ -197,7 +193,7 @@ def product_mismatches(fields) -> list:
             tab = OperatorTables(field, 1.0, N)
             rng = np.random.default_rng(N)
             batch = rng.normal(size=(5, N + 1, n)) + 1j * rng.normal(size=(5, N + 1, n))
-            for name in ("k0", "k1", "k2a", "k2b"):
+            for name in ("k0", "k1"):
                 table = full_table(getattr(tab, name)())
                 for g in (batch, batch[2]):
                     got = OperatorTables.apply(getattr(tab, name)(), g)
